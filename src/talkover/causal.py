@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (CausalError, NoValidStrataError, PerfectSeparationError,
                      SingleClassTreatmentError)
@@ -27,6 +26,10 @@ PS_TOL = 1e-8
 PS_COEF_LIMIT = 30.0  # log-odds beyond this only arise when classes separate
 
 MIN_PARTICIPANTS = 3  # analysis covers meetings with more than 2 people
+
+# Two-sided 95% normal quantile, the double nearest norm.ppf(0.975).
+# statistics.NormalDist().inv_cdf(0.975) lands two ulps lower.
+Z_975 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -299,8 +302,7 @@ def estimate_impact(records, assignment) -> ImpactEstimate:
         delta += w * d
         var += w * w * (p_t * (1 - p_t) / n_t + p_c * (1 - p_c) / n_c)
         per_stratum.append((b, n_t, n_c, d))
-    z = float(norm.ppf(0.975))
-    half = z * np.sqrt(var)
+    half = Z_975 * np.sqrt(var)
     return ImpactEstimate(float(delta), (float(delta - half), float(delta + half)),
                           tuple(per_stratum))
 

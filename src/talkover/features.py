@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .audio import SAMPLE_RATE
 from .errors import EmbeddingFormatError, ShapeContractError
@@ -115,7 +114,18 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int = SAMPLE_RATE,
     return fb
 
 
+def _dct2(n: int) -> np.ndarray:
+    """Orthonormal DCT-II as an (n, n) matrix: row k is
+    sqrt(2/n) * cos(pi * k * (2i + 1) / 2n), row 0 scaled by 1/sqrt(2)."""
+    k = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    mat = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * i + 1) / (2 * n))
+    mat[0] /= np.sqrt(2.0)
+    return mat
+
+
 _MEL_FB = mel_filterbank(MFCC_N_COEFF, MFCC_N_FFT)
+_DCT = _dct2(MFCC_N_COEFF)
 _MFCC_WINDOW = _hann(MFCC_N_FFT)
 _SPEC_WINDOW = _hann(SPEC_N_FFT)
 
@@ -134,7 +144,7 @@ def _mfcc_mono(x: np.ndarray) -> np.ndarray:
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     mel = power @ _MEL_FB.T
     logmel = np.log(mel + _LOG_FLOOR)
-    return dct(logmel, type=2, norm="ortho", axis=1).T  # (n_coeff, n_frames)
+    return _DCT @ logmel.T  # (n_coeff, n_frames)
 
 
 def _spectrogram_mono(x: np.ndarray) -> np.ndarray:

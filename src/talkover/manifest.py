@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .audio import AudioChannel, read_wav_data
+from .audio import SAMPLE_RATE, AudioChannel, read_wav_data
 from .errors import AudioError, ChannelLayoutError, SampleRateError, TalkoverError
 from .overlap import CandidateClip
 
@@ -98,8 +98,8 @@ def load_clip(record: ClipRecord, wav_path=None) -> CandidateClip:
     if frames.shape[1] != 2:
         raise ChannelLayoutError("%s: clip WAVs are stereo, got %d channels"
                                  % (path, frames.shape[1]))
-    if rate != 16000:
-        raise SampleRateError("%s: expected 16 kHz, got %d" % (path, rate))
+    if rate != SAMPLE_RATE:
+        raise SampleRateError("%s: rate %d Hz, expected %d" % (path, rate, SAMPLE_RATE))
     left = AudioChannel(frames[:, 0], rate, "mix")
     right = AudioChannel(frames[:, 1], rate, record.interrupter_id)
     try:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateDistributionError, MetricError
 from .model import CLASSES
@@ -32,6 +31,8 @@ class ScoredSample:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (len(CLASSES),):
             raise MetricError("probs must have length %d" % len(CLASSES))
+        if not np.all(np.isfinite(p)):
+            raise MetricError("probs of %s are not finite" % self.clip_id)
         if abs(float(p.sum()) - 1.0) > 1e-6:
             raise MetricError("probs of %s sum to %g, not 1" % (self.clip_id, p.sum()))
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
@@ -46,6 +47,18 @@ def _scores_and_truth(samples, positive_class: str):
     return scores, truth, idx
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; each run of tied values gets the mean of the
+    ranks it spans."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(x)]  # exclusive
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(samples, positive_class: str) -> float:
     """One-vs-rest AUC by the rank method; ties contribute 0.5.
 
@@ -58,14 +71,8 @@ def roc_auc(samples, positive_class: str) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateDistributionError(
             "AUC needs both classes; got %d positives, %d negatives" % (n_pos, n_neg))
-    ranks = rankdata(scores)  # average ranks on ties
+    ranks = _average_ranks(scores)
     return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _emitted(scores, argmax_is_pos, tau) -> np.ndarray:
-    """A sample counts as a positive prediction only when the positive
-    class wins the argmax and clears the threshold."""
-    return argmax_is_pos & (scores >= tau)
 
 
 def tpr_at_fpr(samples, positive_class: str, target_fpr: float = 0.01):
@@ -88,18 +95,19 @@ def tpr_at_fpr(samples, positive_class: str, target_fpr: float = 0.01):
             "only %d negatives for a %.4g FPR target; the realized FPR is "
             "coarse" % (n_neg, target_fpr), stacklevel=2)
 
-    argmax_is_pos = np.array(
-        [int(np.argmax(s.probs)) == idx for s in samples])
-    best = None
-    for tau in sorted(set(scores.tolist())):
-        emitted = _emitted(scores, argmax_is_pos, tau)
-        fpr = float((emitted & ~truth).sum()) / n_neg
-        if fpr <= target_fpr:
-            best = tau
-            break  # ascending scan: first hit is the smallest threshold
-    if best is None:
+    probs = np.array([s.probs for s in samples], dtype=np.float64)
+    argmax_is_pos = np.argmax(probs, axis=1) == idx
+    # False positives at threshold u are the emitted negatives scoring
+    # >= u; that count only falls as u rises, so the feasible thresholds
+    # form an upper run of the sorted distinct scores.
+    neg_scores = np.sort(scores[argmax_is_pos & ~truth])
+    candidates = np.unique(scores)
+    fp = len(neg_scores) - np.searchsorted(neg_scores, candidates, side="left")
+    feasible = np.flatnonzero(fp / n_neg <= target_fpr)
+    if len(feasible) == 0:
         return 0.0, float("inf")
-    emitted = _emitted(scores, argmax_is_pos, best)
+    best = candidates[feasible[0]]
+    emitted = argmax_is_pos & (scores >= best)
     tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
     return tpr, float(best)
 

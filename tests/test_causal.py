@@ -1,10 +1,11 @@
 import math
+import statistics
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from talkover.causal import (MIN_PARTICIPANTS, MeetingRecord, _smd,
+from talkover.causal import (MIN_PARTICIPANTS, Z_975, MeetingRecord, _smd,
                              balance_report, bootstrap_ci, estimate_impact,
                              filter_eligible, fit_propensity, naive_difference,
                              predict_ps, read_telemetry_csv, run_impact,
@@ -215,6 +216,12 @@ def test_estimate_hand_case():
     assert est.per_stratum == ((0, 3, 2, 2.0 / 3.0), (1, 1, 4, 0.5))
     lo, hi = est.ci95
     assert lo < est.delta < hi
+
+
+def test_z_literal_is_the_normal_quantile():
+    stats = pytest.importorskip("scipy.stats")
+    assert Z_975 == float(stats.norm.ppf(0.975))
+    assert abs(Z_975 - statistics.NormalDist().inv_cdf(0.975)) <= 1e-15
 
 
 def test_estimate_order_invariant():

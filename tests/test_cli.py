@@ -1,5 +1,8 @@
+import ast
 import csv
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import talkover
 from conftest import run_cli
 from talkover.audio import read_wav_data
 from talkover.labels import fleiss_kappa, read_votes_csv, votes_to_table
@@ -312,3 +316,39 @@ def test_installed_entry_point():
     assert console.returncode == 0, (
         f"{target} exited {console.returncode} on --help; stderr:\n{console.stderr}")
     assert "interruption" in console.stdout, f"{target} --help printed:\n{console.stdout}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats and scipy.fft cost over a second of start-up per
+    # command; a stray import would not fail anything else.
+    src_dir = os.path.dirname(os.path.dirname(talkover.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, talkover.cli\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    # every runtime dependency here imports under its distribution name
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in declared}
+
+    imported = set()
+    for path in sorted((REPO_ROOT / "src" / "talkover").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported.update(n.split(".")[0] for n in names
+                            if n.split(".")[0] not in sys.stdlib_module_names)
+    assert imported == declared == {"numpy"}

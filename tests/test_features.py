@@ -1,12 +1,15 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from talkover import features
 from talkover.audio import AudioChannel, SAMPLE_RATE
 from talkover.errors import EmbeddingFormatError, ShapeContractError
 from talkover.features import (ANALYSIS_SAMPLES, MFCC_FRAMES, MFCC_HOP,
-                               MFCC_N_COEFF, PROFILES, SPEC_BINS, SPEC_FRAMES,
+                               MFCC_N_COEFF, MFCC_N_FFT, PROFILES, SPEC_BINS,
+                               SPEC_FRAMES,
                                SPEC_HOP, SPEC_N_FFT, EmbeddingProfile,
                                LayeredEmbedding, load_embeddings,
                                mel_filterbank, mfcc, spectrogram,
@@ -70,6 +73,38 @@ def test_short_channel_rejected():
         right=AudioChannel(np.zeros(1000), SAMPLE_RATE, "r"))
     with pytest.raises(ShapeContractError):
         mfcc(short)
+
+
+def test_dct_matrix_is_orthonormal():
+    gram = features._DCT @ features._DCT.T
+    assert np.abs(gram - np.eye(MFCC_N_COEFF)).max() <= 1e-12
+
+
+def test_dct_matrix_matches_the_dct_ii_formula():
+    n = MFCC_N_COEFF
+    expected = np.array([[math.sqrt((1.0 if k == 0 else 2.0) / n)
+                          * math.cos(math.pi * k * (2 * i + 1) / (2 * n))
+                          for i in range(n)] for k in range(n)])
+    np.testing.assert_allclose(features._DCT, expected, rtol=0, atol=1e-15)
+
+
+def test_mfcc_matches_scipy_dct():
+    scipy_fft = pytest.importorskip("scipy.fft")
+
+    def oracle(samples):
+        frames = features._frame(samples[-ANALYSIS_SAMPLES:], MFCC_N_FFT,
+                                 MFCC_HOP) * features._MFCC_WINDOW
+        power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+        logmel = np.log(power @ features._MEL_FB.T + features._LOG_FLOOR)
+        return scipy_fft.dct(logmel, type=2, norm="ortho", axis=1).T
+
+    t = np.arange(160000) / SAMPLE_RATE
+    for clip in (make_clip(5), make_clip(left=np.zeros(160000),
+                                         right=0.4 * np.sin(2 * np.pi * 440.0 * t))):
+        expected = np.concatenate([oracle(clip.left.samples),
+                                   oracle(clip.right.samples)])
+        got = mfcc(clip)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_pure_tone_lands_in_its_fft_bin():

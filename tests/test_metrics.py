@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,8 @@ def test_scored_sample_validation():
         ScoredSample("c", POS, (0.5, 0.5))
     with pytest.raises(MetricError):
         ScoredSample("c", POS, (0.5, 0.5, 0.5, 0.5))
+    with pytest.raises(MetricError):
+        ScoredSample("c", POS, (math.nan, 0.5, 0.25, 0.25))
 
 
 def test_auc_hand_case_is_seven_ninths():
@@ -116,6 +119,51 @@ def ladder_samples():
     pos = [0.50 + 0.005 * i for i in range(60)]
     neg = [0.26 + 0.003 * i for i in range(40)]
     return two_class(pos, neg)
+
+
+def loop_tpr_at_fpr(samples, positive_class, target_fpr):
+    """Quadratic reference: rescan every sample at each distinct score,
+    ascending, and stop at the first threshold within target."""
+    idx = CLASSES.index(positive_class)
+    scores = np.array([s.probs[idx] for s in samples])
+    truth = np.array([s.true_label == positive_class for s in samples])
+    n_pos = int(truth.sum())
+    n_neg = len(samples) - n_pos
+    argmax_is_pos = np.array([int(np.argmax(s.probs)) == idx for s in samples])
+    for tau in sorted(set(scores.tolist())):
+        emitted = argmax_is_pos & (scores >= tau)
+        if float((emitted & ~truth).sum()) / n_neg <= target_fpr:
+            tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
+            return tpr, float(tau)
+    return 0.0, float("inf")
+
+
+def coarse_samples(rng, n):
+    """Probabilities from small integer weights: few distinct scores and
+    frequent argmax ties."""
+    weights = rng.integers(0, 4, size=(n, len(CLASSES)))
+    weights[weights.sum(axis=1) == 0, 0] = 1
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    labels = [CLASSES[int(i)] for i in rng.integers(0, len(CLASSES), n)]
+    labels[0] = "laughter"  # FPR needs at least one negative
+    return [ScoredSample("s%d" % i, label, tuple(p))
+            for i, (label, p) in enumerate(zip(labels, probs))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       target=st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5]))
+def test_tpr_at_fpr_equals_loop_oracle_with_ties(seed, target):
+    # about a quarter of these draws admit no threshold: (0.0, inf)
+    rng = np.random.default_rng(seed)
+    samples = coarse_samples(rng, int(rng.integers(1, 80)))
+    n_neg = sum(1 for s in samples if s.true_label != POS)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = tpr_at_fpr(samples, POS, target)
+    assert got == loop_tpr_at_fpr(samples, POS, target)
+    scarce = n_neg < math.ceil(1.0 / target)
+    assert any("negatives" in str(w.message) for w in caught) == scarce
 
 
 def test_tpr_at_fpr_clean_separation():
