@@ -59,7 +59,7 @@ def main():
     print("test auc %.4f for %r" % (auc, positive))
     print("tpr %.2f at 1%% fpr (threshold %.3f)" % (tpr, tau))
 
-    weights = result.model.layer_weights.weights
+    weights = model_mod.softmax(result.model.params["layer_logits"])
     print("learned layer weights: %s"
           % " ".join("%.3f" % w for w in weights))
 

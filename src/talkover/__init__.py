@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 
 from .audio import AudioChannel, MeetingAudio, load_wav, mixdown, write_wav
 from .features import LayeredEmbedding, PROFILES, mfcc, spectrogram
-from .model import CLASSES, InterruptionModel, TrainConfig, forward, train
+from .model import CLASSES, InterruptionModel, TrainConfig, train
 from .overlap import CandidateClip, VadParams, detect, export_clip, vad
 
 __all__ = [
     "AudioChannel", "MeetingAudio", "load_wav", "mixdown", "write_wav",
     "LayeredEmbedding", "PROFILES", "mfcc", "spectrogram",
-    "CLASSES", "InterruptionModel", "TrainConfig", "forward", "train",
+    "CLASSES", "InterruptionModel", "TrainConfig", "train",
     "CandidateClip", "VadParams", "detect", "export_clip", "vad",
     "__version__",
 ]

@@ -211,19 +211,6 @@ def _scored_samples(model, records_by_id, clip_ids, features_dir, feature, profi
             for rec, p in zip(recs, probs)]
 
 
-def _tpr_at_fixed_tau(samples, positive_class, tau):
-    """TPR and realized FPR at an externally supplied threshold."""
-    idx = CLASSES.index(positive_class)
-    truth = np.array([s.true_label == positive_class for s in samples])
-    emitted = np.array([int(np.argmax(s.probs)) == idx and s.probs[idx] >= tau
-                        for s in samples])
-    n_pos = int(truth.sum())
-    n_neg = len(samples) - n_pos
-    tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
-    fpr = float((emitted & ~truth).sum()) / n_neg if n_neg else 0.0
-    return tpr, fpr
-
-
 def cmd_eval(args) -> int:
     out_dir = _ensure_out(args)
     records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
@@ -243,15 +230,15 @@ def cmd_eval(args) -> int:
 
         if args.threshold is not None:
             tau = args.threshold
-            tpr, fpr = _tpr_at_fixed_tau(samples, positive, tau)
+            tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
         elif args.calibration_split:
             calib = _scored_samples(net, records_by_id, split[args.calibration_split],
                                     args.features, args.feature, profile)
             _, tau = metrics.tpr_at_fpr(calib, positive, args.fpr_target)
-            tpr, fpr = _tpr_at_fixed_tau(samples, positive, tau)
+            tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
         else:
             tpr, tau = metrics.tpr_at_fpr(samples, positive, args.fpr_target)
-            _, fpr = _tpr_at_fixed_tau(samples, positive, tau)
+            _, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
 
         confusion = metrics.thresholded_confusion(samples, tau, positive)
         metrics.write_confusion_csv(

@@ -47,6 +47,21 @@ def _scores_and_truth(samples, positive_class: str):
     return scores, truth, idx
 
 
+def _argmax_is(samples, idx: int) -> np.ndarray:
+    """Whether each sample's most probable class is CLASSES[idx]."""
+    probs = np.array([s.probs for s in samples], dtype=np.float64)
+    return np.argmax(probs.reshape(-1, len(CLASSES)), axis=1) == idx
+
+
+def _rates(emitted: np.ndarray, truth: np.ndarray):
+    """(TPR, FPR) of the emitted mask against the truth mask."""
+    n_pos = int(truth.sum())
+    n_neg = len(truth) - n_pos
+    tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
+    fpr = float((emitted & ~truth).sum()) / n_neg if n_neg else 0.0
+    return tpr, fpr
+
+
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of x; each run of tied values gets the mean of the
     ranks it spans."""
@@ -95,8 +110,7 @@ def tpr_at_fpr(samples, positive_class: str, target_fpr: float = 0.01):
             "only %d negatives for a %.4g FPR target; the realized FPR is "
             "coarse" % (n_neg, target_fpr), stacklevel=2)
 
-    probs = np.array([s.probs for s in samples], dtype=np.float64)
-    argmax_is_pos = np.argmax(probs, axis=1) == idx
+    argmax_is_pos = _argmax_is(samples, idx)
     # False positives at threshold u are the emitted negatives scoring
     # >= u; that count only falls as u rises, so the feasible thresholds
     # form an upper run of the sorted distinct scores.
@@ -107,9 +121,15 @@ def tpr_at_fpr(samples, positive_class: str, target_fpr: float = 0.01):
     if len(feasible) == 0:
         return 0.0, float("inf")
     best = candidates[feasible[0]]
-    emitted = argmax_is_pos & (scores >= best)
-    tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
-    return tpr, float(best)
+    return _rates(argmax_is_pos & (scores >= best), truth)[0], float(best)
+
+
+def tpr_fpr_at_threshold(samples, positive_class: str, tau: float):
+    """TPR and realized FPR at a given threshold, under the emission rule
+    of tpr_at_fpr: argmax = positive class and score >= tau. Returns
+    (tpr, fpr); a rate whose denominator class is absent is 0."""
+    scores, truth, idx = _scores_and_truth(samples, positive_class)
+    return _rates(_argmax_is(samples, idx) & (scores >= tau), truth)
 
 
 @dataclass(frozen=True)

@@ -37,37 +37,6 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-np.log(picked)))
 
 
-@dataclass
-class LayerWeights:
-    """Learnable mixing of embedding layers; softmax keeps the effective
-    weights a convex combination."""
-
-    logits: np.ndarray
-
-    @property
-    def weights(self) -> np.ndarray:
-        return softmax(np.asarray(self.logits, dtype=np.float64))
-
-
-@dataclass
-class AttentionPooler:
-    """Frame-scoring template; one weight per feature dimension."""
-
-    w: np.ndarray
-
-
-@dataclass
-class FeedForwardHead:
-    """Affine stack with LeakyReLU between layers and none after the last."""
-
-    weights: list  # (out, in) matrices
-    biases: list   # (out,) vectors
-
-    @property
-    def widths(self) -> tuple:
-        return tuple(w.shape[0] for w in self.weights)
-
-
 @dataclass(frozen=True)
 class FeatureSpec:
     """What the model expects to be fed.
@@ -93,15 +62,18 @@ class FeatureSpec:
         return cls(kind=d["kind"], input_dim=int(d["input_dim"]),
                    frames=d.get("frames"), profile=d.get("profile"),
                    channels=d.get("channels", CHANNELS_BOTH),
-                   layers=d.get("layers"))
+                   layers=None if d.get("layers") is None else int(d["layers"]))
 
 
 @dataclass
 class InterruptionModel:
+    """Feature contract plus every learnable array, keyed by checkpoint
+    block name in checkpoint order: layer_logits (emb features only),
+    pooler_w, then head_w0, head_b0, head_w1, ... Head matrices are
+    (out, in); LeakyReLU sits between head layers, none after the last."""
+
     feature_spec: FeatureSpec
-    layer_weights: LayerWeights | None
-    pooler: AttentionPooler
-    head: FeedForwardHead
+    params: dict
 
 
 @dataclass(frozen=True)
@@ -117,14 +89,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
 
 
-@dataclass
-class Gradients:
-    layer_logits: np.ndarray | None
-    pooler_w: np.ndarray
-    head_weights: list
-    head_biases: list
-
-
 def feature_spec_of(features, channels: str = CHANNELS_BOTH) -> FeatureSpec:
     """Derive the input contract from one sample."""
     if isinstance(features, LayeredEmbedding):
@@ -136,54 +100,56 @@ def feature_spec_of(features, channels: str = CHANNELS_BOTH) -> FeatureSpec:
     return FeatureSpec("matrix", arr.shape[0], arr.shape[1], None, channels)
 
 
-def build_model(spec: FeatureSpec, rng: np.random.Generator,
-                head_widths: tuple = HEAD_WIDTHS) -> InterruptionModel:
-    """Fresh model: Glorot-uniform head, zero biases, zero pooler template
-    (uniform pooling at start), zero layer logits (uniform layer mix)."""
-    if head_widths[-1] != N_CLASSES:
+def _param_shapes(spec: FeatureSpec, head_widths) -> dict:
+    """Block name -> shape of every parameter, in checkpoint order;
+    rejects a spec and head the model cannot be built for."""
+    if not head_widths or head_widths[-1] != N_CLASSES:
         raise ModelError("head must end in %d classes" % N_CLASSES)
+    if spec.input_dim < 1 or min(head_widths) < 1:
+        raise ModelError("feature dim and head widths must be positive")
     if spec.channels not in (CHANNELS_BOTH, CHANNELS_RIGHT):
         raise ModelError("unknown channels mode %r" % spec.channels)
     if spec.channels == CHANNELS_RIGHT and spec.input_dim % 2:
         raise ModelError("right-channel masking needs an even feature dim")
 
-    layer_weights = None
+    shapes = {}
     if spec.kind == "emb":
-        if not spec.layers:
+        if not spec.layers or spec.layers < 1:
             raise ModelError("embedding feature spec needs a layer count")
-        layer_weights = LayerWeights(np.zeros(spec.layers))
-
-    weights, biases = [], []
+        shapes["layer_logits"] = (spec.layers,)
+    shapes["pooler_w"] = (spec.input_dim,)
     fan_in = spec.input_dim
-    for width in head_widths:
-        bound = np.sqrt(6.0 / (fan_in + width))
-        weights.append(rng.uniform(-bound, bound, size=(width, fan_in)))
-        biases.append(np.zeros(width))
+    for i, width in enumerate(head_widths):
+        shapes["head_w%d" % i] = (width, fan_in)
+        shapes["head_b%d" % i] = (width,)
         fan_in = width
-    return InterruptionModel(spec, layer_weights, AttentionPooler(np.zeros(spec.input_dim)),
-                             FeedForwardHead(weights, biases))
+    return shapes
 
 
-def layer_sum(emb: LayeredEmbedding, weights: LayerWeights) -> np.ndarray:
-    """Softmax-weighted sum over layers, channels stacked on the feature
-    axis: rows [0, d0) left channel, rows [d0, 2*d0) right."""
-    w = weights.weights
-    if len(w) != emb.profile.layers:
-        raise FeatureProfileError(
-            "got %d layer weights for %d layers" % (len(w), emb.profile.layers))
-    mixed = np.einsum("l,cldm->cdm", w, emb.data.astype(np.float64, copy=False))
-    return mixed.reshape(-1, emb.profile.frames)
+def build_model(spec: FeatureSpec, rng: np.random.Generator,
+                head_widths: tuple = HEAD_WIDTHS) -> InterruptionModel:
+    """Fresh model: Glorot-uniform head, zero biases, zero pooler template
+    (uniform pooling at start), zero layer logits (uniform layer mix)."""
+    params = {}
+    for name, shape in _param_shapes(spec, head_widths).items():
+        if name.startswith("head_w"):
+            bound = np.sqrt(6.0 / sum(shape))  # fan_in + fan_out
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+    return InterruptionModel(spec, params)
 
 
-def attention_pool(H: np.ndarray, pooler: AttentionPooler) -> np.ndarray:
-    """Softmax frame weighting: scores W.H, weights Q, pooled U = H.Q^T."""
+def attention_pool(H: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Softmax frame weighting of one (d, M) matrix with template w:
+    scores w.H, weights Q, pooled U = H.Q^T."""
     H = np.asarray(H, dtype=np.float64)
     if not np.all(np.isfinite(H)):
         raise ModelError("non-finite feature matrix")
-    if H.shape[0] != len(pooler.w):
+    if H.shape[0] != len(w):
         raise FeatureProfileError(
-            "template length %d vs feature dim %d" % (len(pooler.w), H.shape[0]))
-    q = softmax(pooler.w @ H)
+            "template length %d vs feature dim %d" % (len(w), H.shape[0]))
+    q = softmax(w @ H)
     return H @ q
 
 
@@ -197,11 +163,13 @@ def _check_features(model: InterruptionModel, features) -> None:
 
 
 def _batch_h(model: InterruptionModel, batch_features) -> np.ndarray:
-    """Stack a batch into H of shape (B, d, M), layer-mixed and masked."""
+    """Stack a batch into H of shape (B, d, M), layer-mixed and masked.
+    Embedding channels stack on the feature axis: rows [0, d0) left
+    channel, rows [d0, 2*d0) right."""
     spec = model.feature_spec
     if spec.kind == "emb":
         stacked = np.stack([f.data for f in batch_features])  # (B, C, L, d0, M)
-        w = model.layer_weights.weights
+        w = softmax(model.params["layer_logits"])
         H = np.einsum("l,bcldm->bcdm", w, stacked.astype(np.float64, copy=False))
         H = H.reshape(len(batch_features), spec.input_dim, -1)
     else:
@@ -212,14 +180,15 @@ def _batch_h(model: InterruptionModel, batch_features) -> np.ndarray:
     return H
 
 
-def _head_forward(head: FeedForwardHead, U: np.ndarray):
+def _head_forward(params: dict, U: np.ndarray):
     """Batched head pass; returns (logits, preactivations, activations)."""
+    depth = sum(name.startswith("head_w") for name in params)
     zs, acts = [], [U]
     a = U
-    for i, (W, b) in enumerate(zip(head.weights, head.biases)):
-        z = a @ W.T + b
+    for i in range(depth):
+        z = a @ params["head_w%d" % i].T + params["head_b%d" % i]
         zs.append(z)
-        if i < len(head.weights) - 1:
+        if i < depth - 1:
             a = np.where(z > 0, z, LEAKY_SLOPE * z)
             acts.append(a)
     return zs[-1], zs, acts
@@ -228,21 +197,16 @@ def _head_forward(head: FeedForwardHead, U: np.ndarray):
 def _forward_pass(model: InterruptionModel, batch_features):
     """Shared forward used by inference and backprop."""
     H = _batch_h(model, batch_features)
-    scores = np.einsum("d,bdm->bm", model.pooler.w, H)
+    scores = np.einsum("d,bdm->bm", model.params["pooler_w"], H)
     Q = softmax(scores, axis=1)
     U = np.einsum("bdm,bm->bd", H, Q)
-    logits, zs, acts = _head_forward(model.head, U)
+    logits, zs, acts = _head_forward(model.params, U)
     probs = softmax(logits, axis=1)
     return H, Q, U, zs, acts, probs
 
 
-def forward(model: InterruptionModel, features) -> np.ndarray:
-    """Class probabilities for a single sample; sums to 1."""
-    _check_features(model, features)
-    return _forward_pass(model, [features])[-1][0]
-
-
 def forward_batch(model: InterruptionModel, features_list) -> np.ndarray:
+    """Class probabilities, one row per sample; each row sums to 1."""
     if not features_list:
         raise ModelError("empty batch")
     _check_features(model, features_list[0])
@@ -250,9 +214,12 @@ def forward_batch(model: InterruptionModel, features_list) -> np.ndarray:
 
 
 def _loss_and_grads(model: InterruptionModel, batch_features, labels):
-    """Mean cross-entropy and its exact gradients for one mini-batch."""
+    """Mean cross-entropy and its exact gradients for one mini-batch;
+    the gradients are a dict with the keys of model.params, in order."""
     B = len(batch_features)
     labels = np.asarray(labels)
+    params = model.params
+    grads = dict.fromkeys(params)
     H, Q, U, zs, acts, probs = _forward_pass(model, batch_features)
     loss = cross_entropy(probs, labels)
 
@@ -260,24 +227,20 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
     dz[np.arange(B), labels] -= 1.0
     dz /= B
 
-    head = model.head
-    d_weights = [None] * len(head.weights)
-    d_biases = [None] * len(head.biases)
-    for i in range(len(head.weights) - 1, -1, -1):
-        d_weights[i] = dz.T @ acts[i]
-        d_biases[i] = dz.sum(axis=0)
+    for i in range(len(zs) - 1, -1, -1):
+        grads["head_w%d" % i] = dz.T @ acts[i]
+        grads["head_b%d" % i] = dz.sum(axis=0)
         if i > 0:
-            da = dz @ head.weights[i]
+            da = dz @ params["head_w%d" % i]
             dz = da * np.where(zs[i - 1] > 0, 1.0, LEAKY_SLOPE)
-    g = dz @ head.weights[0]  # (B, d) gradient w.r.t. pooled U
+    g = dz @ params["head_w0"]  # (B, d) gradient w.r.t. pooled U
 
     dQ = np.einsum("bdm,bd->bm", H, g)
     dS = Q * (dQ - np.sum(dQ * Q, axis=1, keepdims=True))
-    d_pooler = np.einsum("bdm,bm->d", H, dS)
-    dH = g[:, :, None] * Q[:, None, :] + model.pooler.w[None, :, None] * dS[:, None, :]
+    grads["pooler_w"] = np.einsum("bdm,bm->d", H, dS)
+    dH = g[:, :, None] * Q[:, None, :] + params["pooler_w"][None, :, None] * dS[:, None, :]
 
     spec = model.feature_spec
-    d_logits = None
     if spec.kind == "emb":
         if spec.channels == CHANNELS_RIGHT:
             dH = dH.copy()
@@ -286,46 +249,15 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
         d0 = spec.input_dim // stacked.shape[1]
         dH_c = dH.reshape(B, stacked.shape[1], d0, -1)
         dw = np.einsum("bcdm,bcldm->l", dH_c, stacked)
-        w = model.layer_weights.weights
-        d_logits = w * (dw - np.sum(dw * w))
+        w = softmax(params["layer_logits"])
+        grads["layer_logits"] = w * (dw - np.sum(dw * w))
 
-    return loss, Gradients(d_logits, d_pooler, d_weights, d_biases)
-
-
-def gradients(model: InterruptionModel, batch_features, labels) -> Gradients:
-    """Exact analytic gradients of mean cross-entropy over the batch."""
-    if not batch_features:
-        raise ModelError("empty batch")
-    _check_features(model, batch_features[0])
-    loss, grads = _loss_and_grads(model, batch_features, labels)
-    if not np.isfinite(loss):
-        raise TrainingDivergedError("non-finite loss in gradient computation")
-    return grads
+    return loss, grads
 
 
-def _apply_sgd(model: InterruptionModel, grads: Gradients, lr: float) -> None:
-    if grads.layer_logits is not None:
-        model.layer_weights.logits = model.layer_weights.logits - lr * grads.layer_logits
-    model.pooler.w = model.pooler.w - lr * grads.pooler_w
-    for i in range(len(model.head.weights)):
-        model.head.weights[i] = model.head.weights[i] - lr * grads.head_weights[i]
-        model.head.biases[i] = model.head.biases[i] - lr * grads.head_biases[i]
-
-
-def _snapshot(model: InterruptionModel):
-    logits = None if model.layer_weights is None else model.layer_weights.logits.copy()
-    return (logits, model.pooler.w.copy(),
-            [w.copy() for w in model.head.weights],
-            [b.copy() for b in model.head.biases])
-
-
-def _restore(model: InterruptionModel, snap) -> None:
-    logits, pooler_w, weights, biases = snap
-    if logits is not None:
-        model.layer_weights.logits = logits
-    model.pooler.w = pooler_w
-    model.head.weights = weights
-    model.head.biases = biases
+def _apply_sgd(model: InterruptionModel, grads: dict, lr: float) -> None:
+    for name, g in grads.items():
+        model.params[name] = model.params[name] - lr * g
 
 
 def evaluate_loss(model: InterruptionModel, dataset) -> float:
@@ -393,13 +325,14 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
             v = evaluate_loss(model, val_dataset)
             val_curve.append(v)
             if v < best[0]:
-                best = (v, _snapshot(model), epoch)
+                snapshot = {name: a.copy() for name, a in model.params.items()}
+                best = (v, snapshot, epoch)
             elif epoch - best[2] >= config.patience:
                 stopped = epoch + 1
                 break
 
     if val_dataset and best[1] is not None:
-        _restore(model, best[1])
+        model.params = best[1]
     return TrainResult(model, train_curve, val_curve, stopped)
 
 
@@ -409,50 +342,60 @@ _CKPT_VERSION = 1
 
 def save_model(model: InterruptionModel, path) -> None:
     """Versioned binary checkpoint: JSON header then little-endian
-    float32 parameter blocks in declaration order."""
-    blocks = []
-    if model.layer_weights is not None:
-        blocks.append(("layer_logits", model.layer_weights.logits))
-    blocks.append(("pooler_w", model.pooler.w))
-    for i, (w, b) in enumerate(zip(model.head.weights, model.head.biases)):
-        blocks.append(("head_w%d" % i, w))
-        blocks.append(("head_b%d" % i, b))
-
+    float32 parameter blocks in model.params order."""
+    params = model.params
     header = {
         "feature_spec": model.feature_spec.to_dict(),
-        "head_widths": list(model.head.widths),
-        "blocks": [[name, list(arr.shape)] for name, arr in blocks],
+        "head_widths": [a.shape[0] for name, a in params.items()
+                        if name.startswith("head_b")],
+        "blocks": [[name, list(a.shape)] for name, a in params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for a in params.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
 def load_model(path) -> InterruptionModel:
+    """Read a checkpoint written by save_model. Raises ModelError unless
+    the header parses, its blocks are exactly the ones build_model makes
+    for the header's spec and head widths, the file ends right after the
+    last block, and every value is finite."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
+        if fh.read(4) != _CKPT_MAGIC:
             raise ModelError("%s: not a model checkpoint" % path)
-        version, header_len = struct.unpack("<II", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ModelError("%s: truncated checkpoint header" % path)
+        version, header_len = struct.unpack("<II", prefix)
         if version != _CKPT_VERSION:
             raise ModelError("%s: unsupported checkpoint version %d" % (path, version))
-        header = json.loads(fh.read(header_len).decode())
-        arrays = {}
-        for name, shape in header["blocks"]:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * count)
-            if len(raw) != 4 * count:
-                raise ModelError("%s: truncated parameter block %r" % (path, name))
-            arrays[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        try:
+            header = json.loads(fh.read(header_len).decode())
+            spec = FeatureSpec.from_dict(header["feature_spec"])
+            head_widths = tuple(int(w) for w in header["head_widths"])
+            blocks = [(name, tuple(shape)) for name, shape in header["blocks"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ModelError("%s: malformed checkpoint header (%r)" % (path, exc)) from None
+        data = fh.read()
 
-    spec = FeatureSpec.from_dict(header["feature_spec"])
-    layer_weights = None
-    if "layer_logits" in arrays:
-        layer_weights = LayerWeights(arrays["layer_logits"])
-    n_layers = len(header["head_widths"])
-    head = FeedForwardHead([arrays["head_w%d" % i] for i in range(n_layers)],
-                           [arrays["head_b%d" % i] for i in range(n_layers)])
-    return InterruptionModel(spec, layer_weights, AttentionPooler(arrays["pooler_w"]), head)
+    expected = _param_shapes(spec, head_widths)
+    if blocks != list(expected.items()):
+        raise ModelError("%s: blocks %s are not the %s the header's model needs"
+                         % (path, blocks, list(expected.items())))
+    sizes = [int(np.prod(shape)) for shape in expected.values()]
+    if len(data) < 4 * sum(sizes):
+        raise ModelError("%s: truncated parameter blocks" % path)
+    if len(data) > 4 * sum(sizes):
+        raise ModelError("%s: %d trailing bytes after the last parameter block"
+                         % (path, len(data) - 4 * sum(sizes)))
+    values = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    params, offset = {}, 0
+    for (name, shape), size in zip(expected.items(), sizes):
+        params[name] = values[offset: offset + size].reshape(shape)
+        offset += size
+        if not np.all(np.isfinite(params[name])):
+            raise ModelError("%s: non-finite values in parameter block %r" % (path, name))
+    return InterruptionModel(spec, params)

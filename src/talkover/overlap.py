@@ -218,12 +218,6 @@ def detect(meeting: MeetingAudio, segments_by_channel,
     return DetectionResult(tuple(candidates), rejections)
 
 
-def detect_candidates(meeting: MeetingAudio, segments_by_channel,
-                      **gates) -> list[ClipDescriptor]:
-    """Like detect() but returning only the candidate list."""
-    return list(detect(meeting, segments_by_channel, **gates).candidates)
-
-
 def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> CandidateClip:
     """Cut the stereo clip for one candidate out of the meeting."""
     rate = meeting.sample_rate

@@ -19,9 +19,8 @@ from talkover.features import EmbeddingProfile, LayeredEmbedding, mfcc, spectrog
 from talkover.labels import VoteRecord, aggregate, fleiss_kappa
 from talkover.metrics import (ScoredSample, roc_auc, thresholded_confusion,
                               tpr_at_fpr)
-from talkover.model import (CLASSES, AttentionPooler, FeatureSpec, TrainConfig,
-                            attention_pool, build_model, cross_entropy,
-                            forward_batch, gradients, train)
+from talkover.model import (CLASSES, FeatureSpec, TrainConfig, attention_pool,
+                            build_model, cross_entropy, forward_batch, train)
 from talkover.overlap import CandidateClip, SpeechSegment, detect
 from talkover.synth import INJECTED_EFFECT, make_telemetry_records
 
@@ -51,7 +50,7 @@ def test_pooling_matches_scalar_oracle():
         M = int(rng.integers(1, 33))
         H = rng.normal(0.0, 1.0, (d, M))
         w = rng.normal(0.0, 1.0, d)
-        got = attention_pool(H, AttentionPooler(w))
+        got = attention_pool(H, w)
         want = _pool_by_hand(H, w)
         rel = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30)
         worst = max(worst, rel)
@@ -61,10 +60,10 @@ def test_pooling_matches_scalar_oracle():
     for _ in range(10):
         H1 = rng.normal(0.0, 1.0, (6, 1))
         np.testing.assert_array_equal(
-            attention_pool(H1, AttentionPooler(rng.normal(0.0, 1.0, 6))), H1[:, 0])
+            attention_pool(H1, rng.normal(0.0, 1.0, 6)), H1[:, 0])
         H = rng.normal(0.0, 1.0, (6, 9))
         np.testing.assert_array_equal(
-            attention_pool(H, AttentionPooler(np.zeros(6))), H @ np.full(9, 1.0 / 9.0))
+            attention_pool(H, np.zeros(6)), H @ np.full(9, 1.0 / 9.0))
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -88,8 +87,8 @@ def _draw_fd_case(rng):
     profile = EmbeddingProfile("fd", L, d0, frames, C)
     spec = FeatureSpec("emb", C * d0, frames, "fd", channels, L)
     model = build_model(spec, rng, widths)
-    model.pooler.w = rng.normal(0.0, 0.5, C * d0)
-    model.layer_weights.logits = rng.normal(0.0, 0.5, L)
+    model.params["pooler_w"] = rng.normal(0.0, 0.5, C * d0)
+    model.params["layer_logits"] = rng.normal(0.0, 0.5, L)
     for _ in range(50):
         batch = [
             LayeredEmbedding(
@@ -103,21 +102,16 @@ def _draw_fd_case(rng):
 
 
 def _fd_worst_rel_err(model, batch, labels):
-    grads = gradients(model, batch, labels)
+    grads = model_mod._loss_and_grads(model, batch, labels)[1]
+    assert list(grads) == list(model.params)
     y = np.asarray(labels)
 
     def loss():
         return cross_entropy(forward_batch(model, batch), y)
 
-    groups = [(model.layer_weights.logits, grads.layer_logits),
-              (model.pooler.w, grads.pooler_w)]
-    for i in range(len(model.head.weights)):
-        groups.append((model.head.weights[i], grads.head_weights[i]))
-        groups.append((model.head.biases[i], grads.head_biases[i]))
-
     worst = 0.0
-    for arr, g in groups:
-        flat_g = np.asarray(g).ravel()
+    for name, arr in model.params.items():
+        flat_g = np.asarray(grads[name]).ravel()
         for i in range(arr.size):
             orig = arr.flat[i]
             arr.flat[i] = orig + _FD_EPS

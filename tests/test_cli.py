@@ -117,6 +117,22 @@ def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):
     assert code == 5
 
 
+def test_non_finite_checkpoint_exits_5(fixtures_dir, model_dir, tmp_path):
+    emb = fixtures_dir / "embeddings"
+    blob = bytearray((model_dir / "checkpoint_r0.bin").read_bytes())
+    header_len = int.from_bytes(blob[8:12], "little")
+    blob[12 + header_len: 16 + header_len] = np.float32(np.nan).tobytes()
+    bad_dir = tmp_path / "model"
+    bad_dir.mkdir()
+    (bad_dir / "checkpoint_r0.bin").write_bytes(bytes(blob))
+    code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
+                    "--split", emb / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny",
+                    "--model-dir", bad_dir, "--out", tmp_path / "o"])
+    assert code == 5
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
 def test_unknown_split_name_exits_9(fixtures_dir, model_dir, tmp_path):
     emb = fixtures_dir / "embeddings"
     code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",

@@ -10,7 +10,8 @@ from talkover import metrics
 from talkover.errors import DegenerateDistributionError, MetricError
 from talkover.metrics import (ScoredSample, accuracy, per_class_report,
                               roc_auc, roc_points, thresholded_confusion,
-                              tpr_at_fpr, write_confusion_csv, write_report_csv,
+                              tpr_at_fpr, tpr_fpr_at_threshold,
+                              write_confusion_csv, write_report_csv,
                               write_roc_csv)
 from talkover.model import CLASSES
 
@@ -213,6 +214,55 @@ def test_tpr_at_fpr_validates_target():
         tpr_at_fpr(ladder_samples(), POS, 0.0)
     with pytest.raises(MetricError):
         tpr_at_fpr(ladder_samples(), POS, 1.0)
+
+
+def loop_tpr_fpr_at_threshold(samples, positive_class, tau):
+    """Per-sample reference for the rates at a given threshold."""
+    idx = CLASSES.index(positive_class)
+    truth = np.array([s.true_label == positive_class for s in samples])
+    emitted = np.array([int(np.argmax(s.probs)) == idx and s.probs[idx] >= tau
+                        for s in samples])
+    n_pos = int(truth.sum())
+    n_neg = len(samples) - n_pos
+    tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
+    fpr = float((emitted & ~truth).sum()) / n_neg if n_neg else 0.0
+    return tpr, fpr
+
+
+def test_tpr_fpr_at_threshold_hand_case():
+    # p3 and n1 never argmax to the positive class, so no threshold emits them
+    samples = [sample(POS, 0.6, clip_id="p1"),
+               sample(POS, 0.3, clip_id="p2"),
+               sample(POS, 0.2, argmax_failed=False, clip_id="p3"),
+               sample("laughter", 0.4, argmax_failed=False, clip_id="n1"),
+               sample("laughter", 0.5, clip_id="n2")]
+    assert tpr_fpr_at_threshold(samples, POS, 0.3) == (2 / 3, 0.5)
+    assert tpr_fpr_at_threshold(samples, POS, 0.5) == (1 / 3, 0.5)
+    assert tpr_fpr_at_threshold(samples, POS, 0.55) == (1 / 3, 0.0)
+    assert tpr_fpr_at_threshold(samples, POS, 0.0) == (2 / 3, 0.5)
+    assert tpr_fpr_at_threshold(samples, POS, math.inf) == (0.0, 0.0)
+    # an absent class gives a zero rate, not a division error
+    assert tpr_fpr_at_threshold(samples[:3], POS, 0.3) == (2 / 3, 0.0)
+    assert tpr_fpr_at_threshold(samples[3:], POS, 0.3) == (0.0, 0.5)
+    with pytest.raises(MetricError):
+        tpr_fpr_at_threshold(samples, "shouting", 0.3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       target=st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5]))
+def test_tpr_fpr_at_threshold_matches_loop_and_calibration(seed, target):
+    rng = np.random.default_rng(seed)
+    samples = coarse_samples(rng, int(rng.integers(1, 80)))
+    for tau in sorted({s.probs[POS_IDX] for s in samples}) + [math.inf]:
+        assert (tpr_fpr_at_threshold(samples, POS, tau)
+                == loop_tpr_fpr_at_threshold(samples, POS, tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tpr, tau = tpr_at_fpr(samples, POS, target)
+    got_tpr, got_fpr = tpr_fpr_at_threshold(samples, POS, tau)
+    assert got_tpr == tpr
+    assert got_fpr <= target
 
 
 def test_confusion_counts_and_rows():

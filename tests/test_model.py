@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ def small_model(rng, profile, channels="2", widths=(6, 4)):
     spec = M.FeatureSpec("emb", profile.stacked_dim, profile.frames,
                          profile.name, channels, profile.layers)
     model = M.build_model(spec, rng, widths)
-    model.pooler.w = rng.normal(0.0, 0.5, profile.stacked_dim)
-    model.layer_weights.logits = rng.normal(0.0, 0.5, profile.layers)
+    model.params["pooler_w"] = rng.normal(0.0, 0.5, profile.stacked_dim)
+    model.params["layer_logits"] = rng.normal(0.0, 0.5, profile.layers)
     return model
 
 
@@ -48,38 +50,40 @@ def test_cross_entropy_of_uniform_predictor_is_ln4():
 
 
 def test_layer_weights_are_convex_for_any_logits():
+    # the layer mix weights are softmax(params["layer_logits"])
     rng = np.random.default_rng(0)
     for _ in range(10):
-        lw = M.LayerWeights(rng.normal(0, 5, 6))
-        w = lw.weights
+        w = M.softmax(rng.normal(0, 5, 6))
         assert np.all(w > 0)
         assert math.isclose(w.sum(), 1.0, rel_tol=0, abs_tol=1e-12)
-    assert np.allclose(M.LayerWeights(np.zeros(4)).weights, 0.25)
+    assert np.allclose(M.softmax(np.zeros(4)), 0.25)
 
 
-def test_layer_sum_matches_manual_mix():
+def test_layer_mix_matches_manual_mix():
     rng = np.random.default_rng(1)
     profile = emb_profile()
     emb = random_embedding(rng, profile)
-    lw = M.LayerWeights(rng.normal(size=profile.layers))
-    out = M.layer_sum(emb, lw)
+    model = small_model(rng, profile)
+    out = M._batch_h(model, [emb])[0]
     assert out.shape == (profile.stacked_dim, profile.frames)
-    manual = np.tensordot(lw.weights, emb.data.astype(np.float64), axes=([0], [1]))
+    weights = M.softmax(model.params["layer_logits"])
+    manual = np.tensordot(weights, emb.data.astype(np.float64), axes=([0], [1]))
     assert np.allclose(out, manual.reshape(profile.stacked_dim, profile.frames))
 
 
-def test_layer_sum_rejects_wrong_layer_count():
+def test_layer_mix_rejects_wrong_layer_count():
     rng = np.random.default_rng(2)
     emb = random_embedding(rng, emb_profile(layers=3))
+    model = small_model(rng, emb_profile(layers=5))
     with pytest.raises(FeatureProfileError):
-        M.layer_sum(emb, M.LayerWeights(np.zeros(5)))
+        M.forward_batch(model, [emb])
 
 
 def test_attention_pool_is_shift_invariant_in_scores():
     rng = np.random.default_rng(3)
     H = rng.normal(size=(5, 9))
     w = rng.normal(size=5)
-    pooled = M.attention_pool(H, M.AttentionPooler(w))
+    pooled = M.attention_pool(H, w)
     shifted_q = M.softmax(w @ H + 17.0)
     assert np.allclose(H @ shifted_q, pooled, rtol=0, atol=1e-12)
 
@@ -88,7 +92,7 @@ def test_attention_pool_stays_in_convex_hull():
     rng = np.random.default_rng(4)
     for _ in range(20):
         H = rng.normal(size=(4, 7))
-        u = M.attention_pool(H, M.AttentionPooler(rng.normal(size=4)))
+        u = M.attention_pool(H, rng.normal(size=4))
         assert np.all(u >= H.min(axis=1) - 1e-12)
         assert np.all(u <= H.max(axis=1) + 1e-12)
 
@@ -96,22 +100,22 @@ def test_attention_pool_stays_in_convex_hull():
 def test_attention_pool_single_frame_is_identity():
     rng = np.random.default_rng(5)
     H = rng.normal(size=(6, 1))
-    u = M.attention_pool(H, M.AttentionPooler(rng.normal(size=6)))
+    u = M.attention_pool(H, rng.normal(size=6))
     assert np.array_equal(u, H[:, 0])
 
 
 def test_attention_pool_zero_template_is_uniform():
     rng = np.random.default_rng(6)
     H = rng.normal(size=(6, 10))
-    u = M.attention_pool(H, M.AttentionPooler(np.zeros(6)))
+    u = M.attention_pool(H, np.zeros(6))
     assert np.array_equal(u, H @ np.full(10, 0.1))
 
 
 def test_attention_pool_rejects_bad_inputs():
     with pytest.raises(FeatureProfileError):
-        M.attention_pool(np.zeros((3, 4)), M.AttentionPooler(np.zeros(5)))
+        M.attention_pool(np.zeros((3, 4)), np.zeros(5))
     with pytest.raises(ModelError):
-        M.attention_pool(np.full((2, 2), np.nan), M.AttentionPooler(np.zeros(2)))
+        M.attention_pool(np.full((2, 2), np.nan), np.zeros(2))
 
 
 def test_build_model_initial_state():
@@ -120,14 +124,20 @@ def test_build_model_initial_state():
     spec = M.FeatureSpec("emb", profile.stacked_dim, profile.frames,
                          profile.name, "2", profile.layers)
     model = M.build_model(spec, rng, (6, 5, 4))
-    assert np.all(model.pooler.w == 0.0)
-    assert np.all(model.layer_weights.logits == 0.0)
-    assert [w.shape for w in model.head.weights] == [(6, 8), (5, 6), (4, 5)]
-    for w, fan_in in zip(model.head.weights, (8, 6, 5)):
+    params = model.params
+    assert list(params) == ["layer_logits", "pooler_w", "head_w0", "head_b0",
+                            "head_w1", "head_b1", "head_w2", "head_b2"]
+    assert np.all(params["pooler_w"] == 0.0)
+    assert np.all(params["layer_logits"] == 0.0)
+    weights = [params["head_w%d" % i] for i in range(3)]
+    assert [w.shape for w in weights] == [(6, 8), (5, 6), (4, 5)]
+    for w, fan_in in zip(weights, (8, 6, 5)):
         bound = np.sqrt(6.0 / (fan_in + w.shape[0]))
         assert np.all(np.abs(w) <= bound)
-    for b in model.head.biases:
-        assert np.all(b == 0.0)
+    for i in range(3):
+        assert np.all(params["head_b%d" % i] == 0.0)
+    matrix = M.build_model(M.FeatureSpec("matrix", 6, 3, None, "2"), rng, (5, 4))
+    assert list(matrix.params) == ["pooler_w", "head_w0", "head_b0", "head_w1", "head_b1"]
 
 
 def test_build_model_rejects_bad_configs():
@@ -154,7 +164,7 @@ def test_forward_outputs_probability_simplex():
     rng = np.random.default_rng(9)
     profile = emb_profile()
     model = small_model(rng, profile)
-    probs = M.forward(model, random_embedding(rng, profile))
+    probs = M.forward_batch(model, [random_embedding(rng, profile)])[0]
     assert probs.shape == (4,)
     assert np.all(probs > 0)
     assert math.isclose(probs.sum(), 1.0, rel_tol=0, abs_tol=1e-12)
@@ -167,7 +177,7 @@ def test_forward_batch_matches_single(tmp_path):
     batch = [random_embedding(rng, profile) for _ in range(4)]
     stacked = M.forward_batch(model, batch)
     for i, f in enumerate(batch):
-        assert np.allclose(stacked[i], M.forward(model, f), rtol=0, atol=1e-12)
+        assert np.allclose(stacked[i], M.forward_batch(model, [f])[0], rtol=0, atol=1e-12)
 
 
 def test_forward_rejects_mismatched_features():
@@ -175,7 +185,7 @@ def test_forward_rejects_mismatched_features():
     model = small_model(rng, emb_profile(frames=6))
     wrong = random_embedding(rng, emb_profile(frames=7))
     with pytest.raises(FeatureProfileError):
-        M.forward(model, wrong)
+        M.forward_batch(model, [wrong])
 
 
 def test_right_mask_ignores_left_channel():
@@ -186,7 +196,7 @@ def test_right_mask_ignores_left_channel():
     altered = LayeredEmbedding(
         np.concatenate([rng.normal(size=emb.data[:1].shape).astype(np.float32),
                         emb.data[1:]]), profile)
-    assert np.array_equal(M.forward(model, emb), M.forward(model, altered))
+    assert np.array_equal(M.forward_batch(model, [emb]), M.forward_batch(model, [altered]))
 
 
 def test_both_channels_matter_without_mask():
@@ -197,7 +207,8 @@ def test_both_channels_matter_without_mask():
     altered = LayeredEmbedding(
         np.concatenate([rng.normal(size=emb.data[:1].shape).astype(np.float32),
                         emb.data[1:]]), profile)
-    assert not np.array_equal(M.forward(model, emb), M.forward(model, altered))
+    assert not np.array_equal(M.forward_batch(model, [emb]),
+                              M.forward_batch(model, [altered]))
 
 
 def matrix_dataset(rng, n=24, d=6, frames=3):
@@ -265,11 +276,11 @@ def test_divergence_raises():
         M.train(data, cfg, head_widths=(8, 4))
 
 
-def test_gradients_reject_empty_batch():
+def test_forward_batch_rejects_empty_batch():
     rng = np.random.default_rng(19)
     model = small_model(rng, emb_profile())
     with pytest.raises(ModelError):
-        M.gradients(model, [], [])
+        M.forward_batch(model, [])
 
 
 def test_checkpoint_round_trip_preserves_predictions(tmp_path):
@@ -285,7 +296,8 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path):
     again = tmp_path / "model2.bin"
     M.save_model(back, again)
     assert path.read_bytes() == again.read_bytes()
-    assert np.allclose(M.forward(back, emb), M.forward(model, emb), atol=1e-6)
+    assert list(back.params) == list(model.params)
+    assert np.allclose(M.forward_batch(back, [emb]), M.forward_batch(model, [emb]), atol=1e-6)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -309,3 +321,82 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[:-40])
     with pytest.raises(ModelError):
         M.load_model(path)
+
+
+def checkpoint_parts(path):
+    """Split a checkpoint into (magic + version, header dict, block bytes)."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return blob[:8], json.loads(blob[12:12 + header_len]), blob[12 + header_len:]
+
+
+def write_checkpoint(path, prefix, header_bytes, body):
+    path.write_bytes(prefix + struct.pack("<I", len(header_bytes)) + header_bytes + body)
+
+
+@pytest.fixture
+def saved_checkpoint(tmp_path):
+    rng = np.random.default_rng(23)
+    path = tmp_path / "model.bin"
+    M.save_model(small_model(rng, emb_profile()), path)
+    return path
+
+
+def test_checkpoint_rejects_unparsable_header(saved_checkpoint):
+    prefix, header, body = checkpoint_parts(saved_checkpoint)
+    for header_bytes in (b"{not json", b"\xff\xfe", b"[]", b"{}",
+                         json.dumps(dict(header, feature_spec={})).encode(),
+                         json.dumps(dict(header, head_widths=["wide"])).encode()):
+        write_checkpoint(saved_checkpoint, prefix, header_bytes, body)
+        with pytest.raises(ModelError, match="malformed checkpoint header"):
+            M.load_model(saved_checkpoint)
+    saved_checkpoint.write_bytes(prefix[:6])
+    with pytest.raises(ModelError, match="truncated checkpoint header"):
+        M.load_model(saved_checkpoint)
+
+
+def test_checkpoint_rejects_blocks_the_header_model_lacks(saved_checkpoint):
+    prefix, header, body = checkpoint_parts(saved_checkpoint)
+    names = [name for name, _ in header["blocks"]]
+    assert names == ["layer_logits", "pooler_w", "head_w0", "head_b0", "head_w1", "head_b1"]
+    renamed = [["pooler_v" if n == "pooler_w" else n, s] for n, s in header["blocks"]]
+    reshaped = [[n, s[::-1]] for n, s in header["blocks"]]
+    reordered = header["blocks"][1:] + header["blocks"][:1]
+    dropped = header["blocks"][:-1]
+    for bad in (dict(header, blocks=renamed), dict(header, blocks=reshaped),
+                dict(header, blocks=reordered), dict(header, blocks=dropped),
+                dict(header, head_widths=[5, 4])):
+        write_checkpoint(saved_checkpoint, prefix, json.dumps(bad).encode(), body)
+        with pytest.raises(ModelError, match="not the"):
+            M.load_model(saved_checkpoint)
+    # a spec the model cannot be built for fails the same way as build_model,
+    # even when the blocks and the byte count agree with the shapes it implies
+    spec = header["feature_spec"]
+    negative = dict(header, feature_spec=dict(spec, layers=-3),
+                    blocks=[["layer_logits", [-3]]] + header["blocks"][1:])
+    for bad, bad_body in ((dict(header, feature_spec=dict(spec, channels="left")), body),
+                          (dict(header, feature_spec=dict(spec, layers=None)), body),
+                          (negative, body[:-4 * 6])):
+        write_checkpoint(saved_checkpoint, prefix, json.dumps(bad).encode(), bad_body)
+        with pytest.raises(ModelError, match="channels mode|layer count"):
+            M.load_model(saved_checkpoint)
+
+
+def test_checkpoint_rejects_trailing_bytes(saved_checkpoint):
+    blob = saved_checkpoint.read_bytes()
+    saved_checkpoint.write_bytes(blob + bytes(8))
+    with pytest.raises(ModelError, match="8 trailing bytes"):
+        M.load_model(saved_checkpoint)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("offset", [0, -1])
+def test_checkpoint_rejects_non_finite_values(saved_checkpoint, value, offset):
+    prefix, header, body = checkpoint_parts(saved_checkpoint)
+    values = np.frombuffer(body, dtype="<f4").copy()
+    values[offset] = value
+    write_checkpoint(saved_checkpoint, prefix, json.dumps(header, sort_keys=True).encode(),
+                     values.tobytes())
+    block = header["blocks"][0 if offset == 0 else -1][0]
+    with pytest.raises(ModelError, match="non-finite values in parameter block '%s'" % block):
+        M.load_model(saved_checkpoint)

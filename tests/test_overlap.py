@@ -6,7 +6,7 @@ from talkover.errors import AudioError
 from talkover.overlap import (CLIP_DURATION_S, NO_OVERTAKE, ONSET_OFFSET_S,
                               OVERTAKE, REJECT_BOUNDARY, REJECT_NO_OVERLAP,
                               REJECT_PRESILENCE, REJECT_TOO_SHORT, CandidateClip,
-                              SpeechSegment, VadParams, detect, detect_candidates,
+                              SpeechSegment, VadParams, detect,
                               export_clip, frame_energies_db,
                               heuristic_floor_outcome, vad)
 
@@ -202,9 +202,9 @@ def test_tightening_any_gate_never_adds_candidates():
                 chan.append(SpeechSegment(s, e))
                 t = e
             segments.append(chan)
-        base = len(detect_candidates(meeting, segments))
-        tighter_pre = len(detect_candidates(meeting, segments, min_presilence_s=4.0))
-        tighter_len = len(detect_candidates(meeting, segments, min_utterance_s=0.8))
+        base = len(detect(meeting, segments).candidates)
+        tighter_pre = len(detect(meeting, segments, min_presilence_s=4.0).candidates)
+        tighter_len = len(detect(meeting, segments, min_utterance_s=0.8).candidates)
         assert tighter_pre <= base
         assert tighter_len <= base
 
