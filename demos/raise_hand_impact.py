@@ -12,7 +12,7 @@ import numpy as np
 
 from talkover.causal import (balance_report, estimate_impact, filter_eligible,
                              fit_propensity, naive_difference, stratify)
-from talkover.synth import INJECTED_EFFECT, make_telemetry_records
+from talkover.synth import INJECTED_EFFECT, make_telemetry
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -21,9 +21,9 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    records = make_telemetry_records(args.n, args.seed)
-    eligible, dropped = filter_eligible(records)
-    print("%d meetings, %d excluded as too small" % (len(records), dropped))
+    telemetry = make_telemetry(args.n, args.seed)
+    eligible, dropped = filter_eligible(telemetry)
+    print("%d meetings, %d excluded as too small" % (len(telemetry), dropped))
     print("planted effect: %+.3f\n" % INJECTED_EFFECT)
 
     naive = naive_difference(eligible)
@@ -40,7 +40,7 @@ def main():
     for b, n_t, n_c, delta in est.per_stratum:
         print("  bin %d: %5d treated, %5d control, delta %+.4f" % (b, n_t, n_c, delta))
 
-    # one bin holding every record reproduces the unadjusted imbalance
+    # one bin holding every meeting reproduces the unadjusted imbalance
     before = balance_report(eligible, np.zeros(len(eligible), dtype=int))
     after = balance_report(eligible, assignment)
     print("\nstandardized mean differences, before -> after stratification:")

@@ -12,7 +12,7 @@ import tempfile
 from talkover import model as model_mod
 from talkover.features import PROFILES, load_embeddings
 from talkover.manifest import read_manifest, read_split
-from talkover.metrics import ScoredSample, roc_auc, tpr_at_fpr
+from talkover.metrics import Scores, roc_auc, tpr_at_fpr
 from talkover.model import CLASSES, TrainConfig
 from talkover.synth import write_embedding_corpus
 
@@ -50,8 +50,7 @@ def main():
           % (result.stopped_epoch, result.train_loss[-1], result.val_loss[-1]))
 
     probs = model_mod.forward_batch(result.model, [p[0] for p in test_set])
-    samples = [ScoredSample(cid, CLASSES[label], tuple(p))
-               for cid, (_, label), p in zip(test_ids, test_set, probs)]
+    samples = Scores(test_ids, [label for _, label in test_set], probs)
 
     positive = "failed_interruption"
     auc = roc_auc(samples, positive)

@@ -32,51 +32,73 @@ MIN_PARTICIPANTS = 3  # analysis covers meetings with more than 2 people
 Z_975 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class MeetingRecord:
-    meeting_id: str
-    participant_count: int
-    duration_min: float
-    video_used: bool
-    screenshare_used: bool
-    vrh_used: bool
-    predicted_inclusive: bool
+TELEMETRY_COLUMNS = ("meeting_id",) + BASE_NUMERIC + BASE_BOOLEAN + (
+    "vrh_used", "predicted_inclusive")
+
+
+@dataclass(frozen=True, eq=False)
+class Telemetry:
+    """Meeting telemetry as one numpy column per CSV field, row i being
+    meeting i. extras maps each additional confounder name to a float64
+    column, in sorted-name order."""
+
+    meeting_id: np.ndarray
+    participant_count: np.ndarray
+    duration_min: np.ndarray
+    video_used: np.ndarray
+    screenshare_used: np.ndarray
+    vrh_used: np.ndarray
+    predicted_inclusive: np.ndarray
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.participant_count < 2:
-            raise CausalError("%s: participant_count must be >= 2" % self.meeting_id)
-        if not self.duration_min > 0:
-            raise CausalError("%s: duration_min must be positive" % self.meeting_id)
-        for name, value in self.extras.items():
-            if not np.isfinite(float(value)):
-                raise CausalError("%s: extra column %r is not finite" % (self.meeting_id, name))
+        dtypes = (str, np.int64, np.float64) + (bool,) * 4
+        for name, dtype in zip(TELEMETRY_COLUMNS, dtypes):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "extras", {
+            k: np.asarray(self.extras[k], dtype=np.float64) for k in sorted(self.extras)})
+        for name in self.extras:
+            if name in TELEMETRY_COLUMNS:
+                raise CausalError("extra column %r repeats a telemetry column" % name)
+        n = len(self.meeting_id)
+        columns = [getattr(self, c) for c in TELEMETRY_COLUMNS] + list(self.extras.values())
+        if any(c.shape != (n,) for c in columns):
+            raise CausalError("telemetry columns differ in length")
+        self._reject(self.participant_count < 2, "participant_count must be >= 2")
+        self._reject(~(np.isfinite(self.duration_min) & (self.duration_min > 0)),
+                     "duration_min must be positive and finite")
+        for name, col in self.extras.items():
+            self._reject(~np.isfinite(col), "extra column %r is not finite" % name)
+
+    def _reject(self, bad, message):
+        if bad.any():
+            raise CausalError("%s: %s" % (self.meeting_id[np.argmax(bad)], message))
+
+    def __len__(self):
+        return len(self.meeting_id)
+
+    def take(self, rows) -> Telemetry:
+        """The meetings at an index array or boolean mask, in its order."""
+        return Telemetry(*(getattr(self, c)[rows] for c in TELEMETRY_COLUMNS),
+                         extras={k: v[rows] for k, v in self.extras.items()})
+
+    def column(self, name) -> np.ndarray:
+        return (self.extras[name] if name in self.extras
+                else getattr(self, name)).astype(np.float64)
 
 
-def filter_eligible(records):
+def filter_eligible(telemetry):
     """Keep meetings with more than 2 participants; returns (kept, n_dropped)."""
-    kept = [r for r in records if r.participant_count >= MIN_PARTICIPANTS]
-    return kept, len(records) - len(kept)
+    kept = telemetry.take(telemetry.participant_count >= MIN_PARTICIPANTS)
+    return kept, len(telemetry) - len(kept)
 
 
-def _feature_names(records):
-    extra_keys = sorted(records[0].extras)
-    for r in records:
-        if sorted(r.extras) != extra_keys:
-            raise CausalError("inconsistent extra columns across records")
-    return BASE_NUMERIC + tuple(extra_keys) + BASE_BOOLEAN
+def _feature_names(telemetry):
+    return BASE_NUMERIC + tuple(telemetry.extras) + BASE_BOOLEAN
 
 
-def _raw_matrix(records, names):
-    cols = []
-    for name in names:
-        if name in BASE_BOOLEAN:
-            cols.append([float(getattr(r, name)) for r in records])
-        elif name in BASE_NUMERIC:
-            cols.append([float(getattr(r, name)) for r in records])
-        else:
-            cols.append([float(r.extras[name]) for r in records])
-    return np.array(cols, dtype=np.float64).T  # (n, k)
+def _raw_matrix(telemetry, names):
+    return np.stack([telemetry.column(name) for name in names]).T  # (n, k)
 
 
 @dataclass(frozen=True)
@@ -106,8 +128,11 @@ def _standardize(raw, names, means=None, stds=None):
         stds = np.ones(raw.shape[1])
         for j, name in enumerate(names):
             if name not in BASE_BOOLEAN:
-                means[j] = raw[:, j].mean()
-                stds[j] = raw[:, j].std()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    means[j] = raw[:, j].mean()
+                    stds[j] = raw[:, j].std()
+                if not (np.isfinite(means[j]) and np.isfinite(stds[j])):
+                    raise CausalError("column %r has a non-finite mean or spread" % name)
                 if stds[j] == 0.0:
                     stds[j] = 1.0  # constant column; zeroed by centering
     else:
@@ -125,26 +150,25 @@ def _sigmoid(z):
     return out
 
 
-def fit_propensity(records) -> PsModel:
+def fit_propensity(telemetry) -> PsModel:
     """Maximum-likelihood logistic fit of treatment on confounders by
     Newton/IRLS; converges when the largest coefficient change drops
     below 1e-8, capped at 100 iterations."""
-    records = list(records)
-    if len(records) < 2:
+    if len(telemetry) < 2:
         raise CausalError("need at least 2 records to fit a propensity model")
-    y = np.array([float(r.vrh_used) for r in records])
+    y = telemetry.column("vrh_used")
     if y.min() == y.max():
         raise SingleClassTreatmentError(
             "all records have vrh_used=%s; propensity undefined" % bool(y[0]))
 
-    names = _feature_names(records)
-    raw = _raw_matrix(records, names)
+    names = _feature_names(telemetry)
+    raw = _raw_matrix(telemetry, names)
     Z, means, stds = _standardize(raw, names)
 
     # constant columns are collinear with the intercept; fit without them
     active = [j for j in range(Z.shape[1]) if np.ptp(Z[:, j]) > 0]
     dropped = tuple(names[j] for j in range(Z.shape[1]) if j not in active)
-    X = np.hstack([np.ones((len(records), 1)), Z[:, active]])
+    X = np.hstack([np.ones((len(telemetry), 1)), Z[:, active]])
 
     beta = np.zeros(X.shape[1])
     for _ in range(PS_MAX_ITER):
@@ -170,32 +194,30 @@ def fit_propensity(records) -> PsModel:
     return PsModel(names, tuple(means), tuple(stds), tuple(coefs), dropped)
 
 
-def predict_ps(model: PsModel, records) -> np.ndarray:
-    """Propensity scores in (0,1) for each record, in order."""
-    records = list(records)
-    names = _feature_names(records)
+def predict_ps(model: PsModel, telemetry) -> np.ndarray:
+    """Propensity scores in (0,1) for each meeting, in order."""
+    names = _feature_names(telemetry)
     if names != model.feature_names:
         raise CausalError(
             "records carry confounders %s but the model was fit on %s"
             % (list(names), list(model.feature_names)))
-    raw = _raw_matrix(records, names)
+    raw = _raw_matrix(telemetry, names)
     Z, _, _ = _standardize(raw, names, model.means, model.stds)
     beta = np.asarray(model.coefficients)
     return _sigmoid(beta[0] + Z @ beta[1:])
 
 
-def stratify(records, model: PsModel, n_bins: int = 5) -> np.ndarray:
-    """Quantile bins of the propensity score: records sorted by PS and
+def stratify(telemetry, model: PsModel, n_bins: int = 5) -> np.ndarray:
+    """Quantile bins of the propensity score: meetings sorted by PS and
     split into n_bins contiguous groups of equal size (within 1).
-    Returns the bin index of each record in input order."""
-    records = list(records)
+    Returns the bin index of each meeting in input order."""
     if n_bins < 2:
         raise CausalError("need at least 2 bins")
-    if len(records) < n_bins:
-        raise CausalError("%d records cannot fill %d bins" % (len(records), n_bins))
-    ps = predict_ps(model, records)
+    if len(telemetry) < n_bins:
+        raise CausalError("%d records cannot fill %d bins" % (len(telemetry), n_bins))
+    ps = predict_ps(model, telemetry)
     order = np.argsort(ps, kind="stable")
-    assignment = np.empty(len(records), dtype=np.int64)
+    assignment = np.empty(len(telemetry), dtype=np.int64)
     for b, chunk in enumerate(np.array_split(order, n_bins)):
         assignment[chunk] = b
     return assignment
@@ -213,16 +235,15 @@ def _smd(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff / pooled)
 
 
-def balance_report(records, assignment) -> dict:
+def balance_report(telemetry, assignment) -> dict:
     """Within-bin standardized mean differences per confounder.
 
     Bins missing an arm are skipped. The summary per confounder is the
     bin-size-weighted mean of the within-bin SMDs.
     """
-    records = list(records)
-    names = _feature_names(records)
-    raw = _raw_matrix(records, names)
-    treated = np.array([r.vrh_used for r in records])
+    names = _feature_names(telemetry)
+    raw = _raw_matrix(telemetry, names)
+    treated = telemetry.vrh_used
     assignment = np.asarray(assignment)
 
     per_bin = {}
@@ -258,19 +279,18 @@ class ImpactEstimate:
             raise CausalError("CI (%g, %g) does not bracket delta %g" % (low, high, self.delta))
 
 
-def estimate_impact(records, assignment) -> ImpactEstimate:
+def estimate_impact(telemetry, assignment) -> ImpactEstimate:
     """Bin-weighted treated-minus-control outcome difference.
 
-    Strata lacking a treated or a control record are dropped with a
+    Strata lacking a treated or a control meeting are dropped with a
     warning and the weights renormalized over what remains. The CI is a
     normal approximation with per-stratum Bernoulli variances.
     """
-    records = list(records)
     assignment = np.asarray(assignment)
-    if len(records) != len(assignment):
+    if len(telemetry) != len(assignment):
         raise CausalError("assignment length does not match records")
-    treated = np.array([r.vrh_used for r in records])
-    outcome = np.array([float(r.predicted_inclusive) for r in records])
+    treated = telemetry.vrh_used
+    outcome = telemetry.column("predicted_inclusive")
 
     rows = []
     dropped_bins = []
@@ -307,28 +327,26 @@ def estimate_impact(records, assignment) -> ImpactEstimate:
                           tuple(per_stratum))
 
 
-def naive_difference(records) -> float:
+def naive_difference(telemetry) -> float:
     """Unadjusted treated-minus-control outcome difference, for bias
     comparison in reports."""
-    treated = np.array([r.vrh_used for r in records])
-    outcome = np.array([float(r.predicted_inclusive) for r in records])
+    treated = telemetry.vrh_used
+    outcome = telemetry.column("predicted_inclusive")
     if not treated.any() or treated.all():
         raise SingleClassTreatmentError("need both treated and control records")
     return float(outcome[treated].mean() - outcome[~treated].mean())
 
 
-def bootstrap_ci(records, n_bins: int = 5, n_boot: int = 200, seed: int = 0,
+def bootstrap_ci(telemetry, n_bins: int = 5, n_boot: int = 200, seed: int = 0,
                  alpha: float = 0.05):
     """Percentile bootstrap of the full fit-stratify-estimate pipeline.
     Slower than the normal approximation; offered as an alternative."""
-    records = list(records)
     rng = np.random.default_rng(seed)
     deltas = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(n_boot):
-            idx = rng.integers(0, len(records), size=len(records))
-            sample = [records[i] for i in idx]
+            sample = telemetry.take(rng.integers(0, len(telemetry), size=len(telemetry)))
             try:
                 model = fit_propensity(sample)
                 est = estimate_impact(sample, stratify(sample, model, n_bins))
@@ -341,13 +359,13 @@ def bootstrap_ci(records, n_bins: int = 5, n_boot: int = 200, seed: int = 0,
     return float(lo), float(hi), len(deltas)
 
 
-def run_impact(records, n_bins: int = 5, bootstrap: bool = False,
+def run_impact(telemetry, n_bins: int = 5, bootstrap: bool = False,
                bootstrap_samples: int = 200, seed: int = 0) -> dict:
     """Full pipeline on raw telemetry: eligibility filter, propensity
     fit, stratification, balance check, stratified estimate. Returns a
     JSON-ready report."""
-    eligible, n_small = filter_eligible(records)
-    if not eligible:
+    eligible, n_small = filter_eligible(telemetry)
+    if not len(eligible):
         raise CausalError("no meetings with %d or more participants" % MIN_PARTICIPANTS)
     model = fit_propensity(eligible)
     assignment = stratify(eligible, model, n_bins)
@@ -355,7 +373,7 @@ def run_impact(records, n_bins: int = 5, bootstrap: bool = False,
     estimate = estimate_impact(eligible, assignment)
 
     report = {
-        "n_records": len(records),
+        "n_records": len(telemetry),
         "n_eligible": len(eligible),
         "n_excluded_small_meetings": n_small,
         "n_bins": n_bins,
@@ -385,12 +403,7 @@ def run_impact(records, n_bins: int = 5, bootstrap: bool = False,
     return report
 
 
-TELEMETRY_COLUMNS = ("meeting_id", "participant_count", "duration_min",
-                     "video_used", "screenshare_used", "vrh_used",
-                     "predicted_inclusive")
-
-
-def read_telemetry_csv(path):
+def read_telemetry_csv(path) -> Telemetry:
     """Telemetry CSV with the documented columns; booleans as 0/1. Any
     additional columns are carried as numeric extras."""
     with open(path, newline="") as fh:
@@ -399,28 +412,24 @@ def read_telemetry_csv(path):
         if header is None or tuple(header[: len(TELEMETRY_COLUMNS)]) != TELEMETRY_COLUMNS:
             raise CausalError(
                 "%s: expected columns %s" % (path, ",".join(TELEMETRY_COLUMNS)))
-        extra_names = header[len(TELEMETRY_COLUMNS):]
-        records = []
+        for name in header:
+            if header.count(name) > 1:
+                raise CausalError("%s: column %r appears more than once" % (path, name))
+        parsers = (str, np.int64, float) + (_parse_bool,) * 4
+        parsers += (float,) * (len(header) - len(parsers))
+        columns = [[] for _ in header]
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise CausalError("%s:%d: expected %d columns" % (path, lineno, len(header)))
             try:
-                records.append(MeetingRecord(
-                    meeting_id=row[0],
-                    participant_count=int(row[1]),
-                    duration_min=float(row[2]),
-                    video_used=_parse_bool(row[3]),
-                    screenshare_used=_parse_bool(row[4]),
-                    vrh_used=_parse_bool(row[5]),
-                    predicted_inclusive=_parse_bool(row[6]),
-                    extras={n: float(v) for n, v in
-                            zip(extra_names, row[len(TELEMETRY_COLUMNS):])},
-                ))
-            except ValueError as exc:
+                for column, parse, text in zip(columns, parsers, row):
+                    column.append(parse(text))
+            except (ValueError, OverflowError) as exc:
                 raise CausalError("%s:%d: %s" % (path, lineno, exc)) from None
-    return records
+    n_base = len(TELEMETRY_COLUMNS)
+    return Telemetry(*columns[:n_base], extras=dict(zip(header[n_base:], columns[n_base:])))
 
 
 def _parse_bool(text: str) -> bool:
@@ -431,14 +440,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("boolean column must be 0 or 1, got %r" % text)
 
 
-def write_telemetry_csv(path, records) -> None:
-    extra_names = sorted(records[0].extras) if records else []
+def write_telemetry_csv(path, telemetry) -> None:
+    columns = [telemetry.meeting_id.tolist(), telemetry.participant_count.tolist(),
+               ["%.10g" % x for x in telemetry.duration_min.tolist()]]
+    columns += [getattr(telemetry, c).astype(int).tolist() for c in TELEMETRY_COLUMNS[3:]]
+    columns += [["%.10g" % x for x in c.tolist()] for c in telemetry.extras.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(TELEMETRY_COLUMNS) + extra_names)
-        for r in records:
-            writer.writerow([
-                r.meeting_id, r.participant_count, "%.10g" % r.duration_min,
-                int(r.video_used), int(r.screenshare_used), int(r.vrh_used),
-                int(r.predicted_inclusive),
-            ] + ["%.10g" % r.extras[n] for n in extra_names])
+        writer.writerow(list(TELEMETRY_COLUMNS) + list(telemetry.extras))
+        writer.writerows(zip(*columns))

@@ -197,7 +197,7 @@ def cmd_train(args) -> int:
 
 
 def _scored_samples(model, records_by_id, clip_ids, features_dir, feature, profile):
-    feats, recs = [], []
+    feats, labels = [], []
     for cid in clip_ids:
         rec = records_by_id.get(cid)
         if rec is None:
@@ -205,10 +205,8 @@ def _scored_samples(model, records_by_id, clip_ids, features_dir, feature, profi
         if rec.label not in CLASSES:
             raise LabelError("clip %s has label %r" % (cid, rec.label))
         feats.append(_load_features(features_dir, cid, feature, profile))
-        recs.append(rec)
-    probs = model_mod.forward_batch(model, feats)
-    return [metrics.ScoredSample(rec.clip_id, rec.label, tuple(p))
-            for rec, p in zip(recs, probs)]
+        labels.append(CLASSES.index(rec.label))
+    return metrics.Scores(clip_ids, labels, model_mod.forward_batch(model, feats))
 
 
 def cmd_eval(args) -> int:
@@ -333,8 +331,8 @@ def cmd_kappa(args) -> int:
 
 def cmd_impact(args) -> int:
     out_dir = _ensure_out(args)
-    records = causal.read_telemetry_csv(args.telemetry)
-    report = causal.run_impact(records, n_bins=args.bins,
+    telemetry = causal.read_telemetry_csv(args.telemetry)
+    report = causal.run_impact(telemetry, n_bins=args.bins,
                                bootstrap=args.bootstrap,
                                bootstrap_samples=args.bootstrap_samples,
                                seed=args.seed)

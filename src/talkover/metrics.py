@@ -19,38 +19,52 @@ from .model import CLASSES
 BELOW_THRESHOLD = "below_threshold"
 
 
-@dataclass(frozen=True)
-class ScoredSample:
-    clip_id: str
-    true_label: str
-    probs: tuple
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Scored clips as columns: clip_ids[i] has the true class
+    CLASSES[labels[i]] and the class probabilities probs[i]."""
+
+    clip_ids: np.ndarray
+    labels: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self):
-        if self.true_label not in CLASSES:
-            raise MetricError("unknown class %r" % self.true_label)
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (len(CLASSES),):
-            raise MetricError("probs must have length %d" % len(CLASSES))
-        if not np.all(np.isfinite(p)):
-            raise MetricError("probs of %s are not finite" % self.clip_id)
-        if abs(float(p.sum()) - 1.0) > 1e-6:
-            raise MetricError("probs of %s sum to %g, not 1" % (self.clip_id, p.sum()))
-        object.__setattr__(self, "probs", tuple(float(x) for x in p))
+        clip_ids = np.asarray(self.clip_ids, dtype=str)
+        labels = np.asarray(self.labels)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        n = len(clip_ids)
+        if labels.shape != (n,) or probs.shape != (n, len(CLASSES)):
+            raise MetricError("need one label and %d probs per clip" % len(CLASSES))
+        unknown = ~np.isin(labels, np.arange(len(CLASSES)))
+        if unknown.any():
+            i = np.argmax(unknown)
+            raise MetricError("%s has unknown class %s" % (clip_ids[i], labels[i]))
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            raise MetricError("probs of %s are not finite" % clip_ids[np.argmin(finite)])
+        sums = probs.sum(axis=1)
+        off = np.abs(sums - 1.0) > 1e-6
+        if off.any():
+            i = np.argmax(off)
+            raise MetricError("probs of %s sum to %g, not 1" % (clip_ids[i], sums[i]))
+        object.__setattr__(self, "clip_ids", clip_ids)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
+        object.__setattr__(self, "probs", probs)
+
+    def __len__(self):
+        return len(self.clip_ids)
 
 
-def _scores_and_truth(samples, positive_class: str):
+def _scores_and_truth(samples: Scores, positive_class: str):
     if positive_class not in CLASSES:
         raise MetricError("unknown class %r" % positive_class)
     idx = CLASSES.index(positive_class)
-    scores = np.array([s.probs[idx] for s in samples], dtype=np.float64)
-    truth = np.array([s.true_label == positive_class for s in samples])
-    return scores, truth, idx
+    return samples.probs[:, idx], samples.labels == idx, idx
 
 
-def _argmax_is(samples, idx: int) -> np.ndarray:
+def _argmax_is(samples: Scores, idx: int) -> np.ndarray:
     """Whether each sample's most probable class is CLASSES[idx]."""
-    probs = np.array([s.probs for s in samples], dtype=np.float64)
-    return np.argmax(probs.reshape(-1, len(CLASSES)), axis=1) == idx
+    return np.argmax(samples.probs, axis=1) == idx
 
 
 def _rates(emitted: np.ndarray, truth: np.ndarray):
@@ -150,16 +164,12 @@ def thresholded_confusion(samples, tau: float, positive_class: str = "failed_int
     """Confusion counts with the below-threshold column: a prediction
     whose argmax is the positive class but whose score falls under tau
     lands in the extra column instead."""
-    pos_idx = CLASSES.index(positive_class)
-    mat = np.zeros((len(CLASSES), len(CLASSES) + 1), dtype=np.int64)
-    for s in samples:
-        row = CLASSES.index(s.true_label)
-        pred = int(np.argmax(s.probs))
-        if pred == pos_idx and s.probs[pos_idx] < tau:
-            mat[row, len(CLASSES)] += 1
-        else:
-            mat[row, pred] += 1
-    return ThresholdedConfusion(tuple(int(x) for x in mat.ravel()), float(tau))
+    scores, _, pos_idx = _scores_and_truth(samples, positive_class)
+    pred = np.argmax(samples.probs, axis=1)
+    column = np.where((pred == pos_idx) & (scores < tau), len(CLASSES), pred)
+    width = len(CLASSES) + 1
+    counts = np.bincount(samples.labels * width + column, minlength=len(CLASSES) * width)
+    return ThresholdedConfusion(tuple(counts.tolist()), float(tau))
 
 
 def per_class_report(confusion: ThresholdedConfusion) -> dict:
@@ -191,25 +201,20 @@ def roc_points(samples, positive_class: str):
     if n_pos == 0 or n_neg == 0:
         raise DegenerateDistributionError("ROC needs both classes")
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    for k, i in enumerate(order):
-        if truth[i]:
-            tp += 1
-        else:
-            fp += 1
-        # emit a vertex only after the last sample of a tied score group
-        if k + 1 < len(order) and scores[order[k + 1]] == scores[i]:
-            continue
-        points.append((fp / n_neg, tp / n_pos, float(scores[i])))
-    return points
+    ranked = scores[order]
+    hits = truth[order]
+    # a vertex after the last sample of each tied score group
+    last = np.r_[ranked[1:] != ranked[:-1], True]
+    fpr = np.cumsum(~hits)[last] / n_neg
+    tpr = np.cumsum(hits)[last] / n_pos
+    return [(0.0, 0.0, float("inf"))] + list(zip(fpr.tolist(), tpr.tolist(),
+                                                ranked[last].tolist()))
 
 
 def accuracy(samples) -> float:
-    if not samples:
+    if len(samples) == 0:
         raise MetricError("empty sample list")
-    hits = sum(1 for s in samples if CLASSES[int(np.argmax(s.probs))] == s.true_label)
-    return hits / len(samples)
+    return int(np.count_nonzero(np.argmax(samples.probs, axis=1) == samples.labels)) / len(samples)
 
 
 def write_roc_csv(path, points) -> None:

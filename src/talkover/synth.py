@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .audio import SAMPLE_RATE, write_wav
-from .causal import MeetingRecord, write_telemetry_csv
+from .causal import Telemetry, write_telemetry_csv
 from .features import PROFILES, LayeredEmbedding, write_embeddings
 from .labels import VOTE_LABELS, VoteRecord, write_votes_csv
 from .manifest import ClipRecord, write_manifest, write_split
@@ -176,8 +176,8 @@ def write_votes_fixture(out_dir, seed: int = 0):
 INJECTED_EFFECT = 0.034
 
 
-def make_telemetry_records(n: int = 50000, seed: int = 0,
-                           effect: float = INJECTED_EFFECT):
+def make_telemetry(n: int = 50000, seed: int = 0,
+                   effect: float = INJECTED_EFFECT) -> Telemetry:
     rng = np.random.default_rng(seed)
     size = 2 + rng.poisson(3.5, n)
     dur = np.exp(rng.normal(3.2, 0.5, n))
@@ -196,12 +196,8 @@ def make_telemetry_records(n: int = 50000, seed: int = 0,
     p = base + effect * treated  # bounded in (0.32, 0.52 + effect); no clipping
     outcome = rng.random(n) < p
 
-    return [
-        MeetingRecord("mtg_%06d" % i, int(size[i]), float(dur[i]),
-                      bool(video[i]), bool(share[i]), bool(treated[i]),
-                      bool(outcome[i]))
-        for i in range(n)
-    ]
+    ids = ["mtg_%06d" % i for i in range(n)]
+    return Telemetry(ids, size, dur, video, share, treated, outcome)
 
 
 def _sigmoid(z):
@@ -213,9 +209,8 @@ def write_telemetry_fixture(out_dir, n: int = 50000, seed: int = 0,
     """telemetry.csv plus truth.json recording the injected effect;
     returns (csv_path, truth_path)."""
     os.makedirs(out_dir, exist_ok=True)
-    records = make_telemetry_records(n, seed, effect)
     csv_path = os.path.join(out_dir, "telemetry.csv")
-    write_telemetry_csv(csv_path, records)
+    write_telemetry_csv(csv_path, make_telemetry(n, seed, effect))
     truth_path = os.path.join(out_dir, "truth.json")
     with open(truth_path, "w") as fh:
         json.dump({"injected_effect": effect, "n": n, "seed": seed},

@@ -1,7 +1,9 @@
 """Shared fixtures: one synthetic corpus per session plus CLI helpers."""
+import dataclasses
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from talkover import synth
@@ -34,3 +36,12 @@ def tree_digest(root):
             with open(full, "rb") as fh:
                 h.update(fh.read())
     return h.hexdigest()
+
+
+def same_telemetry(a, b):
+    """Whether two Telemetry tables hold equal columns and equal extras
+    in the same order."""
+    names = [f.name for f in dataclasses.fields(a) if f.name != "extras"]
+    return (all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
+            and list(a.extras) == list(b.extras)
+            and all(np.array_equal(a.extras[k], b.extras[k]) for k in a.extras))

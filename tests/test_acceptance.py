@@ -17,12 +17,12 @@ from talkover.causal import (estimate_impact, filter_eligible, fit_propensity,
                              naive_difference, stratify)
 from talkover.features import EmbeddingProfile, LayeredEmbedding, mfcc, spectrogram
 from talkover.labels import VoteRecord, aggregate, fleiss_kappa
-from talkover.metrics import (ScoredSample, roc_auc, thresholded_confusion,
+from talkover.metrics import (Scores, roc_auc, thresholded_confusion,
                               tpr_at_fpr)
 from talkover.model import (CLASSES, FeatureSpec, TrainConfig, attention_pool,
                             build_model, cross_entropy, forward_batch, train)
 from talkover.overlap import CandidateClip, SpeechSegment, detect
-from talkover.synth import INJECTED_EFFECT, make_telemetry_records
+from talkover.synth import INJECTED_EFFECT, make_telemetry
 
 POSITIVE = "failed_interruption"
 
@@ -213,7 +213,7 @@ def test_pipeline_separates_failed_interruptions(tmp_path):
 
 def _graded(clip_id, true_label, score):
     r = (1.0 - score) / 3.0
-    return ScoredSample(clip_id, true_label, (r, score, r, r))
+    return clip_id, true_label, (r, score, r, r)
 
 
 def _off_class(clip_id, true_label, argmax_idx, failed_score):
@@ -221,12 +221,23 @@ def _off_class(clip_id, true_label, argmax_idx, failed_score):
     p = [rest] * 4
     p[argmax_idx] = 0.5
     p[1] = failed_score
-    return ScoredSample(clip_id, true_label, tuple(p))
+    return clip_id, true_label, tuple(p)
+
+
+def _scores(rows):
+    """Scores from (clip_id, true_label, probs) rows."""
+    clip_ids, labels, probs = zip(*rows)
+    return Scores(clip_ids, [CLASSES.index(x) for x in labels], probs)
+
+
+def _rows(samples):
+    """(true_label, probs) per sample, for the scalar oracles."""
+    return [(CLASSES[i], tuple(p)) for i, p in zip(samples.labels, samples.probs)]
 
 
 def _brute_force_auc(samples):
-    pos = [s.probs[1] for s in samples if s.true_label == POSITIVE]
-    neg = [s.probs[1] for s in samples if s.true_label != POSITIVE]
+    pos = [p[1] for label, p in _rows(samples) if label == POSITIVE]
+    neg = [p[1] for label, p in _rows(samples) if label != POSITIVE]
     total = 0.0
     for p in pos:
         for n in neg:
@@ -271,7 +282,7 @@ def _thousand_sample_set():
                                           0.05 + 0.0002 * k))
                 k += 1
     assert len(samples) == 1000
-    return samples
+    return _scores(samples)
 
 
 def test_ranking_metrics_match_oracles():
@@ -279,21 +290,21 @@ def test_ranking_metrics_match_oracles():
     for _ in range(100):
         n = int(rng.integers(20, 501))
         labels = ["backchannel"] * (n // 2) + [POSITIVE] * (n - n // 2)
-        samples = [_graded("c%d" % i, labels[i], float(rng.integers(0, 25)) / 24.0)
-                   for i in range(n)]
+        samples = _scores([_graded("c%d" % i, labels[i], float(rng.integers(0, 25)) / 24.0)
+                           for i in range(n)])
         assert roc_auc(samples, POSITIVE) == _brute_force_auc(samples)
 
     hand = [_graded("p%d" % i, POSITIVE, s) for i, s in enumerate((0.9, 0.6, 0.35))]
     hand += [_graded("n%d" % i, "laughter", s) for i, s in enumerate((0.8, 0.3, 0.2))]
-    assert roc_auc(hand, POSITIVE) == 7.0 / 9.0
+    assert roc_auc(_scores(hand), POSITIVE) == 7.0 / 9.0
 
     samples = _thousand_sample_set()
     tpr, tau = tpr_at_fpr(samples, POSITIVE, 0.01)
     assert tau == 0.52
     assert tpr == 131 / 250
-    false_hits = sum(1 for s in samples
-                     if s.true_label != POSITIVE
-                     and int(np.argmax(s.probs)) == 1 and s.probs[1] >= tau)
+    false_hits = sum(1 for label, p in _rows(samples)
+                     if label != POSITIVE
+                     and int(np.argmax(p)) == 1 and p[1] >= tau)
     assert false_hits == 7  # realized fpr 7/750, just under the 1% bar
 
     confusion = thresholded_confusion(samples, tau, POSITIVE).matrix
@@ -441,7 +452,7 @@ def test_stratification_recovers_injected_effect():
     deltas5, deltas10, naives = [], [], []
     covered = 0
     for seed in range(100):
-        records = make_telemetry_records(50000, seed)
+        records = make_telemetry(50000, seed)
         eligible, _ = filter_eligible(records)
         model = fit_propensity(eligible)
         est5 = estimate_impact(eligible, stratify(eligible, model, 5))

@@ -1,19 +1,25 @@
 import ast
 import csv
+import dataclasses
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import talkover
 from conftest import run_cli
+from talkover import synth
 from talkover.audio import read_wav_data
+from talkover.causal import write_telemetry_csv
 from talkover.labels import fleiss_kappa, read_votes_csv, votes_to_table
 from talkover.manifest import read_manifest
 
@@ -103,6 +109,53 @@ def test_single_class_telemetry_exits_8(tmp_path):
     path = tmp_path / "telemetry.csv"
     path.write_text("\n".join(rows) + "\n")
     assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 8
+
+
+@pytest.mark.parametrize("duration", ["inf", "1e308"])
+def test_non_finite_or_overflowing_duration_exits_8(fixtures_dir, tmp_path, duration):
+    # one bad duration in an eligible meeting; a finite 1e308 overflows
+    # the column's spread
+    lines = (fixtures_dir / "telemetry" / "telemetry.csv").read_text().splitlines()
+    row = next(i for i in range(1, len(lines)) if int(lines[i].split(",")[1]) >= 3)
+    cells = lines[row].split(",")
+    cells[2] = duration
+    lines[row] = ",".join(cells)
+    path = tmp_path / "telemetry.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 8
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+FUZZ_CELLS = ["nan", "inf", "-inf", "1e308", "-1", "2", "", "abc", "0.5"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_telemetry_exits_0_or_8(data):
+    telemetry = synth.make_telemetry(n=120, seed=4)
+    telemetry = dataclasses.replace(
+        telemetry, extras={"x": np.linspace(-1.0, 1.0, len(telemetry))})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "telemetry.csv")
+        write_telemetry_csv(path, telemetry)
+        with open(path) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        for _ in range(data.draw(st.integers(0, 4), label="cells")):
+            i = data.draw(st.integers(1, len(rows) - 1), label="row")
+            j = data.draw(st.integers(1, len(rows[0]) - 1), label="column")
+            rows[i][j] = data.draw(st.sampled_from(FUZZ_CELLS), label="value")
+        blob = "".join(",".join(r) + "\n" for r in rows).encode()
+        blob = blob[:data.draw(st.none() | st.integers(0, len(blob)), label="truncate at")]
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        argv = ["impact", "--telemetry", path, "--out", os.path.join(tmp, "o")]
+        if data.draw(st.booleans(), label="bootstrap"):
+            argv += ["--bootstrap", "--bootstrap-samples", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(argv)
+        event("exit %d" % code)
+        assert code in (0, 8)
 
 
 def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from talkover import metrics
 from talkover.errors import DegenerateDistributionError, MetricError
-from talkover.metrics import (ScoredSample, accuracy, per_class_report,
+from talkover.metrics import (Scores, accuracy, per_class_report,
                               roc_auc, roc_points, thresholded_confusion,
                               tpr_at_fpr, tpr_fpr_at_threshold,
                               write_confusion_csv, write_report_csv,
@@ -35,19 +35,31 @@ def sample(label, failed_score, argmax_failed=None, clip_id="c"):
     else:
         probs = [0.0, failed_score, 0.0, 0.0]
         probs[0] = rest
-    return ScoredSample(clip_id, label, tuple(probs))
+    return clip_id, label, tuple(probs)
+
+
+def scores(samples):
+    """Scores from sample() rows, in order."""
+    clip_ids, labels, probs = zip(*samples)
+    return Scores(clip_ids, [CLASSES.index(x) for x in labels], probs)
+
+
+def rows(samples):
+    """(true_label, probs) per clip of a Scores, for per-sample oracles."""
+    return [(CLASSES[i], tuple(p))
+            for i, p in zip(samples.labels.tolist(), samples.probs.tolist())]
 
 
 def two_class(pos_scores, neg_scores):
     out = [sample(POS, s, clip_id="p%d" % i) for i, s in enumerate(pos_scores)]
     out += [sample("laughter", s, clip_id="n%d" % i) for i, s in enumerate(neg_scores)]
-    return out
+    return scores(out)
 
 
 def brute_force_auc(samples, positive_class):
     idx = CLASSES.index(positive_class)
-    pos = [s.probs[idx] for s in samples if s.true_label == positive_class]
-    neg = [s.probs[idx] for s in samples if s.true_label != positive_class]
+    pos = [p[idx] for label, p in rows(samples) if label == positive_class]
+    neg = [p[idx] for label, p in rows(samples) if label != positive_class]
     total = 0.0
     for p in pos:
         for n in neg:
@@ -59,14 +71,28 @@ def brute_force_auc(samples, positive_class):
 
 
 def test_scored_sample_validation():
+    flat = (0.25, 0.25, 0.25, 0.25)
+    for label in (4, -1, 1.5):
+        with pytest.raises(MetricError, match="b has unknown class %s" % label):
+            Scores(["a", "b"], [0, label], [flat, flat])
+    with pytest.raises(MetricError, match="a has unknown class laughter"):
+        Scores(["a"], ["laughter"], [flat])  # labels are class indices
     with pytest.raises(MetricError):
-        ScoredSample("c", "nope", (0.25, 0.25, 0.25, 0.25))
+        Scores(["c"], [POS_IDX], [(0.5, 0.5)])
     with pytest.raises(MetricError):
-        ScoredSample("c", POS, (0.5, 0.5))
-    with pytest.raises(MetricError):
-        ScoredSample("c", POS, (0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(MetricError):
-        ScoredSample("c", POS, (math.nan, 0.5, 0.25, 0.25))
+        Scores(["c", "d"], [POS_IDX], [flat, flat])
+    with pytest.raises(MetricError, match="probs of d sum to 2"):
+        Scores(["c", "d"], [POS_IDX] * 2, [flat, (0.5, 0.5, 0.5, 0.5)])
+    with pytest.raises(MetricError, match="probs of d are not finite"):
+        Scores(["c", "d"], [POS_IDX] * 2, [flat, (math.nan, 0.5, 0.25, 0.25)])
+    # every metric that takes a class name rejects an unknown one
+    valid = two_class([0.9], [0.1])
+    for metric in (lambda c: roc_auc(valid, c), lambda c: tpr_at_fpr(valid, c),
+                   lambda c: roc_points(valid, c),
+                   lambda c: tpr_fpr_at_threshold(valid, c, 0.5),
+                   lambda c: thresholded_confusion(valid, 0.5, c)):
+        with pytest.raises(MetricError, match="unknown class 'nope'"):
+            metric("nope")
 
 
 def test_auc_hand_case_is_seven_ninths():
@@ -88,7 +114,7 @@ def test_auc_all_tied_is_half():
 
 def test_auc_needs_both_classes():
     with pytest.raises(DegenerateDistributionError):
-        roc_auc([sample(POS, 0.9)], POS)
+        roc_auc(scores([sample(POS, 0.9)]), POS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,13 +152,13 @@ def loop_tpr_at_fpr(samples, positive_class, target_fpr):
     """Quadratic reference: rescan every sample at each distinct score,
     ascending, and stop at the first threshold within target."""
     idx = CLASSES.index(positive_class)
-    scores = np.array([s.probs[idx] for s in samples])
-    truth = np.array([s.true_label == positive_class for s in samples])
+    score = np.array([p[idx] for _, p in rows(samples)])
+    truth = np.array([label == positive_class for label, _ in rows(samples)])
     n_pos = int(truth.sum())
     n_neg = len(samples) - n_pos
-    argmax_is_pos = np.array([int(np.argmax(s.probs)) == idx for s in samples])
-    for tau in sorted(set(scores.tolist())):
-        emitted = argmax_is_pos & (scores >= tau)
+    argmax_is_pos = np.array([int(np.argmax(p)) == idx for _, p in rows(samples)])
+    for tau in sorted(set(score.tolist())):
+        emitted = argmax_is_pos & (score >= tau)
         if float((emitted & ~truth).sum()) / n_neg <= target_fpr:
             tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
             return tpr, float(tau)
@@ -145,10 +171,9 @@ def coarse_samples(rng, n):
     weights = rng.integers(0, 4, size=(n, len(CLASSES)))
     weights[weights.sum(axis=1) == 0, 0] = 1
     probs = weights / weights.sum(axis=1, keepdims=True)
-    labels = [CLASSES[int(i)] for i in rng.integers(0, len(CLASSES), n)]
-    labels[0] = "laughter"  # FPR needs at least one negative
-    return [ScoredSample("s%d" % i, label, tuple(p))
-            for i, (label, p) in enumerate(zip(labels, probs))]
+    labels = rng.integers(0, len(CLASSES), n)
+    labels[0] = CLASSES.index("laughter")  # FPR needs at least one negative
+    return Scores(["s%d" % i for i in range(n)], labels, probs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,7 +183,7 @@ def test_tpr_at_fpr_equals_loop_oracle_with_ties(seed, target):
     # about a quarter of these draws admit no threshold: (0.0, inf)
     rng = np.random.default_rng(seed)
     samples = coarse_samples(rng, int(rng.integers(1, 80)))
-    n_neg = sum(1 for s in samples if s.true_label != POS)
+    n_neg = int(np.sum(samples.labels != POS_IDX))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = tpr_at_fpr(samples, POS, target)
@@ -187,17 +212,17 @@ def test_tpr_at_fpr_monotone_in_target():
 def test_tpr_at_fpr_counts_only_emitted_false_positives():
     # n1 outscores the threshold but its argmax is another class, so it
     # is never emitted; a score-ranked FPR would have blocked tau=0.1
-    samples = [sample(POS, 0.6, clip_id="p"),
-               sample("laughter", 0.4, argmax_failed=False, clip_id="n1"),
-               sample("laughter", 0.1, argmax_failed=False, clip_id="n2")]
+    samples = scores([sample(POS, 0.6, clip_id="p"),
+                      sample("laughter", 0.4, argmax_failed=False, clip_id="n1"),
+                      sample("laughter", 0.1, argmax_failed=False, clip_id="n2")])
     with pytest.warns(UserWarning):
         tpr, tau = tpr_at_fpr(samples, POS, 0.01)
     assert (tpr, tau) == (1.0, 0.1)
 
 
 def test_tpr_at_fpr_infeasible_returns_zero_inf():
-    samples = [sample(POS, 0.7, clip_id="p"),
-               sample("laughter", 0.7, clip_id="n")]
+    samples = scores([sample(POS, 0.7, clip_id="p"),
+                      sample("laughter", 0.7, clip_id="n")])
     with pytest.warns(UserWarning):
         tpr, tau = tpr_at_fpr(samples, POS, 0.01)
     assert tpr == 0.0 and tau == math.inf
@@ -219,9 +244,9 @@ def test_tpr_at_fpr_validates_target():
 def loop_tpr_fpr_at_threshold(samples, positive_class, tau):
     """Per-sample reference for the rates at a given threshold."""
     idx = CLASSES.index(positive_class)
-    truth = np.array([s.true_label == positive_class for s in samples])
-    emitted = np.array([int(np.argmax(s.probs)) == idx and s.probs[idx] >= tau
-                        for s in samples])
+    truth = np.array([label == positive_class for label, _ in rows(samples)])
+    emitted = np.array([int(np.argmax(p)) == idx and p[idx] >= tau
+                        for _, p in rows(samples)])
     n_pos = int(truth.sum())
     n_neg = len(samples) - n_pos
     tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
@@ -231,19 +256,20 @@ def loop_tpr_fpr_at_threshold(samples, positive_class, tau):
 
 def test_tpr_fpr_at_threshold_hand_case():
     # p3 and n1 never argmax to the positive class, so no threshold emits them
-    samples = [sample(POS, 0.6, clip_id="p1"),
-               sample(POS, 0.3, clip_id="p2"),
-               sample(POS, 0.2, argmax_failed=False, clip_id="p3"),
-               sample("laughter", 0.4, argmax_failed=False, clip_id="n1"),
-               sample("laughter", 0.5, clip_id="n2")]
+    listed = [sample(POS, 0.6, clip_id="p1"),
+              sample(POS, 0.3, clip_id="p2"),
+              sample(POS, 0.2, argmax_failed=False, clip_id="p3"),
+              sample("laughter", 0.4, argmax_failed=False, clip_id="n1"),
+              sample("laughter", 0.5, clip_id="n2")]
+    samples = scores(listed)
     assert tpr_fpr_at_threshold(samples, POS, 0.3) == (2 / 3, 0.5)
     assert tpr_fpr_at_threshold(samples, POS, 0.5) == (1 / 3, 0.5)
     assert tpr_fpr_at_threshold(samples, POS, 0.55) == (1 / 3, 0.0)
     assert tpr_fpr_at_threshold(samples, POS, 0.0) == (2 / 3, 0.5)
     assert tpr_fpr_at_threshold(samples, POS, math.inf) == (0.0, 0.0)
     # an absent class gives a zero rate, not a division error
-    assert tpr_fpr_at_threshold(samples[:3], POS, 0.3) == (2 / 3, 0.0)
-    assert tpr_fpr_at_threshold(samples[3:], POS, 0.3) == (0.0, 0.5)
+    assert tpr_fpr_at_threshold(scores(listed[:3]), POS, 0.3) == (2 / 3, 0.0)
+    assert tpr_fpr_at_threshold(scores(listed[3:]), POS, 0.3) == (0.0, 0.5)
     with pytest.raises(MetricError):
         tpr_fpr_at_threshold(samples, "shouting", 0.3)
 
@@ -254,7 +280,7 @@ def test_tpr_fpr_at_threshold_hand_case():
 def test_tpr_fpr_at_threshold_matches_loop_and_calibration(seed, target):
     rng = np.random.default_rng(seed)
     samples = coarse_samples(rng, int(rng.integers(1, 80)))
-    for tau in sorted({s.probs[POS_IDX] for s in samples}) + [math.inf]:
+    for tau in sorted(set(samples.probs[:, POS_IDX].tolist())) + [math.inf]:
         assert (tpr_fpr_at_threshold(samples, POS, tau)
                 == loop_tpr_fpr_at_threshold(samples, POS, tau))
     with warnings.catch_warnings():
@@ -265,6 +291,55 @@ def test_tpr_fpr_at_threshold_matches_loop_and_calibration(seed, target):
     assert got_fpr <= target
 
 
+def loop_thresholded_confusion(samples, tau, positive_class):
+    """Per-sample reference for the thresholded confusion counts."""
+    pos_idx = CLASSES.index(positive_class)
+    mat = np.zeros((len(CLASSES), len(CLASSES) + 1), dtype=np.int64)
+    for label, p in rows(samples):
+        pred = int(np.argmax(p))
+        if pred == pos_idx and p[pos_idx] < tau:
+            mat[CLASSES.index(label), len(CLASSES)] += 1
+        else:
+            mat[CLASSES.index(label), pred] += 1
+    return mat
+
+
+def loop_roc_points(samples, positive_class):
+    """Per-sample reference for the ROC vertices: walk the samples by
+    descending score, one vertex after each tied group."""
+    idx = CLASSES.index(positive_class)
+    score = np.array([p[idx] for _, p in rows(samples)])
+    truth = np.array([label == positive_class for label, _ in rows(samples)])
+    n_pos = int(truth.sum())
+    n_neg = len(samples) - n_pos
+    order = np.argsort(-score, kind="stable")
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    for k, i in enumerate(order):
+        if truth[i]:
+            tp += 1
+        else:
+            fp += 1
+        if k + 1 < len(order) and score[order[k + 1]] == score[i]:
+            continue
+        points.append((fp / n_neg, tp / n_pos, float(score[i])))
+    return points
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), positive=st.sampled_from(CLASSES))
+def test_confusion_and_roc_equal_loop_oracles(seed, positive):
+    rng = np.random.default_rng(seed)
+    samples = coarse_samples(rng, int(rng.integers(1, 80)))
+    observed = samples.probs[:, CLASSES.index(positive)].tolist()
+    for tau in sorted(set(observed)) + [0.0, math.inf]:
+        got = thresholded_confusion(samples, tau, positive).matrix
+        assert np.array_equal(got, loop_thresholded_confusion(samples, tau, positive))
+    n_pos = int(np.sum(samples.labels == CLASSES.index(positive)))
+    if 0 < n_pos < len(samples):
+        assert roc_points(samples, positive) == loop_roc_points(samples, positive)
+
+
 def test_confusion_counts_and_rows():
     rng = np.random.default_rng(1)
     samples = []
@@ -273,17 +348,17 @@ def test_confusion_counts_and_rows():
         samples.append(sample(label, float(rng.uniform(0.05, 0.95)),
                               argmax_failed=bool(rng.random() < 0.5),
                               clip_id="s%d" % i))
-    conf = thresholded_confusion(samples, 0.5, POS)
+    conf = thresholded_confusion(scores(samples), 0.5, POS)
     assert conf.total == 120
     mat = conf.matrix
     for i, cls in enumerate(CLASSES):
-        assert mat[i].sum() == sum(1 for s in samples if s.true_label == cls)
+        assert mat[i].sum() == sum(1 for s in samples if s[1] == cls)
 
 
 def test_confusion_routes_below_threshold():
-    samples = [sample(POS, 0.6, clip_id="a"),       # emitted
-               sample(POS, 0.4, clip_id="b"),       # argmax failed, under tau
-               sample("laughter", 0.1, argmax_failed=False, clip_id="c")]
+    samples = scores([sample(POS, 0.6, clip_id="a"),       # emitted
+                      sample(POS, 0.4, clip_id="b"),       # argmax failed, under tau
+                      sample("laughter", 0.1, argmax_failed=False, clip_id="c")])
     mat = thresholded_confusion(samples, 0.5, POS).matrix
     assert mat[POS_IDX, POS_IDX] == 1
     assert mat[POS_IDX, len(CLASSES)] == 1
@@ -292,7 +367,7 @@ def test_confusion_routes_below_threshold():
 
 
 def test_per_class_report_zero_denominators():
-    samples = [sample(POS, 0.9, clip_id="a"), sample(POS, 0.8, clip_id="b")]
+    samples = scores([sample(POS, 0.9, clip_id="a"), sample(POS, 0.8, clip_id="b")])
     conf = thresholded_confusion(samples, 0.95, POS)
     report = per_class_report(conf)
     # both predictions fell below threshold: precision and recall are 0
@@ -323,12 +398,12 @@ def test_roc_points_shape_and_consistency():
 
 
 def test_accuracy():
-    samples = [sample(POS, 0.7, clip_id="a"),
-               sample("laughter", 0.6, clip_id="b"),
-               sample("backchannel", 0.1, argmax_failed=False, clip_id="c")]
+    samples = scores([sample(POS, 0.7, clip_id="a"),
+                      sample("laughter", 0.6, clip_id="b"),
+                      sample("backchannel", 0.1, argmax_failed=False, clip_id="c")])
     assert accuracy(samples) == pytest.approx(2.0 / 3.0)
     with pytest.raises(MetricError):
-        accuracy([])
+        accuracy(Scores([], [], np.empty((0, len(CLASSES)))))
 
 
 def test_csv_writers(tmp_path):

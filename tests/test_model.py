@@ -111,6 +111,28 @@ def test_attention_pool_zero_template_is_uniform():
     assert np.array_equal(u, H @ np.full(10, 0.1))
 
 
+def test_batched_pooling_matches_attention_pool():
+    # train, forward_batch and eval pool with the einsum pair in
+    # _forward_pass, which sums in another order than attention_pool (a
+    # zero template differs from H @ full(M, 1/M) by about 6.5e-16), so
+    # the per-sample match is relative, not exact
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for case in range(200):
+        d = int(rng.integers(1, 13))
+        frames = int(rng.integers(1, 25))
+        model = M.build_model(M.FeatureSpec("matrix", d, frames), rng, (5, 4))
+        if case % 4:  # every fourth case keeps the zero template
+            model.params["pooler_w"] = rng.normal(0.0, 1.0, d)
+        batch = [rng.normal(0.0, 1.0, (d, frames)) for _ in range(int(rng.integers(2, 7)))]
+        pooled = M._forward_pass(model, batch)[2]
+        assert pooled.shape == (len(batch), d)
+        for H, u in zip(batch, pooled):
+            want = M.attention_pool(H, model.params["pooler_w"])
+            worst = max(worst, np.max(np.abs(u - want)) / max(np.max(np.abs(want)), 1e-30))
+    assert worst < 1e-12
+
+
 def test_attention_pool_rejects_bad_inputs():
     with pytest.raises(FeatureProfileError):
         M.attention_pool(np.zeros((3, 4)), np.zeros(5))

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 
+from conftest import same_telemetry
 from talkover.audio import (SAMPLE_RATE, AudioChannel, MeetingAudio,
                             read_wav_data)
 from talkover.causal import naive_difference, read_telemetry_csv
@@ -15,7 +16,7 @@ from talkover.overlap import (REJECT_NO_OVERLAP, REJECT_PRESILENCE,
                               REJECT_TOO_SHORT, detect, vad)
 from talkover.synth import (EXPECTED_CANDIDATE_ONSETS, INJECTED_EFFECT,
                             N_ANNOTATORS, make_meeting_audio,
-                            make_telemetry_records, write_telemetry_fixture)
+                            make_telemetry, write_telemetry_fixture)
 
 
 def test_meeting_audio_is_deterministic():
@@ -120,15 +121,15 @@ def test_votes_fixture_patterns(fixtures_dir):
 
 
 def test_telemetry_is_deterministic():
-    a = make_telemetry_records(n=300, seed=3)
-    b = make_telemetry_records(n=300, seed=3)
-    assert a == b
-    assert a != make_telemetry_records(n=300, seed=4)
+    a = make_telemetry(n=300, seed=3)
+    b = make_telemetry(n=300, seed=3)
+    assert same_telemetry(a, b)
+    assert not same_telemetry(a, make_telemetry(n=300, seed=4))
 
 
 def test_telemetry_confounds_the_naive_estimate():
-    records = make_telemetry_records(n=20000, seed=2)
-    assert all(r.participant_count >= 2 for r in records)
+    records = make_telemetry(n=20000, seed=2)
+    assert np.all(records.participant_count >= 2)
     naive = naive_difference(records)
     assert naive - INJECTED_EFFECT > 0.015
 
