@@ -404,8 +404,9 @@ def run_impact(telemetry, n_bins: int = 5, bootstrap: bool = False,
 
 
 def read_telemetry_csv(path) -> Telemetry:
-    """Telemetry CSV with the documented columns; booleans as 0/1. Any
-    additional columns are carried as numeric extras."""
+    """Telemetry CSV with the documented columns and one row per
+    meeting_id; booleans as 0/1. Any additional columns are carried as
+    numeric extras."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -428,6 +429,12 @@ def read_telemetry_csv(path) -> Telemetry:
                     column.append(parse(text))
             except (ValueError, OverflowError) as exc:
                 raise CausalError("%s:%d: %s" % (path, lineno, exc)) from None
+    # here, not in Telemetry: bootstrap resamples repeat rows on purpose
+    seen = set()
+    for meeting_id in columns[0]:
+        if meeting_id in seen:
+            raise CausalError("%s: meeting_id %r appears more than once" % (path, meeting_id))
+        seen.add(meeting_id)
     n_base = len(TELEMETRY_COLUMNS)
     return Telemetry(*columns[:n_base], extras=dict(zip(header[n_base:], columns[n_base:])))
 

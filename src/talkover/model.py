@@ -2,11 +2,17 @@
 layers, attention pooling of the frame axis, and a feed-forward head,
 trained with mini-batch SGD on cross-entropy.
 
-All math is plain numpy in float64 with exact analytic gradients; the
+All math is plain numpy with exact analytic gradients; the
 finite-difference suite in the tests checks every parameter group.
+Embedding features stay float32 as loaded: the contractions that read
+them (the layer mix and its gradient) upcast in bounded buffers and give
+float64 results, so no float64 copy of a batch is made. Everything
+downstream of the layer mix, and the parameters, are float64. Inference
+pools fixed-size slices of a list, so its memory grows with the slice.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass
@@ -24,6 +30,8 @@ LEAKY_SLOPE = 0.01
 CHANNELS_BOTH = "2"
 CHANNELS_RIGHT = "right"
 
+_INFER_CHUNK = 32  # samples pooled per slice in forward_batch
+
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -35,6 +43,14 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of integer labels under (B, K) probs."""
     picked = probs[np.arange(len(labels)), labels]
     return float(np.mean(-np.log(picked)))
+
+
+def _logit_loss(logits: np.ndarray, labels: np.ndarray) -> float:
+    """cross_entropy of softmax(logits) by logsumexp: finite wherever the
+    logits are, while a probability can underflow to 0."""
+    top = np.max(logits, axis=1)
+    lse = top + np.log(np.sum(np.exp(logits - top[:, None]), axis=1))
+    return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
 
 
 @dataclass(frozen=True)
@@ -162,22 +178,38 @@ def _check_features(model: InterruptionModel, features) -> None:
             "model expects %s, got %s" % (spec.to_dict(), got.to_dict()))
 
 
-def _batch_h(model: InterruptionModel, batch_features) -> np.ndarray:
-    """Stack a batch into H of shape (B, d, M), layer-mixed and masked.
+def _stack(model: InterruptionModel, batch_features) -> np.ndarray:
+    """One array for a batch: embeddings stay f32 as (B, C, L, d0, M),
+    matrix features become f64 (B, d, M)."""
+    if model.feature_spec.kind == "emb":
+        return np.stack([f.data for f in batch_features])
+    return np.stack([np.asarray(f, dtype=np.float64) for f in batch_features])
+
+
+def _batch_h(model: InterruptionModel, stacked: np.ndarray) -> np.ndarray:
+    """Layer-mixed, masked H of shape (B, d, M) from a _stack array.
     Embedding channels stack on the feature axis: rows [0, d0) left
-    channel, rows [d0, 2*d0) right."""
+    channel, rows [d0, 2*d0) right. einsum upcasts the f32 layers in
+    bounded buffers, so no f64 copy of the stack is made."""
     spec = model.feature_spec
     if spec.kind == "emb":
-        stacked = np.stack([f.data for f in batch_features])  # (B, C, L, d0, M)
         w = softmax(model.params["layer_logits"])
-        H = np.einsum("l,bcldm->bcdm", w, stacked.astype(np.float64, copy=False))
-        H = H.reshape(len(batch_features), spec.input_dim, -1)
+        H = np.einsum("l,bcldm->bcdm", w, stacked).reshape(len(stacked), spec.input_dim, -1)
     else:
-        H = np.stack([np.asarray(f, dtype=np.float64) for f in batch_features])
+        H = stacked
     if spec.channels == CHANNELS_RIGHT:
-        H = H.copy()
         H[:, : spec.input_dim // 2, :] = 0.0
     return H
+
+
+def _pool(model: InterruptionModel, stacked: np.ndarray):
+    """Attention pooling of a stacked batch; returns (H, Q, U). A
+    sample's U has the same bits whatever batch it is pooled in."""
+    H = _batch_h(model, stacked)
+    scores = np.einsum("d,bdm->bm", model.params["pooler_w"], H)
+    Q = softmax(scores, axis=1)
+    U = np.einsum("bdm,bm->bd", H, Q)
+    return H, Q, U
 
 
 def _head_forward(params: dict, U: np.ndarray):
@@ -195,22 +227,27 @@ def _head_forward(params: dict, U: np.ndarray):
 
 
 def _forward_pass(model: InterruptionModel, batch_features):
-    """Shared forward used by inference and backprop."""
-    H = _batch_h(model, batch_features)
-    scores = np.einsum("d,bdm->bm", model.params["pooler_w"], H)
-    Q = softmax(scores, axis=1)
-    U = np.einsum("bdm,bm->bd", H, Q)
+    """Unchunked forward of a whole batch, the reference forward_batch
+    must match; returns (H, Q, U, preactivations, activations, probs)."""
+    H, Q, U = _pool(model, _stack(model, batch_features))
     logits, zs, acts = _head_forward(model.params, U)
-    probs = softmax(logits, axis=1)
-    return H, Q, U, zs, acts, probs
+    return H, Q, U, zs, acts, softmax(logits, axis=1)
 
 
-def forward_batch(model: InterruptionModel, features_list) -> np.ndarray:
-    """Class probabilities, one row per sample; each row sums to 1."""
+def forward_batch(model: InterruptionModel, features_list, logits: bool = False) -> np.ndarray:
+    """Class probabilities, one row per sample; each row sums to 1. With
+    logits=True, the head's logits instead.
+
+    Pooling runs on slices of _INFER_CHUNK samples, so memory grows with
+    the slice, not the list. The head then runs once on every pooled
+    vector: BLAS gemm may round a one- or two-row slice differently."""
     if not features_list:
         raise ModelError("empty batch")
     _check_features(model, features_list[0])
-    return _forward_pass(model, features_list)[-1]
+    U = np.concatenate([_pool(model, _stack(model, features_list[lo: lo + _INFER_CHUNK]))[2]
+                        for lo in range(0, len(features_list), _INFER_CHUNK)])
+    z = _head_forward(model.params, U)[0]
+    return z if logits else softmax(z, axis=1)
 
 
 def _loss_and_grads(model: InterruptionModel, batch_features, labels):
@@ -220,8 +257,11 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
     labels = np.asarray(labels)
     params = model.params
     grads = dict.fromkeys(params)
-    H, Q, U, zs, acts, probs = _forward_pass(model, batch_features)
-    loss = cross_entropy(probs, labels)
+    stacked = _stack(model, batch_features)
+    H, Q, U = _pool(model, stacked)
+    logits, zs, acts = _head_forward(params, U)
+    probs = softmax(logits, axis=1)
+    loss = _logit_loss(logits, labels)
 
     dz = probs.copy()
     dz[np.arange(B), labels] -= 1.0
@@ -238,16 +278,15 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
     dQ = np.einsum("bdm,bd->bm", H, g)
     dS = Q * (dQ - np.sum(dQ * Q, axis=1, keepdims=True))
     grads["pooler_w"] = np.einsum("bdm,bm->d", H, dS)
-    dH = g[:, :, None] * Q[:, None, :] + params["pooler_w"][None, :, None] * dS[:, None, :]
+    del H  # the stack plus dH is the step's peak; H need not join them
 
     spec = model.feature_spec
     if spec.kind == "emb":
+        dH = g[:, :, None] * Q[:, None, :]
+        dH += params["pooler_w"][None, :, None] * dS[:, None, :]
         if spec.channels == CHANNELS_RIGHT:
-            dH = dH.copy()
             dH[:, : spec.input_dim // 2, :] = 0.0
-        stacked = np.stack([f.data for f in batch_features]).astype(np.float64, copy=False)
-        d0 = spec.input_dim // stacked.shape[1]
-        dH_c = dH.reshape(B, stacked.shape[1], d0, -1)
+        dH_c = dH.reshape(B, stacked.shape[1], spec.input_dim // stacked.shape[1], -1)
         dw = np.einsum("bcdm,bcldm->l", dH_c, stacked)
         w = softmax(params["layer_logits"])
         grads["layer_logits"] = w * (dw - np.sum(dw * w))
@@ -264,8 +303,18 @@ def evaluate_loss(model: InterruptionModel, dataset) -> float:
     """Mean cross-entropy over a labeled dataset, in inference mode."""
     feats = [f for f, _ in dataset]
     labels = np.asarray([y for _, y in dataset])
-    probs = forward_batch(model, feats)
-    return cross_entropy(probs, labels)
+    return _logit_loss(forward_batch(model, feats, logits=True), labels)
+
+
+@contextlib.contextmanager
+def _diverged_at(where: str):
+    """Raise TrainingDivergedError, naming where, on a float overflow,
+    division by zero or invalid operation; none happens in a finite run."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingDivergedError("%s at %s" % (exc, where)) from None
 
 
 @dataclass
@@ -312,17 +361,19 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
             idx = order[lo: lo + config.batch_size]
             batch = [features[i] for i in idx]
             batch_labels = [labels[i] for i in idx]
-            loss, grads = _loss_and_grads(model, batch, batch_labels)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    "non-finite loss at epoch %d step %d (lr=%g)"
-                    % (epoch, lo // config.batch_size, config.learning_rate))
-            _apply_sgd(model, grads, config.learning_rate)
+            where = "epoch %d step %d (lr=%g)" % (epoch, lo // config.batch_size,
+                                                  config.learning_rate)
+            with _diverged_at(where):
+                loss, grads = _loss_and_grads(model, batch, batch_labels)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError("non-finite loss at " + where)
+                _apply_sgd(model, grads, config.learning_rate)
             batch_losses.append(loss)
         train_curve.append(float(np.mean(batch_losses)))
 
         if val_dataset:
-            v = evaluate_loss(model, val_dataset)
+            with _diverged_at("validation after epoch %d" % epoch):
+                v = evaluate_loss(model, val_dataset)
             val_curve.append(v)
             if v < best[0]:
                 snapshot = {name: a.copy() for name, a in model.params.items()}

@@ -396,6 +396,18 @@ def test_telemetry_csv_rejects_extra_named_like_a_base_column(tmp_path):
         read_telemetry_csv(path)
 
 
+def test_telemetry_csv_rejects_repeated_meeting_id(tmp_path):
+    path = tmp_path / "telemetry.csv"
+    rows = ["m0,4,30.0,1,0,1,1", "m1,5,20.0,0,1,0,0", "m2,3,10.0,0,0,1,0",
+            "m1,5,20.0,0,1,0,0", "m0,4,30.0,1,0,1,1"]
+    path.write_text(GOOD_HEADER + "\n" + "\n".join(rows) + "\n")
+    # the first id seen twice in file order is named, not the first row's
+    with pytest.raises(CausalError, match="meeting_id 'm1' appears more than once"):
+        read_telemetry_csv(path)
+    path.write_text(GOOD_HEADER + "\n" + "\n".join(rows[:3]) + "\n")
+    assert len(read_telemetry_csv(path)) == 3
+
+
 @pytest.mark.parametrize("duration", ["inf", "1e308"])
 def test_fit_rejects_non_finite_or_overflowing_duration(duration):
     rng = np.random.default_rng(12)

@@ -126,6 +126,16 @@ def test_non_finite_or_overflowing_duration_exits_8(fixtures_dir, tmp_path, dura
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+def test_doubled_telemetry_exits_8(fixtures_dir, tmp_path):
+    # every meeting listed twice would narrow the CI as if twice as many
+    # meetings had been seen
+    lines = (fixtures_dir / "telemetry" / "telemetry.csv").read_text().splitlines()
+    path = tmp_path / "telemetry.csv"
+    path.write_text("\n".join(lines + lines[1:]) + "\n")
+    assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 8
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 FUZZ_CELLS = ["nan", "inf", "-inf", "1e308", "-1", "2", "", "abc", "0.5"]
 
 

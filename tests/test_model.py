@@ -1,14 +1,16 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from talkover import model as M
 from talkover.errors import (FeatureProfileError, ModelError,
                              TrainingDivergedError)
-from talkover.features import EmbeddingProfile, LayeredEmbedding
+from talkover.features import PROFILES, EmbeddingProfile, LayeredEmbedding
 
 
 def emb_profile(layers=3, dim=4, frames=6):
@@ -49,6 +51,18 @@ def test_cross_entropy_of_uniform_predictor_is_ln4():
     assert M.cross_entropy(probs, labels) == math.log(4.0)
 
 
+def test_logit_loss_matches_cross_entropy_and_stays_finite():
+    rng = np.random.default_rng(26)
+    logits = rng.normal(0.0, 3.0, (9, 4))
+    labels = rng.integers(0, 4, 9)
+    assert math.isclose(M._logit_loss(logits, labels),
+                        M.cross_entropy(M.softmax(logits, axis=1), labels), rel_tol=1e-14)
+    # the labelled class's probability underflows to 0, where -log gives inf
+    far = np.array([[0.0, -800.0, 0.0, 0.0]])
+    assert M.softmax(far, axis=1)[0, 1] == 0.0
+    assert math.isclose(M._logit_loss(far, np.array([1])), 800.0 + math.log(3.0), rel_tol=1e-15)
+
+
 def test_layer_weights_are_convex_for_any_logits():
     # the layer mix weights are softmax(params["layer_logits"])
     rng = np.random.default_rng(0)
@@ -64,7 +78,7 @@ def test_layer_mix_matches_manual_mix():
     profile = emb_profile()
     emb = random_embedding(rng, profile)
     model = small_model(rng, profile)
-    out = M._batch_h(model, [emb])[0]
+    out = M._batch_h(model, M._stack(model, [emb]))[0]
     assert out.shape == (profile.stacked_dim, profile.frames)
     weights = M.softmax(model.params["layer_logits"])
     manual = np.tensordot(weights, emb.data.astype(np.float64), axes=([0], [1]))
@@ -200,6 +214,62 @@ def test_forward_batch_matches_single(tmp_path):
     stacked = M.forward_batch(model, batch)
     for i, f in enumerate(batch):
         assert np.allclose(stacked[i], M.forward_batch(model, [f])[0], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3 * M._INFER_CHUNK + 1), kind=st.sampled_from(["emb", "matrix"]),
+       channels=st.sampled_from(["2", "right"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_batch_equals_one_shot_forward(n, kind, channels, seed):
+    # forward_batch pools in slices of _INFER_CHUNK; a sample's row must
+    # not depend on which slice it fell in
+    rng = np.random.default_rng(seed)
+    if kind == "emb":
+        profile = emb_profile()
+        model = small_model(rng, profile, channels)
+        batch = [random_embedding(rng, profile) for _ in range(n)]
+    else:
+        model = M.build_model(M.FeatureSpec("matrix", 6, 5, None, channels), rng, (6, 4))
+        model.params["pooler_w"] = rng.normal(0.0, 0.5, 6)
+        batch = [rng.normal(size=(6, 5)) for _ in range(n)]
+    assert np.array_equal(M.forward_batch(model, batch), M._forward_pass(model, batch)[-1])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def profile_clips(rng, profile, n):
+    shape = (profile.channels, profile.layers, profile.dim, profile.frames)
+    return [LayeredEmbedding(rng.standard_normal(shape, dtype=np.float32), profile)
+            for _ in range(n)]
+
+
+def test_train_step_memory_is_bounded_by_the_f32_batch():
+    # the layer mix and its gradient read the f32 stack directly; an f64
+    # copy of it alone would be 2x the batch
+    rng = np.random.default_rng(24)
+    profile = PROFILES["base"]
+    batch = profile_clips(rng, profile, 4)
+    model = M.build_model(M.feature_spec_of(batch[0]), rng)
+    peak = traced_peak(M._loss_and_grads, model, batch, [0, 1, 2, 3])
+    assert peak < 1.5 * sum(f.data.nbytes for f in batch)
+
+
+def test_forward_batch_memory_does_not_grow_with_the_list():
+    rng = np.random.default_rng(25)
+    clips = profile_clips(rng, PROFILES["tiny"], 3 * M._INFER_CHUNK)
+    model = M.build_model(M.feature_spec_of(clips[0]), rng)
+    one = traced_peak(M.forward_batch, model, clips[: M._INFER_CHUNK])
+    three = traced_peak(M.forward_batch, model, clips)
+    assert three < 1.1 * one
 
 
 def test_forward_rejects_mismatched_features():
