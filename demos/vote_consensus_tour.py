@@ -1,9 +1,8 @@
-"""Small tour of the crowd-label pipeline: per-clip consensus, the
-precedence rule for multi-label clips, chance-corrected agreement, and
-annotator accuracy against a golden set."""
-from talkover.labels import (VOTE_LABELS, VoteRecord, aggregate_all,
-                             annotator_accuracy, fleiss_kappa,
-                             precedence_resolve, votes_to_table)
+"""Small tour of the crowd-label pipeline: per-clip consensus,
+chance-corrected agreement, and annotator accuracy against a golden set,
+plus a precedence rule a study could apply to multi-label clips."""
+from talkover.labels import (VoteRecord, aggregate_all, annotator_accuracy,
+                             fleiss_kappa, votes_to_table)
 
 # Three clips, seven annotators each. clip_a is a clean majority, clip_b
 # sits exactly on the 70 percent bar, clip_c splits down the middle.
@@ -25,12 +24,15 @@ def main():
               % (res.clip_id, verdict,
                  round(res.agreement_fraction * res.vote_count), res.vote_count))
 
-    # When one clip genuinely contains several phenomena the rarest one
-    # wins, so a failed interruption is never drowned out by laughter.
+    # Each vote names one label, so the library needs no precedence rule.
+    # Were a clip tagged with several phenomena, letting the rarest win
+    # would keep a failed interruption from being drowned out by laughter.
+    precedence = ("failed_interruption", "backchannel", "laughter", "other")
     mixed = ["laughter", "backchannel", "failed_interruption"]
-    print("\nprecedence over %s -> %r" % (mixed, precedence_resolve(mixed)))
+    resolved = next(label for label in precedence if label in mixed)
+    print("\nprecedence over %s -> %r" % (mixed, resolved))
 
-    table, _ = votes_to_table(votes, categories=VOTE_LABELS)
+    table, _ = votes_to_table(votes)
     print("\nagreement beyond chance: kappa = %.3f" % fleiss_kappa(table))
 
     golden = {"clip_a": "laughter", "clip_b": "backchannel"}

@@ -408,27 +408,30 @@ def read_telemetry_csv(path) -> Telemetry:
     meeting_id; booleans as 0/1. Any additional columns are carried as
     numeric extras."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header[: len(TELEMETRY_COLUMNS)]) != TELEMETRY_COLUMNS:
-            raise CausalError(
-                "%s: expected columns %s" % (path, ",".join(TELEMETRY_COLUMNS)))
-        for name in header:
-            if header.count(name) > 1:
-                raise CausalError("%s: column %r appears more than once" % (path, name))
-        parsers = (str, np.int64, float) + (_parse_bool,) * 4
-        parsers += (float,) * (len(header) - len(parsers))
-        columns = [[] for _ in header]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CausalError("%s:%d: expected %d columns" % (path, lineno, len(header)))
-            try:
-                for column, parse, text in zip(columns, parsers, row):
-                    column.append(parse(text))
-            except (ValueError, OverflowError) as exc:
-                raise CausalError("%s:%d: %s" % (path, lineno, exc)) from None
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header[: len(TELEMETRY_COLUMNS)]) != TELEMETRY_COLUMNS:
+                raise CausalError(
+                    "%s: expected columns %s" % (path, ",".join(TELEMETRY_COLUMNS)))
+            for name in header:
+                if header.count(name) > 1:
+                    raise CausalError("%s: column %r appears more than once" % (path, name))
+            parsers = (str, np.int64, float) + (_parse_bool,) * 4
+            parsers += (float,) * (len(header) - len(parsers))
+            columns = [[] for _ in header]
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CausalError("%s:%d: expected %d columns" % (path, lineno, len(header)))
+                try:
+                    for column, parse, text in zip(columns, parsers, row):
+                        column.append(parse(text))
+                except (ValueError, OverflowError) as exc:
+                    raise CausalError("%s:%d: %s" % (path, lineno, exc)) from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise CausalError("%s: %s" % (path, exc)) from None
     # here, not in Telemetry: bootstrap resamples repeat rows on purpose
     seen = set()
     for meeting_id in columns[0]:

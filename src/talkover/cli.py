@@ -62,15 +62,25 @@ def _ensure_out(args) -> str:
 
 def _read_meetings_manifest(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    meetings = doc.get("meetings")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ManifestError("%s: %s" % (path, exc)) from None
+    meetings = doc.get("meetings") if isinstance(doc, dict) else None
     if not isinstance(meetings, list):
         raise ManifestError("%s: expected a top-level 'meetings' list" % path)
     base = os.path.dirname(os.path.abspath(path))
     for m in meetings:
-        if len(m.get("channels", [])) < 2:
-            raise ManifestError(
-                "meeting %s lists fewer than 2 channels" % m.get("meeting_id"))
+        if not isinstance(m, dict) or not isinstance(m.get("meeting_id"), str):
+            raise ManifestError("%s: every meeting needs a meeting_id string" % path)
+        channels = m.get("channels", [])
+        if not isinstance(channels, list) or len(channels) < 2:
+            raise ManifestError("meeting %s lists fewer than 2 channels" % m["meeting_id"])
+        for ch in channels:
+            if not (isinstance(ch, dict) and isinstance(ch.get("participant_id"), str)
+                    and isinstance(ch.get("wav_path"), str)):
+                raise ManifestError("meeting %s: every channel needs participant_id and "
+                                    "wav_path strings" % m["meeting_id"])
     return meetings, base
 
 
@@ -147,24 +157,22 @@ def cmd_featurize(args) -> int:
 
 # ------------------------------------------------------------ train / eval
 
-def _load_features(features_dir, clip_id, feature, profile):
-    if feature == "emb":
-        return load_embeddings(os.path.join(features_dir, clip_id + ".sie"), profile)
-    return np.load(os.path.join(features_dir, clip_id + ".npy"))
-
-
-def _labeled_dataset(records_by_id, clip_ids, features_dir, feature, profile):
-    dataset = []
+def _load_split(records_by_id, clip_ids, features_dir, feature, profile):
+    """Features and CLASSES indices of the listed clips, in list order."""
+    feats, labels = [], []
     for cid in clip_ids:
         rec = records_by_id.get(cid)
         if rec is None:
             raise ManifestError("split references unknown clip %s" % cid)
         if rec.label not in CLASSES:
-            raise LabelError("clip %s has label %r; training needs one of %s"
+            raise LabelError("clip %s has label %r; need one of %s"
                              % (cid, rec.label, list(CLASSES)))
-        feats = _load_features(features_dir, cid, feature, profile)
-        dataset.append((feats, CLASSES.index(rec.label)))
-    return dataset
+        if feature == "emb":
+            feats.append(load_embeddings(os.path.join(features_dir, cid + ".sie"), profile))
+        else:
+            feats.append(np.load(os.path.join(features_dir, cid + ".npy")))
+        labels.append(CLASSES.index(rec.label))
+    return feats, labels
 
 
 def cmd_train(args) -> int:
@@ -173,12 +181,12 @@ def cmd_train(args) -> int:
     split = read_split(args.split)
     profile = PROFILES[args.profile]
 
-    train_set = _labeled_dataset(records_by_id, split.get("train", []),
-                                 args.features, args.feature, profile)
+    train_set = list(zip(*_load_split(records_by_id, split.get("train", []),
+                                      args.features, args.feature, profile)))
     val_set = None
     if split.get("val"):
-        val_set = _labeled_dataset(records_by_id, split["val"],
-                                   args.features, args.feature, profile)
+        val_set = list(zip(*_load_split(records_by_id, split["val"],
+                                        args.features, args.feature, profile)))
 
     for run in range(args.runs):
         seed = args.seed + run
@@ -196,42 +204,40 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _scored_samples(model, records_by_id, clip_ids, features_dir, feature, profile):
-    feats, labels = [], []
-    for cid in clip_ids:
-        rec = records_by_id.get(cid)
-        if rec is None:
-            raise ManifestError("split references unknown clip %s" % cid)
-        if rec.label not in CLASSES:
-            raise LabelError("clip %s has label %r" % (cid, rec.label))
-        feats.append(_load_features(features_dir, cid, feature, profile))
-        labels.append(CLASSES.index(rec.label))
-    return metrics.Scores(clip_ids, labels, model_mod.forward_batch(model, feats))
-
-
 def cmd_eval(args) -> int:
     out_dir = _ensure_out(args)
     records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
     split = read_split(args.split)
     profile = PROFILES[args.profile]
-    if args.split_name not in split:
-        raise ManifestError("split file has no %r entry" % args.split_name)
+
+    # every run scores the same clips, so each split is read once
+    def load(name):
+        if name not in split:
+            raise ManifestError("split file has no %r entry" % name)
+        return (split[name],) + _load_split(records_by_id, split[name], args.features,
+                                            args.feature, profile)
+
+    def score(net, clip_ids, feats, labels):
+        return metrics.Scores(clip_ids, labels, model_mod.forward_batch(net, feats))
+
+    scored = load(args.split_name)
+    calib_split = None
+    if args.threshold is None and args.calibration_split:
+        calib_split = load(args.calibration_split)
 
     positive = "failed_interruption"
     rows = []
     for run in range(args.runs):
         ckpt = os.path.join(args.model_dir, "checkpoint_r%d.bin" % run)
         net = model_mod.load_model(ckpt)
-        samples = _scored_samples(net, records_by_id, split[args.split_name],
-                                  args.features, args.feature, profile)
+        samples = score(net, *scored)
         auc = metrics.roc_auc(samples, positive)
 
         if args.threshold is not None:
             tau = args.threshold
             tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
-        elif args.calibration_split:
-            calib = _scored_samples(net, records_by_id, split[args.calibration_split],
-                                    args.features, args.feature, profile)
+        elif calib_split is not None:
+            calib = score(net, *calib_split)
             _, tau = metrics.tpr_at_fpr(calib, positive, args.fpr_target)
             tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
         else:
@@ -273,6 +279,10 @@ def cmd_labels(args) -> int:
     out_dir = _ensure_out(args)
     votes = labels_mod.read_votes_csv(args.votes)
     results = labels_mod.aggregate_all(votes, args.threshold)
+    accuracy = None
+    if args.golden:
+        accuracy = labels_mod.annotator_accuracy(
+            votes, labels_mod.read_golden_json(args.golden))
 
     by_id = {}
     if args.manifest:
@@ -302,11 +312,8 @@ def cmd_labels(args) -> int:
                "rejected": len(results) - len(accepted), "per_label": per_label}
     _write_json(os.path.join(out_dir, "summary.json"), summary)
 
-    if args.golden:
-        with open(args.golden) as fh:
-            golden = json.load(fh)
-        _write_json(os.path.join(out_dir, "annotator_accuracy.json"),
-                    labels_mod.annotator_accuracy(votes, golden))
+    if accuracy is not None:
+        _write_json(os.path.join(out_dir, "annotator_accuracy.json"), accuracy)
 
     _write_sidecar(out_dir, "labels", args)
     print("accepted %d of %d clips" % (len(accepted), len(results)))

@@ -1,11 +1,11 @@
 """Crowd-label aggregation: modal-vote consensus with an agreement
-threshold, precedence resolution for multi-category clips, Fleiss'
-kappa agreement, and golden-clip annotator accuracy.
-"""
+threshold, Fleiss' kappa agreement, and golden-clip annotator accuracy.
+Consensus and kappa both read the one clips-by-VOTE_LABELS count table
+that votes_to_table builds; each vote carries exactly one label."""
 from __future__ import annotations
 
 import csv
-from collections import Counter
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,15 +14,12 @@ from .errors import DuplicateVoteError, LabelError, UndefinedKappaError
 from .model import CLASSES
 
 VOTE_LABELS = CLASSES + ("other",)
-
-# Highest precedence first; interruption itself is decided upstream by
-# the overtake rule, not by voting precedence.
-PRECEDENCE = ("failed_interruption", "backchannel", "laughter", "other")
+_LABEL_CODE = {label: i for i, label in enumerate(VOTE_LABELS)}
 
 CONSENSUS_THRESHOLD = 0.7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteRecord:
     clip_id: str
     annotator_id: str
@@ -35,9 +32,8 @@ class VoteRecord:
 
 @dataclass(frozen=True)
 class ConsensusResult:
-    """label is None when the clip failed to reach consensus; the
-    agreement fraction of the (largest) modal label is kept either way
-    for audit."""
+    """label is None when the clip failed to reach consensus; the agreement
+    fraction of the (largest) modal label is kept either way for audit."""
 
     clip_id: str
     label: str | None
@@ -49,57 +45,57 @@ class ConsensusResult:
         return self.label is not None
 
 
-def aggregate(votes, threshold: float = CONSENSUS_THRESHOLD) -> ConsensusResult:
-    """Modal vote wins iff its fraction of the actual vote count reaches
-    the threshold. A tied mode is rejected outright; with the default
-    0.7 threshold ties can never reach it anyway, and rejecting keeps
-    the result independent of vote order at any threshold.
-    """
-    votes = list(votes)
-    if not votes:
-        raise LabelError("no votes to aggregate")
-    clip_ids = {v.clip_id for v in votes}
-    if len(clip_ids) != 1:
-        raise LabelError("aggregate takes votes for a single clip, got %s" % sorted(clip_ids))
-    annotators = [v.annotator_id for v in votes]
-    dupes = [a for a, c in Counter(annotators).items() if c > 1]
-    if dupes:
-        raise DuplicateVoteError(
-            "annotator(s) %s voted more than once on %s" % (sorted(dupes), votes[0].clip_id))
+def _intern(values):
+    """Codes numbering the distinct values in sorted order, and those values."""
+    ids = sorted(set(values))
+    code = {v: i for i, v in enumerate(ids)}
+    return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), ids
 
-    counts = Counter(v.label for v in votes)
-    modal_count = max(counts.values())
-    fraction = modal_count / len(votes)
-    modes = sorted(label for label, c in counts.items() if c == modal_count)
-    label = None
-    if fraction >= threshold and len(modes) == 1:
-        label = modes[0]
-    return ConsensusResult(votes[0].clip_id, label, fraction, len(votes))
+
+def _encode(votes):
+    """Clip, annotator and label codes of each vote, and the sorted clip and
+    annotator ids; a repeated (clip, annotator) pair is a duplicate vote."""
+    clip, clip_ids = _intern([v.clip_id for v in votes])
+    annotator, annotator_ids = _intern([v.annotator_id for v in votes])
+    pairs = np.sort(clip * len(annotator_ids) + annotator)
+    repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+    if repeated.size:
+        c, a = divmod(int(repeated[0]), len(annotator_ids))
+        raise DuplicateVoteError(
+            "annotator %s voted more than once on %s" % (annotator_ids[a], clip_ids[c]))
+    label = np.fromiter((_LABEL_CODE[v.label] for v in votes), np.int64, len(votes))
+    return clip, clip_ids, annotator, annotator_ids, label
+
+
+def votes_to_table(votes):
+    """Clips-by-VOTE_LABELS count table of a vote list, and the clip ids
+    of its rows in sorted order. Duplicate votes are rejected."""
+    clip, clip_ids, _, _, label = _encode(votes)
+    k = len(VOTE_LABELS)
+    table = np.bincount(clip * k + label, minlength=len(clip_ids) * k)
+    return table.reshape(len(clip_ids), k), clip_ids
 
 
 def aggregate_all(votes, threshold: float = CONSENSUS_THRESHOLD):
-    """Group a flat vote list by clip and aggregate each; results sorted
-    by clip_id."""
-    by_clip = {}
-    for v in votes:
-        by_clip.setdefault(v.clip_id, []).append(v)
-    return [aggregate(by_clip[cid], threshold) for cid in sorted(by_clip)]
+    """Consensus of every clip, sorted by clip_id: the modal label wins iff it
+    is the only mode and its share of the clip's votes reaches threshold.
+    Rejecting ties at any threshold keeps the result order-independent."""
+    table, clip_ids = votes_to_table(votes)
+    modal, n = table.max(axis=1), table.sum(axis=1)
+    fraction = modal / n
+    won = (np.count_nonzero(table == modal[:, None], axis=1) == 1) & (fraction >= threshold)
+    labels = [VOTE_LABELS[j] if ok else None
+              for j, ok in zip(table.argmax(axis=1).tolist(), won.tolist())]
+    return list(map(ConsensusResult, clip_ids, labels, fraction.tolist(), n.tolist()))
 
 
-def precedence_resolve(categories) -> str:
-    """Collapse the categories present in one clip to the single
-    highest-precedence label."""
-    cats = set(categories)
-    if not cats:
-        raise LabelError("no categories to resolve")
-    unknown = cats - set(PRECEDENCE)
-    if unknown:
-        raise LabelError(
-            "categories %s are outside the precedence order" % sorted(unknown))
-    for label in PRECEDENCE:
-        if label in cats:
-            return label
-    raise AssertionError("unreachable")
+def aggregate(votes, threshold: float = CONSENSUS_THRESHOLD) -> ConsensusResult:
+    """Consensus of the votes on a single clip, by the aggregate_all rule."""
+    votes = list(votes)
+    clip_ids = {v.clip_id for v in votes}
+    if len(clip_ids) != 1:
+        raise LabelError("aggregate takes the votes on one clip, got %s" % sorted(clip_ids))
+    return aggregate_all(votes, threshold)[0]
 
 
 def fleiss_kappa(table) -> float:
@@ -136,60 +132,49 @@ def fleiss_kappa(table) -> float:
     return (p_bar - p_e) / (1.0 - p_e)
 
 
-def votes_to_table(votes, categories=VOTE_LABELS):
-    """Count table for kappa from a flat vote list; clips ordered by id,
-    columns in the given category order. Duplicate votes are rejected."""
-    by_clip = {}
-    for v in votes:
-        by_clip.setdefault(v.clip_id, []).append(v)
-    clip_ids = sorted(by_clip)
-    col = {c: i for i, c in enumerate(categories)}
-    table = np.zeros((len(clip_ids), len(categories)), dtype=np.int64)
-    for i, cid in enumerate(clip_ids):
-        seen = set()
-        for v in by_clip[cid]:
-            if v.annotator_id in seen:
-                raise DuplicateVoteError("annotator %s voted twice on %s" % (v.annotator_id, cid))
-            seen.add(v.annotator_id)
-            table[i, col[v.label]] += 1
-    return table, clip_ids
-
-
 def annotator_accuracy(votes, golden_labels: dict) -> dict:
     """Per-annotator accuracy against known labels of golden clips.
 
     Only votes on clips present in golden_labels count; annotators who
     never saw a golden clip are omitted.
     """
-    stats = {}
-    for v in votes:
-        truth = golden_labels.get(v.clip_id)
-        if truth is None:
-            continue
-        entry = stats.setdefault(v.annotator_id, {"correct": 0, "total": 0})
-        entry["total"] += 1
-        entry["correct"] += int(v.label == truth)
-    return {
-        a: {"correct": e["correct"], "total": e["total"],
-            "accuracy": e["correct"] / e["total"]}
-        for a, e in sorted(stats.items())
-    }
+    clip, clip_ids, annotator, annotator_ids, label = _encode(votes)
+    truth = np.array([_LABEL_CODE.get(golden_labels.get(c), -1) for c in clip_ids])[clip]
+    total = np.bincount(annotator[truth >= 0], minlength=len(annotator_ids))
+    correct = np.bincount(annotator[label == truth], minlength=len(annotator_ids))
+    return {a: {"correct": c, "total": t, "accuracy": c / t}
+            for a, c, t in zip(annotator_ids, correct.tolist(), total.tolist()) if t}
+
+
+def read_golden_json(path) -> dict:
+    """Golden labels: one JSON object mapping clip id to its true label."""
+    with open(path) as fh:
+        try:
+            golden = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise LabelError("%s: %s" % (path, exc)) from None
+    if not isinstance(golden, dict) or not all(lab in VOTE_LABELS for lab in golden.values()):
+        raise LabelError("%s: expected a JSON object mapping clip ids to labels in %s"
+                         % (path, ", ".join(VOTE_LABELS)))
+    return golden
 
 
 def read_votes_csv(path):
     """Votes CSV is clip_id,annotator_id,label with a header row."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["clip_id", "annotator_id", "label"]:
-            raise LabelError("%s: expected header clip_id,annotator_id,label" % path)
-        votes = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise LabelError("%s:%d: expected 3 columns" % (path, lineno))
-            votes.append(VoteRecord(*row))
+        try:
+            reader = csv.reader(fh)
+            if next(reader, None) != ["clip_id", "annotator_id", "label"]:
+                raise LabelError("%s: expected header clip_id,annotator_id,label" % path)
+            votes = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise LabelError("%s:%d: expected 3 columns" % (path, lineno))
+                votes.append(VoteRecord(*row))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise LabelError("%s: %s" % (path, exc)) from None
     return votes
 
 
@@ -197,5 +182,4 @@ def write_votes_csv(path, votes) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "annotator_id", "label"])
-        for v in votes:
-            writer.writerow([v.clip_id, v.annotator_id, v.label])
+        writer.writerows([v.clip_id, v.annotator_id, v.label] for v in votes)

@@ -62,14 +62,17 @@ def write_manifest(path, records) -> None:
 def read_manifest(path):
     records = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(ClipRecord.from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(ClipRecord.from_dict(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ManifestError("%s: %s" % (path, exc)) from None
     return records
 
 
@@ -83,7 +86,10 @@ def write_split(path, split: dict) -> None:
 
 def read_split(path) -> dict:
     with open(path) as fh:
-        split = json.load(fh)
+        try:
+            split = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ManifestError("%s: %s" % (path, exc)) from None
     if not isinstance(split, dict) or not all(
             isinstance(v, list) for v in split.values()):
         raise ManifestError("%s: split file must map names to clip id lists" % path)

@@ -20,7 +20,7 @@ from conftest import run_cli
 from talkover import synth
 from talkover.audio import read_wav_data
 from talkover.causal import write_telemetry_csv
-from talkover.labels import fleiss_kappa, read_votes_csv, votes_to_table
+from talkover.labels import VOTE_LABELS, fleiss_kappa, read_votes_csv, votes_to_table
 from talkover.manifest import read_manifest
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
@@ -89,6 +89,77 @@ def test_meetings_without_channel_list_exits_9(tmp_path):
     bad = tmp_path / "meetings.json"
     bad.write_text(json.dumps({"meetings": [{"meeting_id": "x", "channels": []}]}))
     assert run_cli(["extract", "--meetings", bad, "--out", tmp_path]) == 9
+
+
+_TWO_CHANNELS = [{"participant_id": "a", "wav_path": "a.wav"},
+                 {"participant_id": "b", "wav_path": "b.wav"}]
+
+
+@pytest.mark.parametrize("blob", [
+    json.dumps({"meetings": [{"meeting_id": "x", "channels": _TWO_CHANNELS}]})[:-5],
+    json.dumps([{"meeting_id": "x", "channels": _TWO_CHANNELS}]),
+    json.dumps({"meetings": [{"meeting_id": "x", "channels": [
+        {"wav_path": "a.wav"}, {"participant_id": "b", "wav_path": "b.wav"}]}]}),
+    json.dumps({"meetings": [{"channels": _TWO_CHANNELS}]}),
+    json.dumps({"meetings": ["x"]}),
+], ids=["truncated", "top-level list", "no participant_id", "no meeting_id",
+        "meeting not an object"])
+def test_malformed_meetings_manifest_exits_9(tmp_path, blob):
+    bad = tmp_path / "meetings.json"
+    bad.write_text(blob)
+    assert run_cli(["extract", "--meetings", bad, "--out", tmp_path / "o"]) == 9
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("blob", [b'{"vote_0000": "other"', b'["vote_0000"]',
+                                  b'{"vote_0000": "shouting"}'],
+                         ids=["truncated", "list", "unknown label"])
+def test_malformed_golden_labels_exit_7(fixtures_dir, tmp_path, blob):
+    golden = tmp_path / "golden.json"
+    golden.write_bytes(blob)
+    assert run_cli(["labels", "--votes", fixtures_dir / "votes" / "votes.csv",
+                    "--golden", golden, "--out", tmp_path / "o"]) == 7
+    assert not (tmp_path / "o" / "consensus.jsonl").exists()
+
+
+def _with_byte_ff(src, dst):
+    """Copy a text file with one byte that is not UTF-8 in its second line."""
+    lines = Path(src).read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:2] + b"\xff" + lines[1][2:]
+    Path(dst).write_bytes(b"".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("command", ["labels", "kappa"])
+def test_undecodable_votes_exit_7(fixtures_dir, tmp_path, command):
+    votes = _with_byte_ff(fixtures_dir / "votes" / "votes.csv", tmp_path / "votes.csv")
+    assert run_cli([command, "--votes", votes, "--out", tmp_path / "o"]) == 7
+
+
+@pytest.mark.parametrize("command, flag, name, code", [
+    ("kappa", "--votes", "votes/votes.csv", 7),
+    ("impact", "--telemetry", "telemetry/telemetry.csv", 8)])
+def test_oversized_csv_field_exits_7_or_8(fixtures_dir, tmp_path, command, flag, name, code):
+    # a stray quote in a large file reads the rest of it as one field,
+    # past the csv module's field size limit
+    lines = (fixtures_dir / name).read_text().splitlines()
+    lines[1] = '"' + lines[1] + "x" * csv.field_size_limit()
+    path = tmp_path / "input.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli([command, flag, path, "--out", tmp_path / "o"]) == code
+
+
+def test_undecodable_telemetry_exits_8(fixtures_dir, tmp_path):
+    telemetry = _with_byte_ff(fixtures_dir / "telemetry" / "telemetry.csv",
+                              tmp_path / "telemetry.csv")
+    assert run_cli(["impact", "--telemetry", telemetry, "--out", tmp_path / "o"]) == 8
+
+
+def test_undecodable_clip_manifest_exits_9(fixtures_dir, tmp_path):
+    manifest = _with_byte_ff(fixtures_dir / "embeddings" / "manifest.jsonl",
+                             tmp_path / "manifest.jsonl")
+    assert run_cli(["labels", "--votes", fixtures_dir / "votes" / "votes.csv",
+                    "--manifest", manifest, "--out", tmp_path / "o"]) == 9
 
 
 def test_unreadable_wav_exits_3(tmp_path):
@@ -168,6 +239,40 @@ def test_corrupted_telemetry_exits_0_or_8(data):
         assert code in (0, 8)
 
 
+VOTE_FUZZ_CELLS = ["", "shouting", "Other", "interruption", "ann_1", "vote_0000",
+                   "vote_0001", '"', "a,b"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_votes_exit_0_or_7(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        votes_path, _ = synth.write_votes_fixture(tmp, seed=3)
+        with open(votes_path) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        for _ in range(data.draw(st.integers(0, 4), label="cells")):
+            i = data.draw(st.integers(1, len(rows) - 1), label="row")
+            j = data.draw(st.integers(0, 2), label="column")
+            rows[i][j] = data.draw(st.sampled_from(VOTE_FUZZ_CELLS), label="value")
+        for _ in range(data.draw(st.integers(0, 2), label="repeats")):
+            # the same (clip, annotator) pair again, with any label
+            row = list(rows[data.draw(st.integers(1, len(rows) - 1), label="repeat row")])
+            row[2] = data.draw(st.sampled_from(VOTE_LABELS), label="repeat label")
+            rows.insert(data.draw(st.integers(1, len(rows)), label="repeat at"), row)
+        blob = "".join(",".join(r) + "\n" for r in rows).encode()
+        if data.draw(st.booleans(), label="non-UTF-8 byte"):
+            at = data.draw(st.integers(0, len(blob)), label="byte at")
+            blob = blob[:at] + b"\xff" + blob[at:]
+        blob = blob[:data.draw(st.none() | st.integers(0, len(blob)), label="truncate at")]
+        with open(votes_path, "wb") as fh:
+            fh.write(blob)
+        for command in ("labels", "kappa"):
+            code = run_cli([command, "--votes", votes_path,
+                            "--out", os.path.join(tmp, command)])
+            event("%s exit %d" % (command, code))
+            assert code in (0, 7)
+
+
 def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):
     emb = fixtures_dir / "embeddings"
     bad_dir = tmp_path / "model"
@@ -194,6 +299,41 @@ def test_non_finite_checkpoint_exits_5(fixtures_dir, model_dir, tmp_path):
                     "--model-dir", bad_dir, "--out", tmp_path / "o"])
     assert code == 5
     assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+def test_unknown_calibration_split_exits_9(fixtures_dir, model_dir, tmp_path):
+    emb = fixtures_dir / "embeddings"
+    code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
+                    "--split", emb / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny",
+                    "--model-dir", model_dir, "--split-name", "val",
+                    "--calibration-split", "holdout", "--out", tmp_path])
+    assert code == 9
+
+
+def test_eval_reads_each_clip_once_across_runs(fixtures_dir, model_dir, tmp_path,
+                                               monkeypatch):
+    from talkover import cli
+    emb = fixtures_dir / "embeddings"
+    two_runs = tmp_path / "model"
+    two_runs.mkdir()
+    for run in (0, 1):
+        shutil.copy(model_dir / "checkpoint_r0.bin", two_runs / ("checkpoint_r%d.bin" % run))
+    paths = []
+    real_load = cli.load_embeddings
+    monkeypatch.setattr(cli, "load_embeddings",
+                        lambda path, profile: paths.append(path) or real_load(path, profile))
+    code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
+                    "--split", emb / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny", "--runs", 2,
+                    "--model-dir", two_runs, "--calibration-split", "val",
+                    "--out", tmp_path / "o"])
+    assert code == 0
+    split = json.loads((emb / "split.json").read_text())
+    assert len(paths) == len(set(paths)) == len(split["test"]) + len(split["val"])
+    with open(tmp_path / "o" / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][1:] == rows[2][1:]  # the same checkpoint twice scores the same
 
 
 def test_unknown_split_name_exits_9(fixtures_dir, model_dir, tmp_path):

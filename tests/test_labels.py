@@ -1,5 +1,5 @@
-import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from talkover.errors import (DuplicateVoteError, LabelError,
                              UndefinedKappaError)
-from talkover.labels import (PRECEDENCE, VOTE_LABELS, VoteRecord, aggregate,
-                             aggregate_all, annotator_accuracy, fleiss_kappa,
-                             precedence_resolve, read_votes_csv, votes_to_table,
-                             write_votes_csv)
+from talkover.labels import (VOTE_LABELS, VoteRecord, aggregate, aggregate_all,
+                             annotator_accuracy, fleiss_kappa, read_golden_json,
+                             read_votes_csv, votes_to_table, write_votes_csv)
 
 
 def votes_for(clip_id, labels):
@@ -90,26 +89,62 @@ def test_aggregate_all_sorts_by_clip():
     assert all(r.accepted for r in results)
 
 
-def test_precedence_order():
-    assert precedence_resolve(["other", "laughter"]) == "laughter"
-    assert precedence_resolve(["laughter", "backchannel"]) == "backchannel"
-    assert precedence_resolve(
-        ["backchannel", "failed_interruption"]) == "failed_interruption"
-    assert precedence_resolve(["other"]) == "other"
+def random_votes(rng, max_clips=12, n_annotators=6):
+    """Votes on up to max_clips clips, each from a distinct subset of the
+    annotators, in shuffled order; ids are not zero-padded, so their
+    sorted order differs from their numeric order."""
+    votes = []
+    for c in range(int(rng.integers(1, max_clips + 1))):
+        raters = rng.permutation(n_annotators)[:int(rng.integers(1, n_annotators + 1))]
+        for a in raters.tolist():
+            label = VOTE_LABELS[int(rng.integers(0, len(VOTE_LABELS)))]
+            votes.append(VoteRecord("clip%d" % c, "ann%d" % a, label))
+    return [votes[i] for i in rng.permutation(len(votes))]
 
 
-def test_precedence_is_order_free_and_idempotent():
-    for subset in itertools.permutations(PRECEDENCE, 3):
-        resolved = precedence_resolve(subset)
-        assert resolved == precedence_resolve(sorted(subset))
-        assert precedence_resolve([resolved]) == resolved
+def loop_consensus(votes, threshold):
+    """Per-clip consensus by Counter, kept separate from the library's
+    count table on purpose."""
+    by_clip = {}
+    for v in votes:
+        by_clip.setdefault(v.clip_id, []).append(v.label)
+    results = []
+    for cid in sorted(by_clip):
+        counts = Counter(by_clip[cid])
+        modal = max(counts.values())
+        modes = [lab for lab, c in counts.items() if c == modal]
+        fraction = modal / len(by_clip[cid])
+        label = modes[0] if len(modes) == 1 and fraction >= threshold else None
+        results.append((cid, label, fraction, len(by_clip[cid])))
+    return results
 
 
-def test_precedence_rejects_out_of_scope_labels():
-    with pytest.raises(LabelError):
-        precedence_resolve(["interruption", "other"])
-    with pytest.raises(LabelError):
-        precedence_resolve([])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), threshold=st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+def test_count_table_matches_loop_counting(seed, threshold):
+    rng = np.random.default_rng(seed)
+    votes = random_votes(rng)
+    results = aggregate_all(votes, threshold)
+    assert [(r.clip_id, r.label, r.agreement_fraction, r.vote_count)
+            for r in results] == loop_consensus(votes, threshold)
+
+    table, clip_ids = votes_to_table(votes)
+    assert clip_ids == [r.clip_id for r in results]
+    for row, cid in zip(table.tolist(), clip_ids):
+        assert row == [sum(v.clip_id == cid and v.label == lab for v in votes)
+                       for lab in VOTE_LABELS]
+
+    golden = {r.clip_id: VOTE_LABELS[int(rng.integers(0, len(VOTE_LABELS)))]
+              for r in results[::2]}
+    expected = {}
+    for v in sorted(votes, key=lambda v: v.annotator_id):
+        if v.clip_id in golden:
+            e = expected.setdefault(v.annotator_id, {"correct": 0, "total": 0})
+            e["total"] += 1
+            e["correct"] += int(v.label == golden[v.clip_id])
+    for e in expected.values():
+        e["accuracy"] = e["correct"] / e["total"]
+    assert annotator_accuracy(votes, golden) == expected
 
 
 def oracle_kappa(table):
@@ -203,6 +238,15 @@ def test_votes_to_table_rejects_duplicates():
         votes_to_table(votes)
 
 
+def test_every_counting_path_names_the_first_duplicate_pair():
+    votes = (votes_for("b", ["other"] * 3) + votes_for("a", ["laughter"] * 3)
+             + [VoteRecord("b", "ann_1", "laughter"), VoteRecord("a", "ann_2", "other")])
+    for count in (votes_to_table, aggregate_all,
+                  lambda vs: annotator_accuracy(vs, {"a": "laughter"})):
+        with pytest.raises(DuplicateVoteError, match="annotator ann_2 voted more than once on a"):
+            count(votes)
+
+
 def test_annotator_accuracy():
     votes = [VoteRecord("g1", "a", "laughter"), VoteRecord("g1", "b", "other"),
              VoteRecord("g2", "a", "other"), VoteRecord("x", "a", "laughter")]
@@ -230,3 +274,17 @@ def test_votes_csv_rejects_short_rows(tmp_path):
     path.write_text("clip_id,annotator_id,label\na,b\n")
     with pytest.raises(LabelError):
         read_votes_csv(path)
+
+
+@pytest.mark.parametrize("blob", [b'{"g1": null}', b'{"g1": "other\xff"}'])
+def test_golden_json_rejects_malformed_content(tmp_path, blob):
+    path = tmp_path / "golden.json"
+    path.write_bytes(blob)
+    with pytest.raises(LabelError):
+        read_golden_json(path)
+
+
+def test_golden_json_reads_an_object_of_vote_labels(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text('{"g1": "laughter", "g2": "other"}\n')
+    assert read_golden_json(path) == {"g1": "laughter", "g2": "other"}

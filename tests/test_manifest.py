@@ -83,6 +83,23 @@ def test_read_split_rejects_non_mapping(tmp_path):
         read_split(path)
 
 
+@pytest.mark.parametrize("blob", [b'{"train": ["a"', b'{"train": ["a\xff"]}'],
+                         ids=["truncated", "non-UTF-8"])
+def test_read_split_rejects_unparseable_files(tmp_path, blob):
+    path = tmp_path / "split.json"
+    path.write_bytes(blob)
+    with pytest.raises(ManifestError):
+        read_split(path)
+
+
+def test_read_manifest_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, [rec("a"), rec("b")])
+    path.write_bytes(path.read_bytes().replace(b'"b"', b'"b\xff"'))
+    with pytest.raises(ManifestError):
+        read_manifest(path)
+
+
 def test_load_clip_channel_roles(tmp_path):
     rng = np.random.default_rng(0)
     frames = rng.uniform(-0.5, 0.5, (160000, 2)).astype(np.float32)
