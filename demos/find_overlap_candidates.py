@@ -2,7 +2,8 @@
 
 The meeting is 110 seconds long. Two of the speech onsets are engineered
 to pass every gate, the rest trip one of them, so the printed tally shows
-the whole decision surface of the detector.
+the whole decision surface of the detector. Each candidate also gets a
+weak floor label from the VAD activity masks of its clip's second half.
 """
 import argparse
 import os
@@ -10,9 +11,25 @@ import os
 import numpy as np
 
 from talkover.audio import AudioChannel, MeetingAudio, write_wav
-from talkover.overlap import (VadParams, detect, export_clip,
-                              heuristic_floor_outcome, vad)
+from talkover.overlap import (ONSET_OFFSET_S, VadParams, activity_frames, detect,
+                              export_clip, vad)
 from talkover.synth import make_meeting_audio
+
+
+def floor_outcome(clip, params):
+    """"overtake" iff within the clip's last 5 seconds the interrupter
+    (right channel) holds an unbroken solo stretch of at least 1.5 s
+    while the left channel is silent. A weak oracle, not ground truth.
+    """
+    half = int(ONSET_OFFSET_S * clip.sample_rate)
+    right, left = (activity_frames(AudioChannel(ch.samples[half:], clip.sample_rate,
+                                                ch.participant_id), params)
+                   for ch in (clip.right, clip.left))
+    solo = np.concatenate(([False], right & ~left, [False]))
+    runs = np.flatnonzero(np.diff(solo)).reshape(-1, 2)
+    overtake = (runs[:, 1] - runs[:, 0] >= round(1.5 / params.frame_s)).any()
+    return "overtake" if overtake else "no_overtake"
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -43,7 +60,7 @@ def main():
 
     for desc in result.candidates:
         clip = export_clip(desc, meeting)
-        outcome = heuristic_floor_outcome(clip)
+        outcome = floor_outcome(clip, params)
         print("\n%s: %s interrupts at %.1f s, weak floor label %r"
               % (desc.clip_id, desc.interrupter_id, desc.onset_s, outcome))
         if args.out:

@@ -58,7 +58,7 @@ class AudioChannel:
 
 @dataclass(frozen=True)
 class MeetingAudio:
-    """All channels of one meeting, equal length and rate."""
+    """All channels of one meeting: equal length and rate, unique ids."""
 
     channels: tuple[AudioChannel, ...]
     meeting_id: str
@@ -73,6 +73,7 @@ class MeetingAudio:
         lengths = {len(ch) for ch in self.channels}
         if len(lengths) != 1:
             raise ChannelLayoutError("channels disagree on length: %s" % sorted(lengths))
+        _require_unique_ids(self.channels, "meeting %s" % self.meeting_id)
 
     @classmethod
     def from_channels(cls, channels, meeting_id: str) -> "MeetingAudio":
@@ -109,8 +110,17 @@ class MeetingAudio:
         return self.n_samples / self.sample_rate
 
 
+def _require_unique_ids(channels, where: str) -> None:
+    ids = sorted(ch.participant_id for ch in channels)
+    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if repeated:
+        raise ChannelLayoutError("%s repeats participant ids %s" % (where, repeated))
+
+
 def _read_chunks(data: bytes):
-    """Yield (chunk_id, payload) pairs from a RIFF body."""
+    """Yield (chunk_id, payload) pairs from a RIFF body; each payload is a
+    memoryview into data, not a copy."""
+    data = memoryview(data)
     pos = 12
     while pos + 8 <= len(data):
         cid, size = struct.unpack_from("<4sI", data, pos)
@@ -166,11 +176,11 @@ def read_wav_data(path) -> tuple[int, np.ndarray]:
     raw = np.frombuffer(payload[:usable], dtype=dtype)
     frames = raw.reshape(-1, n_channels).astype(np.float64)
     if dtype == "<i2":
-        frames = frames / _PCM16_SCALE
+        frames /= _PCM16_SCALE
     else:
         if not np.all(np.isfinite(frames)):
             raise MalformedWavError("%s: non-finite float samples" % path)
-        frames = np.clip(frames, -1.0, 1.0)
+        np.clip(frames, -1.0, 1.0, out=frames)
     return int(rate), frames
 
 
@@ -229,7 +239,9 @@ def mixdown(channels) -> AudioChannel:
     """Sum channels sample-wise and hard-clip to [-1, 1].
 
     Clipping rather than rescaling keeps local energy relationships
-    between the interrupter and the rest intact.
+    between the interrupter and the rest intact. Channels are summed in
+    order of their unique participant ids, so the result is bit-identical
+    under any permutation of the input list.
     """
     channels = list(channels)
     if not channels:
@@ -240,10 +252,8 @@ def mixdown(channels) -> AudioChannel:
     lengths = {len(ch) for ch in channels}
     if len(lengths) != 1:
         raise ChannelLayoutError("mixdown channels disagree on length: %s" % sorted(lengths))
-    # Sum in a canonical order so the result is bit-identical under any
-    # permutation of the input list (float addition does not commute).
-    ordered = sorted(channels, key=lambda ch: (ch.participant_id, ch.samples.tobytes()))
+    _require_unique_ids(channels, "mixdown")
     total = np.zeros(lengths.pop())
-    for ch in ordered:
+    for ch in sorted(channels, key=lambda ch: ch.participant_id):
         total += ch.samples
     return AudioChannel(np.clip(total, -1.0, 1.0), rates.pop(), "mix")

@@ -53,6 +53,13 @@ def _write_sidecar(out_dir, command: str, args: argparse.Namespace) -> None:
                 {"command": command, "arguments": echo})
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return value
+
+
 def _ensure_out(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -401,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
     p.add_argument("--profile", choices=sorted(PROFILES), default="base")
     p.add_argument("--channels", choices=["2", "right"], default="2")
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--runs", type=_positive_int, default=1)
+    p.add_argument("--epochs", type=_positive_int, default=50)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--lr", type=float, default=0.0015)
     p.add_argument("--patience", type=int, default=10)
     p.set_defaults(func=cmd_train)
@@ -417,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(PROFILES), default="base")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--split-name", default="test")
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--fpr-target", type=float, default=0.01)
     p.add_argument("--threshold", type=float, default=None,
                    help="fixed decision threshold; skips calibration")

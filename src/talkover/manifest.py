@@ -40,6 +40,8 @@ class ClipRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClipRecord":
+        if not isinstance(d, dict):
+            raise ManifestError("clip record is not a JSON object")
         try:
             return cls(clip_id=d["clip_id"], meeting_id=d["meeting_id"],
                        interrupter_id=d["interrupter_id"], onset_s=float(d["onset_s"]),
@@ -47,6 +49,9 @@ class ClipRecord:
                        agreement=d.get("agreement"))
         except KeyError as exc:
             raise ManifestError("clip record missing field %s" % exc) from None
+        except (TypeError, ValueError):
+            raise ManifestError("clip record onset_s %r is not a number"
+                                % (d["onset_s"],)) from None
 
 
 def write_manifest(path, records) -> None:
@@ -69,7 +74,7 @@ def read_manifest(path):
                     continue
                 try:
                     records.append(ClipRecord.from_dict(json.loads(line)))
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, ManifestError) as exc:
                     raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from None
         except UnicodeDecodeError as exc:
             raise ManifestError("%s: %s" % (path, exc)) from None

@@ -1,10 +1,13 @@
 """Speech-overlap candidate detection and 10-second clip export.
 
-A frame-energy VAD segments each channel; overlap onsets that pass the
-gating rules (another speaker active, 3 s of prior silence, utterance
-at least 0.3 s, full clip window inside the meeting) become candidate
-clips: interrupter on the right channel, everyone else mixed into the
-left, with the onset pinned to the 5-second mark.
+A frame-energy VAD segments each channel: frames above the threshold
+form active runs, short gaps between runs are merged, and the merged
+runs become segments. Segment onsets that pass the gating rules
+(another speaker active, 3 s of prior silence, utterance at least
+0.3 s, full clip window inside the meeting) become candidate clips:
+interrupter on the right channel, everyone else mixed into the left,
+with the onset pinned to the 5-second mark. Each gate is one array
+comparison over a channel's segment start and end times.
 """
 from __future__ import annotations
 
@@ -24,9 +27,11 @@ REJECT_NO_OVERLAP = "no_other_speaker"
 REJECT_PRESILENCE = "presilence_too_short"
 REJECT_TOO_SHORT = "utterance_too_short"
 REJECT_BOUNDARY = "boundary"
+# in the order the gates are checked
+_GATES = (REJECT_NO_OVERLAP, REJECT_PRESILENCE, REJECT_TOO_SHORT, REJECT_BOUNDARY)
 
-OVERTAKE = "overtake"
-NO_OVERTAKE = "no_overtake"
+# frames squared at a time when computing frame energies
+_ENERGY_BLOCK_FRAMES = 1024
 
 
 @dataclass(frozen=True)
@@ -37,13 +42,6 @@ class SpeechSegment:
     def __post_init__(self):
         if not self.end_s > self.start_s:
             raise ValueError("segment end must be after start")
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-    def covers(self, t: float) -> bool:
-        return self.start_s <= t < self.end_s
 
 
 @dataclass(frozen=True)
@@ -110,27 +108,38 @@ class CandidateClip:
 
 
 def frame_energies_db(samples: np.ndarray, frame_len: int) -> np.ndarray:
-    """Per-frame RMS energy in dBFS; trailing partial frame is dropped."""
+    """Per-frame RMS energy in dBFS; trailing partial frame is dropped.
+
+    Frames are squared a block of rows at a time, so no full-length
+    squared copy of the channel is made.
+    """
     n_frames = len(samples) // frame_len
-    if n_frames == 0:
-        return np.empty(0)
     frames = samples[: n_frames * frame_len].reshape(n_frames, frame_len)
-    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    mean_sq = np.empty(n_frames)
+    for lo in range(0, n_frames, _ENERGY_BLOCK_FRAMES):
+        block = frames[lo:lo + _ENERGY_BLOCK_FRAMES]
+        mean_sq[lo:lo + _ENERGY_BLOCK_FRAMES] = np.mean(block * block, axis=1)
     with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(rms)
+        return 20.0 * np.log10(np.sqrt(mean_sq))
+
+
+def _runs(active: np.ndarray) -> np.ndarray:
+    """(start, end) frame indices of each run of active frames, shape (n, 2)."""
+    return np.flatnonzero(np.diff(np.concatenate(([False], active, [False])))).reshape(-1, 2)
 
 
 def _fill_gaps(active: np.ndarray, max_gap: int) -> np.ndarray:
-    """Mark inactive runs of length <= max_gap as active (hangover merge)."""
-    if max_gap <= 0 or not active.any():
-        return active
-    out = active.copy()
-    idx = np.flatnonzero(active)
-    gaps = np.diff(idx) - 1
-    for pos, gap in zip(idx[:-1], gaps):
-        if 0 < gap <= max_gap:
-            out[pos + 1: pos + 1 + gap] = True
-    return out
+    """Mark each inactive gap of at most max_gap frames between two active
+    runs as active (hangover merge)."""
+    runs = _runs(active)
+    gap_lo, gap_hi = runs[:-1, 1], runs[1:, 0]
+    short = gap_hi - gap_lo <= max_gap
+    # +1 where a short gap opens, -1 where it closes; the running sum is
+    # positive inside short gaps
+    edges = np.zeros(active.size + 1, dtype=np.intp)
+    edges[gap_lo[short]] += 1
+    edges[gap_hi[short]] -= 1
+    return active | (np.cumsum(edges[:-1]) > 0)
 
 
 def activity_frames(channel: AudioChannel, params: VadParams) -> np.ndarray:
@@ -149,16 +158,11 @@ def vad(channel: AudioChannel, params: VadParams = VadParams()) -> list[SpeechSe
     most hangover_frames; merged segments shorter than min_segment_ms
     are discarded.
     """
-    active = activity_frames(channel, params)
     frame_s = params.frame_s
     min_frames = params.min_segment_ms / params.frame_ms
-
-    segments = []
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], active, [False]))))
-    for start, end in edges.reshape(-1, 2):
-        if end - start >= min_frames:
-            segments.append(SpeechSegment(start * frame_s, end * frame_s))
-    return segments
+    return [SpeechSegment(start * frame_s, end * frame_s)
+            for start, end in _runs(activity_frames(channel, params))
+            if end - start >= min_frames]
 
 
 @dataclass(frozen=True)
@@ -171,51 +175,58 @@ def _make_clip_id(meeting_id: str, interrupter_id: str, onset_s: float) -> str:
     return "%s_%s_%07d" % (meeting_id, interrupter_id, round(onset_s * 1000))
 
 
+def _covering(starts: np.ndarray, ends: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """How many of the segments [starts[k], ends[k]) cover each time in t."""
+    return (np.searchsorted(np.sort(starts), t, "right")
+            - np.searchsorted(np.sort(ends), t, "right"))
+
+
 def detect(meeting: MeetingAudio, segments_by_channel,
            min_presilence_s: float = 3.0, min_utterance_s: float = 0.3,
            pre_s: float = ONSET_OFFSET_S, post_s: float = ONSET_OFFSET_S) -> DetectionResult:
     """Scan per-channel VAD segments for gated overlap candidates.
 
     For every segment start t on channel i a candidate is emitted iff
-    (a) another channel is speaking at t, (b) channel i produced no
-    speech in [t - min_presilence_s, t), (c) the segment runs at least
-    min_utterance_s, and (d) the window [t - pre_s, t + post_s] lies
-    inside the meeting. Rejections are counted by the first failing
-    gate, checked in the order (a), (b), (c), (d).
+    (a) another channel is speaking at t, (b) channel i's previous
+    segment ended at least min_presilence_s before t (the first segment
+    passes), (c) the segment runs at least min_utterance_s, and (d) the
+    window [t - pre_s, t + post_s] lies inside the meeting. Rejections
+    are counted by the first failing gate, checked in the order (a),
+    (b), (c), (d).
     """
     if len(segments_by_channel) != len(meeting.channels):
         raise ValueError("one segment list per channel required")
     duration = meeting.duration_s
+    spans = [np.array([(seg.start_s, seg.end_s) for seg in segs],
+                      dtype=np.float64).reshape(-1, 2)
+             for segs in segments_by_channel]
     candidates = []
-    rejections = Counter()
+    first_failed = []
 
     for i, channel in enumerate(meeting.channels):
-        own = segments_by_channel[i]
-        others = [seg for j, segs in enumerate(segments_by_channel) if j != i for seg in segs]
-        for k, seg in enumerate(own):
-            t = seg.start_s
-            if not any(o.covers(t) for o in others):
-                rejections[REJECT_NO_OVERLAP] += 1
-                continue
-            prev_end = own[k - 1].end_s if k > 0 else None
-            if prev_end is not None and t - prev_end < min_presilence_s:
-                rejections[REJECT_PRESILENCE] += 1
-                continue
-            if seg.duration_s < min_utterance_s:
-                rejections[REJECT_TOO_SHORT] += 1
-                continue
-            if t < pre_s or t + post_s > duration:
-                rejections[REJECT_BOUNDARY] += 1
-                continue
-            candidates.append(ClipDescriptor(
-                clip_id=_make_clip_id(meeting.meeting_id, channel.participant_id, t),
-                meeting_id=meeting.meeting_id,
-                interrupter_id=channel.participant_id,
-                onset_s=t,
-                channel_index=i,
-            ))
+        starts, ends = spans[i].T
+        others = np.concatenate([s for j, s in enumerate(spans) if j != i])
+        presilence_short = np.zeros(starts.size, dtype=bool)
+        presilence_short[1:] = starts[1:] - ends[:-1] < min_presilence_s
+        failed = np.stack([
+            _covering(others[:, 0], others[:, 1], starts) == 0,
+            presilence_short,
+            ends - starts < min_utterance_s,
+            (starts < pre_s) | (starts + post_s > duration),
+        ])
+        rejected = failed.any(axis=0)
+        first_failed.append(failed.argmax(axis=0)[rejected])
+        candidates += [ClipDescriptor(
+            clip_id=_make_clip_id(meeting.meeting_id, channel.participant_id, t),
+            meeting_id=meeting.meeting_id,
+            interrupter_id=channel.participant_id,
+            onset_s=t,
+            channel_index=i,
+        ) for t in starts[~rejected].tolist()]
+    counts = np.bincount(np.concatenate(first_failed), minlength=len(_GATES))
     candidates.sort(key=lambda c: c.clip_id)
-    return DetectionResult(tuple(candidates), rejections)
+    return DetectionResult(tuple(candidates),
+                           Counter({g: int(n) for g, n in zip(_GATES, counts) if n}))
 
 
 def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> CandidateClip:
@@ -244,36 +255,3 @@ def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> CandidateC
         right=right,
     )
 
-
-def heuristic_floor_outcome(clip: CandidateClip,
-                            params: VadParams = VadParams()) -> str:
-    """Weak floor-acquisition label for a clip.
-
-    "overtake" iff within the clip's last 5 seconds the interrupter
-    (right channel) holds an uninterrupted solo stretch of at least
-    1.5 s while the left channel is silent. A weak oracle only; not
-    ground truth.
-    """
-    rate = clip.sample_rate
-    half = int(ONSET_OFFSET_S * rate)
-    tail_r = AudioChannel(clip.right.samples[half:], rate, "tail_r")
-    tail_l = AudioChannel(clip.left.samples[half:], rate, "tail_l")
-
-    frame_s = params.frame_s
-    n_frames = len(tail_r) // params.frame_samples(rate)
-    right_on = np.zeros(n_frames, dtype=bool)
-    left_on = np.zeros(n_frames, dtype=bool)
-    for segs, mask in ((vad(tail_r, params), right_on), (vad(tail_l, params), left_on)):
-        for seg in segs:
-            lo = round(seg.start_s / frame_s)
-            hi = round(seg.end_s / frame_s)
-            mask[lo:hi] = True
-
-    solo = right_on & ~left_on
-    need = round(1.5 / frame_s)
-    run = 0
-    for flag in solo:
-        run = run + 1 if flag else 0
-        if run >= need:
-            return OVERTAKE
-    return NO_OVERTAKE

@@ -135,6 +135,14 @@ def test_meeting_needs_two_channels():
         MeetingAudio.from_channels([a], "m")
 
 
+def test_meeting_rejects_repeated_participant_ids():
+    chans = [AudioChannel(np.zeros(10), SAMPLE_RATE, pid) for pid in ("a", "b", "a")]
+    with pytest.raises(ChannelLayoutError, match=r"\['a'\]"):
+        MeetingAudio(tuple(chans), "m")
+    with pytest.raises(ChannelLayoutError):
+        MeetingAudio.from_channels(chans, "m")
+
+
 def test_meeting_rejects_mixed_rates():
     a = AudioChannel(np.zeros(10), SAMPLE_RATE, "a")
     b = AudioChannel(np.zeros(10), 8000, "b")
@@ -163,6 +171,14 @@ def test_mixdown_hard_clips():
     assert np.all(out.samples == 1.0)
     neg = [AudioChannel(np.full(8, -0.7), SAMPLE_RATE, "n%d" % i) for i in range(2)]
     assert np.all(mixdown(neg).samples == -1.0)
+
+
+def test_mixdown_rejects_repeated_participant_ids():
+    # equal ids would leave the summation order, and so the last bits of
+    # the mix, to the order of the input list
+    chans = [AudioChannel(np.full(8, v), SAMPLE_RATE, "p") for v in (0.1, 0.2)]
+    with pytest.raises(ChannelLayoutError):
+        mixdown(chans)
 
 
 def test_mixdown_empty_rejected():

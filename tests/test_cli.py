@@ -18,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 import talkover
 from conftest import run_cli
 from talkover import synth
-from talkover.audio import read_wav_data
+from talkover.audio import SAMPLE_RATE, read_wav_data, write_wav
 from talkover.causal import write_telemetry_csv
 from talkover.labels import VOTE_LABELS, fleiss_kappa, read_votes_csv, votes_to_table
 from talkover.manifest import read_manifest
@@ -65,6 +65,22 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as err:
             run_cli(argv)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--epochs"), ("train", "--batch-size"), ("train", "--runs"), ("eval", "--runs"),
+])
+def test_zero_counts_exit_2(fixtures_dir, model_dir, tmp_path, command, flag):
+    emb = fixtures_dir / "embeddings"
+    argv = [command, "--manifest", emb / "manifest.jsonl", "--split", emb / "split.json",
+            "--features", emb, "--feature", "emb", "--profile", "tiny",
+            flag, 0, "--out", tmp_path / "o"]
+    if command == "eval":
+        argv += ["--model-dir", model_dir]
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_input_exits_10(tmp_path):
@@ -155,6 +171,19 @@ def test_undecodable_telemetry_exits_8(fixtures_dir, tmp_path):
     assert run_cli(["impact", "--telemetry", telemetry, "--out", tmp_path / "o"]) == 8
 
 
+@pytest.mark.parametrize("line", [
+    "[1]", '"s"',
+    json.dumps({"clip_id": "vote_0000", "meeting_id": "m9", "interrupter_id": "dana",
+                "onset_s": "abc", "wav_path": "clips/vote_0000.wav"}),
+], ids=["list", "string", "onset not a number"])
+def test_malformed_clip_manifest_line_exits_9(fixtures_dir, tmp_path, line):
+    manifest = tmp_path / "clips.jsonl"
+    manifest.write_text(line + "\n")
+    assert run_cli(["labels", "--votes", fixtures_dir / "votes" / "votes.csv",
+                    "--manifest", manifest, "--out", tmp_path / "o"]) == 9
+    assert not (tmp_path / "o" / "consensus.jsonl").exists()
+
+
 def test_undecodable_clip_manifest_exits_9(fixtures_dir, tmp_path):
     manifest = _with_byte_ff(fixtures_dir / "embeddings" / "manifest.jsonl",
                              tmp_path / "manifest.jsonl")
@@ -171,6 +200,52 @@ def test_unreadable_wav_exits_3(tmp_path):
     meetings = tmp_path / "meetings.json"
     meetings.write_text(json.dumps(doc))
     assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 3
+
+
+def test_repeated_participant_ids_exit_3(fixtures_dir, tmp_path):
+    # two clips whose interrupter cannot be told apart must not be written
+    audio = fixtures_dir / "audio"
+    doc = json.loads((audio / "meetings.json").read_text())
+    for ch in doc["meetings"][0]["channels"]:
+        ch["participant_id"] = "same"
+        ch["wav_path"] = str(audio / ch["wav_path"])
+    meetings = tmp_path / "meetings.json"
+    meetings.write_text(json.dumps(doc))
+    assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 3
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
+def _short_meeting_wavs(directory):
+    """Two 1 s PCM16 channels that overlap, plus their meetings manifest."""
+    t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
+    entries = []
+    for pid, lo, freq in (("a", 0.1, 300.0), ("b", 0.5, 700.0)):
+        samples = np.where(t >= lo, 0.3 * np.sin(2 * np.pi * freq * t), 0.0)
+        write_wav(os.path.join(directory, pid + ".wav"), samples, encoding="pcm16")
+        entries.append({"participant_id": pid, "wav_path": pid + ".wav"})
+    meetings = os.path.join(directory, "meetings.json")
+    with open(meetings, "w") as fh:
+        json.dump({"meetings": [{"meeting_id": "m", "channels": entries}]}, fh)
+    return meetings
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_wav_exits_0_or_3(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        meetings = _short_meeting_wavs(tmp)
+        path = os.path.join(tmp, data.draw(st.sampled_from(["a.wav", "b.wav"]), label="file"))
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        for _ in range(data.draw(st.integers(0, 4), label="bytes")):
+            at = data.draw(st.integers(0, 43), label="header byte")
+            blob[at] = data.draw(st.integers(0, 255), label="value")
+        blob = blob[:data.draw(st.none() | st.integers(0, len(blob)), label="truncate at")]
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        code = run_cli(["extract", "--meetings", meetings, "--out", os.path.join(tmp, "o")])
+        event("exit %d" % code)
+        assert code in (0, 3)
 
 
 def test_single_class_telemetry_exits_8(tmp_path):

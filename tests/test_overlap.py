@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from talkover.audio import AudioChannel, MeetingAudio, SAMPLE_RATE
 from talkover.errors import AudioError
-from talkover.overlap import (CLIP_DURATION_S, NO_OVERTAKE, ONSET_OFFSET_S,
-                              OVERTAKE, REJECT_BOUNDARY, REJECT_NO_OVERLAP,
+from talkover.overlap import (_ENERGY_BLOCK_FRAMES, CLIP_DURATION_S, ONSET_OFFSET_S,
+                              REJECT_BOUNDARY, REJECT_NO_OVERLAP,
                               REJECT_PRESILENCE, REJECT_TOO_SHORT, CandidateClip,
-                              SpeechSegment, VadParams, detect,
-                              export_clip, frame_energies_db,
-                              heuristic_floor_outcome, vad)
+                              SpeechSegment, VadParams, _fill_gaps, detect,
+                              export_clip, frame_energies_db, vad)
 
 PARAMS = VadParams()
 
@@ -44,6 +45,51 @@ def test_frame_energy_of_full_scale_is_zero_db():
 def test_frame_energy_drops_trailing_partial_frame():
     assert frame_energies_db(np.zeros(999), 320).shape == (3,)
     assert frame_energies_db(np.zeros(100), 320).shape == (0,)
+
+
+def one_shot_frame_energies_db(samples, frame_len):
+    """The energies squared in one full-length pass, as before row blocks."""
+    n_frames = len(samples) // frame_len
+    if n_frames == 0:
+        return np.empty(0)
+    frames = samples[: n_frames * frame_len].reshape(n_frames, frame_len)
+    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(rms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frame_len=st.sampled_from([1, 7, 320]),
+       n_frames=st.sampled_from([0, 1, _ENERGY_BLOCK_FRAMES - 1, _ENERGY_BLOCK_FRAMES,
+                                 _ENERGY_BLOCK_FRAMES + 1, 2 * _ENERGY_BLOCK_FRAMES + 5]),
+       tail=st.integers(0, 6), silent_share=st.floats(0.0, 1.0))
+def test_frame_energies_match_one_shot_oracle(seed, frame_len, n_frames, tail, silent_share):
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-1.0, 1.0, n_frames * frame_len + tail % frame_len)
+    samples[rng.random(samples.size) < silent_share] = 0.0
+    got = frame_energies_db(samples, frame_len)
+    assert got.tobytes() == one_shot_frame_energies_db(samples, frame_len).tobytes()
+
+
+def loop_fill_gaps(active, max_gap):
+    """The hangover merge as a loop over active frames, as before runs."""
+    if max_gap <= 0 or not active.any():
+        return active
+    out = active.copy()
+    idx = np.flatnonzero(active)
+    gaps = np.diff(idx) - 1
+    for pos, gap in zip(idx[:-1], gaps):
+        if 0 < gap <= max_gap:
+            out[pos + 1: pos + 1 + gap] = True
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(active=hnp.arrays(bool, st.integers(0, 300)), max_gap=st.integers(-1, 12))
+def test_fill_gaps_matches_loop_oracle(active, max_gap):
+    got = _fill_gaps(active, max_gap)
+    assert got.dtype == bool
+    assert np.array_equal(got, loop_fill_gaps(active, max_gap))
 
 
 def test_vad_finds_engineered_bursts():
@@ -111,6 +157,18 @@ def test_detect_requires_other_speaker_at_onset():
     result = detect(meeting, segments)
     assert not result.candidates
     assert result.rejections[REJECT_NO_OVERLAP] == 2  # both onsets are solo
+
+
+def test_detect_coverage_is_half_open():
+    # a segment covers [start, end): one starting at the onset counts as
+    # speaking there, one ending at it does not
+    meeting = silent_meeting(60.0)
+    result = detect(meeting, [segs((25.0, 30.0)), segs((25.0, 26.0))])
+    assert [c.interrupter_id for c in result.candidates] == ["a", "b"]
+    assert not result.rejections
+    result = detect(meeting, [segs((20.0, 25.0)), segs((25.0, 26.0))])
+    assert not result.candidates
+    assert dict(result.rejections) == {REJECT_NO_OVERLAP: 2}
 
 
 def test_detect_requires_presilence():
@@ -256,24 +314,3 @@ def test_candidate_clip_enforces_length():
     with pytest.raises(AudioError):
         CandidateClip("c", "m", "b", 25.0, good, bad)
 
-
-def clip_from(left, right):
-    return CandidateClip("c", "m", "b", 25.0,
-                         AudioChannel(left, SAMPLE_RATE, "l"),
-                         AudioChannel(right, SAMPLE_RATE, "r"))
-
-
-def test_floor_outcome_overtake_on_solo_tail():
-    n = 160000
-    t = np.arange(n) / SAMPLE_RATE
-    right = np.where((t >= 5.0) & (t < 9.0), 0.3 * np.sin(2 * np.pi * 500 * t), 0.0)
-    left = np.where(t < 6.0, 0.3 * np.sin(2 * np.pi * 300 * t), 0.0)
-    assert heuristic_floor_outcome(clip_from(left, right)) == OVERTAKE
-
-
-def test_floor_outcome_no_overtake_when_left_keeps_talking():
-    n = 160000
-    t = np.arange(n) / SAMPLE_RATE
-    right = np.where((t >= 5.0) & (t < 9.0), 0.3 * np.sin(2 * np.pi * 500 * t), 0.0)
-    left = 0.3 * np.sin(2 * np.pi * 300 * t)
-    assert heuristic_floor_outcome(clip_from(left, right)) == NO_OVERTAKE
