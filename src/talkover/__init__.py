@@ -9,13 +9,13 @@ propensity-stratified estimate of raise-hand impact on inclusiveness.
 
 __version__ = "0.1.0"
 
-from .audio import AudioChannel, MeetingAudio, load_wav, mixdown, write_wav
+from .audio import AudioChannel, MeetingAudio, WavChannel, load_wav, mixdown, write_wav
 from .features import LayeredEmbedding, PROFILES, mfcc, spectrogram
 from .model import CLASSES, InterruptionModel, TrainConfig, train
 from .overlap import CandidateClip, VadParams, detect, export_clip, vad
 
 __all__ = [
-    "AudioChannel", "MeetingAudio", "load_wav", "mixdown", "write_wav",
+    "AudioChannel", "MeetingAudio", "WavChannel", "load_wav", "mixdown", "write_wav",
     "LayeredEmbedding", "PROFILES", "mfcc", "spectrogram",
     "CLASSES", "InterruptionModel", "TrainConfig", "train",
     "CandidateClip", "VadParams", "detect", "export_clip", "vad",

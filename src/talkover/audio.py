@@ -3,11 +3,18 @@
 All downstream processing assumes mono tracks at the canonical 16 kHz
 rate with samples in [-1, 1]. Files at any other rate are rejected
 instead of resampled so the DSP surface stays deterministic.
+
+A track comes in two forms with one read interface (participant_id,
+sample_rate, len() and window(start, stop)): AudioChannel holds its
+float64 samples in memory; WavChannel, which load_wav returns, leaves
+them in the WAV file and decodes only the window asked for, so a
+meeting's memory does not grow with its length.
 """
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,10 +35,14 @@ _FMT_EXTENSIBLE = 0xFFFE
 
 _PCM16_SCALE = 32768.0
 
+# samples read at a time by the finiteness pass over a float WAV
+_FINITE_CHECK_SAMPLES = 1 << 18
+
 
 @dataclass(frozen=True)
 class AudioChannel:
-    """One participant's mono track. Immutable after construction."""
+    """One participant's mono track, held in memory as float64.
+    Immutable after construction."""
 
     samples: np.ndarray
     sample_rate: int
@@ -48,19 +59,69 @@ class AudioChannel:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def __len__(self) -> int:
         return self.samples.size
+
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop), with 0 <= start <= stop <= len(self)."""
+        return self.samples[start:stop]
+
+    def padded(self, n_samples: int) -> "AudioChannel":
+        """This channel zero-padded at the end to n_samples."""
+        return AudioChannel(np.concatenate([self.samples, np.zeros(n_samples - len(self))]),
+                            self.sample_rate, self.participant_id)
+
+
+@dataclass(frozen=True)
+class WavChannel:
+    """One participant's mono track, left in its WAV file.
+
+    window() reads and decodes only the samples asked for. Samples past
+    the n_stored ones in the file read as zeros: that is how padded()
+    extends a short track to the meeting length. load_wav has checked
+    the header, and a float file's samples for finiteness, so every
+    window holds finite float64 samples in [-1, 1].
+    """
+
+    path: str
+    sample_rate: int
+    participant_id: str
+    dtype: str        # "<i2" (16-bit PCM) or "<f4" (32-bit float)
+    offset: int       # byte offset of the first sample
+    n_stored: int
+    n_samples: int    # n_stored plus zero padding
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    def stored(self, start: int, stop: int) -> np.ndarray:
+        """The file's samples [start, min(stop, n_stored)), undecoded."""
+        count = max(0, min(stop, self.n_stored) - start)
+        raw = np.fromfile(self.path, self.dtype, count,
+                          offset=self.offset + start * np.dtype(self.dtype).itemsize)
+        if raw.size != count:
+            raise MalformedWavError("%s: file shrank while being read" % self.path)
+        return raw
+
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop) as float64, zeros past the stored end."""
+        out = np.empty(stop - start)
+        raw = self.stored(start, stop)
+        _decode(raw, out[:raw.size])
+        out[raw.size:] = 0.0
+        return out
+
+    def padded(self, n_samples: int) -> "WavChannel":
+        """This channel read as n_samples long, zeros past the stored end."""
+        return replace(self, n_samples=n_samples)
 
 
 @dataclass(frozen=True)
 class MeetingAudio:
-    """All channels of one meeting: equal length and rate, unique ids."""
+    """All channels of one meeting: equal length and rate, unique ids.
+    Each channel is an AudioChannel or a WavChannel."""
 
-    channels: tuple[AudioChannel, ...]
+    channels: tuple
     meeting_id: str
     padding: dict[str, int] = field(default_factory=dict)
 
@@ -91,8 +152,7 @@ class MeetingAudio:
         for ch in channels:
             deficit = target - len(ch)
             if deficit:
-                samples = np.concatenate([ch.samples, np.zeros(deficit)])
-                ch = AudioChannel(samples, ch.sample_rate, ch.participant_id)
+                ch = ch.padded(target)
                 padding[ch.participant_id] = deficit
             padded.append(ch)
         return cls(tuple(padded), meeting_id, padding)
@@ -117,45 +177,51 @@ def _require_unique_ids(channels, where: str) -> None:
         raise ChannelLayoutError("%s repeats participant ids %s" % (where, repeated))
 
 
-def _read_chunks(data: bytes):
-    """Yield (chunk_id, payload) pairs from a RIFF body; each payload is a
-    memoryview into data, not a copy."""
-    data = memoryview(data)
-    pos = 12
-    while pos + 8 <= len(data):
-        cid, size = struct.unpack_from("<4sI", data, pos)
-        start = pos + 8
-        if start + size > len(data):
-            raise MalformedWavError("chunk %r overruns the file" % cid)
-        yield cid, data[start:start + size]
-        pos = start + size + (size & 1)  # chunks are word-aligned
+@dataclass(frozen=True)
+class WavLayout:
+    """Where and how a WAV file stores its samples."""
+
+    sample_rate: int
+    dtype: str        # "<i2" (16-bit PCM) or "<f4" (32-bit float)
+    n_channels: int
+    offset: int       # byte offset of the first sample
+    n_frames: int     # whole frames; a trailing partial frame is dropped
 
 
-def read_wav_data(path) -> tuple[int, np.ndarray]:
-    """Parse a RIFF/WAVE file into (sample_rate, samples[n, channels]).
+def read_wav_header(path) -> WavLayout:
+    """Walk the chunk headers of a RIFF/WAVE file; read no samples.
 
-    Accepts 16-bit PCM and 32-bit IEEE float. Raises MalformedWavError
-    for container damage and UnsupportedEncodingError for other codecs.
+    Accepts 16-bit PCM and 32-bit IEEE float, also as
+    WAVE_FORMAT_EXTENSIBLE. Raises MalformedWavError for container
+    damage and UnsupportedEncodingError for other codecs. A repeated
+    fmt or data chunk replaces the earlier one.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedWavError("%s: not a RIFF/WAVE file" % path)
-
-    fmt = None
-    payload = None
-    for cid, body in _read_chunks(data):
-        if cid == b"fmt ":
-            fmt = body
-        elif cid == b"data":
-            payload = body
-    if fmt is None or len(fmt) < 16:
-        raise MalformedWavError("%s: missing or short fmt chunk" % path)
-    if payload is None:
-        raise MalformedWavError("%s: missing data chunk" % path)
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise MalformedWavError("%s: not a RIFF/WAVE file" % path)
+        chunks = {}  # chunk id -> (body offset, body size)
+        pos = 12
+        while pos + 8 <= size:
+            fh.seek(pos)
+            cid, length = struct.unpack("<4sI", fh.read(8))
+            start = pos + 8
+            if start + length > size:
+                raise MalformedWavError("%s: chunk %r overruns the file" % (path, cid))
+            chunks[cid] = (start, length)
+            pos = start + length + (length & 1)  # chunks are word-aligned
+        fmt_start, fmt_len = chunks.get(b"fmt ", (0, 0))
+        if fmt_len < 16:
+            raise MalformedWavError("%s: missing or short fmt chunk" % path)
+        if b"data" not in chunks:
+            raise MalformedWavError("%s: missing data chunk" % path)
+        fh.seek(fmt_start)
+        fmt = fh.read(min(fmt_len, 40))
 
     tag, n_channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
-    if tag == _FMT_EXTENSIBLE and len(fmt) >= 40:
+    if tag == _FMT_EXTENSIBLE and fmt_len >= 40:
         # sub-format GUID starts with the real format tag
         tag = struct.unpack_from("<H", fmt, 24)[0]
 
@@ -171,33 +237,57 @@ def read_wav_data(path) -> tuple[int, np.ndarray]:
         raise MalformedWavError("%s: zero channels declared" % path)
     if block_align != n_channels * bits // 8:
         raise MalformedWavError("%s: block alignment inconsistent with format" % path)
+    data_start, data_len = chunks[b"data"]
+    return WavLayout(int(rate), dtype, n_channels, data_start, data_len // block_align)
 
-    usable = len(payload) - len(payload) % block_align
-    raw = np.frombuffer(payload[:usable], dtype=dtype)
-    frames = raw.reshape(-1, n_channels).astype(np.float64)
-    if dtype == "<i2":
-        frames /= _PCM16_SCALE
+
+def _decode(raw: np.ndarray, out: np.ndarray) -> None:
+    """Stored samples into float64 out: 16-bit PCM scaled by 1/32768,
+    float clipped to [-1, 1]."""
+    out[...] = raw
+    if raw.dtype.kind == "i":
+        out /= _PCM16_SCALE
     else:
-        if not np.all(np.isfinite(frames)):
-            raise MalformedWavError("%s: non-finite float samples" % path)
-        np.clip(frames, -1.0, 1.0, out=frames)
-    return int(rate), frames
+        np.clip(out, -1.0, 1.0, out=out)
 
 
-def load_wav(path, participant_id: str | None = None) -> AudioChannel:
-    """Load a mono WAV at the canonical rate as an AudioChannel.
+def read_wav_data(path) -> tuple[int, np.ndarray]:
+    """Read a whole RIFF/WAVE file into (sample_rate, samples[n, channels])
+    float64, with the checks of read_wav_header. Non-finite float samples
+    raise MalformedWavError."""
+    layout = read_wav_header(path)
+    raw = np.fromfile(path, layout.dtype, layout.n_frames * layout.n_channels,
+                      offset=layout.offset).reshape(-1, layout.n_channels)
+    if raw.dtype.kind == "f" and not np.isfinite(raw).all():
+        raise MalformedWavError("%s: non-finite float samples" % path)
+    frames = np.empty(raw.shape)
+    _decode(raw, frames)
+    return layout.sample_rate, frames
 
-    16-bit samples are scaled by 1/32768. Multi-channel files and files
-    at rates other than 16 kHz are rejected with distinct errors.
+
+def load_wav(path, participant_id: str | None = None) -> WavChannel:
+    """Open a mono WAV at the canonical rate as a WavChannel.
+
+    Only the header is parsed; samples stay in the file. Multi-channel
+    files and files at rates other than 16 kHz are rejected with
+    distinct errors. A float file is scanned once, a block at a time,
+    so a non-finite sample anywhere in it raises MalformedWavError here.
     """
-    rate, frames = read_wav_data(path)
-    if frames.shape[1] != 1:
-        raise ChannelLayoutError("%s: expected mono, got %d channels" % (path, frames.shape[1]))
-    if rate != SAMPLE_RATE:
-        raise SampleRateError("%s: rate %d Hz, expected %d" % (path, rate, SAMPLE_RATE))
+    layout = read_wav_header(path)
+    if layout.n_channels != 1:
+        raise ChannelLayoutError("%s: expected mono, got %d channels" % (path, layout.n_channels))
+    if layout.sample_rate != SAMPLE_RATE:
+        raise SampleRateError("%s: rate %d Hz, expected %d"
+                              % (path, layout.sample_rate, SAMPLE_RATE))
     if participant_id is None:
         participant_id = str(path)
-    return AudioChannel(frames[:, 0], rate, participant_id)
+    channel = WavChannel(os.fspath(path), layout.sample_rate, participant_id, layout.dtype,
+                         layout.offset, layout.n_frames, layout.n_frames)
+    if layout.dtype == "<f4":
+        for lo in range(0, layout.n_frames, _FINITE_CHECK_SAMPLES):
+            if not np.isfinite(channel.stored(lo, lo + _FINITE_CHECK_SAMPLES)).all():
+                raise MalformedWavError("%s: non-finite float samples" % path)
+    return channel
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,

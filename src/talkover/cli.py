@@ -53,11 +53,20 @@ def _write_sidecar(out_dir, command: str, args: argparse.Namespace) -> None:
                 {"command": command, "arguments": echo})
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
-    return value
+def _bounded(convert, ok, what: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, what))
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_fraction = _bounded(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
 
 
 def _ensure_out(args) -> str:
@@ -412,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive_int, default=50)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--lr", type=float, default=0.0015)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--patience", type=_non_negative_int, default=10)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a split")
@@ -436,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("labels", help="aggregate crowd votes to consensus labels")
     add_common(p)
     p.add_argument("--votes", required=True)
-    p.add_argument("--threshold", type=float, default=0.7)
+    p.add_argument("--threshold", type=_fraction, default=0.7)
     p.add_argument("--manifest", default=None,
                    help="merge consensus into this clip manifest")
     p.add_argument("--golden", default=None,
@@ -453,13 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry", required=True)
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--bootstrap", action="store_true")
-    p.add_argument("--bootstrap-samples", type=int, default=200)
+    p.add_argument("--bootstrap-samples", type=_positive_int, default=200)
     p.set_defaults(func=cmd_impact)
 
     p = sub.add_parser("gen-fixtures", help="write all synthetic fixtures")
     add_common(p)
     p.add_argument("--profile", choices=sorted(PROFILES), default="tiny")
-    p.add_argument("--telemetry-n", type=int, default=50000)
+    p.add_argument("--telemetry-n", type=_positive_int, default=50000)
     p.set_defaults(func=cmd_gen_fixtures)
 
     return parser

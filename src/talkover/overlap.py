@@ -8,6 +8,9 @@ runs become segments. Segment onsets that pass the gating rules
 interrupter on the right channel, everyone else mixed into the left,
 with the onset pinned to the 5-second mark. Each gate is one array
 comparison over a channel's segment start and end times.
+
+Channels are read through window(start, stop), so a meeting of
+WavChannels is decoded one energy block, or one clip window, at a time.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ REJECT_BOUNDARY = "boundary"
 # in the order the gates are checked
 _GATES = (REJECT_NO_OVERLAP, REJECT_PRESILENCE, REJECT_TOO_SHORT, REJECT_BOUNDARY)
 
-# frames squared at a time when computing frame energies
+# frames read and squared at a time when computing frame energies
 _ENERGY_BLOCK_FRAMES = 1024
 
 
@@ -107,18 +110,18 @@ class CandidateClip:
         return self.right.sample_rate
 
 
-def frame_energies_db(samples: np.ndarray, frame_len: int) -> np.ndarray:
+def frame_energies_db(channel, frame_len: int) -> np.ndarray:
     """Per-frame RMS energy in dBFS; trailing partial frame is dropped.
 
-    Frames are squared a block of rows at a time, so no full-length
-    squared copy of the channel is made.
+    The channel is read _ENERGY_BLOCK_FRAMES frames at a time, so at
+    most one block of its samples is float64 at once.
     """
-    n_frames = len(samples) // frame_len
-    frames = samples[: n_frames * frame_len].reshape(n_frames, frame_len)
+    n_frames = len(channel) // frame_len
     mean_sq = np.empty(n_frames)
     for lo in range(0, n_frames, _ENERGY_BLOCK_FRAMES):
-        block = frames[lo:lo + _ENERGY_BLOCK_FRAMES]
-        mean_sq[lo:lo + _ENERGY_BLOCK_FRAMES] = np.mean(block * block, axis=1)
+        hi = min(lo + _ENERGY_BLOCK_FRAMES, n_frames)
+        block = channel.window(lo * frame_len, hi * frame_len).reshape(hi - lo, frame_len)
+        mean_sq[lo:hi] = np.mean(block * block, axis=1)
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(np.sqrt(mean_sq))
 
@@ -142,17 +145,17 @@ def _fill_gaps(active: np.ndarray, max_gap: int) -> np.ndarray:
     return active | (np.cumsum(edges[:-1]) > 0)
 
 
-def activity_frames(channel: AudioChannel, params: VadParams) -> np.ndarray:
+def activity_frames(channel, params: VadParams) -> np.ndarray:
     """Boolean speech activity per frame after hangover merging."""
     if len(channel) == 0:
         raise AudioError("VAD on an empty channel")
     frame_len = params.frame_samples(channel.sample_rate)
-    active = frame_energies_db(channel.samples, frame_len) > params.energy_threshold_db
+    active = frame_energies_db(channel, frame_len) > params.energy_threshold_db
     return _fill_gaps(active, params.hangover_frames)
 
 
-def vad(channel: AudioChannel, params: VadParams = VadParams()) -> list[SpeechSegment]:
-    """Segment a channel into speech regions.
+def vad(channel, params: VadParams = VadParams()) -> list[SpeechSegment]:
+    """Segment a channel (AudioChannel or WavChannel) into speech regions.
 
     Frames above the energy threshold are merged across silences of at
     most hangover_frames; merged segments shorter than min_segment_ms
@@ -240,9 +243,9 @@ def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> CandidateC
     interrupter = meeting.channels[descriptor.channel_index]
     if interrupter.participant_id != descriptor.interrupter_id:
         raise ValueError("descriptor does not match meeting channel layout")
-    right = AudioChannel(interrupter.samples[start:stop], rate, interrupter.participant_id)
+    right = AudioChannel(interrupter.window(start, stop), rate, interrupter.participant_id)
     others = [
-        AudioChannel(ch.samples[start:stop], rate, ch.participant_id)
+        AudioChannel(ch.window(start, stop), rate, ch.participant_id)
         for j, ch in enumerate(meeting.channels) if j != descriptor.channel_index
     ]
     left = mixdown(others)

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -18,10 +19,11 @@ from hypothesis import event, given, settings, strategies as st
 import talkover
 from conftest import run_cli
 from talkover import synth
-from talkover.audio import SAMPLE_RATE, read_wav_data, write_wav
+from talkover.audio import AudioChannel, MeetingAudio, SAMPLE_RATE, read_wav_data, write_wav
 from talkover.causal import write_telemetry_csv
 from talkover.labels import VOTE_LABELS, fleiss_kappa, read_votes_csv, votes_to_table
 from talkover.manifest import read_manifest
+from talkover.overlap import detect, export_clip, vad
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -79,6 +81,33 @@ def test_zero_counts_exit_2(fixtures_dir, model_dir, tmp_path, command, flag):
         argv += ["--model-dir", model_dir]
     with pytest.raises(SystemExit) as err:
         run_cli(argv)
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_telemetry_n_below_one_exits_2(tmp_path, value):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["gen-fixtures", "--telemetry-n", value, "--out", tmp_path / "o"])
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("labels", "--threshold", 2), ("labels", "--threshold", 0),
+    ("labels", "--threshold", "nan"), ("train", "--patience", -1),
+    ("impact", "--bootstrap-samples", 0), ("impact", "--bootstrap-samples", -3),
+])
+def test_unworkable_counts_and_fractions_exit_2(fixtures_dir, tmp_path, command, flag, value):
+    emb = fixtures_dir / "embeddings"
+    inputs = {
+        "labels": ["--votes", fixtures_dir / "votes" / "votes.csv"],
+        "train": ["--manifest", emb / "manifest.jsonl", "--split", emb / "split.json",
+                  "--features", emb, "--feature", "emb", "--profile", "tiny"],
+        "impact": ["--telemetry", fixtures_dir / "telemetry" / "telemetry.csv", "--bootstrap"],
+    }
+    with pytest.raises(SystemExit) as err:
+        run_cli([command] + inputs[command] + [flag, value, "--out", tmp_path / "o"])
     assert err.value.code == 2
     assert not (tmp_path / "o").exists()
 
@@ -213,6 +242,99 @@ def test_repeated_participant_ids_exit_3(fixtures_dir, tmp_path):
     meetings.write_text(json.dumps(doc))
     assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 3
     assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
+def _write_meeting(directory, tracks, encoding):
+    """One WAV per (participant id, samples) pair, plus their meetings manifest."""
+    entries = []
+    for pid, samples in tracks:
+        write_wav(os.path.join(directory, pid + ".wav"), samples, encoding=encoding)
+        entries.append({"participant_id": pid, "wav_path": pid + ".wav"})
+    meetings = os.path.join(directory, "meetings.json")
+    with open(meetings, "w") as fh:
+        json.dump({"meetings": [{"meeting_id": "m", "channels": entries}]}, fh)
+    return meetings
+
+
+def _tones(duration_s, bursts, freq):
+    t = np.arange(int(duration_s * SAMPLE_RATE)) / SAMPLE_RATE
+    on = np.zeros(t.size, dtype=bool)
+    for lo, hi in bursts:
+        on |= (t >= lo) & (t < hi)
+    return np.where(on, 0.3 * np.sin(2 * np.pi * freq * t), 0.0)
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_extract_pads_a_short_channel_like_in_memory_channels(tmp_path, encoding):
+    # c stops at 21 s; the clips of b at 18 s and of c at 17 s reach past it
+    meetings = _write_meeting(tmp_path, [
+        ("a", _tones(30.0, [(1.0, 28.0)], 300.0)),
+        ("b", _tones(30.0, [(18.0, 19.5)], 500.0)),
+        ("c", _tones(21.0, [(10.0, 12.0), (17.0, 20.9)], 700.0)),
+    ], encoding)
+    assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 0
+
+    meeting = MeetingAudio.from_channels(
+        [AudioChannel(read_wav_data(tmp_path / (pid + ".wav"))[1][:, 0], SAMPLE_RATE, pid)
+         for pid in "abc"], "m")
+    assert meeting.padding == {"c": 9 * SAMPLE_RATE}
+    result = detect(meeting, [vad(ch) for ch in meeting.channels])
+    assert [d.clip_id for d in result.candidates] == \
+        ["m_b_0018000", "m_c_0010000", "m_c_0017000"]
+    assert [r.clip_id for r in read_manifest(tmp_path / "o" / "manifest.jsonl")] == \
+        [d.clip_id for d in result.candidates]
+    for desc in result.candidates:
+        clip = export_clip(desc, meeting)
+        want = tmp_path / "want.wav"
+        write_wav(want, np.stack([clip.left.samples, clip.right.samples], axis=1))
+        got = tmp_path / "o" / "clips" / (desc.clip_id + ".wav")
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_nan_in_trailing_partial_frame_exits_3(tmp_path):
+    # the VAD drops the last 100 samples, which hold the NaN
+    tail = np.zeros(20 * SAMPLE_RATE + 100)
+    tail[-1] = np.nan
+    meetings = _write_meeting(tmp_path, [("a", _tones(20.0, [(6.0, 9.0)], 300.0)),
+                                         ("b", tail)], "float32")
+    assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 3
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
+# Runs each argv (a JSON list of lists) from a small process and prints
+# each child's own peak RSS in KiB: a child's ru_maxrss from wait4 is
+# never below its parent's peak RSS at spawn time, and pytest is large.
+_PEAK_RSS_KIB = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit("%s exited %d" % (argv, proc.returncode))
+    peaks.append(usage.ru_maxrss)
+print(json.dumps(peaks))
+"""
+
+
+def test_extract_memory_does_not_grow_with_meeting_length(tmp_path, monkeypatch):
+    # the benchmark's meeting generator: four PCM16 channels
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    minutes = 5
+    workloads.generate_meeting(tmp_path / "in", 3, minutes * 60 * workloads.FPS)
+    argvs = [[sys.executable, "-c", "import talkover.cli"],
+             [sys.executable, "-m", "talkover.cli", "extract",
+              "--meetings", str(tmp_path / "in" / "meetings.json"),
+              "--out", str(tmp_path / "out")]]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_KIB, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    import_kib, extract_kib = json.loads(out.stdout)
+    one_float64_channel_kib = minutes * 60 * SAMPLE_RATE * 8 / 1024
+    assert extract_kib - import_kib < one_float64_channel_kib
 
 
 def _short_meeting_wavs(directory):

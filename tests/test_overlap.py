@@ -1,9 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from talkover.audio import AudioChannel, MeetingAudio, SAMPLE_RATE
+from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav, read_wav_data,
+                            write_wav)
 from talkover.errors import AudioError
 from talkover.overlap import (_ENERGY_BLOCK_FRAMES, CLIP_DURATION_S, ONSET_OFFSET_S,
                               REJECT_BOUNDARY, REJECT_NO_OVERLAP,
@@ -31,20 +35,24 @@ def silent_meeting(duration_s, pids=("a", "b")):
     return MeetingAudio.from_channels(chans, "m")
 
 
+def mono(samples, pid="p"):
+    return AudioChannel(samples, SAMPLE_RATE, pid)
+
+
 def test_frame_energy_of_silence_is_minus_inf():
-    e = frame_energies_db(np.zeros(1600), 320)
+    e = frame_energies_db(mono(np.zeros(1600)), 320)
     assert e.shape == (5,)
     assert np.all(np.isinf(e)) and np.all(e < 0)
 
 
 def test_frame_energy_of_full_scale_is_zero_db():
-    e = frame_energies_db(np.ones(640), 320)
+    e = frame_energies_db(mono(np.ones(640)), 320)
     assert np.allclose(e, 0.0)
 
 
 def test_frame_energy_drops_trailing_partial_frame():
-    assert frame_energies_db(np.zeros(999), 320).shape == (3,)
-    assert frame_energies_db(np.zeros(100), 320).shape == (0,)
+    assert frame_energies_db(mono(np.zeros(999)), 320).shape == (3,)
+    assert frame_energies_db(mono(np.zeros(100)), 320).shape == (0,)
 
 
 def one_shot_frame_energies_db(samples, frame_len):
@@ -67,8 +75,29 @@ def test_frame_energies_match_one_shot_oracle(seed, frame_len, n_frames, tail, s
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-1.0, 1.0, n_frames * frame_len + tail % frame_len)
     samples[rng.random(samples.size) < silent_share] = 0.0
-    got = frame_energies_db(samples, frame_len)
+    got = frame_energies_db(mono(samples), frame_len)
     assert got.tobytes() == one_shot_frame_energies_db(samples, frame_len).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frame_len=st.sampled_from([7, 320]),
+       n_frames=st.sampled_from([0, 1, _ENERGY_BLOCK_FRAMES, _ENERGY_BLOCK_FRAMES + 1,
+                                 2 * _ENERGY_BLOCK_FRAMES + 5]),
+       tail=st.integers(0, 6), pad=st.sampled_from([0, 1, 5000]),
+       encoding=st.sampled_from(["pcm16", "float32"]), silent_share=st.floats(0.0, 1.0))
+def test_file_backed_frame_energies_match_one_shot_oracle(seed, frame_len, n_frames, tail,
+                                                          pad, encoding, silent_share):
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-1.0, 1.0, n_frames * frame_len + tail % frame_len)
+    samples[rng.random(samples.size) < silent_share] = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.wav")
+        write_wav(path, samples, encoding=encoding)
+        stored = read_wav_data(path)[1][:, 0]
+        channel = load_wav(path, "p").padded(stored.size + pad)
+        got = frame_energies_db(channel, frame_len)
+    want = one_shot_frame_energies_db(np.concatenate([stored, np.zeros(pad)]), frame_len)
+    assert got.tobytes() == want.tobytes()
 
 
 def loop_fill_gaps(active, max_gap):
