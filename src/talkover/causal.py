@@ -30,6 +30,7 @@ MIN_PARTICIPANTS = 3  # analysis covers meetings with more than 2 people
 # Two-sided 95% normal quantile, the double nearest norm.ppf(0.975).
 # statistics.NormalDist().inv_cdf(0.975) lands two ulps lower.
 Z_975 = 1.959963984540054
+BOOTSTRAP_ALPHA = 0.05  # the percentile bootstrap's two-sided 95% interval
 
 
 TELEMETRY_COLUMNS = ("meeting_id",) + BASE_NUMERIC + BASE_BOOLEAN + (
@@ -122,23 +123,21 @@ class PsModel:
             raise CausalError("non-finite propensity coefficients")
 
 
-def _standardize(raw, names, means=None, stds=None):
-    if means is None:
-        means = np.zeros(raw.shape[1])
-        stds = np.ones(raw.shape[1])
-        for j, name in enumerate(names):
-            if name not in BASE_BOOLEAN:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    means[j] = raw[:, j].mean()
-                    stds[j] = raw[:, j].std()
-                if not (np.isfinite(means[j]) and np.isfinite(stds[j])):
-                    raise CausalError("column %r has a non-finite mean or spread" % name)
-                if stds[j] == 0.0:
-                    stds[j] = 1.0  # constant column; zeroed by centering
-    else:
-        means = np.asarray(means)
-        stds = np.asarray(stds)
-    return (raw - means) / stds, means, stds
+def _standardize(raw, names):
+    """Column means and spreads that z-score the numeric columns of raw;
+    boolean columns get mean 0 and spread 1, so they pass through."""
+    means = np.zeros(raw.shape[1])
+    stds = np.ones(raw.shape[1])
+    for j, name in enumerate(names):
+        if name not in BASE_BOOLEAN:
+            with np.errstate(over="ignore", invalid="ignore"):
+                means[j] = raw[:, j].mean()
+                stds[j] = raw[:, j].std()
+            if not (np.isfinite(means[j]) and np.isfinite(stds[j])):
+                raise CausalError("column %r has a non-finite mean or spread" % name)
+            if stds[j] == 0.0:
+                stds[j] = 1.0  # constant column; zeroed by centering
+    return means, stds
 
 
 def _sigmoid(z):
@@ -163,11 +162,11 @@ def fit_propensity(telemetry) -> PsModel:
 
     names = _feature_names(telemetry)
     raw = _raw_matrix(telemetry, names)
-    Z, means, stds = _standardize(raw, names)
+    means, stds = _standardize(raw, names)
+    Z = (raw - means) / stds
 
     # constant columns are collinear with the intercept; fit without them
-    active = [j for j in range(Z.shape[1]) if np.ptp(Z[:, j]) > 0]
-    dropped = tuple(names[j] for j in range(Z.shape[1]) if j not in active)
+    active = np.ptp(Z, axis=0) > 0
     X = np.hstack([np.ones((len(telemetry), 1)), Z[:, active]])
 
     beta = np.zeros(X.shape[1])
@@ -189,8 +188,8 @@ def fit_propensity(telemetry) -> PsModel:
 
     coefs = np.zeros(len(names) + 1)
     coefs[0] = beta[0]
-    for pos, j in enumerate(active):
-        coefs[j + 1] = beta[pos + 1]
+    coefs[1:][active] = beta[1:]
+    dropped = tuple(name for name, live in zip(names, active) if not live)
     return PsModel(names, tuple(means), tuple(stds), tuple(coefs), dropped)
 
 
@@ -201,8 +200,7 @@ def predict_ps(model: PsModel, telemetry) -> np.ndarray:
         raise CausalError(
             "records carry confounders %s but the model was fit on %s"
             % (list(names), list(model.feature_names)))
-    raw = _raw_matrix(telemetry, names)
-    Z, _, _ = _standardize(raw, names, model.means, model.stds)
+    Z = (_raw_matrix(telemetry, names) - model.means) / model.stds
     beta = np.asarray(model.coefficients)
     return _sigmoid(beta[0] + Z @ beta[1:])
 
@@ -215,11 +213,13 @@ def stratify(telemetry, model: PsModel, n_bins: int = 5) -> np.ndarray:
         raise CausalError("need at least 2 bins")
     if len(telemetry) < n_bins:
         raise CausalError("%d records cannot fill %d bins" % (len(telemetry), n_bins))
-    ps = predict_ps(model, telemetry)
-    order = np.argsort(ps, kind="stable")
+    order = np.argsort(predict_ps(model, telemetry), kind="stable")
+    # the chunk sizes np.array_split(order, n_bins) gives: the first
+    # len % n_bins bins hold one meeting more
+    size, extra = divmod(len(telemetry), n_bins)
+    sizes = [size + 1] * extra + [size] * (n_bins - extra)
     assignment = np.empty(len(telemetry), dtype=np.int64)
-    for b, chunk in enumerate(np.array_split(order, n_bins)):
-        assignment[chunk] = b
+    assignment[order] = np.repeat(np.arange(n_bins), sizes)
     return assignment
 
 
@@ -235,35 +235,45 @@ def _smd(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff / pooled)
 
 
+def _strata(telemetry, assignment, values=None):
+    """Arm table of the strata, in sorted label order: (labels, counts,
+    sums, dropped). A stratum counts only when it holds a treated and a
+    control meeting; labels, and the (control, treated) counts and sums
+    of values (counts again when values is None), cover those strata,
+    and dropped lists the labels of the others."""
+    assignment = np.asarray(assignment)
+    if len(telemetry) != len(assignment):
+        raise CausalError("assignment length does not match records")
+    labels, code = np.unique(assignment, return_inverse=True)
+    cell = code * 2 + telemetry.vrh_used
+    counts = np.bincount(cell, minlength=2 * len(labels)).reshape(-1, 2)
+    sums = np.bincount(cell, values, 2 * len(labels)).reshape(-1, 2)
+    both = counts.all(axis=1)
+    return labels[both].tolist(), counts[both], sums[both], labels[~both].tolist()
+
+
 def balance_report(telemetry, assignment) -> dict:
     """Within-bin standardized mean differences per confounder.
 
     Bins missing an arm are skipped. The summary per confounder is the
     bin-size-weighted mean of the within-bin SMDs.
     """
+    labels, counts, _, _ = _strata(telemetry, assignment)
     names = _feature_names(telemetry)
     raw = _raw_matrix(telemetry, names)
     treated = telemetry.vrh_used
     assignment = np.asarray(assignment)
 
     per_bin = {}
-    weights = {}
-    for b in sorted(set(assignment.tolist())):
+    for b in labels:
         in_bin = assignment == b
         t = in_bin & treated
         c = in_bin & ~treated
-        if not t.any() or not c.any():
-            continue
         per_bin[b] = {name: _smd(raw[t, j], raw[c, j]) for j, name in enumerate(names)}
-        weights[b] = int(in_bin.sum())
-
-    total = sum(weights.values())
-    summary = {}
-    for name in names:
-        if total:
-            summary[name] = sum(per_bin[b][name] * weights[b] for b in per_bin) / total
-        else:
-            summary[name] = float("nan")
+    weights = counts.sum(axis=1).tolist()
+    total = sum(weights)
+    summary = {name: sum(per_bin[b][name] * w for b, w in zip(labels, weights)) / total
+               if total else float("nan") for name in names}
     return {"per_bin": per_bin, "summary": summary}
 
 
@@ -286,38 +296,23 @@ def estimate_impact(telemetry, assignment) -> ImpactEstimate:
     warning and the weights renormalized over what remains. The CI is a
     normal approximation with per-stratum Bernoulli variances.
     """
-    assignment = np.asarray(assignment)
-    if len(telemetry) != len(assignment):
-        raise CausalError("assignment length does not match records")
-    treated = telemetry.vrh_used
-    outcome = telemetry.column("predicted_inclusive")
-
-    rows = []
-    dropped_bins = []
-    for b in sorted(set(assignment.tolist())):
-        in_bin = assignment == b
-        t = in_bin & treated
-        c = in_bin & ~treated
-        if not t.any() or not c.any():
-            dropped_bins.append(int(b))
-            continue
-        p_t = outcome[t].mean()
-        p_c = outcome[c].mean()
-        rows.append((int(b), int(t.sum()), int(c.sum()), int(in_bin.sum()),
-                     float(p_t), float(p_c)))
+    labels, counts, sums, dropped_bins = _strata(
+        telemetry, assignment, telemetry.column("predicted_inclusive"))
     if dropped_bins:
         warnings.warn(
             "dropping strata %s with no treated or no control meetings; "
             "weights renormalized" % dropped_bins, stacklevel=2)
-    if not rows:
+    if not labels:
         raise NoValidStrataError("every stratum lacks a treated or control arm")
 
-    total = sum(r[3] for r in rows)
-    delta = 0.0
-    var = 0.0
+    # outcomes are 0/1, so each sum is exact and sum / n is the arm mean
+    means = (sums / counts).tolist()
+    counts = counts.tolist()
+    total = sum(n_c + n_t for n_c, n_t in counts)
+    delta = var = 0.0
     per_stratum = []
-    for b, n_t, n_c, n_bin, p_t, p_c in rows:
-        w = n_bin / total
+    for b, (n_c, n_t), (p_c, p_t) in zip(labels, counts, means):
+        w = (n_t + n_c) / total
         d = p_t - p_c
         delta += w * d
         var += w * w * (p_t * (1 - p_t) / n_t + p_c * (1 - p_c) / n_c)
@@ -337,8 +332,7 @@ def naive_difference(telemetry) -> float:
     return float(outcome[treated].mean() - outcome[~treated].mean())
 
 
-def bootstrap_ci(telemetry, n_bins: int = 5, n_boot: int = 200, seed: int = 0,
-                 alpha: float = 0.05):
+def bootstrap_ci(telemetry, n_bins: int = 5, n_boot: int = 200, seed: int = 0):
     """Percentile bootstrap of the full fit-stratify-estimate pipeline.
     Slower than the normal approximation; offered as an alternative."""
     rng = np.random.default_rng(seed)
@@ -355,7 +349,7 @@ def bootstrap_ci(telemetry, n_bins: int = 5, n_boot: int = 200, seed: int = 0,
             deltas.append(est.delta)
     if not deltas:
         raise CausalError("all bootstrap resamples were degenerate")
-    lo, hi = np.quantile(deltas, [alpha / 2, 1 - alpha / 2])
+    lo, hi = np.quantile(deltas, [BOOTSTRAP_ALPHA / 2, 1 - BOOTSTRAP_ALPHA / 2])
     return float(lo), float(hi), len(deltas)
 
 

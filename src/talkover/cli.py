@@ -6,14 +6,15 @@ every output directory gets a config.json sidecar echoing the run's
 arguments so results can be reproduced.
 
 Exit codes: 0 success, 2 usage (argparse), then one code per error
-family: 3 audio, 4 features, 5 model, 6 metrics, 7 labels, 8 causal,
-9 manifest, 10 I/O.
+family, held as its exit_code: 3 audio, 4 features, 5 model, 6 metrics,
+7 labels, 8 causal, 9 manifest; 10 I/O.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -21,24 +22,14 @@ import numpy as np
 
 from . import causal, labels as labels_mod, metrics, model as model_mod, synth
 from .audio import MeetingAudio, load_wav, write_wav
-from .errors import (AudioError, CausalError, FeatureError, LabelError,
-                     MetricError, ModelError, TalkoverError)
+from .errors import LabelError, ManifestError, TalkoverError
 from .features import PROFILES, load_embeddings, mfcc, spectrogram, write_embeddings
-from .manifest import (ClipRecord, ManifestError, load_clip, read_manifest,
-                       read_split, write_manifest)
+from .manifest import ClipRecord, load_clip, read_manifest, read_split, write_manifest
 from .model import CLASSES, TrainConfig
 from .overlap import VadParams, detect, export_clip, vad
 
 EXIT_OK = 0
-_EXIT_FAMILIES = (
-    (AudioError, 3),
-    (FeatureError, 4),
-    (ModelError, 5),
-    (MetricError, 6),
-    (LabelError, 7),
-    (CausalError, 8),
-    (ManifestError, 9),
-)
+EXIT_IO = 10
 
 
 def _write_json(path, obj) -> None:
@@ -67,6 +58,9 @@ def _bounded(convert, ok, what: str):
 _positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
 _fraction = _bounded(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
+_positive_float = _bounded(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_finite_float = _bounded(float, math.isfinite, "a finite number")
+_bin_count = _bounded(int, lambda v: v >= 2, "an integer of at least 2")
 
 
 def _ensure_out(args) -> str:
@@ -249,16 +243,11 @@ def cmd_eval(args) -> int:
         samples = score(net, *scored)
         auc = metrics.roc_auc(samples, positive)
 
-        if args.threshold is not None:
-            tau = args.threshold
-            tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
-        elif calib_split is not None:
-            calib = score(net, *calib_split)
+        tau = args.threshold
+        if tau is None:
+            calib = samples if calib_split is None else score(net, *calib_split)
             _, tau = metrics.tpr_at_fpr(calib, positive, args.fpr_target)
-            tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
-        else:
-            tpr, tau = metrics.tpr_at_fpr(samples, positive, args.fpr_target)
-            _, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
+        tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
 
         confusion = metrics.thresholded_confusion(samples, tau, positive)
         metrics.write_confusion_csv(
@@ -420,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--epochs", type=_positive_int, default=50)
     p.add_argument("--batch-size", type=_positive_int, default=32)
-    p.add_argument("--lr", type=float, default=0.0015)
+    p.add_argument("--lr", type=_positive_float, default=0.0015)
     p.add_argument("--patience", type=_non_negative_int, default=10)
     p.set_defaults(func=cmd_train)
 
@@ -435,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-name", default="test")
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--fpr-target", type=float, default=0.01)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_finite_float, default=None,
                    help="fixed decision threshold; skips calibration")
     p.add_argument("--calibration-split", default=None,
                    help="calibrate the threshold on this split instead "
@@ -460,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impact", help="propensity-stratified impact estimate")
     add_common(p)
     p.add_argument("--telemetry", required=True)
-    p.add_argument("--bins", type=int, default=5)
+    p.add_argument("--bins", type=_bin_count, default=5)
     p.add_argument("--bootstrap", action="store_true")
     p.add_argument("--bootstrap-samples", type=_positive_int, default=200)
     p.set_defaults(func=cmd_impact)
@@ -478,18 +467,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tuple(f for f, _ in _EXIT_FAMILIES) as exc:
-        for family, code in _EXIT_FAMILIES:
-            if isinstance(exc, family):
-                print("error: %s" % exc, file=sys.stderr)
-                return code
-        raise AssertionError("unreachable")
     except TalkoverError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return exc.exit_code
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 10
+        return EXIT_IO
 
 
 if __name__ == "__main__":

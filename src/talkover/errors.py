@@ -1,12 +1,19 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each family carries the exit code the command line returns for it.
+"""
 
 
 class TalkoverError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 1
+
 
 class AudioError(TalkoverError):
     """Problems reading, writing, or combining audio."""
+
+    exit_code = 3
 
 
 class MalformedWavError(AudioError):
@@ -28,6 +35,8 @@ class SampleRateError(AudioError):
 class FeatureError(TalkoverError):
     """Feature extraction or embedding ingestion failure."""
 
+    exit_code = 4
+
 
 class EmbeddingFormatError(FeatureError):
     """Embedding file is malformed or fails its declared contract."""
@@ -39,6 +48,8 @@ class ShapeContractError(FeatureError):
 
 class ModelError(TalkoverError):
     """Classifier construction, inference, or training failure."""
+
+    exit_code = 5
 
 
 class FeatureProfileError(ModelError):
@@ -52,6 +63,8 @@ class TrainingDivergedError(ModelError):
 class MetricError(TalkoverError):
     """Evaluation metric cannot be computed on the given samples."""
 
+    exit_code = 6
+
 
 class DegenerateDistributionError(MetricError):
     """Sample set lacks a positive or negative example."""
@@ -59,6 +72,8 @@ class DegenerateDistributionError(MetricError):
 
 class LabelError(TalkoverError):
     """Vote aggregation or agreement computation failure."""
+
+    exit_code = 7
 
 
 class DuplicateVoteError(LabelError):
@@ -72,6 +87,8 @@ class UndefinedKappaError(LabelError):
 class CausalError(TalkoverError):
     """Propensity modelling or stratified estimation failure."""
 
+    exit_code = 8
+
 
 class PerfectSeparationError(CausalError):
     """Treatment is perfectly separable from the confounders."""
@@ -83,3 +100,9 @@ class SingleClassTreatmentError(CausalError):
 
 class NoValidStrataError(CausalError):
     """Every stratum lacks a treated or a control record."""
+
+
+class ManifestError(TalkoverError):
+    """Malformed or inconsistent manifest content."""
+
+    exit_code = 9

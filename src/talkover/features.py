@@ -89,11 +89,9 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int = SAMPLE_RATE,
-                   f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
-    """Triangular mel filters as a (n_mels, n_fft // 2 + 1) matrix."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
+def mel_filterbank(n_mels: int, n_fft: int) -> np.ndarray:
+    """Triangular mel filters spanning 0 Hz to Nyquist at SAMPLE_RATE, as
+    a (n_mels, n_fft // 2 + 1) matrix."""
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -101,9 +99,9 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int = SAMPLE_RATE,
     def from_mel(m):
         return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
-    mel_points = np.linspace(to_mel(f_min), to_mel(f_max), n_mels + 2)
+    mel_points = np.linspace(to_mel(0.0), to_mel(SAMPLE_RATE / 2.0), n_mels + 2)
     hz_points = from_mel(mel_points)
-    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+    bin_freqs = np.arange(n_fft // 2 + 1) * SAMPLE_RATE / n_fft
 
     fb = np.zeros((n_mels, len(bin_freqs)))
     for m in range(n_mels):

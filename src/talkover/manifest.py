@@ -10,12 +10,11 @@ import json
 from dataclasses import dataclass
 
 from .audio import SAMPLE_RATE, AudioChannel, read_wav_data
-from .errors import AudioError, ChannelLayoutError, SampleRateError, TalkoverError
+from .errors import AudioError, ChannelLayoutError, ManifestError, SampleRateError
 from .overlap import CandidateClip
 
-
-class ManifestError(TalkoverError):
-    """Malformed or inconsistent manifest content."""
+# fields that must hold strings when present; all but label are required
+_STRING_FIELDS = ("clip_id", "meeting_id", "interrupter_id", "wav_path", "label")
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,9 @@ class ClipRecord:
     def from_dict(cls, d: dict) -> "ClipRecord":
         if not isinstance(d, dict):
             raise ManifestError("clip record is not a JSON object")
+        for name in _STRING_FIELDS:
+            if name in d and not isinstance(d[name], str):
+                raise ManifestError("clip record %s %r is not a string" % (name, d[name]))
         try:
             return cls(clip_id=d["clip_id"], meeting_id=d["meeting_id"],
                        interrupter_id=d["interrupter_id"], onset_s=float(d["onset_s"]),
@@ -96,8 +98,8 @@ def read_split(path) -> dict:
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ManifestError("%s: %s" % (path, exc)) from None
     if not isinstance(split, dict) or not all(
-            isinstance(v, list) for v in split.values()):
-        raise ManifestError("%s: split file must map names to clip id lists" % path)
+            isinstance(v, list) and all(isinstance(c, str) for c in v) for v in split.values()):
+        raise ManifestError("%s: split file must map names to lists of clip id strings" % path)
     return split
 
 

@@ -211,12 +211,6 @@ def roc_points(samples, positive_class: str):
                                                 ranked[last].tolist()))
 
 
-def accuracy(samples) -> float:
-    if len(samples) == 0:
-        raise MetricError("empty sample list")
-    return int(np.count_nonzero(np.argmax(samples.probs, axis=1) == samples.labels)) / len(samples)
-
-
 def write_roc_csv(path, points) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

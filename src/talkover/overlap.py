@@ -36,6 +36,10 @@ _GATES = (REJECT_NO_OVERLAP, REJECT_PRESILENCE, REJECT_TOO_SHORT, REJECT_BOUNDAR
 # frames read and squared at a time when computing frame energies
 _ENERGY_BLOCK_FRAMES = 1024
 
+VAD_FRAME_MS = 20
+HANGOVER_FRAMES = 5  # longest silence, in frames, merged into a segment
+MIN_SEGMENT_MS = 100  # shorter merged segments are discarded
+
 
 @dataclass(frozen=True)
 class SpeechSegment:
@@ -49,23 +53,14 @@ class SpeechSegment:
 
 @dataclass(frozen=True)
 class VadParams:
-    frame_ms: int = 20
     energy_threshold_db: float = -45.0
-    hangover_frames: int = 5
-    min_segment_ms: int = 100
-
-    def __post_init__(self):
-        if self.frame_ms <= 0:
-            raise ValueError("frame_ms must be positive")
-        if self.hangover_frames < 0:
-            raise ValueError("hangover_frames must be >= 0")
 
     def frame_samples(self, sample_rate: int) -> int:
-        return sample_rate * self.frame_ms // 1000
+        return sample_rate * VAD_FRAME_MS // 1000
 
     @property
     def frame_s(self) -> float:
-        return self.frame_ms / 1000.0
+        return VAD_FRAME_MS / 1000.0
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,6 @@ class CandidateClip:
             raise AudioError(
                 "clip %s: channels must hold exactly %d samples" % (self.clip_id, expected)
             )
-
-    @property
-    def duration_s(self) -> float:
-        return CLIP_DURATION_S
 
     @property
     def sample_rate(self) -> int:
@@ -151,18 +142,18 @@ def activity_frames(channel, params: VadParams) -> np.ndarray:
         raise AudioError("VAD on an empty channel")
     frame_len = params.frame_samples(channel.sample_rate)
     active = frame_energies_db(channel, frame_len) > params.energy_threshold_db
-    return _fill_gaps(active, params.hangover_frames)
+    return _fill_gaps(active, HANGOVER_FRAMES)
 
 
 def vad(channel, params: VadParams = VadParams()) -> list[SpeechSegment]:
     """Segment a channel (AudioChannel or WavChannel) into speech regions.
 
     Frames above the energy threshold are merged across silences of at
-    most hangover_frames; merged segments shorter than min_segment_ms
+    most HANGOVER_FRAMES; merged segments shorter than MIN_SEGMENT_MS
     are discarded.
     """
     frame_s = params.frame_s
-    min_frames = params.min_segment_ms / params.frame_ms
+    min_frames = MIN_SEGMENT_MS / VAD_FRAME_MS
     return [SpeechSegment(start * frame_s, end * frame_s)
             for start, end in _runs(activity_frames(channel, params))
             if end - start >= min_frames]
@@ -185,21 +176,22 @@ def _covering(starts: np.ndarray, ends: np.ndarray, t: np.ndarray) -> np.ndarray
 
 
 def detect(meeting: MeetingAudio, segments_by_channel,
-           min_presilence_s: float = 3.0, min_utterance_s: float = 0.3,
-           pre_s: float = ONSET_OFFSET_S, post_s: float = ONSET_OFFSET_S) -> DetectionResult:
+           min_presilence_s: float = 3.0, min_utterance_s: float = 0.3) -> DetectionResult:
     """Scan per-channel VAD segments for gated overlap candidates.
 
     For every segment start t on channel i a candidate is emitted iff
     (a) another channel is speaking at t, (b) channel i's previous
     segment ended at least min_presilence_s before t (the first segment
     passes), (c) the segment runs at least min_utterance_s, and (d) the
-    window [t - pre_s, t + post_s] lies inside the meeting. Rejections
+    clip window export_clip cuts, [t - ONSET_OFFSET_S, t - ONSET_OFFSET_S
+    + CLIP_DURATION_S], lies inside the meeting. Rejections
     are counted by the first failing gate, checked in the order (a),
     (b), (c), (d).
     """
     if len(segments_by_channel) != len(meeting.channels):
         raise ValueError("one segment list per channel required")
     duration = meeting.duration_s
+    pre_s, post_s = ONSET_OFFSET_S, CLIP_DURATION_S - ONSET_OFFSET_S
     spans = [np.array([(seg.start_s, seg.end_s) for seg in segs],
                       dtype=np.float64).reshape(-1, 2)
              for segs in segments_by_channel]

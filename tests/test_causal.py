@@ -1,17 +1,20 @@
 import dataclasses
 import math
 import statistics
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import same_telemetry
 from talkover.causal import (MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
-                             Telemetry, _smd, balance_report, bootstrap_ci,
-                             estimate_impact, filter_eligible, fit_propensity,
-                             naive_difference, predict_ps, read_telemetry_csv,
-                             run_impact, stratify, write_telemetry_csv)
+                             Telemetry, _feature_names, _raw_matrix, _smd,
+                             balance_report, bootstrap_ci, estimate_impact,
+                             filter_eligible, fit_propensity, naive_difference,
+                             predict_ps, read_telemetry_csv, run_impact, stratify,
+                             write_telemetry_csv)
 from talkover.errors import (CausalError, NoValidStrataError,
                              PerfectSeparationError, SingleClassTreatmentError)
 
@@ -178,6 +181,18 @@ def test_stratify_bin_sizes_and_order():
     assert set(np.flatnonzero(assignment == 4).tolist()) == set(order[-20:].tolist())
 
 
+@pytest.mark.parametrize("n, n_bins", [(2, 2), (7, 3), (10, 10), (41, 4), (103, 5), (103, 9)])
+def test_stratify_matches_array_split_chunks(n, n_bins):
+    records = synth_records(np.random.default_rng(2), 103)
+    model = fit_propensity(records)
+    head = records.take(np.arange(n))
+    expected = np.empty(n, dtype=np.int64)
+    order = np.argsort(predict_ps(model, head), kind="stable")
+    for b, chunk in enumerate(np.array_split(order, n_bins)):
+        expected[chunk] = b
+    assert np.array_equal(stratify(head, model, n_bins), expected)
+
+
 def test_stratify_validation():
     rng = np.random.default_rng(2)
     records = synth_records(rng, 80)
@@ -291,6 +306,100 @@ def test_estimate_no_valid_strata():
 def test_estimate_length_mismatch():
     with pytest.raises(CausalError):
         estimate_impact(table([record(0)]), np.array([0, 1]))
+
+
+def loop_balance_report(telemetry, assignment):
+    """balance_report as one boolean mask per stratum, for an oracle."""
+    names = _feature_names(telemetry)
+    raw = _raw_matrix(telemetry, names)
+    treated = telemetry.vrh_used
+    per_bin, weights = {}, {}
+    for b in sorted(set(assignment.tolist())):
+        in_bin = assignment == b
+        t = in_bin & treated
+        c = in_bin & ~treated
+        if not t.any() or not c.any():
+            continue
+        per_bin[b] = {name: _smd(raw[t, j], raw[c, j]) for j, name in enumerate(names)}
+        weights[b] = int(in_bin.sum())
+    total = sum(weights.values())
+    summary = {name: sum(per_bin[b][name] * weights[b] for b in per_bin) / total
+               if total else float("nan") for name in names}
+    return {"per_bin": per_bin, "summary": summary}
+
+
+def loop_estimate_impact(telemetry, assignment):
+    """estimate_impact as one boolean mask per stratum, for an oracle;
+    returns (delta, ci95, per_stratum)."""
+    treated = telemetry.vrh_used
+    outcome = telemetry.column("predicted_inclusive")
+    rows, dropped_bins = [], []
+    for b in sorted(set(assignment.tolist())):
+        in_bin = assignment == b
+        t = in_bin & treated
+        c = in_bin & ~treated
+        if not t.any() or not c.any():
+            dropped_bins.append(int(b))
+            continue
+        rows.append((int(b), int(t.sum()), int(c.sum()), int(in_bin.sum()),
+                     float(outcome[t].mean()), float(outcome[c].mean())))
+    if dropped_bins:
+        warnings.warn("dropping strata %s with no treated or no control meetings; "
+                      "weights renormalized" % dropped_bins)
+    if not rows:
+        raise NoValidStrataError("every stratum lacks a treated or control arm")
+    total = sum(r[3] for r in rows)
+    delta, var, per_stratum = 0.0, 0.0, []
+    for b, n_t, n_c, n_bin, p_t, p_c in rows:
+        w = n_bin / total
+        d = p_t - p_c
+        delta += w * d
+        var += w * w * (p_t * (1 - p_t) / n_t + p_c * (1 - p_c) / n_c)
+        per_stratum.append((b, n_t, n_c, d))
+    half = Z_975 * np.sqrt(var)
+    return float(delta), (float(delta - half), float(delta + half)), tuple(per_stratum)
+
+
+def outcome_and_warnings(fn, *args):
+    """What fn returns or raises, with the warning messages it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except NoValidStrataError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_strata_table_matches_loop_oracles(data):
+    n = data.draw(st.integers(1, 30), label="meetings")
+    pool = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6,
+                              unique=True), label="stratum labels")
+    rows = [record(i, pc=data.draw(st.integers(2, 30)),
+                   dur=data.draw(st.floats(0.5, 120.0)),
+                   video=data.draw(st.booleans()), share=data.draw(st.booleans()),
+                   vrh=data.draw(st.booleans()), inclusive=data.draw(st.booleans()),
+                   extras={"x": data.draw(st.floats(-5.0, 5.0))})
+            for i in range(n)]
+    records = table(rows)
+    assignment = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                                    label="assignment"))
+
+    got, got_warned = outcome_and_warnings(estimate_impact, records, assignment)
+    want, want_warned = outcome_and_warnings(loop_estimate_impact, records, assignment)
+    assert got_warned == want_warned
+    if isinstance(want, NoValidStrataError):
+        assert isinstance(got, NoValidStrataError)
+    else:
+        # repr is exact for floats and shows nan and inf
+        assert repr((got.delta, got.ci95, got.per_stratum)) == repr(want)
+
+    got_balance = balance_report(records, assignment)
+    want_balance = loop_balance_report(records, assignment)
+    assert repr(got_balance["per_bin"]) == repr(want_balance["per_bin"])
+    assert repr(got_balance["summary"]) == repr(want_balance["summary"])
 
 
 def test_naive_difference_hand_case():

@@ -97,13 +97,18 @@ def test_telemetry_n_below_one_exits_2(tmp_path, value):
     ("labels", "--threshold", 2), ("labels", "--threshold", 0),
     ("labels", "--threshold", "nan"), ("train", "--patience", -1),
     ("impact", "--bootstrap-samples", 0), ("impact", "--bootstrap-samples", -3),
+    ("train", "--lr", 0), ("train", "--lr", -1), ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"), ("eval", "--threshold", "nan"),
+    ("impact", "--bins", 1), ("impact", "--bins", 0),
 ])
 def test_unworkable_counts_and_fractions_exit_2(fixtures_dir, tmp_path, command, flag, value):
     emb = fixtures_dir / "embeddings"
+    corpus = ["--manifest", emb / "manifest.jsonl", "--split", emb / "split.json",
+              "--features", emb, "--feature", "emb", "--profile", "tiny"]
     inputs = {
         "labels": ["--votes", fixtures_dir / "votes" / "votes.csv"],
-        "train": ["--manifest", emb / "manifest.jsonl", "--split", emb / "split.json",
-                  "--features", emb, "--feature", "emb", "--profile", "tiny"],
+        "train": corpus,
+        "eval": corpus + ["--model-dir", tmp_path / "model"],
         "impact": ["--telemetry", fixtures_dir / "telemetry" / "telemetry.csv", "--bootstrap"],
     }
     with pytest.raises(SystemExit) as err:
@@ -200,17 +205,36 @@ def test_undecodable_telemetry_exits_8(fixtures_dir, tmp_path):
     assert run_cli(["impact", "--telemetry", telemetry, "--out", tmp_path / "o"]) == 8
 
 
+CLIP_LINE = {"clip_id": "vote_0000", "meeting_id": "m9", "interrupter_id": "dana",
+             "onset_s": 5.0, "wav_path": "clips/vote_0000.wav"}
+
+
 @pytest.mark.parametrize("line", [
     "[1]", '"s"',
-    json.dumps({"clip_id": "vote_0000", "meeting_id": "m9", "interrupter_id": "dana",
-                "onset_s": "abc", "wav_path": "clips/vote_0000.wav"}),
-], ids=["list", "string", "onset not a number"])
+    json.dumps(dict(CLIP_LINE, onset_s="abc")),
+    json.dumps(dict(CLIP_LINE, wav_path=5)),
+    json.dumps(dict(CLIP_LINE, clip_id=7)),
+    json.dumps(dict(CLIP_LINE, meeting_id=None)),
+    json.dumps(dict(CLIP_LINE, interrupter_id=["dana"])),
+    json.dumps(dict(CLIP_LINE, label=3)),
+], ids=["list", "string", "onset not a number", "wav_path a number", "clip_id a number",
+        "meeting_id null", "interrupter_id a list", "label a number"])
 def test_malformed_clip_manifest_line_exits_9(fixtures_dir, tmp_path, line):
     manifest = tmp_path / "clips.jsonl"
     manifest.write_text(line + "\n")
     assert run_cli(["labels", "--votes", fixtures_dir / "votes" / "votes.csv",
                     "--manifest", manifest, "--out", tmp_path / "o"]) == 9
     assert not (tmp_path / "o" / "consensus.jsonl").exists()
+
+
+def test_split_of_non_string_ids_exits_9(fixtures_dir, tmp_path):
+    emb = fixtures_dir / "embeddings"
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": [["emb_train_backchannel_0000"]]}))
+    assert run_cli(["train", "--manifest", emb / "manifest.jsonl", "--split", split,
+                    "--features", emb, "--feature", "emb", "--profile", "tiny",
+                    "--out", tmp_path / "o"]) == 9
+    assert not (tmp_path / "o" / "checkpoint_r0.bin").exists()
 
 
 def test_undecodable_clip_manifest_exits_9(fixtures_dir, tmp_path):
@@ -434,6 +458,67 @@ def test_corrupted_telemetry_exits_0_or_8(data):
             code = run_cli(argv)
         event("exit %d" % code)
         assert code in (0, 8)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Two train and one val clip per class, as a tiny SIE1 corpus."""
+    out = tmp_path_factory.mktemp("small_corpus")
+    synth.write_embedding_corpus(str(out), seed=5, splits=(("train", 2), ("val", 1)))
+    return out
+
+
+WRONG_TYPES = [5, 1.5, None, True, [], ["x"], {}, {"a": 1}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_manifest_and_split_exit_0_or_their_codes(small_corpus, data):
+    with open(small_corpus / "manifest.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    with open(small_corpus / "split.json") as fh:
+        split = json.load(fh)
+    for _ in range(data.draw(st.integers(0, 3), label="manifest fields")):
+        rec = data.draw(st.sampled_from(records), label="record")
+        key = data.draw(st.sampled_from(sorted(rec)), label="field")
+        if data.draw(st.booleans(), label="drop"):
+            del rec[key]
+        else:
+            rec[key] = data.draw(st.sampled_from(WRONG_TYPES), label="value")
+    for _ in range(data.draw(st.integers(0, 2), label="split entries")):
+        ids = split[data.draw(st.sampled_from(sorted(split)), label="split")]
+        at = data.draw(st.integers(0, len(ids) - 1), label="entry")
+        ids[at] = data.draw(st.sampled_from(WRONG_TYPES), label="entry value")
+    manifest_blob = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+    split_blob = json.dumps(split, indent=2).encode()
+    if data.draw(st.booleans(), label="truncate manifest"):
+        manifest_blob = manifest_blob[:data.draw(st.integers(0, len(manifest_blob)))]
+    if data.draw(st.booleans(), label="truncate split"):
+        split_blob = split_blob[:data.draw(st.integers(0, len(split_blob)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, split_path = os.path.join(tmp, "manifest.jsonl"), os.path.join(tmp, "split.json")
+        with open(manifest, "wb") as fh:
+            fh.write(manifest_blob)
+        with open(split_path, "wb") as fh:
+            fh.write(split_blob)
+        # the manifest lives apart from the corpus, so wav_path resolves
+        # against a directory of copies
+        for name in os.listdir(small_corpus):
+            if name.endswith(".sie"):
+                os.symlink(small_corpus / name, os.path.join(tmp, name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(["featurize", "--manifest", manifest, "--feature", "emb",
+                            "--profile", "tiny", "--out", os.path.join(tmp, "feat")])
+            event("featurize exit %d" % code)
+            assert code in (0, 9)
+            code = run_cli(["train", "--manifest", manifest, "--split", split_path,
+                            "--features", small_corpus, "--feature", "emb",
+                            "--profile", "tiny", "--epochs", 1,
+                            "--out", os.path.join(tmp, "model")])
+        event("train exit %d" % code)
+        # a record without a label fails at training as a label error
+        assert code in (0, 7, 9)
 
 
 VOTE_FUZZ_CELLS = ["", "shouting", "Other", "interruption", "ann_1", "vote_0000",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from talkover import metrics
 from talkover.errors import DegenerateDistributionError, MetricError
-from talkover.metrics import (Scores, accuracy, per_class_report,
+from talkover.metrics import (Scores, per_class_report,
                               roc_auc, roc_points, thresholded_confusion,
                               tpr_at_fpr, tpr_fpr_at_threshold,
                               write_confusion_csv, write_report_csv,
@@ -395,15 +395,6 @@ def test_roc_points_shape_and_consistency():
     # trapezoid area under the vertex curve is the rank AUC
     area = float(np.trapezoid(tprs, fprs))
     assert math.isclose(area, roc_auc(samples, POS), rel_tol=0, abs_tol=1e-12)
-
-
-def test_accuracy():
-    samples = scores([sample(POS, 0.7, clip_id="a"),
-                      sample("laughter", 0.6, clip_id="b"),
-                      sample("backchannel", 0.1, argmax_failed=False, clip_id="c")])
-    assert accuracy(samples) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(MetricError):
-        accuracy(Scores([], [], np.empty((0, len(CLASSES)))))
 
 
 def test_csv_writers(tmp_path):

@@ -241,6 +241,22 @@ def test_detect_requires_window_in_bounds():
     assert not result.candidates
 
 
+def test_detect_boundary_gate_is_the_export_window():
+    meeting = silent_meeting(60.0, pids=("a", "b", "c", "d"))
+    edge = CLIP_DURATION_S - ONSET_OFFSET_S
+    onsets = [ONSET_OFFSET_S - 0.01, ONSET_OFFSET_S, 60.0 - edge, 60.0 - edge + 0.01]
+    segments = [segs((0.5, 59.9)), segs((onsets[0], 6.0)),
+                segs((onsets[1], 6.0), (onsets[2], 56.0)), segs((onsets[3], 56.0))]
+    result = detect(meeting, segments)
+    assert [c.onset_s for c in result.candidates] == onsets[1:3]
+    assert result.rejections[REJECT_BOUNDARY] == 2
+    for desc in result.candidates:
+        assert len(export_clip(desc, meeting).right) == CLIP_DURATION_S * SAMPLE_RATE
+    # the window is export_clip's alone; detect cannot be told another
+    with pytest.raises(TypeError):
+        detect(meeting, segments, pre_s=2.0)
+
+
 def test_detect_counts_first_failing_gate_only():
     meeting = silent_meeting(60.0)
     # b's second burst fails both presilence and length; only the first
