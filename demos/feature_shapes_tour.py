@@ -38,9 +38,10 @@ def main():
     emb = LayeredEmbedding(data.astype(np.float32), profile)
     with tempfile.NamedTemporaryFile(suffix=".sie") as fh:
         write_embeddings(fh.name, emb)
-        back = load_embeddings(fh.name, profile)
+        back = np.empty(profile.shape, np.float32)
+        load_embeddings(fh.name, profile).read_into(back)
         print("embedding container round trip: %s, intact %s"
-              % (back.data.shape, bool(np.array_equal(back.data, emb.data))))
+              % (back.shape, bool(np.array_equal(back, emb.data))))
 
 if __name__ == "__main__":
     main()

@@ -41,15 +41,17 @@ def main():
         test_set = load_split(records_by_id, split["test"], corpus_dir, profile)
         test_ids = split["test"]
 
-    print("corpus: %d train / %d val / %d test"
-          % (len(train_set), len(val_set), len(test_set)))
+        print("corpus: %d train / %d val / %d test"
+              % (len(train_set), len(val_set), len(test_set)))
 
-    config = TrainConfig(epochs=args.epochs, seed=args.seed)
-    result = model_mod.train(train_set, config, val_set)
-    print("stopped after epoch %d, train loss %.4f, val loss %.4f"
-          % (result.stopped_epoch, result.train_loss[-1], result.val_loss[-1]))
+        # the loaded embeddings are handles on the corpus files, read a
+        # batch at a time, so training runs while the corpus exists
+        config = TrainConfig(epochs=args.epochs, seed=args.seed)
+        result = model_mod.train(train_set, config, val_set)
+        print("stopped after epoch %d, train loss %.4f, val loss %.4f"
+              % (result.stopped_epoch, result.train_loss[-1], result.val_loss[-1]))
 
-    probs = model_mod.forward_batch(result.model, [p[0] for p in test_set])
+        probs = model_mod.forward_batch(result.model, [p[0] for p in test_set])
     samples = Scores(test_ids, [label for _, label in test_set], probs)
 
     positive = "failed_interruption"

@@ -12,10 +12,12 @@ family, held as its exit_code: 3 audio, 4 features, 5 model, 6 metrics,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from . import causal, labels as labels_mod, metrics, model as model_mod, synth
 from .audio import MeetingAudio, load_wav, write_wav
 from .errors import LabelError, ManifestError, TalkoverError
-from .features import PROFILES, load_embeddings, mfcc, spectrogram, write_embeddings
+from .features import PROFILES, load_embeddings, mfcc, spectrogram
 from .manifest import ClipRecord, load_clip, read_manifest, read_split, write_manifest
 from .model import CLASSES, TrainConfig
 from .overlap import VadParams, detect, export_clip, vad
@@ -149,10 +151,13 @@ def cmd_featurize(args) -> int:
     shapes = {}
     for rec in records:
         if args.feature == "emb":
+            # a checked file holds what write_embeddings would write, so
+            # its bytes are copied; in place, it is its own copy
             emb = load_embeddings(os.path.join(base, _embedding_path(rec.wav_path)),
                                   profile)
-            write_embeddings(os.path.join(out_dir, rec.clip_id + ".sie"), emb)
-            shapes[rec.clip_id] = list(emb.data.shape)
+            with contextlib.suppress(shutil.SameFileError):
+                shutil.copyfile(emb.path, os.path.join(out_dir, rec.clip_id + ".sie"))
+            shapes[rec.clip_id] = list(profile.shape)
         else:
             clip = load_clip(rec, os.path.join(base, rec.wav_path))
             feat = mfcc(clip) if args.feature == "mfcc" else spectrogram(clip)

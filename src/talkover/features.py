@@ -1,5 +1,6 @@
 """Feature tensors for the classifier: MFCC, magnitude spectrogram, and
-precomputed self-supervised embeddings loaded from SIE1 files.
+precomputed self-supervised embeddings checked in SIE1 files, which
+load_embeddings leaves on disk behind an EmbeddingFile handle.
 
 Every extractor consumes only the last 5 seconds (80000 samples) of a
 clip's two channels and stacks the per-channel feature blocks along the
@@ -9,6 +10,7 @@ exactly 401 MFCC frames and 313 spectrogram frames.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -47,6 +49,11 @@ class EmbeddingProfile:
     def stacked_dim(self) -> int:
         return self.channels * self.dim
 
+    @property
+    def shape(self) -> tuple:
+        """(channels, layers, dim, frames), the order of an SIE1 payload."""
+        return (self.channels, self.layers, self.dim, self.frames)
+
 
 # base/large mirror the published encoder sizes; tiny is the synthetic
 # profile used by the fixture corpus so desk-scale runs stay small.
@@ -59,21 +66,54 @@ PROFILES = {
 
 @dataclass(frozen=True)
 class LayeredEmbedding:
-    """Per-layer embeddings for one clip: data[channel, layer, dim, frame]."""
+    """Per-layer embeddings for one clip, held in memory:
+    data[channel, layer, dim, frame]."""
 
     data: np.ndarray
     profile: EmbeddingProfile
 
     def __post_init__(self):
         p = self.profile
-        expected = (p.channels, p.layers, p.dim, p.frames)
-        if self.data.shape != expected:
+        if self.data.shape != p.shape:
             raise ShapeContractError(
                 "embedding shape %s does not match profile %s %s"
-                % (self.data.shape, p.name, expected)
+                % (self.data.shape, p.name, p.shape)
             )
         if not np.all(np.isfinite(self.data)):
             raise EmbeddingFormatError("embedding contains non-finite values")
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Copy the values into out, an f32 array of profile.shape."""
+        _check_row(out, self.profile)
+        out[...] = self.data
+
+
+@dataclass(frozen=True)
+class EmbeddingFile:
+    """Per-layer embeddings for one clip, left in their SIE1 file.
+
+    load_embeddings has checked the header, the payload size and every
+    value, so read_into() copies finite values straight from the file
+    into the caller's buffer, and no clip stays in memory between reads.
+    """
+
+    path: str
+    profile: EmbeddingProfile
+
+    def read_into(self, out: np.ndarray) -> None:
+        """Read the payload into out, a C-contiguous f32 array of
+        profile.shape, with one readinto at the payload's offset."""
+        _check_row(out, self.profile)
+        with open(self.path, "rb") as fh:
+            fh.seek(_SIE1_HEADER_BYTES)
+            if fh.readinto(out) != out.nbytes:
+                raise EmbeddingFormatError("%s: file shrank after it was checked" % self.path)
+
+
+def _check_row(out: np.ndarray, profile: EmbeddingProfile) -> None:
+    if out.shape != profile.shape or out.dtype != _SIE1_DTYPE:
+        raise ShapeContractError("%s %s buffer cannot hold a profile %s %s embedding"
+                                 % (out.dtype, out.shape, profile.name, profile.shape))
 
 
 def _frame(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
@@ -173,6 +213,9 @@ def spectrogram(clip) -> np.ndarray:
 
 _SIE1_MAGIC = b"SIE1"
 _SIE1_VERSION = 1
+_SIE1_HEADER_BYTES = 24
+_SIE1_DTYPE = np.dtype("<f4")
+_CHECK_BLOCK = 1 << 18  # values per block of the finiteness check (1 MiB)
 
 
 def write_embeddings(path, emb: LayeredEmbedding) -> None:
@@ -186,30 +229,38 @@ def write_embeddings(path, emb: LayeredEmbedding) -> None:
     header = _SIE1_MAGIC + struct.pack("<5I", _SIE1_VERSION, p.layers, p.dim, p.frames, p.channels)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(emb.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(emb.data, dtype=_SIE1_DTYPE).tobytes())
 
 
-def load_embeddings(path, expected: EmbeddingProfile) -> LayeredEmbedding:
-    """Read and validate a SIE1 file against an expected profile."""
+def load_embeddings(path, expected: EmbeddingProfile) -> EmbeddingFile:
+    """Check a SIE1 file against an expected profile and return its
+    handle. The header must declare the profile's shape, the file must
+    end right after the payload, and every value must be finite; the
+    payload is read once, _CHECK_BLOCK values at a time."""
     with open(path, "rb") as fh:
-        header = fh.read(24)
-        if len(header) < 24 or header[:4] != _SIE1_MAGIC:
+        header = fh.read(_SIE1_HEADER_BYTES)
+        if len(header) < _SIE1_HEADER_BYTES or header[:4] != _SIE1_MAGIC:
             raise EmbeddingFormatError("%s: bad magic, not a SIE1 file" % path)
         version, layers, dim, frames, channels = struct.unpack("<5I", header[4:])
         if version != _SIE1_VERSION:
             raise EmbeddingFormatError("%s: unsupported version %d" % (path, version))
         declared = (channels, layers, dim, frames)
-        contract = (expected.channels, expected.layers, expected.dim, expected.frames)
-        if declared != contract:
+        if declared != expected.shape:
             raise ShapeContractError(
                 "%s: file declares (C, L, d, M)=%s, profile %r requires %s"
-                % (path, declared, expected.name, contract)
+                % (path, declared, expected.name, expected.shape)
             )
         count = channels * layers * dim * frames
-        raw = fh.read(4 * count)
-        if len(raw) != 4 * count:
+        extra = os.fstat(fh.fileno()).st_size - _SIE1_HEADER_BYTES - 4 * count
+        if extra < 0:
             raise EmbeddingFormatError("%s: truncated payload" % path)
-        data = np.frombuffer(raw, dtype="<f4").reshape(declared)
-    if not np.all(np.isfinite(data)):
-        raise EmbeddingFormatError("%s: non-finite values" % path)
-    return LayeredEmbedding(data, expected)
+        if extra > 0:
+            raise EmbeddingFormatError("%s: %d trailing bytes after the payload" % (path, extra))
+        block = np.empty(min(count, _CHECK_BLOCK), _SIE1_DTYPE)
+        for lo in range(0, count, _CHECK_BLOCK):
+            part = block[: min(count - lo, _CHECK_BLOCK)]
+            if fh.readinto(part) != part.nbytes:
+                raise EmbeddingFormatError("%s: truncated payload" % path)
+            if not np.all(np.isfinite(part)):
+                raise EmbeddingFormatError("%s: non-finite values" % path)
+    return EmbeddingFile(path, expected)

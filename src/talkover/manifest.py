@@ -15,6 +15,9 @@ from .overlap import CandidateClip
 
 # fields that must hold strings when present; all but label are required
 _STRING_FIELDS = ("clip_id", "meeting_id", "interrupter_id", "wav_path", "label")
+# fields that must hold JSON numbers (not booleans) when present;
+# agreement is optional
+_NUMBER_FIELDS = ("onset_s", "agreement")
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,10 @@ class ClipRecord:
         for name in _STRING_FIELDS:
             if name in d and not isinstance(d[name], str):
                 raise ManifestError("clip record %s %r is not a string" % (name, d[name]))
+        for name in _NUMBER_FIELDS:
+            if name in d and (isinstance(d[name], bool)
+                              or not isinstance(d[name], (int, float))):
+                raise ManifestError("clip record %s %r is not a number" % (name, d[name]))
         try:
             return cls(clip_id=d["clip_id"], meeting_id=d["meeting_id"],
                        interrupter_id=d["interrupter_id"], onset_s=float(d["onset_s"]),
@@ -51,9 +58,9 @@ class ClipRecord:
                        agreement=d.get("agreement"))
         except KeyError as exc:
             raise ManifestError("clip record missing field %s" % exc) from None
-        except (TypeError, ValueError):
-            raise ManifestError("clip record onset_s %r is not a number"
-                                % (d["onset_s"],)) from None
+        except OverflowError:  # an integer past the float range
+            raise ManifestError("clip record onset_s %d does not fit a float"
+                                % d["onset_s"]) from None
 
 
 def write_manifest(path, records) -> None:
@@ -67,7 +74,10 @@ def write_manifest(path, records) -> None:
 
 
 def read_manifest(path):
+    """Clip records in file order; a line that does not parse as one, or
+    repeats an earlier line's clip_id, raises ManifestError naming it."""
     records = []
+    first_line = {}  # clip_id -> line it first appears on
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -75,9 +85,14 @@ def read_manifest(path):
                 if not line:
                     continue
                 try:
-                    records.append(ClipRecord.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, ManifestError) as exc:
+                    rec = ClipRecord.from_dict(json.loads(line))
+                    if rec.clip_id in first_line:
+                        raise ManifestError("duplicate clip_id %r, first on line %d"
+                                            % (rec.clip_id, first_line[rec.clip_id]))
+                except (ValueError, ManifestError) as exc:  # bad JSON or a huge integer
                     raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from None
+                first_line[rec.clip_id] = lineno
+                records.append(rec)
         except UnicodeDecodeError as exc:
             raise ManifestError("%s: %s" % (path, exc)) from None
     return records

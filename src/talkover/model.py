@@ -4,11 +4,15 @@ trained with mini-batch SGD on cross-entropy.
 
 All math is plain numpy with exact analytic gradients; the
 finite-difference suite in the tests checks every parameter group.
-Embedding features stay float32 as loaded: the contractions that read
-them (the layer mix and its gradient) upcast in bounded buffers and give
-float64 results, so no float64 copy of a batch is made. Everything
-downstream of the layer mix, and the parameters, are float64. Inference
-pools fixed-size slices of a list, so its memory grows with the slice.
+Embedding features are float32: each clip reads itself, from its SIE1
+file or from memory, into its row of one preallocated (B, C, L, d, M)
+f32 buffer, which train reuses for every step and validation slice,
+and forward_batch for every slice. The contractions that read the
+buffer (the layer mix and its gradient) upcast in bounded buffers and
+give float64 results, so no float64 copy of a batch is made. Everything
+downstream of the layer mix, and the parameters, are float64. So memory
+grows with the batch size and the inference slice, not with the number
+of clips.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeatureProfileError, ModelError, TrainingDivergedError
-from .features import LayeredEmbedding
+from .features import EmbeddingFile, LayeredEmbedding
 
 CLASSES = ("backchannel", "failed_interruption", "interruption", "laughter")
 N_CLASSES = len(CLASSES)
@@ -107,7 +111,7 @@ class TrainConfig:
 
 def feature_spec_of(features, channels: str = CHANNELS_BOTH) -> FeatureSpec:
     """Derive the input contract from one sample."""
-    if isinstance(features, LayeredEmbedding):
+    if isinstance(features, (LayeredEmbedding, EmbeddingFile)):
         p = features.profile
         return FeatureSpec("emb", p.stacked_dim, p.frames, p.name, channels, p.layers)
     arr = np.asarray(features)
@@ -178,12 +182,28 @@ def _check_features(model: InterruptionModel, features) -> None:
             "model expects %s, got %s" % (spec.to_dict(), got.to_dict()))
 
 
-def _stack(model: InterruptionModel, batch_features) -> np.ndarray:
-    """One array for a batch: embeddings stay f32 as (B, C, L, d0, M),
-    matrix features become f64 (B, d, M)."""
-    if model.feature_spec.kind == "emb":
-        return np.stack([f.data for f in batch_features])
-    return np.stack([np.asarray(f, dtype=np.float64) for f in batch_features])
+def _batch_buffer(model: InterruptionModel, first, n: int):
+    """An f32 (n, C, L, d0, M) buffer for _stack to fill with clips like
+    first; None for matrix features, which _stack stacks anew."""
+    if model.feature_spec.kind != "emb":
+        return None
+    return np.empty((n,) + first.profile.shape, np.float32)
+
+
+def _stack(model: InterruptionModel, batch_features, buffer=None) -> np.ndarray:
+    """One array for a batch. Embeddings fill the first B rows of buffer
+    (from _batch_buffer, with at least B rows; a new one when None), each
+    clip by its read_into, and the view of those rows is returned: the
+    caller may reuse the buffer for the next batch once it is done with
+    this one. Matrix features become a new f64 (B, d, M) stack."""
+    if model.feature_spec.kind != "emb":
+        return np.stack([np.asarray(f, dtype=np.float64) for f in batch_features])
+    if buffer is None:
+        buffer = _batch_buffer(model, batch_features[0], len(batch_features))
+    stacked = buffer[: len(batch_features)]
+    for row, f in zip(stacked, batch_features, strict=True):
+        f.read_into(row)
+    return stacked
 
 
 def _batch_h(model: InterruptionModel, stacked: np.ndarray) -> np.ndarray:
@@ -234,30 +254,37 @@ def _forward_pass(model: InterruptionModel, batch_features):
     return H, Q, U, zs, acts, softmax(logits, axis=1)
 
 
-def forward_batch(model: InterruptionModel, features_list, logits: bool = False) -> np.ndarray:
+def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
+                  buffer=None) -> np.ndarray:
     """Class probabilities, one row per sample; each row sums to 1. With
     logits=True, the head's logits instead.
 
-    Pooling runs on slices of _INFER_CHUNK samples, so memory grows with
-    the slice, not the list. The head then runs once on every pooled
-    vector: BLAS gemm may round a one- or two-row slice differently."""
+    Pooling runs on slices of _INFER_CHUNK samples, each read into one
+    buffer that every slice reuses (the caller's, from _batch_buffer with
+    room for a slice, or a new one), so memory grows with the slice, not
+    the list. The head then runs once on every pooled vector: BLAS gemm
+    may round a one- or two-row slice differently."""
     if not features_list:
         raise ModelError("empty batch")
     _check_features(model, features_list[0])
-    U = np.concatenate([_pool(model, _stack(model, features_list[lo: lo + _INFER_CHUNK]))[2]
-                        for lo in range(0, len(features_list), _INFER_CHUNK)])
+    if buffer is None:
+        buffer = _batch_buffer(model, features_list[0], min(len(features_list), _INFER_CHUNK))
+    U = np.concatenate([
+        _pool(model, _stack(model, features_list[lo: lo + _INFER_CHUNK], buffer))[2]
+        for lo in range(0, len(features_list), _INFER_CHUNK)])
     z = _head_forward(model.params, U)[0]
     return z if logits else softmax(z, axis=1)
 
 
-def _loss_and_grads(model: InterruptionModel, batch_features, labels):
-    """Mean cross-entropy and its exact gradients for one mini-batch;
-    the gradients are a dict with the keys of model.params, in order."""
+def _loss_and_grads(model: InterruptionModel, batch_features, labels, buffer=None):
+    """Mean cross-entropy and its exact gradients for one mini-batch,
+    stacked into buffer as _stack does; the gradients are a dict with
+    the keys of model.params, in order."""
     B = len(batch_features)
     labels = np.asarray(labels)
     params = model.params
     grads = dict.fromkeys(params)
-    stacked = _stack(model, batch_features)
+    stacked = _stack(model, batch_features, buffer)
     H, Q, U = _pool(model, stacked)
     logits, zs, acts = _head_forward(params, U)
     probs = softmax(logits, axis=1)
@@ -299,11 +326,12 @@ def _apply_sgd(model: InterruptionModel, grads: dict, lr: float) -> None:
         model.params[name] = model.params[name] - lr * g
 
 
-def evaluate_loss(model: InterruptionModel, dataset) -> float:
-    """Mean cross-entropy over a labeled dataset, in inference mode."""
+def evaluate_loss(model: InterruptionModel, dataset, buffer=None) -> float:
+    """Mean cross-entropy over a labeled dataset, in inference mode;
+    buffer is passed on to forward_batch."""
     feats = [f for f, _ in dataset]
     labels = np.asarray([y for _, y in dataset])
-    return _logit_loss(forward_batch(model, feats, logits=True), labels)
+    return _logit_loss(forward_batch(model, feats, logits=True, buffer=buffer), labels)
 
 
 @contextlib.contextmanager
@@ -335,6 +363,8 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     batch losses seen that epoch; when a validation set is given, the
     best-validation parameters are restored at the end (early stopping
     with the configured patience). Deterministic for a fixed seed.
+    Every step reads its batch, and validation its slices, into one
+    buffer.
     """
     dataset = list(dataset)
     if not dataset:
@@ -350,6 +380,10 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     features = [f for f, _ in dataset]
     labels = [y for _, y in dataset]
     n = len(dataset)
+    rows = min(n, config.batch_size)  # validation slices share the buffer
+    if val_dataset:
+        rows = max(rows, min(len(val_dataset), _INFER_CHUNK))
+    buffer = _batch_buffer(model, features[0], rows)
     train_curve, val_curve = [], []
     best = (np.inf, None, -1)
     stopped = config.epochs
@@ -364,7 +398,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
             where = "epoch %d step %d (lr=%g)" % (epoch, lo // config.batch_size,
                                                   config.learning_rate)
             with _diverged_at(where):
-                loss, grads = _loss_and_grads(model, batch, batch_labels)
+                loss, grads = _loss_and_grads(model, batch, batch_labels, buffer)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError("non-finite loss at " + where)
                 _apply_sgd(model, grads, config.learning_rate)
@@ -373,7 +407,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
 
         if val_dataset:
             with _diverged_at("validation after epoch %d" % epoch):
-                v = evaluate_loss(model, val_dataset)
+                v = evaluate_loss(model, val_dataset, buffer)
             val_curve.append(v)
             if v < best[0]:
                 snapshot = {name: a.copy() for name, a in model.params.items()}

@@ -6,11 +6,13 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,14 +219,35 @@ CLIP_LINE = {"clip_id": "vote_0000", "meeting_id": "m9", "interrupter_id": "dana
     json.dumps(dict(CLIP_LINE, meeting_id=None)),
     json.dumps(dict(CLIP_LINE, interrupter_id=["dana"])),
     json.dumps(dict(CLIP_LINE, label=3)),
+    json.dumps(dict(CLIP_LINE, onset_s=True)),
+    json.dumps(dict(CLIP_LINE, label="laughter", agreement="high")),
+    json.dumps(dict(CLIP_LINE, onset_s=10 ** 400)),
+    json.dumps(CLIP_LINE)[:-1] + ', "x": %s}' % ("1" * 5000),
 ], ids=["list", "string", "onset not a number", "wav_path a number", "clip_id a number",
-        "meeting_id null", "interrupter_id a list", "label a number"])
+        "meeting_id null", "interrupter_id a list", "label a number", "onset a bool",
+        "agreement a string", "onset past the float range", "integer past the digit limit"])
 def test_malformed_clip_manifest_line_exits_9(fixtures_dir, tmp_path, line):
     manifest = tmp_path / "clips.jsonl"
     manifest.write_text(line + "\n")
     assert run_cli(["labels", "--votes", fixtures_dir / "votes" / "votes.csv",
                     "--manifest", manifest, "--out", tmp_path / "o"]) == 9
     assert not (tmp_path / "o" / "consensus.jsonl").exists()
+
+
+def test_repeated_clip_id_exits_9(fixtures_dir, tmp_path):
+    emb = fixtures_dir / "embeddings"
+    lines = (emb / "manifest.jsonl").read_text().splitlines(keepends=True)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(lines[:1] + lines))
+    for name in os.listdir(emb):
+        if name.endswith(".sie"):
+            os.symlink(emb / name, tmp_path / name)
+    assert run_cli(["featurize", "--manifest", manifest, "--feature", "emb",
+                    "--profile", "tiny", "--out", tmp_path / "o"]) == 9
+    assert os.listdir(tmp_path / "o") == []
+    assert run_cli(["train", "--manifest", manifest, "--split", emb / "split.json",
+                    "--features", emb, "--feature", "emb", "--profile", "tiny",
+                    "--out", tmp_path / "m"]) == 9
 
 
 def test_split_of_non_string_ids_exits_9(fixtures_dir, tmp_path):
@@ -555,6 +578,83 @@ def test_corrupted_votes_exit_0_or_7(data):
             assert code in (0, 7)
 
 
+def _corrupt_sie(blob, data):
+    """blob with one drawn fault: a truncation, a changed header field, a
+    non-finite value, or bytes appended after the payload."""
+    fault = data.draw(st.sampled_from(["truncate", "header", "non-finite", "append"]),
+                      label="fault")
+    event(fault)
+    if fault == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="truncate at")]
+    if fault == "append":
+        return blob + data.draw(st.binary(min_size=1, max_size=1024), label="appended")
+    blob = bytearray(blob)
+    if fault == "header":
+        # magic, then the u32s version, layers, dim, frames, channels
+        at = 4 * data.draw(st.integers(0, 5), label="field")
+        old = bytes(blob[at: at + 4])
+        new = st.binary(min_size=4, max_size=4) if at == 0 else \
+            st.integers(0, 2 ** 32 - 1).map(lambda v: struct.pack("<I", v))
+        blob[at: at + 4] = data.draw(new.filter(lambda b: b != old), label="value")
+    else:
+        at = 24 + 4 * data.draw(st.integers(0, (len(blob) - 24) // 4 - 1), label="value at")
+        blob[at: at + 4] = struct.pack(
+            "<f", data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value"))
+    return bytes(blob)
+
+
+def _corpus_links(corpus, tmp, skip=None):
+    """Link every corpus file but skip into tmp."""
+    for name in os.listdir(corpus):
+        if name != skip:
+            os.symlink(corpus / name, os.path.join(tmp, name))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_corrupted_sie_exits_4(small_corpus, data):
+    names = sorted(n for n in os.listdir(small_corpus) if n.endswith(".sie"))
+    victim = data.draw(st.sampled_from(names), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        _corpus_links(small_corpus, tmp, skip=victim)
+        with open(os.path.join(tmp, victim), "wb") as fh:
+            fh.write(_corrupt_sie((small_corpus / victim).read_bytes(), data))
+        manifest = os.path.join(tmp, "manifest.jsonl")
+        common = ["--manifest", manifest, "--feature", "emb", "--profile", "tiny"]
+        assert run_cli(["featurize", *common, "--out", os.path.join(tmp, "feat")]) == 4
+        assert run_cli(["train", *common, "--split", os.path.join(tmp, "split.json"),
+                        "--features", tmp, "--epochs", 1,
+                        "--out", os.path.join(tmp, "model")]) == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sie_cut_after_its_check_exits_4_at_the_batch_read(small_corpus, data):
+    # the file passes its check, then loses its tail before a train batch
+    # or a validation slice reads it
+    from talkover import cli
+    names = sorted(n for n in os.listdir(small_corpus) if n.endswith(".sie"))
+    victim = data.draw(st.sampled_from(names), label="file")
+    cut = data.draw(st.integers(0, (small_corpus / victim).stat().st_size - 1), label="cut at")
+    real_load = cli.load_embeddings
+
+    def load_then_cut(path, profile):
+        handle = real_load(path, profile)
+        if os.path.basename(path) == victim:
+            os.truncate(path, cut)
+        return handle
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _corpus_links(small_corpus, tmp, skip=victim)
+        shutil.copyfile(small_corpus / victim, os.path.join(tmp, victim))
+        with mock.patch.object(cli, "load_embeddings", load_then_cut):
+            code = run_cli(["train", "--manifest", os.path.join(tmp, "manifest.jsonl"),
+                            "--split", os.path.join(tmp, "split.json"), "--features", tmp,
+                            "--feature", "emb", "--profile", "tiny", "--epochs", 1,
+                            "--out", os.path.join(tmp, "model")])
+    assert code == 4
+
+
 def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):
     emb = fixtures_dir / "embeddings"
     bad_dir = tmp_path / "model"
@@ -677,6 +777,21 @@ def test_featurize_mfcc_and_spec(extract_out, tmp_path):
         assert shapes == {"m0_bob_0025000": shape, "m0_carol_0055000": shape}
         arr = np.load(out / "m0_bob_0025000.npy")
         assert list(arr.shape) == shape
+
+
+def test_featurize_emb_copies_files_and_may_run_in_place(small_corpus, tmp_path):
+    for name in os.listdir(small_corpus):
+        shutil.copy(small_corpus / name, tmp_path / name)
+    argv = ["featurize", "--manifest", tmp_path / "manifest.jsonl", "--feature", "emb",
+            "--profile", "tiny"]
+    assert run_cli(argv + ["--out", tmp_path / "copy"]) == 0
+    assert run_cli(argv + ["--out", tmp_path]) == 0
+    sie = sorted(n for n in os.listdir(small_corpus) if n.endswith(".sie"))
+    for name in sie:
+        original = (small_corpus / name).read_bytes()
+        assert (tmp_path / "copy" / name).read_bytes() == (tmp_path / name).read_bytes() == original
+    shapes = json.loads((tmp_path / "shapes.json").read_text())
+    assert len(shapes) == len(sie) and all(s == [2, 5, 32, 249] for s in shapes.values())
 
 
 def test_train_writes_checkpoint_and_history(model_dir):

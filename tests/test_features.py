@@ -167,13 +167,73 @@ def test_embedding_rejects_non_finite():
         LayeredEmbedding(data, profile)
 
 
+def read_back(handle):
+    """The values an embedding handle holds, read through read_into."""
+    out = np.empty(handle.profile.shape, np.float32)
+    handle.read_into(out)
+    return out
+
+
 def test_embedding_file_round_trip(tmp_path):
     emb = tiny_embedding()
     path = tmp_path / "clip.sie"
     write_embeddings(path, emb)
     back = load_embeddings(path, PROFILES["tiny"])
-    assert np.array_equal(back.data, emb.data)
+    assert np.array_equal(read_back(back), emb.data)
     assert back.profile == PROFILES["tiny"]
+
+
+def test_in_memory_embedding_reads_into_a_row():
+    emb = tiny_embedding(3)
+    assert np.array_equal(read_back(emb), emb.data)
+
+
+def test_read_into_rejects_a_buffer_of_another_shape(tmp_path):
+    emb = tiny_embedding()
+    path = tmp_path / "clip.sie"
+    write_embeddings(path, emb)
+    for handle in (emb, load_embeddings(path, PROFILES["tiny"])):
+        with pytest.raises(ShapeContractError):
+            handle.read_into(np.empty((2, 5, 32, 248), np.float32))
+        with pytest.raises(ShapeContractError):
+            handle.read_into(np.empty(PROFILES["tiny"].shape))
+
+
+def test_embedding_file_rejects_trailing_bytes(tmp_path):
+    emb = tiny_embedding()
+    path = tmp_path / "clip.sie"
+    write_embeddings(path, emb)
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 700)
+    with pytest.raises(EmbeddingFormatError, match="700 trailing bytes"):
+        load_embeddings(path, PROFILES["tiny"])
+
+
+def test_embedding_file_cut_after_its_check_fails_to_read(tmp_path):
+    emb = tiny_embedding()
+    path = tmp_path / "clip.sie"
+    write_embeddings(path, emb)
+    handle = load_embeddings(path, PROFILES["tiny"])
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(EmbeddingFormatError, match="shrank"):
+        read_back(handle)
+
+
+@pytest.mark.parametrize("at", [0, 6, 7, -1])
+def test_finiteness_check_covers_every_block(tmp_path, monkeypatch, at):
+    # blocks of 7 values: a NaN first, last, or either side of a boundary
+    monkeypatch.setattr(features, "_CHECK_BLOCK", 7)
+    emb = tiny_embedding()
+    path = tmp_path / "clip.sie"
+    write_embeddings(path, emb)
+    assert np.array_equal(read_back(load_embeddings(path, PROFILES["tiny"])), emb.data)
+    data = emb.data.copy()
+    data.reshape(-1)[at] = np.nan
+    with open(path, "r+b") as fh:
+        fh.seek(24)
+        fh.write(data.astype("<f4").tobytes())
+    with pytest.raises(EmbeddingFormatError, match="non-finite"):
+        load_embeddings(path, PROFILES["tiny"])
 
 
 def test_embedding_file_rejects_wrong_profile(tmp_path):
@@ -213,4 +273,4 @@ def test_custom_profile_round_trip(tmp_path):
     path = tmp_path / "clip.sie"
     write_embeddings(path, emb)
     back = load_embeddings(path, profile)
-    assert np.array_equal(back.data, emb.data)
+    assert np.array_equal(read_back(back), emb.data)

@@ -51,6 +51,42 @@ def test_from_dict_requires_core_fields():
         ClipRecord.from_dict({"clip_id": "a", "meeting_id": "m0"})
 
 
+def test_read_manifest_rejects_a_repeated_clip_id(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_manifest(path, [rec("a"), rec("b")])
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[:1]))
+    with pytest.raises(ManifestError, match=r"m\.jsonl:3: duplicate clip_id 'a', first on line 1"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("onset_s", True), ("onset_s", False), ("onset_s", "12.5"), ("onset_s", None),
+    ("onset_s", [1]), ("agreement", True), ("agreement", "high"), ("agreement", None),
+    ("agreement", {"a": 1}),
+])
+def test_from_dict_rejects_a_bool_or_non_number(field, value):
+    d = rec("a", label="other", agreement=0.75).to_dict()
+    d[field] = value
+    with pytest.raises(ManifestError, match="%s .* is not a number" % field):
+        ClipRecord.from_dict(d)
+
+
+def test_from_dict_rejects_an_onset_past_the_float_range():
+    d = rec("a").to_dict()
+    d["onset_s"] = 10 ** 400
+    with pytest.raises(ManifestError, match="does not fit a float"):
+        ClipRecord.from_dict(d)
+
+
+def test_from_dict_keeps_integer_numbers():
+    d = rec("a", label="other").to_dict()
+    d.update(onset_s=12, agreement=1)
+    back = ClipRecord.from_dict(d)
+    assert back.onset_s == 12.0 and isinstance(back.onset_s, float)
+    assert back.agreement == 1
+
+
 def test_read_manifest_rejects_bad_json(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"clip_id": "a"\n')

@@ -85,7 +85,8 @@ def test_embedding_corpus_layout(fixtures_dir):
         assert by_split[("test", label)] == 100
 
     emb = load_embeddings(emb_dir / records[0].wav_path, PROFILES["tiny"])
-    assert emb.data.shape == (2, 5, 32, 249)
+    assert emb.profile.shape == (2, 5, 32, 249)
+    emb.read_into(np.empty((2, 5, 32, 249), np.float32))
 
 
 def test_votes_fixture_patterns(fixtures_dir):
