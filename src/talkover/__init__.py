@@ -5,19 +5,10 @@ feature extraction (MFCC, spectrogram, layered SSL embeddings), a
 4-class interruption classifier with attention pooling, evaluation at a
 fixed false-positive budget, crowd-label aggregation, and a
 propensity-stratified estimate of raise-hand impact on inclusiveness.
+
+The package loads none of its modules: import the one you use, such as
+talkover.model or talkover.features, so that each command of the
+talkover.cli front end starts with only the modules it runs.
 """
 
 __version__ = "0.1.0"
-
-from .audio import AudioChannel, MeetingAudio, WavChannel, load_wav, mixdown, write_wav
-from .features import LayeredEmbedding, PROFILES, mfcc, spectrogram
-from .model import CLASSES, InterruptionModel, TrainConfig, train
-from .overlap import CandidateClip, VadParams, detect, export_clip, vad
-
-__all__ = [
-    "AudioChannel", "MeetingAudio", "WavChannel", "load_wav", "mixdown", "write_wav",
-    "LayeredEmbedding", "PROFILES", "mfcc", "spectrogram",
-    "CLASSES", "InterruptionModel", "TrainConfig", "train",
-    "CandidateClip", "VadParams", "detect", "export_clip", "vad",
-    "__version__",
-]

@@ -8,6 +8,10 @@ arguments so results can be reproduced.
 Exit codes: 0 success, 2 usage (argparse), then one code per error
 family, held as its exit_code: 3 audio, 4 features, 5 model, 6 metrics,
 7 labels, 8 causal, 9 manifest; 10 I/O.
+
+Each command imports numpy and the talkover modules it calls when it
+runs, so that --help and the table commands (labels, kappa, impact)
+load neither the audio nor the classifier code.
 """
 from __future__ import annotations
 
@@ -20,15 +24,8 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
-from . import causal, labels as labels_mod, metrics, model as model_mod, synth
-from .audio import MeetingAudio, load_wav, write_wav
 from .errors import LabelError, ManifestError, TalkoverError
-from .features import PROFILES, load_embeddings, mfcc, spectrogram
-from .manifest import ClipRecord, load_clip, read_manifest, read_split, write_manifest
-from .model import CLASSES, TrainConfig
-from .overlap import VadParams, detect, export_clip, vad
+from .vocab import PROFILE_NAMES
 
 EXIT_OK = 0
 EXIT_IO = 10
@@ -97,6 +94,12 @@ def _read_meetings_manifest(path):
 
 
 def cmd_extract(args) -> int:
+    import numpy as np
+
+    from .audio import MeetingAudio, load_wav, write_wav
+    from .manifest import ClipRecord, write_manifest
+    from .overlap import VadParams, detect, export_clip, vad
+
     out_dir = _ensure_out(args)
     clips_dir = os.path.join(out_dir, "clips")
     os.makedirs(clips_dir, exist_ok=True)
@@ -143,6 +146,11 @@ def _embedding_path(wav_path: str) -> str:
 
 
 def cmd_featurize(args) -> int:
+    import numpy as np
+
+    from .features import PROFILES, load_embeddings, mfcc, spectrogram
+    from .manifest import load_clip, read_manifest
+
     out_dir = _ensure_out(args)
     records = read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
@@ -174,6 +182,11 @@ def cmd_featurize(args) -> int:
 
 def _load_split(records_by_id, clip_ids, features_dir, feature, profile):
     """Features and CLASSES indices of the listed clips, in list order."""
+    import numpy as np
+
+    from .features import load_embeddings
+    from .vocab import CLASSES
+
     feats, labels = [], []
     for cid in clip_ids:
         rec = records_by_id.get(cid)
@@ -191,6 +204,10 @@ def _load_split(records_by_id, clip_ids, features_dir, feature, profile):
 
 
 def cmd_train(args) -> int:
+    from . import model as model_mod
+    from .features import PROFILES
+    from .manifest import read_manifest, read_split
+
     out_dir = _ensure_out(args)
     records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
     split = read_split(args.split)
@@ -205,8 +222,8 @@ def cmd_train(args) -> int:
 
     for run in range(args.runs):
         seed = args.seed + run
-        config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                             epochs=args.epochs, seed=seed, patience=args.patience)
+        config = model_mod.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                                       epochs=args.epochs, seed=seed, patience=args.patience)
         result = model_mod.train(train_set, config, val_set, channels=args.channels)
         model_mod.save_model(result.model, os.path.join(out_dir, "checkpoint_r%d.bin" % run))
         _write_json(os.path.join(out_dir, "history_r%d.json" % run),
@@ -220,6 +237,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
+    from . import metrics, model as model_mod
+    from .features import PROFILES
+    from .manifest import read_manifest, read_split
+
     out_dir = _ensure_out(args)
     records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
     split = read_split(args.split)
@@ -286,6 +309,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------- labels / kappa
 
 def cmd_labels(args) -> int:
+    from . import labels as labels_mod
+
     out_dir = _ensure_out(args)
     votes = labels_mod.read_votes_csv(args.votes)
     results = labels_mod.aggregate_all(votes, args.threshold)
@@ -296,6 +321,7 @@ def cmd_labels(args) -> int:
 
     by_id = {}
     if args.manifest:
+        from .manifest import read_manifest  # loads the audio code
         by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
 
     with open(os.path.join(out_dir, "consensus.jsonl"), "w") as fh:
@@ -331,6 +357,8 @@ def cmd_labels(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    from . import labels as labels_mod
+
     out_dir = _ensure_out(args)
     votes = labels_mod.read_votes_csv(args.votes)
     table, clip_ids = labels_mod.votes_to_table(votes)
@@ -347,6 +375,8 @@ def cmd_kappa(args) -> int:
 # ----------------------------------------------------------------- impact
 
 def cmd_impact(args) -> int:
+    from . import causal
+
     out_dir = _ensure_out(args)
     telemetry = causal.read_telemetry_csv(args.telemetry)
     report = causal.run_impact(telemetry, n_bins=args.bins,
@@ -364,6 +394,8 @@ def cmd_impact(args) -> int:
 # ----------------------------------------------------------- gen-fixtures
 
 def cmd_gen_fixtures(args) -> int:
+    from . import synth
+
     out_dir = _ensure_out(args)
     paths = synth.write_all_fixtures(out_dir, seed=args.seed,
                                      profile_name=args.profile,
@@ -400,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
-    p.add_argument("--profile", choices=sorted(PROFILES), default="base")
+    p.add_argument("--profile", choices=PROFILE_NAMES, default="base")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the interruption classifier")
@@ -409,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--features", required=True, help="feature directory")
     p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
-    p.add_argument("--profile", choices=sorted(PROFILES), default="base")
+    p.add_argument("--profile", choices=PROFILE_NAMES, default="base")
     p.add_argument("--channels", choices=["2", "right"], default="2")
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--epochs", type=_positive_int, default=50)
@@ -424,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
-    p.add_argument("--profile", choices=sorted(PROFILES), default="base")
+    p.add_argument("--profile", choices=PROFILE_NAMES, default="base")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--split-name", default="test")
     p.add_argument("--runs", type=_positive_int, default=1)
@@ -461,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-fixtures", help="write all synthetic fixtures")
     add_common(p)
-    p.add_argument("--profile", choices=sorted(PROFILES), default="tiny")
+    p.add_argument("--profile", choices=PROFILE_NAMES, default="tiny")
     p.add_argument("--telemetry-n", type=_positive_int, default=50000)
     p.set_defaults(func=cmd_gen_fixtures)
 

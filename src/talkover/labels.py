@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateVoteError, LabelError, UndefinedKappaError
-from .model import CLASSES
+from .vocab import CLASSES
 
 VOTE_LABELS = CLASSES + ("other",)
 _LABEL_CODE = {label: i for i, label in enumerate(VOTE_LABELS)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistributionError, MetricError
-from .model import CLASSES
+from .vocab import CLASSES
 
 BELOW_THRESHOLD = "below_threshold"
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import FeatureProfileError, ModelError, TrainingDivergedError
 from .features import EmbeddingFile, LayeredEmbedding
+from .vocab import CLASSES
 
-CLASSES = ("backchannel", "failed_interruption", "interruption", "laughter")
 N_CLASSES = len(CLASSES)
 HEAD_WIDTHS = (512, 512, 128, 32, 4)
 LEAKY_SLOPE = 0.01
@@ -232,18 +232,35 @@ def _pool(model: InterruptionModel, stacked: np.ndarray):
     return H, Q, U
 
 
-def _head_forward(params: dict, U: np.ndarray):
-    """Batched head pass; returns (logits, preactivations, activations)."""
+def _head_layers(params: dict, U: np.ndarray):
+    """Batched head pass, one layer at a time: yields each layer's input
+    activation and its preactivation, the last being the logits. Holds
+    only the current layer; the caller keeps what it needs."""
     depth = sum(name.startswith("head_w") for name in params)
-    zs, acts = [], [U]
     a = U
     for i in range(depth):
         z = a @ params["head_w%d" % i].T + params["head_b%d" % i]
-        zs.append(z)
+        yield a, z
         if i < depth - 1:
             a = np.where(z > 0, z, LEAKY_SLOPE * z)
-            acts.append(a)
+
+
+def _head_forward(params: dict, U: np.ndarray):
+    """Head pass for training; returns (logits, preactivations,
+    activations), every layer's kept for the backward pass."""
+    acts, zs = [], []
+    for a, z in _head_layers(params, U):
+        acts.append(a)
+        zs.append(z)
     return zs[-1], zs, acts
+
+
+def _head_logits(params: dict, U: np.ndarray) -> np.ndarray:
+    """Head pass for inference: the logits of _head_forward, bit for
+    bit, without keeping any layer but the current one."""
+    for _, z in _head_layers(params, U):
+        pass
+    return z
 
 
 def _forward_pass(model: InterruptionModel, batch_features):
@@ -262,8 +279,9 @@ def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
     Pooling runs on slices of _INFER_CHUNK samples, each read into one
     buffer that every slice reuses (the caller's, from _batch_buffer with
     room for a slice, or a new one), so memory grows with the slice, not
-    the list. The head then runs once on every pooled vector: BLAS gemm
-    may round a one- or two-row slice differently."""
+    the list. The head then runs once on every pooled vector (BLAS gemm
+    may round a one- or two-row slice differently), after a buffer made
+    here is freed, and keeps only its current layer."""
     if not features_list:
         raise ModelError("empty batch")
     _check_features(model, features_list[0])
@@ -272,7 +290,8 @@ def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
     U = np.concatenate([
         _pool(model, _stack(model, features_list[lo: lo + _INFER_CHUNK], buffer))[2]
         for lo in range(0, len(features_list), _INFER_CHUNK)])
-    z = _head_forward(model.params, U)[0]
+    del buffer
+    z = _head_logits(model.params, U)
     return z if logits else softmax(z, axis=1)
 
 
@@ -462,7 +481,7 @@ def load_model(path) -> InterruptionModel:
             spec = FeatureSpec.from_dict(header["feature_spec"])
             head_widths = tuple(int(w) for w in header["head_widths"])
             blocks = [(name, tuple(shape)) for name, shape in header["blocks"]]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ModelError("%s: malformed checkpoint header (%r)" % (path, exc)) from None
         data = fh.read()
 

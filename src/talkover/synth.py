@@ -17,7 +17,7 @@ from .causal import Telemetry, write_telemetry_csv
 from .features import PROFILES, LayeredEmbedding, write_embeddings
 from .labels import VOTE_LABELS, VoteRecord, write_votes_csv
 from .manifest import ClipRecord, write_manifest, write_split
-from .model import CLASSES
+from .vocab import CLASSES
 
 SPEECH_AMPLITUDE = 0.2  # about -19 dBFS RMS, far above the VAD threshold
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import same_telemetry
 from talkover.causal import (MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
-                             Telemetry, _feature_names, _raw_matrix, _smd,
+                             Telemetry, _feature_names, _raw_matrix, _sigmoid, _smd,
                              balance_report, bootstrap_ci, estimate_impact,
                              filter_eligible, fit_propensity, naive_difference,
                              predict_ps, read_telemetry_csv, run_impact, stratify,
@@ -54,6 +54,28 @@ def synth_records(rng, n, effect=0.05, confounding=1.5):
         outcome = bool(rng.random() < base + effect * treated)
         records.append(record(i, pc, dur, video, share, treated, outcome))
     return table(records)
+
+
+def masked_sigmoid(z):
+    """The logistic function by masked gathers: the oracle _sigmoid keeps."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# exp(-|z|) is subnormal past |z| = 708.4 and 0 past 745.2
+SIGMOID_EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 708.0, -708.0, 709.0, -709.0,
+                 745.0, -745.0, 746.0, -746.0, 1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.lists(st.floats() | st.sampled_from(SIGMOID_EDGES), max_size=64))
+def test_sigmoid_matches_masked_gathers_bit_for_bit(z):
+    z = np.array(z, dtype=np.float64)
+    assert np.array_equal(_sigmoid(z), masked_sigmoid(z), equal_nan=True)
 
 
 def test_record_validation():

@@ -3,9 +3,11 @@ import csv
 import dataclasses
 import importlib
 import json
+import math
 import os
 import re
 import shutil
+import string
 import struct
 import subprocess
 import sys
@@ -371,7 +373,9 @@ def test_extract_memory_does_not_grow_with_meeting_length(tmp_path, monkeypatch)
     workloads = importlib.import_module("workloads")
     minutes = 5
     workloads.generate_meeting(tmp_path / "in", 3, minutes * 60 * workloads.FPS)
-    argvs = [[sys.executable, "-c", "import talkover.cli"],
+    # the floor imports what extract imports
+    argvs = [[sys.executable, "-c",
+              "import numpy, talkover.cli, talkover.manifest, talkover.overlap"],
              [sys.executable, "-m", "talkover.cli", "extract",
               "--meetings", str(tmp_path / "in" / "meetings.json"),
               "--out", str(tmp_path / "out")]]
@@ -632,11 +636,11 @@ def test_corrupted_sie_exits_4(small_corpus, data):
 def test_sie_cut_after_its_check_exits_4_at_the_batch_read(small_corpus, data):
     # the file passes its check, then loses its tail before a train batch
     # or a validation slice reads it
-    from talkover import cli
+    from talkover import features
     names = sorted(n for n in os.listdir(small_corpus) if n.endswith(".sie"))
     victim = data.draw(st.sampled_from(names), label="file")
     cut = data.draw(st.integers(0, (small_corpus / victim).stat().st_size - 1), label="cut at")
-    real_load = cli.load_embeddings
+    real_load = features.load_embeddings
 
     def load_then_cut(path, profile):
         handle = real_load(path, profile)
@@ -647,7 +651,7 @@ def test_sie_cut_after_its_check_exits_4_at_the_batch_read(small_corpus, data):
     with tempfile.TemporaryDirectory() as tmp:
         _corpus_links(small_corpus, tmp, skip=victim)
         shutil.copyfile(small_corpus / victim, os.path.join(tmp, victim))
-        with mock.patch.object(cli, "load_embeddings", load_then_cut):
+        with mock.patch.object(features, "load_embeddings", load_then_cut):
             code = run_cli(["train", "--manifest", os.path.join(tmp, "manifest.jsonl"),
                             "--split", os.path.join(tmp, "split.json"), "--features", tmp,
                             "--feature", "emb", "--profile", "tiny", "--epochs", 1,
@@ -664,6 +668,59 @@ def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):
                     "--split", emb / "split.json", "--features", emb,
                     "--feature", "emb", "--profile", "tiny",
                     "--model-dir", bad_dir, "--out", tmp_path / "o"])
+    assert code == 5
+
+
+def _corrupt_checkpoint(blob, data):
+    """blob with one drawn fault: random bytes after a kept prefix, a
+    truncation, appended bytes, a changed header length, or one header
+    field replaced by a JSON value that no model accepts there."""
+    fault = data.draw(st.sampled_from(["random", "truncate", "append", "length", "field"]),
+                      label="fault")
+    event(fault)
+    if fault == "random":
+        # nothing, the magic, or the magic, version and header length
+        kept = data.draw(st.sampled_from([0, 4, 12]), label="kept prefix")
+        return blob[:kept] + data.draw(st.binary(max_size=256), label="bytes")
+    if fault == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="truncate at")]
+    if fault == "append":
+        return blob + data.draw(st.binary(min_size=1, max_size=64), label="appended")
+    header_len = int.from_bytes(blob[8:12], "little")
+    if fault == "length":
+        new = data.draw(st.integers(0, 2 ** 32 - 1).filter(lambda v: v != header_len),
+                        label="header length")
+        return blob[:8] + struct.pack("<I", new) + blob[12:]
+    header = json.loads(blob[12: 12 + header_len])
+    owners = [(header, k) for k in header]
+    owners += [(header["feature_spec"], k) for k in header["feature_spec"]]
+    owners += [(header["head_widths"], i) for i in range(len(header["head_widths"]))]
+    owner, key = data.draw(st.sampled_from(owners), label="field")
+    old = owner[key]
+    values = (st.sampled_from([math.inf, -math.inf, math.nan])
+              | st.sampled_from([None, True, False, 2.5, 1e308])
+              | st.integers(-2 ** 70, 2 ** 70)
+              | st.text(string.ascii_letters, max_size=6)
+              | st.lists(st.integers(-2, 600) | st.sampled_from([math.inf, math.nan]),
+                         max_size=5))
+    # "right" is the one other channels mode a model may have
+    owner[key] = data.draw(values.filter(lambda v: v != old and not (
+        key == "channels" and v == "right")), label="value")
+    text = json.dumps(header, sort_keys=True).encode()
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_checkpoint_exits_5(small_corpus, model_dir, data):
+    blob = _corrupt_checkpoint((model_dir / "checkpoint_r0.bin").read_bytes(), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "checkpoint_r0.bin"), "wb") as fh:
+            fh.write(blob)
+        code = run_cli(["eval", "--manifest", small_corpus / "manifest.jsonl",
+                        "--split", small_corpus / "split.json", "--features", small_corpus,
+                        "--feature", "emb", "--profile", "tiny", "--split-name", "val",
+                        "--model-dir", tmp, "--out", os.path.join(tmp, "o")])
     assert code == 5
 
 
@@ -695,15 +752,15 @@ def test_unknown_calibration_split_exits_9(fixtures_dir, model_dir, tmp_path):
 
 def test_eval_reads_each_clip_once_across_runs(fixtures_dir, model_dir, tmp_path,
                                                monkeypatch):
-    from talkover import cli
+    from talkover import features
     emb = fixtures_dir / "embeddings"
     two_runs = tmp_path / "model"
     two_runs.mkdir()
     for run in (0, 1):
         shutil.copy(model_dir / "checkpoint_r0.bin", two_runs / ("checkpoint_r%d.bin" % run))
     paths = []
-    real_load = cli.load_embeddings
-    monkeypatch.setattr(cli, "load_embeddings",
+    real_load = features.load_embeddings
+    monkeypatch.setattr(features, "load_embeddings",
                         lambda path, profile: paths.append(path) or real_load(path, profile))
     code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
                     "--split", emb / "split.json", "--features", emb,
@@ -934,19 +991,68 @@ def test_installed_entry_point():
     assert "interruption" in console.stdout, f"{target} --help printed:\n{console.stdout}"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.stats and scipy.fft cost over a second of start-up per
-    # command; a stray import would not fail anything else.
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src_dir = os.path.dirname(os.path.dirname(talkover.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.stats and scipy.fft cost over a second of start-up per
+    # command; a stray import would not fail anything else.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, talkover.cli\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _imported_modules(argv):
+    """Every module a talkover.cli child imports, from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "talkover.cli",
+                           *map(str, argv)], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("command", ["extract", "featurize", "train", "eval", "labels",
+                                     "kappa", "impact", "gen-fixtures"])
+def test_help_loads_no_numpy(command):
+    modules = _imported_modules([command, "--help"])
+    assert "talkover.errors" in modules  # the CLI module ran as __main__
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize("command, module", [("labels", "talkover.labels"),
+                                             ("kappa", "talkover.labels"),
+                                             ("impact", "talkover.causal")])
+def test_table_commands_load_no_audio_or_classifier_code(fixtures_dir, tmp_path, command,
+                                                         module):
+    inputs = {"labels": ["--votes", fixtures_dir / "votes" / "votes.csv",
+                         "--golden", fixtures_dir / "votes" / "golden.json"],
+              "kappa": ["--votes", fixtures_dir / "votes" / "votes.csv"],
+              "impact": ["--telemetry", fixtures_dir / "telemetry" / "telemetry.csv",
+                         "--bootstrap", "--bootstrap-samples", 3]}[command]
+    modules = _imported_modules([command, *inputs, "--out", tmp_path])
+    assert module in modules
+    assert not modules & {"talkover.audio", "talkover.features", "talkover.model",
+                          "talkover.overlap"}
+
+
+@pytest.mark.parametrize("command", ["featurize", "train", "eval", "gen-fixtures"])
+def test_profile_choices_are_the_feature_profiles(command):
+    # the parser lists the profiles without importing talkover.features
+    from talkover.features import PROFILES
+    proc = subprocess.run([sys.executable, "-m", "talkover.cli", command, "--help"],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    choices = re.search(r"--profile \{([^}]*)\}", proc.stdout).group(1)
+    assert choices.split(",") == sorted(PROFILES)
 
 
 def test_runtime_imports_match_declared_dependencies():

@@ -272,6 +272,17 @@ def test_forward_batch_memory_does_not_grow_with_the_list():
     assert three < 1.1 * one
 
 
+def test_forward_batch_head_keeps_no_layer_per_clip():
+    # the head runs once on every pooled vector; keeping each layer's
+    # activations for a backward pass cost about 20 KB a clip
+    rng = np.random.default_rng(26)
+    clip, = profile_clips(rng, PROFILES["tiny"], 1)
+    model = M.build_model(M.feature_spec_of(clip), rng)
+    few = traced_peak(M.forward_batch, model, [clip] * 40)
+    many = traced_peak(M.forward_batch, model, [clip] * 400)
+    assert many - few < 2 ** 20
+
+
 def test_forward_rejects_mismatched_features():
     rng = np.random.default_rng(11)
     model = small_model(rng, emb_profile(frames=6))
@@ -438,7 +449,12 @@ def test_checkpoint_rejects_unparsable_header(saved_checkpoint):
     prefix, header, body = checkpoint_parts(saved_checkpoint)
     for header_bytes in (b"{not json", b"\xff\xfe", b"[]", b"{}",
                          json.dumps(dict(header, feature_spec={})).encode(),
-                         json.dumps(dict(header, head_widths=["wide"])).encode()):
+                         json.dumps(dict(header, head_widths=["wide"])).encode(),
+                         json.dumps(dict(header, head_widths=[6, math.inf])).encode(),
+                         json.dumps(dict(header, feature_spec=dict(
+                             header["feature_spec"], input_dim=math.inf))).encode(),
+                         json.dumps(dict(header, feature_spec=dict(
+                             header["feature_spec"], layers=-math.inf))).encode()):
         write_checkpoint(saved_checkpoint, prefix, header_bytes, body)
         with pytest.raises(ModelError, match="malformed checkpoint header"):
             M.load_model(saved_checkpoint)
