@@ -1,9 +1,9 @@
 """Command-line front end: manifest-driven batch pipelines.
 
-Every command is deterministic for fixed inputs and --seed (all
-randomness flows through numpy's default_rng, a PCG64 generator), and
-every output directory gets a config.json sidecar echoing the run's
-arguments so results can be reproduced.
+Every command is deterministic for fixed inputs and, where it draws
+random numbers (train, impact, gen-fixtures), for --seed: all of them
+come from numpy's default_rng. Every output directory gets a config.json
+sidecar echoing the run's arguments so results can be reproduced.
 
 Exit codes: 0 success, 2 usage (argparse), then one code per error
 family, held as its exit_code: 3 audio, 4 features, 5 model, 6 metrics,
@@ -321,7 +321,7 @@ def cmd_labels(args) -> int:
 
     by_id = {}
     if args.manifest:
-        from .manifest import read_manifest  # loads the audio code
+        from .manifest import read_manifest
         by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
 
     with open(os.path.join(out_dir, "consensus.jsonl"), "w") as fh:
@@ -415,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "multi-channel meeting audio.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seeded=False):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("extract", help="detect overlap candidates and cut clips")
     add_common(p)
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the interruption classifier")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--features", required=True, help="feature directory")
@@ -484,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("impact", help="propensity-stratified impact estimate")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--telemetry", required=True)
     p.add_argument("--bins", type=_bin_count, default=5)
     p.add_argument("--bootstrap", action="store_true")
@@ -492,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_impact)
 
     p = sub.add_parser("gen-fixtures", help="write all synthetic fixtures")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--profile", choices=PROFILE_NAMES, default="tiny")
     p.add_argument("--telemetry-n", type=_positive_int, default=50000)
     p.set_defaults(func=cmd_gen_fixtures)

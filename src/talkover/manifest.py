@@ -9,9 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .audio import SAMPLE_RATE, AudioChannel, read_wav_data
 from .errors import AudioError, ChannelLayoutError, ManifestError, SampleRateError
-from .overlap import CandidateClip
 
 # fields that must hold strings when present; all but label are required
 _STRING_FIELDS = ("clip_id", "meeting_id", "interrupter_id", "wav_path", "label")
@@ -120,7 +118,11 @@ def read_split(path) -> dict:
 
 def load_clip(record: ClipRecord, wav_path=None) -> CandidateClip:
     """Read a clip's stereo WAV back into a CandidateClip. Channel 0 is
-    the mixdown of the other speakers, channel 1 the interrupter."""
+    the mixdown of the other speakers, channel 1 the interrupter. The
+    audio code is imported here, so that reading a manifest loads none."""
+    from .audio import SAMPLE_RATE, AudioChannel, read_wav_data
+    from .overlap import CandidateClip
+
     path = wav_path if wav_path is not None else record.wav_path
     rate, frames = read_wav_data(path)
     if frames.shape[1] != 2:

@@ -6,13 +6,13 @@ All math is plain numpy with exact analytic gradients; the
 finite-difference suite in the tests checks every parameter group.
 Embedding features are float32: each clip reads itself, from its SIE1
 file or from memory, into its row of one preallocated (B, C, L, d, M)
-f32 buffer, which train reuses for every step and validation slice,
-and forward_batch for every slice. The contractions that read the
-buffer (the layer mix and its gradient) upcast in bounded buffers and
-give float64 results, so no float64 copy of a batch is made. Everything
-downstream of the layer mix, and the parameters, are float64. So memory
-grows with the batch size and the inference slice, not with the number
-of clips.
+f32 buffer, which train reuses for every step; forward_batch pools one
+clip at a time, in row 0 of train's buffer or of its own. The
+contractions that read the buffer (the layer mix and its gradient)
+upcast in bounded buffers and give float64 results, so no float64 copy
+of a batch is made. Everything downstream of the layer mix, and the
+parameters, are float64. So memory grows with the batch size, not with
+the number of clips.
 """
 from __future__ import annotations
 
@@ -34,8 +34,6 @@ LEAKY_SLOPE = 0.01
 CHANNELS_BOTH = "2"
 CHANNELS_RIGHT = "right"
 
-_INFER_CHUNK = 32  # samples pooled per slice in forward_batch
-
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -55,6 +53,13 @@ def _logit_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     top = np.max(logits, axis=1)
     lse = top + np.log(np.sum(np.exp(logits - top[:, None]), axis=1))
     return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+
+
+def _header_int(value, nullable: bool = False):
+    """value, if it is a JSON integer (not a bool), or None where allowed."""
+    if type(value) is int or value is None and nullable:
+        return value
+    raise ValueError("size %r is not an integer" % (value,))
 
 
 @dataclass(frozen=True)
@@ -79,10 +84,11 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(kind=d["kind"], input_dim=int(d["input_dim"]),
-                   frames=d.get("frames"), profile=d.get("profile"),
-                   channels=d.get("channels", CHANNELS_BOTH),
-                   layers=None if d.get("layers") is None else int(d["layers"]))
+        """The spec to_dict wrote; a size of another type raises ValueError."""
+        return cls(kind=d["kind"], input_dim=_header_int(d["input_dim"]),
+                   frames=_header_int(d.get("frames"), nullable=True),
+                   profile=d.get("profile"), channels=d.get("channels", CHANNELS_BOTH),
+                   layers=_header_int(d.get("layers"), nullable=True))
 
 
 @dataclass
@@ -176,8 +182,7 @@ def attention_pool(H: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _check_features(model: InterruptionModel, features) -> None:
     spec = model.feature_spec
     got = feature_spec_of(features, spec.channels)
-    if (got.kind, got.input_dim, got.frames, got.profile, got.layers) != (
-            spec.kind, spec.input_dim, spec.frames, spec.profile, spec.layers):
+    if got != spec:
         raise FeatureProfileError(
             "model expects %s, got %s" % (spec.to_dict(), got.to_dict()))
 
@@ -276,21 +281,18 @@ def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
     """Class probabilities, one row per sample; each row sums to 1. With
     logits=True, the head's logits instead.
 
-    Pooling runs on slices of _INFER_CHUNK samples, each read into one
-    buffer that every slice reuses (the caller's, from _batch_buffer with
-    room for a slice, or a new one), so memory grows with the slice, not
-    the list. The head then runs once on every pooled vector (BLAS gemm
-    may round a one- or two-row slice differently), after a buffer made
-    here is freed, and keeps only its current layer."""
+    Every sample is checked against the model's feature spec, read into
+    row 0 of buffer (train's, or a new one-clip buffer when None) and
+    pooled alone. The head then runs once on every pooled vector (BLAS
+    gemm may round a one-row batch differently) and keeps only its
+    current layer."""
     if not features_list:
         raise ModelError("empty batch")
-    _check_features(model, features_list[0])
+    for f in features_list:
+        _check_features(model, f)
     if buffer is None:
-        buffer = _batch_buffer(model, features_list[0], min(len(features_list), _INFER_CHUNK))
-    U = np.concatenate([
-        _pool(model, _stack(model, features_list[lo: lo + _INFER_CHUNK], buffer))[2]
-        for lo in range(0, len(features_list), _INFER_CHUNK)])
-    del buffer
+        buffer = _batch_buffer(model, features_list[0], 1)
+    U = np.concatenate([_pool(model, _stack(model, [f], buffer))[2] for f in features_list])
     z = _head_logits(model.params, U)
     return z if logits else softmax(z, axis=1)
 
@@ -382,27 +384,22 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     batch losses seen that epoch; when a validation set is given, the
     best-validation parameters are restored at the end (early stopping
     with the configured patience). Deterministic for a fixed seed.
-    Every step reads its batch, and validation its slices, into one
-    buffer.
+    Every clip must match the first one's feature spec. Every step reads
+    its batch into one buffer, and validation each clip into its row 0.
     """
     dataset = list(dataset)
     if not dataset:
         raise ModelError("empty training dataset")
-    for _, y in dataset:
+    rng = np.random.default_rng(config.seed)
+    model = build_model(feature_spec_of(dataset[0][0], channels), rng, head_widths)
+    for f, y in dataset:
         if not 0 <= y < N_CLASSES:
             raise ModelError("label index %r outside the %d-class set" % (y, N_CLASSES))
+        _check_features(model, f)
 
-    rng = np.random.default_rng(config.seed)
-    spec = feature_spec_of(dataset[0][0], channels)
-    model = build_model(spec, rng, head_widths)
-
-    features = [f for f, _ in dataset]
-    labels = [y for _, y in dataset]
+    features, labels = zip(*dataset)
     n = len(dataset)
-    rows = min(n, config.batch_size)  # validation slices share the buffer
-    if val_dataset:
-        rows = max(rows, min(len(val_dataset), _INFER_CHUNK))
-    buffer = _batch_buffer(model, features[0], rows)
+    buffer = _batch_buffer(model, features[0], min(n, config.batch_size))
     train_curve, val_curve = [], []
     best = (np.inf, None, -1)
     stopped = config.epochs
@@ -479,9 +476,9 @@ def load_model(path) -> InterruptionModel:
         try:
             header = json.loads(fh.read(header_len).decode())
             spec = FeatureSpec.from_dict(header["feature_spec"])
-            head_widths = tuple(int(w) for w in header["head_widths"])
+            head_widths = tuple(_header_int(w) for w in header["head_widths"])
             blocks = [(name, tuple(shape)) for name, shape in header["blocks"]]
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ModelError("%s: malformed checkpoint header (%r)" % (path, exc)) from None
         data = fh.read()
 

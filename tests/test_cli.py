@@ -26,8 +26,9 @@ from talkover import synth
 from talkover.audio import AudioChannel, MeetingAudio, SAMPLE_RATE, read_wav_data, write_wav
 from talkover.causal import write_telemetry_csv
 from talkover.labels import VOTE_LABELS, fleiss_kappa, read_votes_csv, votes_to_table
-from talkover.manifest import read_manifest
+from talkover.manifest import ClipRecord, read_manifest, write_manifest, write_split
 from talkover.overlap import detect, export_clip, vad
+from talkover.vocab import CLASSES
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -851,6 +852,47 @@ def test_featurize_emb_copies_files_and_may_run_in_place(small_corpus, tmp_path)
     assert len(shapes) == len(sie) and all(s == [2, 5, 32, 249] for s in shapes.values())
 
 
+def test_featurize_emb_reads_the_sie_beside_a_wav_clip(small_corpus, tmp_path):
+    # an extract manifest names clip WAVs; encoder outputs placed beside
+    # them as <clip>.sie are what featurize --feature emb reads
+    records = read_manifest(small_corpus / "manifest.jsonl")
+    (tmp_path / "clips").mkdir()
+    for rec in records:
+        shutil.copy(small_corpus / rec.wav_path, tmp_path / "clips" / rec.wav_path)
+    write_manifest(tmp_path / "manifest.jsonl",
+                   [dataclasses.replace(rec, wav_path="clips/%s.wav" % rec.clip_id)
+                    for rec in records])
+    assert run_cli(["featurize", "--manifest", tmp_path / "manifest.jsonl",
+                    "--feature", "emb", "--profile", "tiny", "--out", tmp_path / "o"]) == 0
+    for rec in records:
+        name = rec.clip_id + ".sie"
+        assert (tmp_path / "o" / name).read_bytes() == (small_corpus / name).read_bytes()
+
+
+def test_mismatched_npy_frame_count_exits_5(tmp_path):
+    # matrix clips are pooled one at a time, so nothing stacks them; a clip
+    # whose shape differs from the first must still exit 5
+    rng = np.random.default_rng(31)
+    records, split = [], {"train": [], "test": []}
+    for name in split:
+        for label in CLASSES:
+            clip_id = "%s_%s" % (name, label)
+            np.save(tmp_path / (clip_id + ".npy"), rng.normal(size=(6, 5)))
+            records.append(ClipRecord(clip_id, "m0", "p0", 5.0, clip_id + ".wav", label))
+            split[name].append(clip_id)
+    write_manifest(tmp_path / "manifest.jsonl", records)
+    write_split(tmp_path / "split.json", split)
+    common = ["--manifest", tmp_path / "manifest.jsonl", "--split", tmp_path / "split.json",
+              "--features", tmp_path, "--feature", "mfcc"]
+    train = ["train", *common, "--epochs", 1, "--out", tmp_path / "model"]
+    assert run_cli(train) == 0
+    for clip_id in ("train_interruption", "test_laughter"):
+        np.save(tmp_path / (clip_id + ".npy"), rng.normal(size=(6, 7)))
+    assert run_cli(train) == 5
+    assert run_cli(["eval", *common, "--model-dir", tmp_path / "model", "--threshold", 0.5,
+                    "--out", tmp_path / "eval"]) == 5
+
+
 def test_train_writes_checkpoint_and_history(model_dir):
     assert (model_dir / "checkpoint_r0.bin").is_file()
     history = json.loads((model_dir / "history_r0.json").read_text())
@@ -1029,6 +1071,7 @@ def test_help_loads_no_numpy(command):
 
 
 @pytest.mark.parametrize("command, module", [("labels", "talkover.labels"),
+                                             ("labels", "talkover.manifest"),
                                              ("kappa", "talkover.labels"),
                                              ("impact", "talkover.causal")])
 def test_table_commands_load_no_audio_or_classifier_code(fixtures_dir, tmp_path, command,
@@ -1038,6 +1081,8 @@ def test_table_commands_load_no_audio_or_classifier_code(fixtures_dir, tmp_path,
               "kappa": ["--votes", fixtures_dir / "votes" / "votes.csv"],
               "impact": ["--telemetry", fixtures_dir / "telemetry" / "telemetry.csv",
                          "--bootstrap", "--bootstrap-samples", 3]}[command]
+    if module == "talkover.manifest":  # labels --manifest reads a clip manifest
+        inputs += ["--manifest", fixtures_dir / "embeddings" / "manifest.jsonl"]
     modules = _imported_modules([command, *inputs, "--out", tmp_path])
     assert module in modules
     assert not modules & {"talkover.audio", "talkover.features", "talkover.model",

@@ -217,11 +217,11 @@ def test_forward_batch_matches_single(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3 * M._INFER_CHUNK + 1), kind=st.sampled_from(["emb", "matrix"]),
+@given(n=st.integers(1, 97), kind=st.sampled_from(["emb", "matrix"]),
        channels=st.sampled_from(["2", "right"]), seed=st.integers(0, 2 ** 32 - 1))
 def test_forward_batch_equals_one_shot_forward(n, kind, channels, seed):
-    # forward_batch pools in slices of _INFER_CHUNK; a sample's row must
-    # not depend on which slice it fell in
+    # forward_batch pools each sample alone; its row must have the bits
+    # of the whole batch pooled at once
     rng = np.random.default_rng(seed)
     if kind == "emb":
         profile = emb_profile()
@@ -263,24 +263,28 @@ def test_train_step_memory_is_bounded_by_the_f32_batch():
     assert peak < 1.5 * sum(f.data.nbytes for f in batch)
 
 
-def test_forward_batch_memory_does_not_grow_with_the_list():
+def test_forward_batch_pools_one_clip_at_a_time():
+    # 13 layers of 32 dims: 0.83 MB a clip, so that a buffer of more than
+    # one clip shows above the head pass
     rng = np.random.default_rng(25)
-    clips = profile_clips(rng, PROFILES["tiny"], 3 * M._INFER_CHUNK)
+    profile = EmbeddingProfile("deep", layers=13, dim=32, frames=249, channels=2)
+    clips = profile_clips(rng, profile, 32)
     model = M.build_model(M.feature_spec_of(clips[0]), rng)
-    one = traced_peak(M.forward_batch, model, clips[: M._INFER_CHUNK])
-    three = traced_peak(M.forward_batch, model, clips)
-    assert three < 1.1 * one
+    one = traced_peak(M.forward_batch, model, clips[:1])
+    many = traced_peak(M.forward_batch, model, clips)
+    assert many - one < clips[0].data.nbytes
 
 
 def test_forward_batch_head_keeps_no_layer_per_clip():
     # the head runs once on every pooled vector; keeping each layer's
-    # activations for a backward pass cost about 20 KB a clip
+    # activations for a backward pass, as _head_forward does, costs
+    # about 20 KB a clip
     rng = np.random.default_rng(26)
     clip, = profile_clips(rng, PROFILES["tiny"], 1)
     model = M.build_model(M.feature_spec_of(clip), rng)
-    few = traced_peak(M.forward_batch, model, [clip] * 40)
-    many = traced_peak(M.forward_batch, model, [clip] * 400)
-    assert many - few < 2 ** 20
+    U = np.repeat(M._pool(model, M._stack(model, [clip]))[2], 400, axis=0)
+    kept = traced_peak(M._head_forward, model.params, U)
+    assert traced_peak(M.forward_batch, model, [clip] * 400) < kept
 
 
 def test_forward_rejects_mismatched_features():
@@ -289,6 +293,20 @@ def test_forward_rejects_mismatched_features():
     wrong = random_embedding(rng, emb_profile(frames=7))
     with pytest.raises(FeatureProfileError):
         M.forward_batch(model, [wrong])
+    # each clip is pooled alone, so a later clip of another shape would
+    # pool without complaint unless every clip is checked
+    with pytest.raises(FeatureProfileError):
+        M.forward_batch(model, [random_embedding(rng, emb_profile(frames=6)), wrong])
+
+
+def test_train_checks_every_clip_against_the_first():
+    rng = np.random.default_rng(27)
+    fit, misfit = (rng.normal(size=(6, 5)), 0), (rng.normal(size=(6, 4)), 1)
+    config = M.TrainConfig(epochs=1)
+    with pytest.raises(FeatureProfileError):
+        M.train([fit, misfit], config, head_widths=(6, 4))
+    with pytest.raises(FeatureProfileError):
+        M.train([fit], config, val_dataset=[misfit], head_widths=(6, 4))
 
 
 def test_right_mask_ignores_left_channel():
@@ -454,7 +472,16 @@ def test_checkpoint_rejects_unparsable_header(saved_checkpoint):
                          json.dumps(dict(header, feature_spec=dict(
                              header["feature_spec"], input_dim=math.inf))).encode(),
                          json.dumps(dict(header, feature_spec=dict(
-                             header["feature_spec"], layers=-math.inf))).encode()):
+                             header["feature_spec"], layers=-math.inf))).encode(),
+                         # sizes must be the JSON integers save_model writes
+                         *(json.dumps(dict(header, feature_spec=dict(
+                             header["feature_spec"], **{key: value}))).encode()
+                           for key, value in (("input_dim", "8"), ("input_dim", 8.9),
+                                              ("input_dim", True), ("layers", 3.5),
+                                              ("layers", "3"), ("frames", "6"),
+                                              ("frames", 6.0))),
+                         *(json.dumps(dict(header, head_widths=widths)).encode()
+                           for widths in (["6", 4], [6.0, 4], [6, True]))):
         write_checkpoint(saved_checkpoint, prefix, header_bytes, body)
         with pytest.raises(ModelError, match="malformed checkpoint header"):
             M.load_model(saved_checkpoint)
