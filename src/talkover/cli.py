@@ -181,10 +181,9 @@ def cmd_featurize(args) -> int:
 # ------------------------------------------------------------ train / eval
 
 def _load_split(records_by_id, clip_ids, features_dir, feature, profile):
-    """Features and CLASSES indices of the listed clips, in list order."""
-    import numpy as np
-
-    from .features import load_embeddings
+    """Checked feature handles and CLASSES indices of the listed clips,
+    in list order."""
+    from .features import load_embeddings, load_matrix
     from .vocab import CLASSES
 
     feats, labels = [], []
@@ -198,7 +197,7 @@ def _load_split(records_by_id, clip_ids, features_dir, feature, profile):
         if feature == "emb":
             feats.append(load_embeddings(os.path.join(features_dir, cid + ".sie"), profile))
         else:
-            feats.append(np.load(os.path.join(features_dir, cid + ".npy")))
+            feats.append(load_matrix(os.path.join(features_dir, cid + ".npy")))
         labels.append(CLASSES.index(rec.label))
     return feats, labels
 
@@ -228,7 +227,8 @@ def cmd_train(args) -> int:
         model_mod.save_model(result.model, os.path.join(out_dir, "checkpoint_r%d.bin" % run))
         _write_json(os.path.join(out_dir, "history_r%d.json" % run),
                     {"seed": seed, "train_loss": result.train_loss,
-                     "val_loss": result.val_loss, "stopped_epoch": result.stopped_epoch})
+                     "val_loss": result.val_loss, "stopped_epoch": result.stopped_epoch,
+                     "layer_weights": result.layer_weights})
         print("run %d: %d epochs, final train loss %.4f"
               % (run, result.stopped_epoch, result.train_loss[-1]))
 

@@ -46,6 +46,10 @@ class ShapeContractError(FeatureError):
     """Tensor shape differs from the declared contract."""
 
 
+class MatrixFormatError(FeatureError):
+    """A .npy feature file is malformed or is not a finite 2-D real float matrix."""
+
+
 class ModelError(TalkoverError):
     """Classifier construction, inference, or training failure."""
 

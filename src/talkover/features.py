@@ -1,6 +1,7 @@
 """Feature tensors for the classifier: MFCC, magnitude spectrogram, and
 precomputed self-supervised embeddings checked in SIE1 files, which
-load_embeddings leaves on disk behind an EmbeddingFile handle.
+load_embeddings leaves on disk behind an EmbeddingFile handle; load_matrix
+does the same for a (d, M) feature matrix in a .npy file.
 
 Every extractor consumes only the last 5 seconds (80000 samples) of a
 clip's two channels and stacks the per-channel feature blocks along the
@@ -12,12 +13,13 @@ from __future__ import annotations
 
 import os
 import struct
+import tokenize
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import SAMPLE_RATE
-from .errors import EmbeddingFormatError, ShapeContractError
+from .errors import EmbeddingFormatError, MatrixFormatError, ShapeContractError
 
 ANALYSIS_WINDOW_S = 5.0
 ANALYSIS_SAMPLES = int(ANALYSIS_WINDOW_S * SAMPLE_RATE)
@@ -108,6 +110,31 @@ class EmbeddingFile:
             fh.seek(_SIE1_HEADER_BYTES)
             if fh.readinto(out) != out.nbytes:
                 raise EmbeddingFormatError("%s: file shrank after it was checked" % self.path)
+
+
+@dataclass(frozen=True)
+class MatrixFile:
+    """One (d, M) feature matrix, left in its .npy file.
+
+    load_matrix has checked the header, the file size and every value,
+    so read() returns finite values, and no matrix stays in memory
+    between reads.
+    """
+
+    path: str
+    shape: tuple
+    dtype: np.dtype
+    fortran_order: bool
+    offset: int  # of the first value
+
+    def read(self) -> np.ndarray:
+        """The matrix as float64, read with one np.fromfile at its offset."""
+        count = self.shape[0] * self.shape[1]
+        values = np.fromfile(self.path, self.dtype, count, offset=self.offset)
+        if values.size != count:
+            raise MatrixFormatError("%s: file shrank after it was checked" % self.path)
+        order = "F" if self.fortran_order else "C"
+        return values.reshape(self.shape, order=order).astype(np.float64, copy=False)
 
 
 def _check_row(out: np.ndarray, profile: EmbeddingProfile) -> None:
@@ -215,7 +242,25 @@ _SIE1_MAGIC = b"SIE1"
 _SIE1_VERSION = 1
 _SIE1_HEADER_BYTES = 24
 _SIE1_DTYPE = np.dtype("<f4")
-_CHECK_BLOCK = 1 << 18  # values per block of the finiteness check (1 MiB)
+_CHECK_BLOCK = 1 << 18  # values per block of the finiteness check (1 MiB of f32)
+_NPY_HEADER_MAX = 1024  # np.save writes 118 header bytes for a 2-D float matrix
+
+
+def _check_payload(fh, path, count: int, dtype: np.dtype, error) -> None:
+    """Raise error unless fh holds exactly count values of dtype from its
+    position on, all finite; reads _CHECK_BLOCK values at a time."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell() - dtype.itemsize * count
+    if extra < 0:
+        raise error("%s: truncated payload" % path)
+    if extra > 0:
+        raise error("%s: %d trailing bytes after the payload" % (path, extra))
+    block = np.empty(min(count, _CHECK_BLOCK), dtype)
+    for lo in range(0, count, _CHECK_BLOCK):
+        part = block[: min(count - lo, _CHECK_BLOCK)]
+        if fh.readinto(part) != part.nbytes:
+            raise error("%s: truncated payload" % path)
+        if not np.all(np.isfinite(part)):
+            raise error("%s: non-finite values" % path)
 
 
 def write_embeddings(path, emb: LayeredEmbedding) -> None:
@@ -250,17 +295,31 @@ def load_embeddings(path, expected: EmbeddingProfile) -> EmbeddingFile:
                 "%s: file declares (C, L, d, M)=%s, profile %r requires %s"
                 % (path, declared, expected.name, expected.shape)
             )
-        count = channels * layers * dim * frames
-        extra = os.fstat(fh.fileno()).st_size - _SIE1_HEADER_BYTES - 4 * count
-        if extra < 0:
-            raise EmbeddingFormatError("%s: truncated payload" % path)
-        if extra > 0:
-            raise EmbeddingFormatError("%s: %d trailing bytes after the payload" % (path, extra))
-        block = np.empty(min(count, _CHECK_BLOCK), _SIE1_DTYPE)
-        for lo in range(0, count, _CHECK_BLOCK):
-            part = block[: min(count - lo, _CHECK_BLOCK)]
-            if fh.readinto(part) != part.nbytes:
-                raise EmbeddingFormatError("%s: truncated payload" % path)
-            if not np.all(np.isfinite(part)):
-                raise EmbeddingFormatError("%s: non-finite values" % path)
+        _check_payload(fh, path, channels * layers * dim * frames, _SIE1_DTYPE,
+                       EmbeddingFormatError)
     return EmbeddingFile(path, expected)
+
+
+def load_matrix(path) -> MatrixFile:
+    """Check a .npy feature file and return its handle. The header must
+    be a format 1.0 header of at most _NPY_HEADER_MAX bytes, as np.save
+    writes for a matrix, describing a 2-D real float array with no empty
+    axis; the file must end right after the values, and every value must
+    be finite. The values are read once, _CHECK_BLOCK at a time."""
+    with open(path, "rb") as fh:
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("format version is not 1.0")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+                fh, max_header_size=_NPY_HEADER_MAX)
+        # numpy parses the header with ast.literal_eval (a dict with an
+        # unhashable key raises TypeError) and retries a header that does
+        # not parse through tokenize, whose errors it lets through
+        except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+            raise MatrixFormatError("%s: malformed .npy header (%s)" % (path, exc)) from None
+        if len(shape) != 2 or min(shape) < 1 or dtype.kind != "f":
+            raise MatrixFormatError("%s: holds a %s array of shape %s, not a 2-D real float "
+                                    "matrix" % (path, dtype, shape))
+        offset = fh.tell()
+        _check_payload(fh, path, shape[0] * shape[1], dtype, MatrixFormatError)
+    return MatrixFile(path, shape, dtype, fortran_order, offset)

@@ -7,12 +7,15 @@ finite-difference suite in the tests checks every parameter group.
 Embedding features are float32: each clip reads itself, from its SIE1
 file or from memory, into its row of one preallocated (B, C, L, d, M)
 f32 buffer, which train reuses for every step; forward_batch pools one
-clip at a time, in row 0 of train's buffer or of its own. The
-contractions that read the buffer (the layer mix and its gradient)
-upcast in bounded buffers and give float64 results, so no float64 copy
-of a batch is made. Everything downstream of the layer mix, and the
+clip at a time, in row 0 of train's buffer or of its own. The two
+einsum contractions that read the buffer upcast in bounded buffers and
+give float64 results, so no float64 copy of a batch is made: the layer
+mix, which gives the (B, d, M) H, and the layer gradient, which
+contracts the stack with the two rank-1 terms of the gradient w.r.t. H
+instead of forming it. Everything downstream of the layer mix, and the
 parameters, are float64. So memory grows with the batch size, not with
-the number of clips.
+the number of clips. Matrix features are float64 (d, M) arrays, or
+MatrixFile handles read when their batch is stacked.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeatureProfileError, ModelError, TrainingDivergedError
-from .features import EmbeddingFile, LayeredEmbedding
+from .features import EmbeddingFile, LayeredEmbedding, MatrixFile
 from .vocab import CLASSES
 
 N_CLASSES = len(CLASSES)
@@ -53,6 +56,13 @@ def _logit_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     top = np.max(logits, axis=1)
     lse = top + np.log(np.sum(np.exp(logits - top[:, None]), axis=1))
     return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+
+
+def _header_kind(value) -> str:
+    """value, if it is a feature kind the model can be built for."""
+    if value in ("emb", "matrix"):
+        return value
+    raise ValueError("unknown feature kind %r" % (value,))
 
 
 def _header_int(value, nullable: bool = False):
@@ -84,8 +94,9 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
-        """The spec to_dict wrote; a size of another type raises ValueError."""
-        return cls(kind=d["kind"], input_dim=_header_int(d["input_dim"]),
+        """The spec to_dict wrote; an unknown kind, or a size of another
+        type, raises ValueError."""
+        return cls(kind=_header_kind(d["kind"]), input_dim=_header_int(d["input_dim"]),
                    frames=_header_int(d.get("frames"), nullable=True),
                    profile=d.get("profile"), channels=d.get("channels", CHANNELS_BOTH),
                    layers=_header_int(d.get("layers"), nullable=True))
@@ -120,10 +131,10 @@ def feature_spec_of(features, channels: str = CHANNELS_BOTH) -> FeatureSpec:
     if isinstance(features, (LayeredEmbedding, EmbeddingFile)):
         p = features.profile
         return FeatureSpec("emb", p.stacked_dim, p.frames, p.name, channels, p.layers)
-    arr = np.asarray(features)
-    if arr.ndim != 2:
+    shape = features.shape if isinstance(features, MatrixFile) else np.shape(features)
+    if len(shape) != 2:
         raise FeatureProfileError("matrix features must be 2-D (d, M)")
-    return FeatureSpec("matrix", arr.shape[0], arr.shape[1], None, channels)
+    return FeatureSpec("matrix", shape[0], shape[1], None, channels)
 
 
 def _param_shapes(spec: FeatureSpec, head_widths) -> dict:
@@ -200,9 +211,11 @@ def _stack(model: InterruptionModel, batch_features, buffer=None) -> np.ndarray:
     (from _batch_buffer, with at least B rows; a new one when None), each
     clip by its read_into, and the view of those rows is returned: the
     caller may reuse the buffer for the next batch once it is done with
-    this one. Matrix features become a new f64 (B, d, M) stack."""
+    this one. Matrix features, arrays or MatrixFile handles, become a new
+    f64 (B, d, M) stack."""
     if model.feature_spec.kind != "emb":
-        return np.stack([np.asarray(f, dtype=np.float64) for f in batch_features])
+        return np.stack([f.read() if isinstance(f, MatrixFile) else np.asarray(f, np.float64)
+                         for f in batch_features])
     if buffer is None:
         buffer = _batch_buffer(model, batch_features[0], len(batch_features))
     stacked = buffer[: len(batch_features)]
@@ -237,34 +250,32 @@ def _pool(model: InterruptionModel, stacked: np.ndarray):
     return H, Q, U
 
 
-def _head_layers(params: dict, U: np.ndarray):
-    """Batched head pass, one layer at a time: yields each layer's input
-    activation and its preactivation, the last being the logits. Holds
-    only the current layer; the caller keeps what it needs."""
-    depth = sum(name.startswith("head_w") for name in params)
-    a = U
-    for i in range(depth):
-        z = a @ params["head_w%d" % i].T + params["head_b%d" % i]
-        yield a, z
-        if i < depth - 1:
-            a = np.where(z > 0, z, LEAKY_SLOPE * z)
-
-
 def _head_forward(params: dict, U: np.ndarray):
     """Head pass for training; returns (logits, preactivations,
     activations), every layer's kept for the backward pass."""
+    depth = sum(name.startswith("head_w") for name in params)
     acts, zs = [], []
-    for a, z in _head_layers(params, U):
+    a = U
+    for i in range(depth):
+        z = a @ params["head_w%d" % i].T + params["head_b%d" % i]
         acts.append(a)
         zs.append(z)
+        if i < depth - 1:
+            a = np.where(z > 0, z, LEAKY_SLOPE * z)
     return zs[-1], zs, acts
 
 
 def _head_logits(params: dict, U: np.ndarray) -> np.ndarray:
     """Head pass for inference: the logits of _head_forward, bit for
-    bit, without keeping any layer but the current one."""
-    for _, z in _head_layers(params, U):
-        pass
+    bit. Each layer adds its bias and applies LeakyReLU in place, so
+    only a layer's input and output are held at once."""
+    depth = sum(name.startswith("head_w") for name in params)
+    z = U
+    for i in range(depth):
+        z = z @ params["head_w%d" % i].T
+        z += params["head_b%d" % i]
+        if i < depth - 1:
+            np.multiply(z, LEAKY_SLOPE, out=z, where=z <= 0)
     return z
 
 
@@ -300,7 +311,11 @@ def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
 def _loss_and_grads(model: InterruptionModel, batch_features, labels, buffer=None):
     """Mean cross-entropy and its exact gradients for one mini-batch,
     stacked into buffer as _stack does; the gradients are a dict with
-    the keys of model.params, in order."""
+    the keys of model.params, in order.
+
+    Besides the f32 stack, the step holds the float64 H, which is freed
+    before the layer gradient, and that gradient's (B, C, L, 2, M)
+    contraction; the (B, d, M) gradient w.r.t. H is never formed."""
     B = len(batch_features)
     labels = np.asarray(labels)
     params = model.params
@@ -326,16 +341,19 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels, buffer=Non
     dQ = np.einsum("bdm,bd->bm", H, g)
     dS = Q * (dQ - np.sum(dQ * Q, axis=1, keepdims=True))
     grads["pooler_w"] = np.einsum("bdm,bm->d", H, dS)
-    del H  # the stack plus dH is the step's peak; H need not join them
+    del H  # the layer gradient reads the f32 stack, not H
 
     spec = model.feature_spec
     if spec.kind == "emb":
-        dH = g[:, :, None] * Q[:, None, :]
-        dH += params["pooler_w"][None, :, None] * dS[:, None, :]
+        # dH_b = g_b Q_b^T + pooler_w dS_b^T has rank 2, so dw_l is the
+        # stack contracted with the factors [g_b; pooler_w] over the
+        # feature rows, then with [Q_b; dS_b] over the frames
+        A = np.stack([g, np.broadcast_to(params["pooler_w"], g.shape)], axis=1)
         if spec.channels == CHANNELS_RIGHT:
-            dH[:, : spec.input_dim // 2, :] = 0.0
-        dH_c = dH.reshape(B, stacked.shape[1], spec.input_dim // stacked.shape[1], -1)
-        dw = np.einsum("bcdm,bcldm->l", dH_c, stacked)
+            A[:, :, : spec.input_dim // 2] = 0.0
+        A = A.reshape(B, 2, stacked.shape[1], -1)  # (B, 2, C, d0)
+        T = np.einsum("bkcd,bcldm->bclkm", A, stacked)
+        dw = np.einsum("bclkm,bkm->l", T, np.stack([Q, dS], axis=1))
         w = softmax(params["layer_logits"])
         grads["layer_logits"] = w * (dw - np.sum(dw * w))
 
@@ -343,8 +361,9 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels, buffer=Non
 
 
 def _apply_sgd(model: InterruptionModel, grads: dict, lr: float) -> None:
+    """One SGD step, each parameter updated in place."""
     for name, g in grads.items():
-        model.params[name] = model.params[name] - lr * g
+        model.params[name] -= lr * g
 
 
 def evaluate_loss(model: InterruptionModel, dataset, buffer=None) -> float:
@@ -372,6 +391,7 @@ class TrainResult:
     train_loss: list
     val_loss: list
     stopped_epoch: int
+    layer_weights: list | None  # softmax(layer_logits) after each epoch; None for matrix
 
 
 def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
@@ -401,6 +421,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     n = len(dataset)
     buffer = _batch_buffer(model, features[0], min(n, config.batch_size))
     train_curve, val_curve = [], []
+    layer_weights = [] if "layer_logits" in model.params else None
     best = (np.inf, None, -1)
     stopped = config.epochs
 
@@ -420,6 +441,8 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
                 _apply_sgd(model, grads, config.learning_rate)
             batch_losses.append(loss)
         train_curve.append(float(np.mean(batch_losses)))
+        if layer_weights is not None:
+            layer_weights.append(softmax(model.params["layer_logits"]).tolist())
 
         if val_dataset:
             with _diverged_at("validation after epoch %d" % epoch):
@@ -434,7 +457,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
 
     if val_dataset and best[1] is not None:
         model.params = best[1]
-    return TrainResult(model, train_curve, val_curve, stopped)
+    return TrainResult(model, train_curve, val_curve, stopped, layer_weights)
 
 
 _CKPT_MAGIC = b"TOM1"

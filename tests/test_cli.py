@@ -660,6 +660,67 @@ def test_sie_cut_after_its_check_exits_4_at_the_batch_read(small_corpus, data):
     assert code == 4
 
 
+@pytest.fixture(scope="module")
+def npy_corpus(tmp_path_factory):
+    """One (6, 5) float64 .npy clip per class, listed in both the train
+    and the test split, and the directory of a model trained on them."""
+    corpus = tmp_path_factory.mktemp("npy_corpus")
+    rng = np.random.default_rng(32)
+    for label in CLASSES:
+        np.save(corpus / (label + ".npy"), rng.normal(size=(6, 5)))
+    write_manifest(corpus / "manifest.jsonl",
+                   [ClipRecord(label, "m0", "p0", 5.0, label + ".wav", label)
+                    for label in CLASSES])
+    write_split(corpus / "split.json", {"train": list(CLASSES), "test": list(CLASSES)})
+    model = tmp_path_factory.mktemp("npy_model")
+    assert run_cli(["train", "--manifest", corpus / "manifest.jsonl", "--split",
+                    corpus / "split.json", "--features", corpus, "--feature", "mfcc",
+                    "--epochs", 1, "--out", model]) == 0
+    return corpus, model
+
+
+def _corrupt_npy(blob, data):
+    fault = data.draw(st.sampled_from(["truncate", "garbage", "non-finite", "append"]),
+                      label="fault")
+    event(fault)
+    if fault == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="truncate at")]
+    if fault == "append":
+        return blob + data.draw(st.binary(min_size=1, max_size=64), label="appended")
+    if fault == "garbage":
+        # keep the magic, or the magic and the header length, or nothing
+        keep = data.draw(st.sampled_from([0, 8, 10]), label="kept")
+        return blob[:keep] + data.draw(st.binary(max_size=len(blob)), label="garbage")
+    blob = bytearray(blob)
+    at = 128 + 8 * data.draw(st.integers(0, 29), label="value at")  # np.save's 128-byte header
+    blob[at: at + 8] = struct.pack(
+        "<d", data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value"))
+    return bytes(blob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_npy_exits_4(npy_corpus, data):
+    corpus, model = npy_corpus
+    victim = data.draw(st.sampled_from(CLASSES), label="clip") + ".npy"
+    with tempfile.TemporaryDirectory() as tmp:
+        _corpus_links(corpus, tmp, skip=victim)
+        with open(os.path.join(tmp, victim), "wb") as fh:
+            fh.write(_corrupt_npy((corpus / victim).read_bytes(), data))
+        common = ["--manifest", os.path.join(tmp, "manifest.jsonl"),
+                  "--split", os.path.join(tmp, "split.json"), "--features", tmp,
+                  "--feature", "mfcc"]
+        assert run_cli(["train", *common, "--epochs", 1,
+                        "--out", os.path.join(tmp, "model")]) == 4
+        assert run_cli(["eval", *common, "--model-dir", model, "--threshold", 0.5,
+                        "--out", os.path.join(tmp, "eval")]) == 4
+
+
+def test_matrix_model_history_has_no_layer_weights(npy_corpus):
+    history = json.loads((npy_corpus[1] / "history_r0.json").read_text())
+    assert history["layer_weights"] is None
+
+
 def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):
     emb = fixtures_dir / "embeddings"
     bad_dir = tmp_path / "model"
@@ -899,6 +960,9 @@ def test_train_writes_checkpoint_and_history(model_dir):
     assert history["seed"] == 0
     assert len(history["train_loss"]) == history["stopped_epoch"] == 2
     assert len(history["val_loss"]) == 2
+    # softmax(layer_logits) after each epoch, one weight per tiny layer
+    assert [len(w) for w in history["layer_weights"]] == [5, 5]
+    assert all(math.isclose(sum(w), 1.0, abs_tol=1e-12) for w in history["layer_weights"])
     config = json.loads((model_dir / "config.json").read_text())
     assert config["command"] == "train"
     assert config["arguments"]["epochs"] == 2

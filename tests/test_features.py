@@ -6,12 +6,12 @@ import pytest
 
 from talkover import features
 from talkover.audio import AudioChannel, SAMPLE_RATE
-from talkover.errors import EmbeddingFormatError, ShapeContractError
+from talkover.errors import EmbeddingFormatError, MatrixFormatError, ShapeContractError
 from talkover.features import (ANALYSIS_SAMPLES, MFCC_FRAMES, MFCC_HOP,
                                MFCC_N_COEFF, MFCC_N_FFT, PROFILES, SPEC_BINS,
                                SPEC_FRAMES,
                                SPEC_HOP, SPEC_N_FFT, EmbeddingProfile,
-                               LayeredEmbedding, load_embeddings,
+                               LayeredEmbedding, load_embeddings, load_matrix,
                                mel_filterbank, mfcc, spectrogram,
                                write_embeddings)
 from talkover.overlap import CandidateClip
@@ -274,3 +274,60 @@ def test_custom_profile_round_trip(tmp_path):
     write_embeddings(path, emb)
     back = load_embeddings(path, profile)
     assert np.array_equal(read_back(back), emb.data)
+
+
+@pytest.mark.parametrize("dtype", ["<f8", ">f8", "<f4", "<f2"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matrix_file_reads_what_np_load_reads(tmp_path, dtype, order):
+    rng = np.random.default_rng(10)
+    want = np.asarray(rng.normal(size=(5, 7)), dtype=dtype, order=order)
+    path = tmp_path / "clip.npy"
+    np.save(path, want)
+    handle = load_matrix(path)
+    assert handle.shape == (5, 7)
+    got = handle.read()
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.load(path).astype(np.float64))
+
+
+@pytest.mark.parametrize("array", [np.zeros(6), np.zeros((2, 3, 4)), np.zeros((0, 4)),
+                                   np.zeros((3, 4), np.int64), np.zeros((3, 4), complex),
+                                   np.zeros((3, 4), bool), np.array([["a", "b"]]),
+                                   np.array([[1.0, None]], dtype=object)])
+def test_matrix_file_needs_a_2d_real_float_matrix(tmp_path, array):
+    path = tmp_path / "clip.npy"
+    np.save(path, array)
+    with pytest.raises(MatrixFormatError, match="not a 2-D real float matrix"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("at", [0, 6, 7, -1])
+def test_matrix_file_checks_size_and_every_value(tmp_path, monkeypatch, at):
+    monkeypatch.setattr(features, "_CHECK_BLOCK", 7)
+    path = tmp_path / "clip.npy"
+    data = np.arange(24.0).reshape(4, 6)
+    np.save(path, data)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
+    with pytest.raises(MatrixFormatError, match="truncated payload"):
+        load_matrix(path)
+    path.write_bytes(blob + bytes(3))
+    with pytest.raises(MatrixFormatError, match="3 trailing bytes"):
+        load_matrix(path)
+    data.reshape(-1)[at] = np.inf
+    np.save(path, data)
+    with pytest.raises(MatrixFormatError, match="non-finite"):
+        load_matrix(path)
+    for garbage in (b"", b"\x93NUMPY", b"\x93NUMPY\x03\x00" + bytes(8), b"PK\x03\x04" + bytes(60)):
+        path.write_bytes(garbage)
+        with pytest.raises(MatrixFormatError, match="malformed .npy header"):
+            load_matrix(path)
+
+
+def test_matrix_file_cut_after_its_check_fails_to_read(tmp_path):
+    path = tmp_path / "clip.npy"
+    np.save(path, np.ones((3, 4)))
+    handle = load_matrix(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(MatrixFormatError, match="shrank"):
+        handle.read()

@@ -1,16 +1,22 @@
 """Peak memory of train and eval grows with the batch, and at inference
-with one clip, not with the split: every batch is read from its SIE1
-files into one reused buffer, and inference reads and pools one clip at
-a time. Each command runs in a child process, and its peak RSS is the
-ru_maxrss that os.wait4 reports for that child alone."""
+with one clip, not with the split: every batch is read from its SIE1 or
+.npy files, and inference reads and pools one clip at a time. Each
+command runs in a child process, and its peak RSS is the ru_maxrss that
+os.wait4 reports for that child alone."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from talkover.manifest import ClipRecord, write_manifest, write_split
+from talkover.vocab import CLASSES
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 TINY_BATCH_MIB = 32 * 2 * 5 * 32 * 249 * 4 / 2 ** 20  # 32 tiny clips, 9.7 MiB
+MFCC_BATCH_MIB = 32 * 80 * 401 * 8 / 2 ** 20  # 32 MFCC-shaped f64 clips, 7.8 MiB
 
 # A child's ru_maxrss starts at its parent's peak RSS at spawn, which for
 # a test process can exceed the CLI's own peak. So a fresh small process
@@ -64,3 +70,39 @@ def test_train_and_eval_peak_rss_does_not_grow_with_the_split(fixtures_dir, tmp_
         growth = peaks[command, "full"] - peaks[command, "small"]
         assert growth < TINY_BATCH_MIB, (
             "%s peak grew %.1f MiB from %d to %d clips" % (command, growth, *clips))
+
+
+def test_eval_peak_rss_on_npy_features_does_not_grow_with_the_split(tmp_path):
+    # each .npy clip is checked when the split is read and read again, by
+    # offset, when it is pooled; 16 distinct MFCC-shaped matrices are
+    # hard-linked under every clip id, so the corpus stays small on disk
+    rng = np.random.default_rng(33)
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    for k in range(16):
+        np.save(sources / ("%d.npy" % k), rng.normal(k % 4, 1.0, (80, 401)))
+    peaks = {}
+    for n in (200, 800):
+        corpus = tmp_path / ("corpus_%d" % n)
+        corpus.mkdir()
+        records, split = [], {"train": [], "test": []}
+        for name, count in (("train", 8), ("test", n)):
+            for i in range(count):
+                clip_id = "%s_%04d" % (name, i)
+                os.link(sources / ("%d.npy" % (i % 16)), corpus / (clip_id + ".npy"))
+                records.append(ClipRecord(clip_id, "m0", "p0", 5.0, clip_id + ".wav",
+                                          CLASSES[i % 4]))
+                split[name].append(clip_id)
+        write_manifest(corpus / "manifest.jsonl", records)
+        write_split(corpus / "split.json", split)
+        common = ["--manifest", corpus / "manifest.jsonl", "--split", corpus / "split.json",
+                  "--features", corpus, "--feature", "mfcc"]
+        model = tmp_path / "model"
+        if n == 200:
+            peak_rss_mib(["train", *common, "--epochs", 1, "--out", model],
+                         tmp_path / "train.log")
+        peaks[n] = peak_rss_mib(["eval", *common, "--model-dir", model, "--threshold", 0.5,
+                                 "--out", tmp_path / ("eval_%d" % n)],
+                                tmp_path / ("eval_%d.log" % n))
+    growth = peaks[800] - peaks[200]
+    assert growth < MFCC_BATCH_MIB, "eval peak grew %.1f MiB from 200 to 800 clips" % growth

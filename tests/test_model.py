@@ -263,6 +263,104 @@ def test_train_step_memory_is_bounded_by_the_f32_batch():
     assert peak < 1.5 * sum(f.data.nbytes for f in batch)
 
 
+def test_train_step_memory_stays_below_the_dense_layer_gradient():
+    # the layer gradient contracts the f32 stack with rank-2 factors; a
+    # full (B, d, M) float64 dH and its temporary peak at about 1.42x
+    rng = np.random.default_rng(28)
+    profile = PROFILES["base"]
+    batch = profile_clips(rng, profile, 4)
+    model = M.build_model(M.feature_spec_of(batch[0]), rng)
+    peak = traced_peak(M._loss_and_grads, model, batch, [0, 1, 2, 3])
+    assert peak < 1.3 * sum(f.data.nbytes for f in batch)
+
+
+def dense_loss_and_grads(model, batch_features, labels):
+    """_loss_and_grads as it was with the layer gradient read through
+    the full (B, d, M) dH: the oracle of the rank-2 contraction."""
+    B = len(batch_features)
+    labels = np.asarray(labels)
+    params = model.params
+    grads = dict.fromkeys(params)
+    stacked = M._stack(model, batch_features)
+    H, Q, U = M._pool(model, stacked)
+    logits, zs, acts = M._head_forward(params, U)
+    probs = M.softmax(logits, axis=1)
+    loss = M._logit_loss(logits, labels)
+
+    dz = probs.copy()
+    dz[np.arange(B), labels] -= 1.0
+    dz /= B
+    for i in range(len(zs) - 1, -1, -1):
+        grads["head_w%d" % i] = dz.T @ acts[i]
+        grads["head_b%d" % i] = dz.sum(axis=0)
+        if i > 0:
+            da = dz @ params["head_w%d" % i]
+            dz = da * np.where(zs[i - 1] > 0, 1.0, M.LEAKY_SLOPE)
+    g = dz @ params["head_w0"]
+
+    dQ = np.einsum("bdm,bd->bm", H, g)
+    dS = Q * (dQ - np.sum(dQ * Q, axis=1, keepdims=True))
+    grads["pooler_w"] = np.einsum("bdm,bm->d", H, dS)
+
+    spec = model.feature_spec
+    if spec.kind == "emb":
+        dH = g[:, :, None] * Q[:, None, :]
+        dH += params["pooler_w"][None, :, None] * dS[:, None, :]
+        if spec.channels == M.CHANNELS_RIGHT:
+            dH[:, : spec.input_dim // 2, :] = 0.0
+        dH_c = dH.reshape(B, stacked.shape[1], spec.input_dim // stacked.shape[1], -1)
+        dw = np.einsum("bcdm,bcldm->l", dH_c, stacked)
+        w = M.softmax(params["layer_logits"])
+        grads["layer_logits"] = w * (dw - np.sum(dw * w))
+    return loss, grads
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["emb", "matrix"]), channels=st.sampled_from(["2", "right"]),
+       B=st.integers(1, 9), layers=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_loss_and_grads_match_the_dense_dh_oracle(kind, channels, B, layers, seed):
+    rng = np.random.default_rng(seed)
+    dim, frames = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+    if kind == "emb":
+        profile = emb_profile(layers, dim, frames)
+        model = small_model(rng, profile, channels)
+        batch = [random_embedding(rng, profile) for _ in range(B)]
+    else:
+        model = M.build_model(M.FeatureSpec("matrix", 2 * dim, frames, None, channels),
+                              rng, (6, 4))
+        model.params["pooler_w"] = rng.normal(0.0, 0.5, 2 * dim)
+        batch = [rng.normal(size=(2 * dim, frames)) for _ in range(B)]
+    labels = rng.integers(0, 4, B)
+    loss, grads = M._loss_and_grads(model, batch, labels)
+    want_loss, want = dense_loss_and_grads(model, batch, labels)
+    assert loss == want_loss
+    assert list(grads) == list(want)
+    for name in want:
+        if name != "layer_logits":  # the head and pooler_w take the same path
+            assert np.array_equal(grads[name], want[name]), name
+    if kind == "emb":
+        # the sums run in another order; w_l (dw_l - w.dw) can cancel, so
+        # the error is measured against the gradient's largest entry
+        got, ref = grads["layer_logits"], want["layer_logits"]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_train_records_the_layer_weights_after_each_epoch():
+    rng = np.random.default_rng(29)
+    profile = emb_profile()
+    data = [(random_embedding(rng, profile), i % 4) for i in range(8)]
+    config = M.TrainConfig(learning_rate=0.05, batch_size=4, epochs=3)
+    result = M.train(data, config, head_widths=(6, 4))
+    assert len(result.layer_weights) == 3
+    assert result.layer_weights[-1] == M.softmax(result.model.params["layer_logits"]).tolist()
+    for weights in result.layer_weights:
+        assert len(weights) == profile.layers
+        assert math.isclose(sum(weights), 1.0, rel_tol=0, abs_tol=1e-12)
+    assert result.layer_weights[0] != [1 / profile.layers] * profile.layers
+    matrix = M.train(matrix_dataset(rng, n=8), config, head_widths=(6, 4))
+    assert matrix.layer_weights is None
+
+
 def test_forward_batch_pools_one_clip_at_a_time():
     # 13 layers of 32 dims: 0.83 MB a clip, so that a buffer of more than
     # one clip shows above the head pass
@@ -481,7 +579,11 @@ def test_checkpoint_rejects_unparsable_header(saved_checkpoint):
                                               ("layers", "3"), ("frames", "6"),
                                               ("frames", 6.0))),
                          *(json.dumps(dict(header, head_widths=widths)).encode()
-                           for widths in (["6", 4], [6.0, 4], [6, True]))):
+                           for widths in (["6", 4], [6.0, 4], [6, True])),
+                         # a kind the model cannot be built for
+                         *(json.dumps(dict(header, feature_spec=dict(
+                             header["feature_spec"], kind=kind))).encode()
+                           for kind in ("foo", "", None))):
         write_checkpoint(saved_checkpoint, prefix, header_bytes, body)
         with pytest.raises(ModelError, match="malformed checkpoint header"):
             M.load_model(saved_checkpoint)
