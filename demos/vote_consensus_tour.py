@@ -1,7 +1,7 @@
 """Small tour of the crowd-label pipeline: per-clip consensus,
 chance-corrected agreement, and annotator accuracy against a golden set,
 plus a precedence rule a study could apply to multi-label clips."""
-from talkover.labels import (VoteRecord, aggregate_all, annotator_accuracy,
+from talkover.labels import (Votes, aggregate_all, annotator_accuracy,
                              fleiss_kappa, votes_to_table)
 
 # Three clips, seven annotators each. clip_a is a clean majority, clip_b
@@ -13,9 +13,11 @@ BALLOTS = {
 }
 
 def main():
-    votes = [VoteRecord(cid, "ann_%d" % i, lab)
-             for cid, labs in BALLOTS.items()
-             for i, lab in enumerate(labs)]
+    # the same (clip_id, annotator_id, label) rows that read_votes_csv
+    # takes from a votes CSV, coded into columns by the same function
+    votes = Votes.from_rows((cid, "ann_%d" % i, lab)
+                            for cid, labs in BALLOTS.items()
+                            for i, lab in enumerate(labs))
 
     print("consensus at the default 0.7 bar:")
     for res in aggregate_all(votes):

@@ -298,7 +298,12 @@ def cmd_eval(args) -> int:
                              "%.10g" % tau, "%.10g" % fpr])
         arr = np.array([[r[1], r[2], r[3], r[4]] for r in rows], dtype=np.float64)
         writer.writerow(["mean"] + ["%.10g" % v for v in arr.mean(axis=0)])
-        writer.writerow(["sd"] + ["%.10g" % v for v in arr.std(axis=0)])
+        # a column whose runs agree has sd 0, also when they agree on an
+        # infinite threshold, where arr.std would subtract inf from inf
+        agree = np.all(arr == arr[0], axis=0)
+        sd = np.zeros(arr.shape[1])
+        sd[~agree] = arr[:, ~agree].std(axis=0)
+        writer.writerow(["sd"] + ["%.10g" % v for v in sd])
     if len(rows) > 1:
         print("mean auc=%.4f tpr=%.4f" % (arr[:, 0].mean(), arr[:, 1].mean()))
 

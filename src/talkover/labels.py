@@ -1,11 +1,18 @@
 """Crowd-label aggregation: modal-vote consensus with an agreement
 threshold, Fleiss' kappa agreement, and golden-clip annotator accuracy.
-Consensus and kappa both read the one clips-by-VOTE_LABELS count table
-that votes_to_table builds; each vote carries exactly one label."""
+
+Votes are held as columns. Votes.from_rows, which read_votes_csv feeds,
+codes each clip id, annotator id and label as it reads them, keeping no
+object per vote, and rejects an unknown label or a repeated (clip,
+annotator) pair. Consensus and kappa both read the one
+clips-by-VOTE_LABELS count table that votes_to_table builds from those
+codes; each vote carries exactly one label. VoteRecord is the row type
+that write_votes_csv writes."""
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +52,75 @@ class ConsensusResult:
         return self.label is not None
 
 
-def _intern(values):
-    """Codes numbering the distinct values in sorted order, and those values."""
-    ids = sorted(set(values))
-    code = {v: i for i, v in enumerate(ids)}
-    return np.fromiter(map(code.__getitem__, values), np.int64, len(values)), ids
+@dataclass(frozen=True, eq=False)
+class Votes:
+    """Votes as columns: vote i is annotator_ids[annotator[i]]'s vote of
+    VOTE_LABELS[label[i]] on clip_ids[clip[i]], in the order read. The
+    int64 code arrays number the sorted ids; len() is the vote count."""
+
+    clip: np.ndarray
+    annotator: np.ndarray
+    label: np.ndarray
+    clip_ids: list
+    annotator_ids: list
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    @classmethod
+    def from_rows(cls, rows, where=lambda: ""):
+        """Votes from (clip_id, annotator_id, label) triples. Each id takes
+        a code when first seen, and the codes are then renumbered in sorted
+        id order. A row that is not a triple or has an unknown label raises
+        LabelError, prefixed by where() (the reader's file and line); a
+        repeated (clip, annotator) pair raises DuplicateVoteError."""
+        clip_code, annotator_code = {}, {}
+        clip, annotator, label = array("q"), array("q"), array("q")
+        for row in rows:
+            try:
+                c, a, lab = row
+                label.append(_LABEL_CODE[lab])
+            except ValueError:
+                raise LabelError("%sexpected 3 columns" % where()) from None
+            except KeyError:
+                raise LabelError("%sunknown vote label %r" % (where(), lab)) from None
+            code = clip_code.get(c)
+            if code is None:
+                code = clip_code[c] = len(clip_code)
+            clip.append(code)
+            code = annotator_code.get(a)
+            if code is None:
+                code = annotator_code[a] = len(annotator_code)
+            annotator.append(code)
+        clip, clip_ids = _in_sorted_order(clip, clip_code)
+        annotator, annotator_ids = _in_sorted_order(annotator, annotator_code)
+        pairs = np.sort(clip * len(annotator_ids) + annotator)
+        repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+        if repeated.size:
+            c, a = divmod(int(repeated[0]), len(annotator_ids))
+            raise DuplicateVoteError(
+                "annotator %s voted more than once on %s" % (annotator_ids[a], clip_ids[c]))
+        return cls(clip, annotator, np.frombuffer(label, np.int64), clip_ids, annotator_ids)
 
 
-def _encode(votes):
-    """Clip, annotator and label codes of each vote, and the sorted clip and
-    annotator ids; a repeated (clip, annotator) pair is a duplicate vote."""
-    clip, clip_ids = _intern([v.clip_id for v in votes])
-    annotator, annotator_ids = _intern([v.annotator_id for v in votes])
-    pairs = np.sort(clip * len(annotator_ids) + annotator)
-    repeated = pairs[1:][pairs[1:] == pairs[:-1]]
-    if repeated.size:
-        c, a = divmod(int(repeated[0]), len(annotator_ids))
-        raise DuplicateVoteError(
-            "annotator %s voted more than once on %s" % (annotator_ids[a], clip_ids[c]))
-    label = np.fromiter((_LABEL_CODE[v.label] for v in votes), np.int64, len(votes))
-    return clip, clip_ids, annotator, annotator_ids, label
+def _in_sorted_order(codes, first_seen):
+    """First-seen codes renumbered in the sorted order of their ids, and
+    those ids."""
+    ids = sorted(first_seen)
+    rank = np.empty(len(ids), np.int64)
+    rank[np.fromiter(map(first_seen.__getitem__, ids), np.int64, len(ids))] = np.arange(len(ids))
+    return rank[np.frombuffer(codes, np.int64)], ids
 
 
-def votes_to_table(votes):
-    """Clips-by-VOTE_LABELS count table of a vote list, and the clip ids
-    of its rows in sorted order. Duplicate votes are rejected."""
-    clip, clip_ids, _, _, label = _encode(votes)
+def votes_to_table(votes: Votes):
+    """Clips-by-VOTE_LABELS count table of the votes, and the clip ids of
+    its rows in sorted order."""
     k = len(VOTE_LABELS)
-    table = np.bincount(clip * k + label, minlength=len(clip_ids) * k)
-    return table.reshape(len(clip_ids), k), clip_ids
+    table = np.bincount(votes.clip * k + votes.label, minlength=len(votes.clip_ids) * k)
+    return table.reshape(len(votes.clip_ids), k), votes.clip_ids
 
 
-def aggregate_all(votes, threshold: float = CONSENSUS_THRESHOLD):
+def aggregate_all(votes: Votes, threshold: float = CONSENSUS_THRESHOLD):
     """Consensus of every clip, sorted by clip_id: the modal label wins iff it
     is the only mode and its share of the clip's votes reaches threshold.
     Rejecting ties at any threshold keeps the result order-independent."""
@@ -87,15 +131,6 @@ def aggregate_all(votes, threshold: float = CONSENSUS_THRESHOLD):
     labels = [VOTE_LABELS[j] if ok else None
               for j, ok in zip(table.argmax(axis=1).tolist(), won.tolist())]
     return list(map(ConsensusResult, clip_ids, labels, fraction.tolist(), n.tolist()))
-
-
-def aggregate(votes, threshold: float = CONSENSUS_THRESHOLD) -> ConsensusResult:
-    """Consensus of the votes on a single clip, by the aggregate_all rule."""
-    votes = list(votes)
-    clip_ids = {v.clip_id for v in votes}
-    if len(clip_ids) != 1:
-        raise LabelError("aggregate takes the votes on one clip, got %s" % sorted(clip_ids))
-    return aggregate_all(votes, threshold)[0]
 
 
 def fleiss_kappa(table) -> float:
@@ -132,18 +167,19 @@ def fleiss_kappa(table) -> float:
     return (p_bar - p_e) / (1.0 - p_e)
 
 
-def annotator_accuracy(votes, golden_labels: dict) -> dict:
+def annotator_accuracy(votes: Votes, golden_labels: dict) -> dict:
     """Per-annotator accuracy against known labels of golden clips.
 
     Only votes on clips present in golden_labels count; annotators who
     never saw a golden clip are omitted.
     """
-    clip, clip_ids, annotator, annotator_ids, label = _encode(votes)
-    truth = np.array([_LABEL_CODE.get(golden_labels.get(c), -1) for c in clip_ids])[clip]
-    total = np.bincount(annotator[truth >= 0], minlength=len(annotator_ids))
-    correct = np.bincount(annotator[label == truth], minlength=len(annotator_ids))
+    truth = np.array([_LABEL_CODE.get(golden_labels.get(c), -1)
+                      for c in votes.clip_ids], np.int64)[votes.clip]
+    n = len(votes.annotator_ids)
+    total = np.bincount(votes.annotator[truth >= 0], minlength=n)
+    correct = np.bincount(votes.annotator[votes.label == truth], minlength=n)
     return {a: {"correct": c, "total": t, "accuracy": c / t}
-            for a, c, t in zip(annotator_ids, correct.tolist(), total.tolist()) if t}
+            for a, c, t in zip(votes.annotator_ids, correct.tolist(), total.tolist()) if t}
 
 
 def read_golden_json(path) -> dict:
@@ -159,23 +195,18 @@ def read_golden_json(path) -> dict:
     return golden
 
 
-def read_votes_csv(path):
-    """Votes CSV is clip_id,annotator_id,label with a header row."""
+def read_votes_csv(path) -> Votes:
+    """Votes CSV is clip_id,annotator_id,label with a header row; blank
+    lines are skipped. A bad row's error names the file and line."""
     with open(path, newline="") as fh:
         try:
             reader = csv.reader(fh)
             if next(reader, None) != ["clip_id", "annotator_id", "label"]:
                 raise LabelError("%s: expected header clip_id,annotator_id,label" % path)
-            votes = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise LabelError("%s:%d: expected 3 columns" % (path, lineno))
-                votes.append(VoteRecord(*row))
+            return Votes.from_rows(filter(None, reader),
+                                   where=lambda: "%s:%d: " % (path, reader.line_num))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise LabelError("%s: %s" % (path, exc)) from None
-    return votes
 
 
 def write_votes_csv(path, votes) -> None:

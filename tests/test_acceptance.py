@@ -16,7 +16,7 @@ from talkover.audio import AudioChannel, MeetingAudio
 from talkover.causal import (estimate_impact, filter_eligible, fit_propensity,
                              naive_difference, stratify)
 from talkover.features import EmbeddingProfile, LayeredEmbedding, mfcc, spectrogram
-from talkover.labels import VoteRecord, aggregate, fleiss_kappa
+from talkover.labels import Votes, aggregate_all, fleiss_kappa
 from talkover.metrics import (Scores, roc_auc, thresholded_confusion,
                               tpr_at_fpr)
 from talkover.model import (CLASSES, FeatureSpec, TrainConfig, attention_pool,
@@ -416,9 +416,9 @@ def test_consensus_thresholds_and_agreement_oracle():
     for winners, accepted in ((5, True), (4, False)):
         labels = ["laughter"] * winners + ["other"] * (7 - winners)
         for perm in set(itertools.permutations(labels)):
-            votes = [VoteRecord("c", "ann_%d" % i, lab)
-                     for i, lab in enumerate(perm)]
-            res = aggregate(votes)
+            votes = Votes.from_rows(("c", "ann_%d" % i, lab)
+                                    for i, lab in enumerate(perm))
+            res = aggregate_all(votes)[0]
             assert res.accepted is accepted
             if accepted:
                 assert res.label == "laughter"

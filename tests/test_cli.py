@@ -127,10 +127,15 @@ def test_missing_input_exits_10(tmp_path):
     assert code == 10
 
 
-def test_bad_votes_header_exits_7(tmp_path):
+def test_bad_votes_header_exits_7(tmp_path, capsys):
     votes = tmp_path / "votes.csv"
     votes.write_text("who,what,when\na,b,c\n")
     assert run_cli(["labels", "--votes", votes, "--out", tmp_path]) == 7
+    # an unknown label after a good header: the error names the file and line
+    votes.write_text("clip_id,annotator_id,label\na,b,other\n\na,c,shouting\n")
+    capsys.readouterr()
+    assert run_cli(["labels", "--votes", votes, "--out", tmp_path / "o"]) == 7
+    assert capsys.readouterr().err == "error: %s:4: unknown vote label 'shouting'\n" % votes
 
 
 def test_wrong_profile_exits_4(fixtures_dir, tmp_path):
@@ -835,6 +840,42 @@ def test_eval_reads_each_clip_once_across_runs(fixtures_dir, model_dir, tmp_path
     with open(tmp_path / "o" / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][1:] == rows[2][1:]  # the same checkpoint twice scores the same
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_eval_sd_of_an_infinite_threshold_is_zero(fixtures_dir, model_dir, tmp_path, runs):
+    # calibrating on negatives the model emits as failed_interruption
+    # finds no threshold within a 1% FPR target, so tau is inf
+    from talkover import model as model_mod
+    from talkover.cli import _load_split
+    from talkover.features import PROFILES
+    emb = fixtures_dir / "embeddings"
+    records = {r.clip_id: r for r in read_manifest(emb / "manifest.jsonl")}
+    split = json.loads((emb / "split.json").read_text())
+    ids = split["train"] + split["val"]
+    feats, labels = _load_split(records, ids, emb, "emb", PROFILES["tiny"])
+    probs = model_mod.forward_batch(model_mod.load_model(model_dir / "checkpoint_r0.bin"), feats)
+    positive = CLASSES.index("failed_interruption")
+    split["calib"] = [cid for cid, p, y in zip(ids, probs.argmax(axis=1).tolist(), labels)
+                      if p == positive != y]
+    assert 0 < len(split["calib"]) < 100
+    (tmp_path / "split.json").write_text(json.dumps(split))
+    model = tmp_path / "model"
+    model.mkdir()
+    for run in range(runs):
+        shutil.copy(model_dir / "checkpoint_r0.bin", model / ("checkpoint_r%d.bin" % run))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
+                        "--split", tmp_path / "split.json", "--features", emb,
+                        "--feature", "emb", "--profile", "tiny", "--runs", runs,
+                        "--model-dir", model, "--calibration-split", "calib",
+                        "--fpr-target", 0.01, "--out", tmp_path / "o"])
+    assert code == 0
+    with open(tmp_path / "o" / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[3] for row in rows[1:runs + 2]] == ["inf"] * (runs + 1)
+    assert rows[-1] == ["sd", "0", "0", "0", "0"]
 
 
 def test_unknown_split_name_exits_9(fixtures_dir, model_dir, tmp_path):

@@ -1,8 +1,9 @@
 """Peak memory of train and eval grows with the batch, and at inference
 with one clip, not with the split: every batch is read from its SIE1 or
-.npy files, and inference reads and pools one clip at a time. Each
-command runs in a child process, and its peak RSS is the ru_maxrss that
-os.wait4 reports for that child alone."""
+.npy files, and inference reads and pools one clip at a time. labels and
+kappa hold votes as code columns, not one object per vote. Each command
+runs in a child process, and its peak RSS is the ru_maxrss that os.wait4
+reports for that child alone."""
 import json
 import os
 import subprocess
@@ -11,12 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
+from talkover.labels import VOTE_LABELS, VoteRecord, write_votes_csv
 from talkover.manifest import ClipRecord, write_manifest, write_split
 from talkover.vocab import CLASSES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TINY_BATCH_MIB = 32 * 2 * 5 * 32 * 249 * 4 / 2 ** 20  # 32 tiny clips, 9.7 MiB
 MFCC_BATCH_MIB = 32 * 80 * 401 * 8 / 2 ** 20  # 32 MFCC-shaped f64 clips, 7.8 MiB
+# from 7,000 to 112,000 votes, labels --golden and kappa grew 34.6 and
+# 30.8 MiB with a VoteRecord per vote, and grow 8.0 and 6.1 MiB as columns
+VOTES_GROWTH_MIB = 18.0
 
 # A child's ru_maxrss starts at its parent's peak RSS at spawn, which for
 # a test process can exceed the CLI's own peak. So a fresh small process
@@ -106,3 +111,30 @@ def test_eval_peak_rss_on_npy_features_does_not_grow_with_the_split(tmp_path):
                                 tmp_path / ("eval_%d.log" % n))
     growth = peaks[800] - peaks[200]
     assert growth < MFCC_BATCH_MIB, "eval peak grew %.1f MiB from 200 to 800 clips" % growth
+
+
+def test_labels_and_kappa_peak_rss_grows_slower_than_per_vote_objects(tmp_path):
+    # 7 votes on each clip from a pool of 20 annotators
+    rng = np.random.default_rng(5)
+    peaks = {}
+    for n_clips in (1000, 16000):
+        votes_dir = tmp_path / ("votes_%d" % n_clips)
+        votes_dir.mkdir()
+        raters = np.argsort(rng.random((n_clips, 20)), axis=1)[:, :7]
+        labels = rng.integers(0, len(VOTE_LABELS), (n_clips, 7))
+        write_votes_csv(votes_dir / "votes.csv", [
+            VoteRecord("clip_%05d" % c, "ann_%02d" % a, VOTE_LABELS[lab])
+            for c in range(n_clips)
+            for a, lab in zip(raters[c].tolist(), labels[c].tolist())])
+        (votes_dir / "golden.json").write_text(json.dumps(
+            {"clip_%05d" % c: "other" for c in range(0, n_clips, 20)}))
+        for command, extra in (("labels", ["--golden", votes_dir / "golden.json"]),
+                               ("kappa", [])):
+            peaks[command, n_clips] = peak_rss_mib(
+                [command, "--votes", votes_dir / "votes.csv", *extra,
+                 "--out", tmp_path / ("%s_%d" % (command, n_clips))],
+                tmp_path / ("%s_%d.log" % (command, n_clips)))
+    for command in ("labels", "kappa"):
+        growth = peaks[command, 16000] - peaks[command, 1000]
+        assert growth < VOTES_GROWTH_MIB, (
+            "%s peak grew %.1f MiB from 7,000 to 112,000 votes" % (command, growth))

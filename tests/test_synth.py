@@ -92,8 +92,7 @@ def test_embedding_corpus_layout(fixtures_dir):
 def test_votes_fixture_patterns(fixtures_dir):
     votes_dir = fixtures_dir / "votes"
     votes = read_votes_csv(votes_dir / "votes.csv")
-    clips = {v.clip_id for v in votes}
-    assert len(clips) == 24
+    assert len(votes.clip_ids) == 24
     assert len(votes) == 24 * N_ANNOTATORS
 
     results = aggregate_all(votes)
