@@ -45,7 +45,7 @@ def main():
               % (len(train_set), len(val_set), len(test_set)))
 
         # the loaded embeddings are handles on the corpus files, read a
-        # batch at a time, so training runs while the corpus exists
+        # clip at a time, so training runs while the corpus exists
         config = TrainConfig(epochs=args.epochs, seed=args.seed)
         result = model_mod.train(train_set, config, val_set)
         print("stopped after epoch %d, train loss %.4f, val loss %.4f"

@@ -58,6 +58,8 @@ _positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
 _fraction = _bounded(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
 _positive_float = _bounded(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_non_negative_float = _bounded(float, lambda v: 0.0 <= v < math.inf,
+                               "a non-negative finite number")
 _finite_float = _bounded(float, math.isfinite, "a finite number")
 _bin_count = _bounded(int, lambda v: v >= 2, "an integer of at least 2")
 
@@ -428,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="detect overlap candidates and cut clips")
     add_common(p)
     p.add_argument("--meetings", required=True, help="meetings manifest JSON")
-    p.add_argument("--energy-threshold", type=float, default=-45.0,
+    p.add_argument("--energy-threshold", type=_finite_float, default=-45.0,
                    help="VAD activity threshold in dBFS")
-    p.add_argument("--min-presilence", type=float, default=3.0)
-    p.add_argument("--min-utterance", type=float, default=0.3)
+    p.add_argument("--min-presilence", type=_non_negative_float, default=3.0)
+    p.add_argument("--min-utterance", type=_non_negative_float, default=0.3)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("featurize", help="compute or validate clip features")

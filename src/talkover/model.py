@@ -4,18 +4,17 @@ trained with mini-batch SGD on cross-entropy.
 
 All math is plain numpy with exact analytic gradients; the
 finite-difference suite in the tests checks every parameter group.
-Embedding features are float32: each clip reads itself, from its SIE1
-file or from memory, into its row of one preallocated (B, C, L, d, M)
-f32 buffer, which train reuses for every step; forward_batch pools one
-clip at a time, in row 0 of train's buffer or of its own. The two
-einsum contractions that read the buffer upcast in bounded buffers and
-give float64 results, so no float64 copy of a batch is made: the layer
-mix, which gives the (B, d, M) H, and the layer gradient, which
-contracts the stack with the two rank-1 terms of the gradient w.r.t. H
-instead of forming it. Everything downstream of the layer mix, and the
-parameters, are float64. So memory grows with the batch size, not with
-the number of clips. Matrix features are float64 (d, M) arrays, or
-MatrixFile handles read when their batch is stacked.
+Embedding features are float32. Training and inference read them one
+clip at a time, from the clip's SIE1 file or from memory, into one f32
+one-clip buffer, and pool each clip alone. The einsum contractions that
+read the buffer upcast in bounded buffers and give float64 results, so
+no float64 copy of a clip is made: the layer mix, which gives the
+clip's (d, M) H, and, in training, the clip's two small factors of the
+layer gradient. Everything downstream of the layer mix, and the
+parameters, are float64. So a step holds one clip plus the batch's
+float64 H, and memory grows with neither the split nor, beyond H, the
+batch size. Matrix features are float64 (d, M) arrays, or MatrixFile
+handles read when their clip is pooled.
 """
 from __future__ import annotations
 
@@ -39,9 +38,8 @@ CHANNELS_RIGHT = "right"
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -130,6 +128,8 @@ def feature_spec_of(features, channels: str = CHANNELS_BOTH) -> FeatureSpec:
     """Derive the input contract from one sample."""
     if isinstance(features, (LayeredEmbedding, EmbeddingFile)):
         p = features.profile
+        if channels == CHANNELS_RIGHT and p.channels % 2:
+            raise FeatureProfileError("right-channel masking needs an even channel count")
         return FeatureSpec("emb", p.stacked_dim, p.frames, p.name, channels, p.layers)
     shape = features.shape if isinstance(features, MatrixFile) else np.shape(features)
     if len(shape) != 2:
@@ -198,50 +198,44 @@ def _check_features(model: InterruptionModel, features) -> None:
             "model expects %s, got %s" % (spec.to_dict(), got.to_dict()))
 
 
-def _batch_buffer(model: InterruptionModel, first, n: int):
-    """An f32 (n, C, L, d0, M) buffer for _stack to fill with clips like
-    first; None for matrix features, which _stack stacks anew."""
+def _clip_buffer(model: InterruptionModel, first):
+    """An f32 one-clip buffer for _read to fill with clips like first;
+    None for matrix features, which _read copies anew."""
     if model.feature_spec.kind != "emb":
         return None
-    return np.empty((n,) + first.profile.shape, np.float32)
+    return np.empty(first.profile.shape, np.float32)
 
 
-def _stack(model: InterruptionModel, batch_features, buffer=None) -> np.ndarray:
-    """One array for a batch. Embeddings fill the first B rows of buffer
-    (from _batch_buffer, with at least B rows; a new one when None), each
-    clip by its read_into, and the view of those rows is returned: the
-    caller may reuse the buffer for the next batch once it is done with
-    this one. Matrix features, arrays or MatrixFile handles, become a new
-    f64 (B, d, M) stack."""
-    if model.feature_spec.kind != "emb":
-        return np.stack([f.read() if isinstance(f, MatrixFile) else np.asarray(f, np.float64)
-                         for f in batch_features])
-    if buffer is None:
-        buffer = _batch_buffer(model, batch_features[0], len(batch_features))
-    stacked = buffer[: len(batch_features)]
-    for row, f in zip(stacked, batch_features, strict=True):
-        f.read_into(row)
-    return stacked
+def _read(model: InterruptionModel, f, buffer) -> np.ndarray:
+    """One clip as a batch of one, with the left channel zeroed for a
+    right-channel model. An embedding is read into buffer (from
+    _clip_buffer) by its read_into, and a view of it is returned, valid
+    until the next read. A matrix, an array or a MatrixFile handle,
+    becomes a new f64 (1, d, M) array."""
+    if model.feature_spec.kind == "emb":
+        f.read_into(buffer)
+        X = buffer[None]
+    else:
+        X = (f.read() if isinstance(f, MatrixFile) else np.array(f, np.float64))[None]
+    if model.feature_spec.channels == CHANNELS_RIGHT:
+        X[:, : X.shape[1] // 2] = 0.0
+    return X
 
 
 def _batch_h(model: InterruptionModel, stacked: np.ndarray) -> np.ndarray:
-    """Layer-mixed, masked H of shape (B, d, M) from a _stack array.
+    """Layer-mixed H of shape (B, d, M) from _read arrays, stacked.
     Embedding channels stack on the feature axis: rows [0, d0) left
     channel, rows [d0, 2*d0) right. einsum upcasts the f32 layers in
     bounded buffers, so no f64 copy of the stack is made."""
     spec = model.feature_spec
-    if spec.kind == "emb":
-        w = softmax(model.params["layer_logits"])
-        H = np.einsum("l,bcldm->bcdm", w, stacked).reshape(len(stacked), spec.input_dim, -1)
-    else:
-        H = stacked
-    if spec.channels == CHANNELS_RIGHT:
-        H[:, : spec.input_dim // 2, :] = 0.0
-    return H
+    if spec.kind != "emb":
+        return stacked
+    w = softmax(model.params["layer_logits"])
+    return np.einsum("l,bcldm->bcdm", w, stacked).reshape(len(stacked), spec.input_dim, -1)
 
 
 def _pool(model: InterruptionModel, stacked: np.ndarray):
-    """Attention pooling of a stacked batch; returns (H, Q, U). A
+    """Attention pooling of _read arrays, stacked; returns (H, Q, U). A
     sample's U has the same bits whatever batch it is pooled in."""
     H = _batch_h(model, stacked)
     scores = np.einsum("d,bdm->bm", model.params["pooler_w"], H)
@@ -282,46 +276,56 @@ def _head_logits(params: dict, U: np.ndarray) -> np.ndarray:
 def _forward_pass(model: InterruptionModel, batch_features):
     """Unchunked forward of a whole batch, the reference forward_batch
     must match; returns (H, Q, U, preactivations, activations, probs)."""
-    H, Q, U = _pool(model, _stack(model, batch_features))
+    stacked = np.concatenate([_read(model, f, _clip_buffer(model, f)) for f in batch_features])
+    H, Q, U = _pool(model, stacked)
     logits, zs, acts = _head_forward(model.params, U)
     return H, Q, U, zs, acts, softmax(logits, axis=1)
 
 
-def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
-                  buffer=None) -> np.ndarray:
+def forward_batch(model: InterruptionModel, features_list, logits: bool = False) -> np.ndarray:
     """Class probabilities, one row per sample; each row sums to 1. With
     logits=True, the head's logits instead.
 
     Every sample is checked against the model's feature spec, read into
-    row 0 of buffer (train's, or a new one-clip buffer when None) and
-    pooled alone. The head then runs once on every pooled vector (BLAS
-    gemm may round a one-row batch differently) and keeps only its
-    current layer."""
+    one one-clip buffer and pooled alone. The head then runs once on
+    every pooled vector (BLAS gemm may round a one-row batch
+    differently) and keeps only its current layer."""
     if not features_list:
         raise ModelError("empty batch")
     for f in features_list:
         _check_features(model, f)
-    if buffer is None:
-        buffer = _batch_buffer(model, features_list[0], 1)
-    U = np.concatenate([_pool(model, _stack(model, [f], buffer))[2] for f in features_list])
+    buffer = _clip_buffer(model, features_list[0])
+    U = np.concatenate([_pool(model, _read(model, f, buffer))[2] for f in features_list])
     z = _head_logits(model.params, U)
     return z if logits else softmax(z, axis=1)
 
 
-def _loss_and_grads(model: InterruptionModel, batch_features, labels, buffer=None):
-    """Mean cross-entropy and its exact gradients for one mini-batch,
-    stacked into buffer as _stack does; the gradients are a dict with
-    the keys of model.params, in order.
+def _loss_and_grads(model: InterruptionModel, batch_features, labels):
+    """Mean cross-entropy and its exact gradients for one mini-batch;
+    the gradients are a dict with the keys of model.params, in order.
 
-    Besides the f32 stack, the step holds the float64 H, which is freed
-    before the layer gradient, and that gradient's (B, C, L, 2, M)
-    contraction; the (B, d, M) gradient w.r.t. H is never formed."""
+    Each clip is read and pooled alone, as in forward_batch, into the
+    batch's float64 H, Q and U. An embedding clip X_b also gives all the
+    layer gradient needs of it: V_b = X_b Q_b of shape (C, L, d0) and
+    s_b = pooler_w . X_b of shape (C, L, M). So a step holds one clip,
+    not the batch, and never the (B, d, M) gradient w.r.t. H."""
     B = len(batch_features)
     labels = np.asarray(labels)
     params = model.params
     grads = dict.fromkeys(params)
-    stacked = _stack(model, batch_features, buffer)
-    H, Q, U = _pool(model, stacked)
+    spec = model.feature_spec
+    buffer = _clip_buffer(model, batch_features[0])
+    H = np.empty((B, spec.input_dim, spec.frames))
+    Q, U = np.empty((B, spec.frames)), np.empty((B, spec.input_dim))
+    if spec.kind == "emb":
+        C, L, d0, M = buffer.shape
+        V, S = np.empty((B, C, L, d0)), np.empty((B, C, L, M))
+    for b, f in enumerate(batch_features):
+        X = _read(model, f, buffer)
+        H[b: b + 1], Q[b: b + 1], U[b: b + 1] = _pool(model, X)
+        if spec.kind == "emb":
+            V[b] = np.einsum("cldm,m->cld", X[0], Q[b])
+            S[b] = np.einsum("cd,cldm->clm", params["pooler_w"].reshape(C, d0), X[0])
     logits, zs, acts = _head_forward(params, U)
     probs = softmax(logits, axis=1)
     loss = _logit_loss(logits, labels)
@@ -341,19 +345,12 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels, buffer=Non
     dQ = np.einsum("bdm,bd->bm", H, g)
     dS = Q * (dQ - np.sum(dQ * Q, axis=1, keepdims=True))
     grads["pooler_w"] = np.einsum("bdm,bm->d", H, dS)
-    del H  # the layer gradient reads the f32 stack, not H
 
-    spec = model.feature_spec
     if spec.kind == "emb":
-        # dH_b = g_b Q_b^T + pooler_w dS_b^T has rank 2, so dw_l is the
-        # stack contracted with the factors [g_b; pooler_w] over the
-        # feature rows, then with [Q_b; dS_b] over the frames
-        A = np.stack([g, np.broadcast_to(params["pooler_w"], g.shape)], axis=1)
-        if spec.channels == CHANNELS_RIGHT:
-            A[:, :, : spec.input_dim // 2] = 0.0
-        A = A.reshape(B, 2, stacked.shape[1], -1)  # (B, 2, C, d0)
-        T = np.einsum("bkcd,bcldm->bclkm", A, stacked)
-        dw = np.einsum("bclkm,bkm->l", T, np.stack([Q, dS], axis=1))
+        # dH_b = g_b Q_b^T + pooler_w dS_b^T, so dw_l = sum_b <dH_b, X_bl>
+        # is g_b . V_bl plus s_bl . dS_b; a masked channel reads 0 in both
+        dw = (np.einsum("bcld,bcd->l", V, g.reshape(B, C, d0))
+              + np.einsum("bclm,bm->l", S, dS))
         w = softmax(params["layer_logits"])
         grads["layer_logits"] = w * (dw - np.sum(dw * w))
 
@@ -366,12 +363,11 @@ def _apply_sgd(model: InterruptionModel, grads: dict, lr: float) -> None:
         model.params[name] -= lr * g
 
 
-def evaluate_loss(model: InterruptionModel, dataset, buffer=None) -> float:
-    """Mean cross-entropy over a labeled dataset, in inference mode;
-    buffer is passed on to forward_batch."""
+def evaluate_loss(model: InterruptionModel, dataset) -> float:
+    """Mean cross-entropy over a labeled dataset, in inference mode."""
     feats = [f for f, _ in dataset]
     labels = np.asarray([y for _, y in dataset])
-    return _logit_loss(forward_batch(model, feats, logits=True, buffer=buffer), labels)
+    return _logit_loss(forward_batch(model, feats, logits=True), labels)
 
 
 @contextlib.contextmanager
@@ -404,8 +400,9 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     batch losses seen that epoch; when a validation set is given, the
     best-validation parameters are restored at the end (early stopping
     with the configured patience). Deterministic for a fixed seed.
-    Every clip must match the first one's feature spec. Every step reads
-    its batch into one buffer, and validation each clip into its row 0.
+    Every clip must match the first one's feature spec. A step, like
+    validation, reads and pools one clip at a time, so batch_size sets
+    how many clips an SGD step averages over, not how many are held.
     """
     dataset = list(dataset)
     if not dataset:
@@ -419,7 +416,6 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
 
     features, labels = zip(*dataset)
     n = len(dataset)
-    buffer = _batch_buffer(model, features[0], min(n, config.batch_size))
     train_curve, val_curve = [], []
     layer_weights = [] if "layer_logits" in model.params else None
     best = (np.inf, None, -1)
@@ -435,7 +431,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
             where = "epoch %d step %d (lr=%g)" % (epoch, lo // config.batch_size,
                                                   config.learning_rate)
             with _diverged_at(where):
-                loss, grads = _loss_and_grads(model, batch, batch_labels, buffer)
+                loss, grads = _loss_and_grads(model, batch, batch_labels)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError("non-finite loss at " + where)
                 _apply_sgd(model, grads, config.learning_rate)
@@ -446,7 +442,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
 
         if val_dataset:
             with _diverged_at("validation after epoch %d" % epoch):
-                v = evaluate_loss(model, val_dataset, buffer)
+                v = evaluate_loss(model, val_dataset)
             val_curve.append(v)
             if v < best[0]:
                 snapshot = {name: a.copy() for name, a in model.params.items()}

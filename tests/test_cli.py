@@ -105,12 +105,16 @@ def test_telemetry_n_below_one_exits_2(tmp_path, value):
     ("train", "--lr", 0), ("train", "--lr", -1), ("train", "--lr", "nan"),
     ("train", "--lr", "inf"), ("eval", "--threshold", "nan"),
     ("impact", "--bins", 1), ("impact", "--bins", 0),
+    ("extract", "--energy-threshold", "nan"), ("extract", "--energy-threshold", "inf"),
+    ("extract", "--min-utterance", "nan"), ("extract", "--min-utterance", -0.1),
+    ("extract", "--min-presilence", "nan"), ("extract", "--min-presilence", "inf"),
 ])
 def test_unworkable_counts_and_fractions_exit_2(fixtures_dir, tmp_path, command, flag, value):
     emb = fixtures_dir / "embeddings"
     corpus = ["--manifest", emb / "manifest.jsonl", "--split", emb / "split.json",
               "--features", emb, "--feature", "emb", "--profile", "tiny"]
     inputs = {
+        "extract": ["--meetings", fixtures_dir / "audio" / "meetings.json"],
         "labels": ["--votes", fixtures_dir / "votes" / "votes.csv"],
         "train": corpus,
         "eval": corpus + ["--model-dir", tmp_path / "model"],

@@ -1,9 +1,9 @@
-"""Peak memory of train and eval grows with the batch, and at inference
-with one clip, not with the split: every batch is read from its SIE1 or
-.npy files, and inference reads and pools one clip at a time. labels and
-kappa hold votes as code columns, not one object per vote. Each command
-runs in a child process, and its peak RSS is the ru_maxrss that os.wait4
-reports for that child alone."""
+"""Peak memory of train and eval grows with one clip, not with the split:
+training and inference read each clip from its SIE1 or .npy file and
+pool it alone, and a training step keeps only its batch's float64 H
+and the pooled results. labels and kappa hold votes as code columns,
+not one object per vote. Each command runs in a child process, and its
+peak RSS is the ru_maxrss that os.wait4 reports for that child alone."""
 import json
 import os
 import subprocess
@@ -52,8 +52,8 @@ def peak_rss_mib(argv, log_path):
 def test_train_and_eval_peak_rss_does_not_grow_with_the_split(fixtures_dir, tmp_path):
     emb = fixtures_dir / "embeddings"
     full = json.loads((emb / "split.json").read_text())
-    # every class keeps its share; train keeps 40 clips, so that train
-    # makes a buffer of 32 clips at both sizes
+    # every class keeps its share; train keeps 40 clips, so that a
+    # training step pools 32 clips at both sizes
     small = {"train": full["train"][::8], "val": full["val"][::2], "test": full["test"][::10]}
     common = ["--manifest", emb / "manifest.jsonl", "--features", emb,
               "--feature", "emb", "--profile", "tiny"]

@@ -78,7 +78,7 @@ def test_layer_mix_matches_manual_mix():
     profile = emb_profile()
     emb = random_embedding(rng, profile)
     model = small_model(rng, profile)
-    out = M._batch_h(model, M._stack(model, [emb]))[0]
+    out = M._batch_h(model, M._read(model, emb, M._clip_buffer(model, emb)))[0]
     assert out.shape == (profile.stacked_dim, profile.frames)
     weights = M.softmax(model.params["layer_logits"])
     manual = np.tensordot(weights, emb.data.astype(np.float64), axes=([0], [1]))
@@ -253,8 +253,8 @@ def profile_clips(rng, profile, n):
 
 
 def test_train_step_memory_is_bounded_by_the_f32_batch():
-    # the layer mix and its gradient read the f32 stack directly; an f64
-    # copy of it alone would be 2x the batch
+    # the layer mix and its gradient read each f32 clip directly; an f64
+    # copy of the batch alone would be 2x the batch
     rng = np.random.default_rng(24)
     profile = PROFILES["base"]
     batch = profile_clips(rng, profile, 4)
@@ -264,7 +264,7 @@ def test_train_step_memory_is_bounded_by_the_f32_batch():
 
 
 def test_train_step_memory_stays_below_the_dense_layer_gradient():
-    # the layer gradient contracts the f32 stack with rank-2 factors; a
+    # the layer gradient contracts each f32 clip with rank-2 factors; a
     # full (B, d, M) float64 dH and its temporary peak at about 1.42x
     rng = np.random.default_rng(28)
     profile = PROFILES["base"]
@@ -274,6 +274,20 @@ def test_train_step_memory_stays_below_the_dense_layer_gradient():
     assert peak < 1.3 * sum(f.data.nbytes for f in batch)
 
 
+def test_train_step_memory_holds_one_clip_not_the_batch():
+    # each clip is read into the step's own one-clip buffer and pooled
+    # alone; an added clip costs its float64 H and two small layer
+    # gradient factors, about 3.3 MB, where a batch buffer costs its
+    # 19.9 MB f32 row as well
+    rng = np.random.default_rng(30)
+    clips = profile_clips(rng, PROFILES["base"], 2)
+    model = M.build_model(M.feature_spec_of(clips[0]), rng)
+    peak = {n: traced_peak(M._loss_and_grads, model, [clips[i % 2] for i in range(n)],
+                           [i % 4 for i in range(n)])
+            for n in (2, 8)}
+    assert (peak[8] - peak[2]) / 6 < clips[0].data.nbytes / 2
+
+
 def dense_loss_and_grads(model, batch_features, labels):
     """_loss_and_grads as it was with the layer gradient read through
     the full (B, d, M) dH: the oracle of the rank-2 contraction."""
@@ -281,7 +295,8 @@ def dense_loss_and_grads(model, batch_features, labels):
     labels = np.asarray(labels)
     params = model.params
     grads = dict.fromkeys(params)
-    stacked = M._stack(model, batch_features)
+    stacked = np.concatenate([M._read(model, f, M._clip_buffer(model, f))
+                              for f in batch_features])
     H, Q, U = M._pool(model, stacked)
     logits, zs, acts = M._head_forward(params, U)
     probs = M.softmax(logits, axis=1)
@@ -380,7 +395,8 @@ def test_forward_batch_head_keeps_no_layer_per_clip():
     rng = np.random.default_rng(26)
     clip, = profile_clips(rng, PROFILES["tiny"], 1)
     model = M.build_model(M.feature_spec_of(clip), rng)
-    U = np.repeat(M._pool(model, M._stack(model, [clip]))[2], 400, axis=0)
+    U = np.repeat(M._pool(model, M._read(model, clip, M._clip_buffer(model, clip)))[2], 400,
+                  axis=0)
     kept = traced_peak(M._head_forward, model.params, U)
     assert traced_peak(M.forward_batch, model, [clip] * 400) < kept
 
@@ -405,6 +421,30 @@ def test_train_checks_every_clip_against_the_first():
         M.train([fit, misfit], config, head_widths=(6, 4))
     with pytest.raises(FeatureProfileError):
         M.train([fit], config, val_dataset=[misfit], head_widths=(6, 4))
+
+
+def test_right_mask_needs_an_even_channel_count():
+    # the mask zeroes the first half of a clip's channels, which is the
+    # left half of its feature rows only when the channels pair up
+    rng = np.random.default_rng(31)
+    profile = EmbeddingProfile("odd", layers=3, dim=4, frames=6, channels=3)
+    clip = random_embedding(rng, profile)
+    with pytest.raises(FeatureProfileError):
+        M.train([(clip, 0)], M.TrainConfig(epochs=1), channels="right", head_widths=(6, 4))
+    with pytest.raises(FeatureProfileError):
+        M.forward_batch(small_model(rng, profile, channels="right"), [clip])
+
+
+def test_right_mask_leaves_the_callers_matrix_alone():
+    # a matrix clip is copied before its left half is zeroed, in the
+    # training step and at inference
+    rng = np.random.default_rng(32)
+    model = M.build_model(M.FeatureSpec("matrix", 6, 5, None, "right"), rng, (6, 4))
+    clip = rng.normal(size=(6, 5))
+    kept = clip.copy()
+    M._loss_and_grads(model, [clip], [0])
+    M.forward_batch(model, [clip])
+    assert np.array_equal(clip, kept)
 
 
 def test_right_mask_ignores_left_channel():
