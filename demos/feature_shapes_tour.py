@@ -3,21 +3,15 @@ import tempfile
 
 import numpy as np
 
-from talkover.audio import AudioChannel
 from talkover.features import (PROFILES, LayeredEmbedding, load_embeddings,
                                mfcc, spectrogram, write_embeddings)
-from talkover.overlap import CandidateClip
 
 RATE = 16000
 
 def main():
     # ten seconds, interrupter holding a 1 kHz tone over a silent room
     t = np.arange(10 * RATE) / RATE
-    clip = CandidateClip(
-        "tone_demo", "m0", "x", 5.0,
-        AudioChannel(np.zeros(10 * RATE), RATE, "mix"),
-        AudioChannel(0.3 * np.sin(2 * np.pi * 1000.0 * t), RATE, "x"),
-    )
+    clip = np.stack([np.zeros(10 * RATE), 0.3 * np.sin(2 * np.pi * 1000.0 * t)], axis=1)
 
     cepstra = mfcc(clip)
     print("mfcc: %s  (both channels stacked, 40 coefficients each)"

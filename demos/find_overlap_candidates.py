@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from talkover.audio import AudioChannel, MeetingAudio, write_wav
+from talkover.audio import SAMPLE_RATE, AudioChannel, MeetingAudio, write_wav
 from talkover.overlap import (ONSET_OFFSET_S, VadParams, activity_frames, detect,
                               export_clip, vad)
 from talkover.synth import make_meeting_audio
@@ -18,13 +18,12 @@ from talkover.synth import make_meeting_audio
 
 def floor_outcome(clip, params):
     """"overtake" iff within the clip's last 5 seconds the interrupter
-    (right channel) holds an unbroken solo stretch of at least 1.5 s
-    while the left channel is silent. A weak oracle, not ground truth.
+    (column 1) holds an unbroken solo stretch of at least 1.5 s while
+    the mixdown (column 0) is silent. A weak oracle, not ground truth.
     """
-    half = int(ONSET_OFFSET_S * clip.sample_rate)
-    right, left = (activity_frames(AudioChannel(ch.samples[half:], clip.sample_rate,
-                                                ch.participant_id), params)
-                   for ch in (clip.right, clip.left))
+    half = int(ONSET_OFFSET_S * SAMPLE_RATE)
+    right, left = (activity_frames(AudioChannel(clip[half:, col], SAMPLE_RATE, name), params)
+                   for col, name in ((1, "interrupter"), (0, "mix")))
     solo = np.concatenate(([False], right & ~left, [False]))
     runs = np.flatnonzero(np.diff(solo)).reshape(-1, 2)
     overtake = (runs[:, 1] - runs[:, 0] >= round(1.5 / params.frame_s)).any()
@@ -50,7 +49,7 @@ def main():
     for ch in channels:
         segs = vad(ch, params)
         segments.append(segs)
-        spans = ", ".join("%.1f-%.1f" % (s.start_s, s.end_s) for s in segs)
+        spans = ", ".join("%.1f-%.1f" % (start, end) for start, end in segs)
         print("  %-6s speaks at %s" % (ch.participant_id, spans))
 
     result = detect(meeting, segments)
@@ -66,7 +65,7 @@ def main():
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, desc.clip_id + ".wav")
-            write_wav(path, np.stack([clip.left.samples, clip.right.samples], axis=1))
+            write_wav(path, clip)
             print("  wrote %s" % path)
 
 if __name__ == "__main__":

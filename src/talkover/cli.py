@@ -81,9 +81,13 @@ def _read_meetings_manifest(path):
     if not isinstance(meetings, list):
         raise ManifestError("%s: expected a top-level 'meetings' list" % path)
     base = os.path.dirname(os.path.abspath(path))
+    seen = set()
     for m in meetings:
         if not isinstance(m, dict) or not isinstance(m.get("meeting_id"), str):
             raise ManifestError("%s: every meeting needs a meeting_id string" % path)
+        if m["meeting_id"] in seen:
+            raise ManifestError("%s: meeting_id %r is listed twice" % (path, m["meeting_id"]))
+        seen.add(m["meeting_id"])
         channels = m.get("channels", [])
         if not isinstance(channels, list) or len(channels) < 2:
             raise ManifestError("meeting %s lists fewer than 2 channels" % m["meeting_id"])
@@ -96,8 +100,6 @@ def _read_meetings_manifest(path):
 
 
 def cmd_extract(args) -> int:
-    import numpy as np
-
     from .audio import MeetingAudio, load_wav, write_wav
     from .manifest import ClipRecord, write_manifest
     from .overlap import VadParams, detect, export_clip, vad
@@ -124,9 +126,7 @@ def cmd_extract(args) -> int:
         for desc in result.candidates:
             clip = export_clip(desc, meeting)
             wav_name = os.path.join("clips", desc.clip_id + ".wav")
-            stereo = np.stack([clip.left.samples, clip.right.samples], axis=1)
-            write_wav(os.path.join(out_dir, wav_name), stereo,
-                      clip.sample_rate, "float32")
+            write_wav(os.path.join(out_dir, wav_name), clip, meeting.sample_rate, "float32")
             records.append(ClipRecord(desc.clip_id, desc.meeting_id,
                                       desc.interrupter_id, desc.onset_s, wav_name))
             n_candidates += 1

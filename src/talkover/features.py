@@ -3,11 +3,12 @@ precomputed self-supervised embeddings checked in SIE1 files, which
 load_embeddings leaves on disk behind an EmbeddingFile handle; load_matrix
 does the same for a (d, M) feature matrix in a .npy file.
 
-Every extractor consumes only the last 5 seconds (80000 samples) of a
-clip's two channels and stacks the per-channel feature blocks along the
-feature axis: rows [0, d) come from the left channel, rows [d, 2d) from
-the right. Window and hop sizes are fixed so 5 s of 16 kHz audio yields
-exactly 401 MFCC frames and 313 spectrogram frames.
+Every extractor takes a clip as the (n, 2) array export_clip cuts,
+consumes only its last 5 seconds (80000 rows) and stacks the per-channel
+feature blocks along the feature axis: rows [0, d) come from column 0
+(the mixdown), rows [d, 2d) from column 1 (the interrupter). Window and
+hop sizes are fixed so 5 s of 16 kHz audio yields exactly 401 MFCC
+frames and 313 spectrogram frames.
 """
 from __future__ import annotations
 
@@ -195,13 +196,13 @@ _MFCC_WINDOW = _hann(MFCC_N_FFT)
 _SPEC_WINDOW = _hann(SPEC_N_FFT)
 
 
-def _tail(clip_channel) -> np.ndarray:
-    samples = clip_channel.samples
-    if len(samples) < ANALYSIS_SAMPLES:
+def _tail(clip: np.ndarray) -> np.ndarray:
+    """The clip's last ANALYSIS_SAMPLES rows."""
+    if len(clip) < ANALYSIS_SAMPLES:
         raise ShapeContractError(
-            "channel holds %d samples, need at least %d" % (len(samples), ANALYSIS_SAMPLES)
+            "channel holds %d samples, need at least %d" % (len(clip), ANALYSIS_SAMPLES)
         )
-    return samples[-ANALYSIS_SAMPLES:]
+    return clip[-ANALYSIS_SAMPLES:]
 
 
 def _mfcc_mono(x: np.ndarray) -> np.ndarray:
@@ -217,23 +218,25 @@ def _spectrogram_mono(x: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(frames, axis=1)).T  # (bins, n_frames)
 
 
-def mfcc(clip) -> np.ndarray:
-    """40 MFCCs per channel over the clip's last 5 s; shape (80, 401).
+def mfcc(clip: np.ndarray) -> np.ndarray:
+    """40 MFCCs per channel over the last 5 s of an (n, 2) clip, as
+    export_clip and load_clip return it; shape (80, 401).
 
     Window 400 samples, hop 200, centered zero padding, 40-filter mel
     bank over 0-8 kHz, orthonormal DCT-II with c0 kept.
     """
-    out = np.concatenate([_mfcc_mono(_tail(clip.left)), _mfcc_mono(_tail(clip.right))])
+    out = np.concatenate([_mfcc_mono(x) for x in _tail(clip).T])
     assert out.shape == (2 * MFCC_N_COEFF, MFCC_FRAMES)
     return out
 
 
-def spectrogram(clip) -> np.ndarray:
-    """Magnitude STFT per channel over the last 5 s; shape (514, 313).
+def spectrogram(clip: np.ndarray) -> np.ndarray:
+    """Magnitude STFT per channel over the last 5 s of an (n, 2) clip;
+    shape (514, 313).
 
     FFT size 512 (257 bins), hop 256, centered zero padding.
     """
-    out = np.concatenate([_spectrogram_mono(_tail(clip.left)), _spectrogram_mono(_tail(clip.right))])
+    out = np.concatenate([_spectrogram_mono(x) for x in _tail(clip).T])
     assert out.shape == (2 * SPEC_BINS, SPEC_FRAMES)
     return out
 

@@ -116,12 +116,13 @@ def read_split(path) -> dict:
     return split
 
 
-def load_clip(record: ClipRecord, wav_path=None) -> CandidateClip:
-    """Read a clip's stereo WAV back into a CandidateClip. Channel 0 is
-    the mixdown of the other speakers, channel 1 the interrupter. The
-    audio code is imported here, so that reading a manifest loads none."""
-    from .audio import SAMPLE_RATE, AudioChannel, read_wav_data
-    from .overlap import CandidateClip
+def load_clip(record: ClipRecord, wav_path=None):
+    """Read a clip's stereo WAV as the (CLIP_DURATION_S * rate, 2) float64
+    array that export_clip cut: column 0 is the mixdown of the other
+    speakers, column 1 the interrupter. The audio code is imported here,
+    so that reading a manifest loads none."""
+    from .audio import SAMPLE_RATE, read_wav_data
+    from .overlap import CLIP_DURATION_S
 
     path = wav_path if wav_path is not None else record.wav_path
     rate, frames = read_wav_data(path)
@@ -130,10 +131,8 @@ def load_clip(record: ClipRecord, wav_path=None) -> CandidateClip:
                                  % (path, frames.shape[1]))
     if rate != SAMPLE_RATE:
         raise SampleRateError("%s: rate %d Hz, expected %d" % (path, rate, SAMPLE_RATE))
-    left = AudioChannel(frames[:, 0], rate, "mix")
-    right = AudioChannel(frames[:, 1], rate, record.interrupter_id)
-    try:
-        return CandidateClip(record.clip_id, record.meeting_id,
-                             record.interrupter_id, record.onset_s, left, right)
-    except AudioError as exc:
-        raise AudioError("%s: %s" % (path, exc)) from None
+    expected = int(CLIP_DURATION_S * rate)
+    if len(frames) != expected:
+        raise AudioError("%s: clip %s: channels must hold exactly %d samples"
+                         % (path, record.clip_id, expected))
+    return frames

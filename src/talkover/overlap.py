@@ -2,12 +2,13 @@
 
 A frame-energy VAD segments each channel: frames above the threshold
 form active runs, short gaps between runs are merged, and the merged
-runs become segments. Segment onsets that pass the gating rules
-(another speaker active, 3 s of prior silence, utterance at least
-0.3 s, full clip window inside the meeting) become candidate clips:
-interrupter on the right channel, everyone else mixed into the left,
-with the onset pinned to the 5-second mark. Each gate is one array
-comparison over a channel's segment start and end times.
+runs become segments, an (n, 2) float64 array of [start_s, end_s) rows.
+Segment onsets that pass the gating rules (another speaker active, 3 s
+of prior silence, utterance at least 0.3 s, full clip window inside the
+meeting) become candidate clips: a (CLIP_DURATION_S * rate, 2) float64
+array with everyone else mixed into column 0 and the interrupter alone
+in column 1, the onset pinned to the 5-second mark. Each gate is one
+array comparison over a channel's segment start and end times.
 
 Channels are read through window(start, stop), so a meeting of
 WavChannels is decoded one energy block, or one clip window, at a time.
@@ -42,16 +43,6 @@ MIN_SEGMENT_MS = 100  # shorter merged segments are discarded
 
 
 @dataclass(frozen=True)
-class SpeechSegment:
-    start_s: float
-    end_s: float
-
-    def __post_init__(self):
-        if not self.end_s > self.start_s:
-            raise ValueError("segment end must be after start")
-
-
-@dataclass(frozen=True)
 class VadParams:
     energy_threshold_db: float = -45.0
 
@@ -72,33 +63,6 @@ class ClipDescriptor:
     interrupter_id: str
     onset_s: float
     channel_index: int
-
-
-@dataclass(frozen=True)
-class CandidateClip:
-    """A 10 s stereo excerpt with the overlap onset at 5.0 s.
-
-    right holds the interrupter alone, left the mixdown of all other
-    channels over the same window.
-    """
-
-    clip_id: str
-    meeting_id: str
-    interrupter_id: str
-    onset_s: float
-    left: AudioChannel
-    right: AudioChannel
-
-    def __post_init__(self):
-        expected = int(CLIP_DURATION_S * self.right.sample_rate)
-        if len(self.right) != expected or len(self.left) != expected:
-            raise AudioError(
-                "clip %s: channels must hold exactly %d samples" % (self.clip_id, expected)
-            )
-
-    @property
-    def sample_rate(self) -> int:
-        return self.right.sample_rate
 
 
 def frame_energies_db(channel, frame_len: int) -> np.ndarray:
@@ -145,18 +109,17 @@ def activity_frames(channel, params: VadParams) -> np.ndarray:
     return _fill_gaps(active, HANGOVER_FRAMES)
 
 
-def vad(channel, params: VadParams = VadParams()) -> list[SpeechSegment]:
-    """Segment a channel (AudioChannel or WavChannel) into speech regions.
+def vad(channel, params: VadParams = VadParams()) -> np.ndarray:
+    """Segment a channel (AudioChannel or WavChannel) into speech regions,
+    returned as an (n, 2) float64 array of [start_s, end_s) rows.
 
     Frames above the energy threshold are merged across silences of at
     most HANGOVER_FRAMES; merged segments shorter than MIN_SEGMENT_MS
     are discarded.
     """
-    frame_s = params.frame_s
-    min_frames = MIN_SEGMENT_MS / VAD_FRAME_MS
-    return [SpeechSegment(start * frame_s, end * frame_s)
-            for start, end in _runs(activity_frames(channel, params))
-            if end - start >= min_frames]
+    runs = _runs(activity_frames(channel, params))
+    keep = runs[:, 1] - runs[:, 0] >= MIN_SEGMENT_MS / VAD_FRAME_MS
+    return runs[keep] * params.frame_s
 
 
 @dataclass(frozen=True)
@@ -175,26 +138,36 @@ def _covering(starts: np.ndarray, ends: np.ndarray, t: np.ndarray) -> np.ndarray
             - np.searchsorted(np.sort(ends), t, "right"))
 
 
+def _segment_array(segs) -> np.ndarray:
+    """segs as a checked (n, 2) float64 array; empty input gives (0, 2)."""
+    segs = np.asarray(segs, dtype=np.float64)
+    segs = segs.reshape(0, 2) if segs.size == 0 else segs
+    if segs.ndim != 2 or segs.shape[1] != 2:
+        raise ValueError("segments must be an (n, 2) array, got shape %s" % (segs.shape,))
+    if not np.all(segs[:, 1] > segs[:, 0]):
+        raise ValueError("segment end must be after start")
+    return segs
+
+
 def detect(meeting: MeetingAudio, segments_by_channel,
            min_presilence_s: float = 3.0, min_utterance_s: float = 0.3) -> DetectionResult:
     """Scan per-channel VAD segments for gated overlap candidates.
 
-    For every segment start t on channel i a candidate is emitted iff
-    (a) another channel is speaking at t, (b) channel i's previous
-    segment ended at least min_presilence_s before t (the first segment
-    passes), (c) the segment runs at least min_utterance_s, and (d) the
-    clip window export_clip cuts, [t - ONSET_OFFSET_S, t - ONSET_OFFSET_S
-    + CLIP_DURATION_S], lies inside the meeting. Rejections
-    are counted by the first failing gate, checked in the order (a),
-    (b), (c), (d).
+    segments_by_channel holds one (n, 2) array of [start_s, end_s) rows
+    per channel, as vad returns, or a list of such pairs. For every
+    segment start t on channel i a candidate is emitted iff (a) another
+    channel is speaking at t, (b) channel i's previous segment ended at
+    least min_presilence_s before t (the first segment passes), (c) the
+    segment runs at least min_utterance_s, and (d) the clip window
+    export_clip cuts, [t - ONSET_OFFSET_S, t - ONSET_OFFSET_S
+    + CLIP_DURATION_S], lies inside the meeting. Rejections are counted
+    by the first failing gate, checked in the order (a), (b), (c), (d).
     """
     if len(segments_by_channel) != len(meeting.channels):
-        raise ValueError("one segment list per channel required")
+        raise ValueError("one segment array per channel required")
+    spans = [_segment_array(segs) for segs in segments_by_channel]
     duration = meeting.duration_s
     pre_s, post_s = ONSET_OFFSET_S, CLIP_DURATION_S - ONSET_OFFSET_S
-    spans = [np.array([(seg.start_s, seg.end_s) for seg in segs],
-                      dtype=np.float64).reshape(-1, 2)
-             for segs in segments_by_channel]
     candidates = []
     first_failed = []
 
@@ -224,8 +197,10 @@ def detect(meeting: MeetingAudio, segments_by_channel,
                            Counter({g: int(n) for g, n in zip(_GATES, counts) if n}))
 
 
-def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> CandidateClip:
-    """Cut the stereo clip for one candidate out of the meeting."""
+def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> np.ndarray:
+    """Cut the stereo clip for one candidate out of the meeting: a
+    (CLIP_DURATION_S * rate, 2) float64 array, the mixdown of the other
+    channels in column 0 and the interrupter in column 1."""
     rate = meeting.sample_rate
     start = round((descriptor.onset_s - ONSET_OFFSET_S) * rate)
     stop = start + int(CLIP_DURATION_S * rate)
@@ -235,18 +210,8 @@ def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> CandidateC
     interrupter = meeting.channels[descriptor.channel_index]
     if interrupter.participant_id != descriptor.interrupter_id:
         raise ValueError("descriptor does not match meeting channel layout")
-    right = AudioChannel(interrupter.window(start, stop), rate, interrupter.participant_id)
-    others = [
-        AudioChannel(ch.window(start, stop), rate, ch.participant_id)
-        for j, ch in enumerate(meeting.channels) if j != descriptor.channel_index
-    ]
-    left = mixdown(others)
-    return CandidateClip(
-        clip_id=descriptor.clip_id,
-        meeting_id=descriptor.meeting_id,
-        interrupter_id=descriptor.interrupter_id,
-        onset_s=descriptor.onset_s,
-        left=left,
-        right=right,
-    )
+    windows = [AudioChannel(ch.window(start, stop), rate, ch.participant_id)
+               for ch in meeting.channels]
+    right = windows.pop(descriptor.channel_index)
+    return np.stack([mixdown(windows).samples, right.samples], axis=1)
 

@@ -181,8 +181,9 @@ def make_telemetry(n: int = 50000, seed: int = 0,
     rng = np.random.default_rng(seed)
     size = 2 + rng.poisson(3.5, n)
     dur = np.exp(rng.normal(3.2, 0.5, n))
-    z_size = (size - size.mean()) / size.std()
-    z_dur = (dur - dur.mean()) / dur.std()
+    # a constant column (n == 1, say) has spread 0; as in causal, z is then 0
+    z_size = (size - size.mean()) / (size.std() or 1.0)
+    z_dur = (dur - dur.mean()) / (dur.std() or 1.0)
 
     video = rng.random(n) < _sigmoid(0.2 + 0.6 * z_dur)
     share = rng.random(n) < _sigmoid(-0.5 + 0.7 * z_size)

@@ -155,6 +155,20 @@ def test_meetings_without_channel_list_exits_9(tmp_path):
     assert run_cli(["extract", "--meetings", bad, "--out", tmp_path]) == 9
 
 
+def test_repeated_meeting_id_exits_9_before_reading_audio(fixtures_dir, tmp_path, capsys):
+    audio = fixtures_dir / "audio"
+    meeting = json.loads((audio / "meetings.json").read_text())["meetings"][0]
+    for ch in meeting["channels"]:
+        ch["wav_path"] = str(audio / ch["wav_path"])
+    bad = tmp_path / "meetings.json"
+    bad.write_text(json.dumps({"meetings": [meeting, meeting]}))
+    capsys.readouterr()
+    assert run_cli(["extract", "--meetings", bad, "--out", tmp_path / "o"]) == 9
+    assert repr(meeting["meeting_id"]) in capsys.readouterr().err
+    assert list((tmp_path / "o" / "clips").glob("*.wav")) == []
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
 _TWO_CHANNELS = [{"participant_id": "a", "wav_path": "a.wav"},
                  {"participant_id": "b", "wav_path": "b.wav"}]
 
@@ -345,7 +359,7 @@ def test_extract_pads_a_short_channel_like_in_memory_channels(tmp_path, encoding
     for desc in result.candidates:
         clip = export_clip(desc, meeting)
         want = tmp_path / "want.wav"
-        write_wav(want, np.stack([clip.left.samples, clip.right.samples], axis=1))
+        write_wav(want, clip)
         got = tmp_path / "o" / "clips" / (desc.clip_id + ".wav")
         assert got.read_bytes() == want.read_bytes()
 
@@ -941,6 +955,21 @@ def test_featurize_mfcc_and_spec(extract_out, tmp_path):
         assert shapes == {"m0_bob_0025000": shape, "m0_carol_0055000": shape}
         arr = np.load(out / "m0_bob_0025000.npy")
         assert list(arr.shape) == shape
+
+
+@pytest.mark.parametrize("seconds", [9, 11])
+def test_featurize_clip_of_wrong_length_exits_3(tmp_path, capsys, seconds):
+    wav = tmp_path / "clips" / "m0_bob_0025000.wav"
+    wav.parent.mkdir()
+    write_wav(wav, np.zeros((seconds * SAMPLE_RATE, 2)))
+    write_manifest(tmp_path / "manifest.jsonl",
+                   [ClipRecord("m0_bob_0025000", "m0", "bob", 25.0,
+                               os.path.join("clips", wav.name))])
+    capsys.readouterr()
+    assert run_cli(["featurize", "--manifest", tmp_path / "manifest.jsonl",
+                    "--feature", "mfcc", "--out", tmp_path / "o"]) == 3
+    assert str(wav) in capsys.readouterr().err
+    assert not (tmp_path / "o" / "m0_bob_0025000.npy").exists()
 
 
 def test_featurize_emb_copies_files_and_may_run_in_place(small_corpus, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from talkover import features
-from talkover.audio import AudioChannel, SAMPLE_RATE
+from talkover.audio import SAMPLE_RATE
 from talkover.errors import EmbeddingFormatError, MatrixFormatError, ShapeContractError
 from talkover.features import (ANALYSIS_SAMPLES, MFCC_FRAMES, MFCC_HOP,
                                MFCC_N_COEFF, MFCC_N_FFT, PROFILES, SPEC_BINS,
@@ -14,7 +14,6 @@ from talkover.features import (ANALYSIS_SAMPLES, MFCC_FRAMES, MFCC_HOP,
                                LayeredEmbedding, load_embeddings, load_matrix,
                                mel_filterbank, mfcc, spectrogram,
                                write_embeddings)
-from talkover.overlap import CandidateClip
 
 
 def make_clip(seed=0, left=None, right=None):
@@ -24,9 +23,7 @@ def make_clip(seed=0, left=None, right=None):
         left = rng.uniform(-0.5, 0.5, n)
     if right is None:
         right = rng.uniform(-0.5, 0.5, n)
-    return CandidateClip("c", "m", "b", 25.0,
-                         AudioChannel(left, SAMPLE_RATE, "l"),
-                         AudioChannel(right, SAMPLE_RATE, "r"))
+    return np.stack([left, right], axis=1)
 
 
 def test_frame_count_arithmetic():
@@ -68,9 +65,7 @@ def test_features_use_only_last_five_seconds():
 
 
 def test_short_channel_rejected():
-    short = SimpleNamespace(
-        left=AudioChannel(np.zeros(1000), SAMPLE_RATE, "l"),
-        right=AudioChannel(np.zeros(1000), SAMPLE_RATE, "r"))
+    short = np.zeros((1000, 2))
     with pytest.raises(ShapeContractError):
         mfcc(short)
 
@@ -101,8 +96,7 @@ def test_mfcc_matches_scipy_dct():
     t = np.arange(160000) / SAMPLE_RATE
     for clip in (make_clip(5), make_clip(left=np.zeros(160000),
                                          right=0.4 * np.sin(2 * np.pi * 440.0 * t))):
-        expected = np.concatenate([oracle(clip.left.samples),
-                                   oracle(clip.right.samples)])
+        expected = np.concatenate([oracle(clip[:, 0]), oracle(clip[:, 1])])
         got = mfcc(clip)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from talkover.audio import write_wav
-from talkover.errors import ChannelLayoutError, SampleRateError
+from talkover.errors import AudioError, ChannelLayoutError, SampleRateError
 from talkover.manifest import (ClipRecord, ManifestError, load_clip,
                                read_manifest, read_split, write_manifest,
                                write_split)
@@ -144,11 +145,18 @@ def test_load_clip_channel_roles(tmp_path):
 
     record = rec("m0_bob_0012500", wav_path=str(wav))
     clip = load_clip(record)
-    assert clip.clip_id == "m0_bob_0012500"
-    assert clip.left.participant_id == "mix"
-    assert clip.right.participant_id == "bob"
-    np.testing.assert_array_equal(clip.left.samples, frames[:, 0].astype(np.float64))
-    np.testing.assert_array_equal(clip.right.samples, frames[:, 1].astype(np.float64))
+    assert clip.shape == (160000, 2) and clip.dtype == np.float64
+    np.testing.assert_array_equal(clip[:, 0], frames[:, 0].astype(np.float64))
+    np.testing.assert_array_equal(clip[:, 1], frames[:, 1].astype(np.float64))
+
+
+@pytest.mark.parametrize("seconds", [9, 11])
+def test_load_clip_rejects_wrong_length(tmp_path, seconds):
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, np.zeros((seconds * 16000, 2)), 16000, encoding="float32")
+    with pytest.raises(AudioError, match="^%s: clip a: channels must hold exactly 160000 "
+                                         "samples$" % re.escape(str(wav))):
+        load_clip(rec("a", wav_path=str(wav)))
 
 
 def test_load_clip_rejects_wrong_layout(tmp_path):

@@ -11,9 +11,8 @@ from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav, r
 from talkover.errors import AudioError
 from talkover.overlap import (_ENERGY_BLOCK_FRAMES, CLIP_DURATION_S, ONSET_OFFSET_S,
                               REJECT_BOUNDARY, REJECT_NO_OVERLAP,
-                              REJECT_PRESILENCE, REJECT_TOO_SHORT, CandidateClip,
-                              SpeechSegment, VadParams, _fill_gaps, detect,
-                              export_clip, frame_energies_db, vad)
+                              REJECT_PRESILENCE, REJECT_TOO_SHORT, VadParams,
+                              _fill_gaps, detect, export_clip, frame_energies_db, vad)
 
 PARAMS = VadParams()
 
@@ -126,8 +125,8 @@ def test_vad_finds_engineered_bursts():
     segments = vad(ch, PARAMS)
     assert len(segments) == 2
     for seg, (start, end) in zip(segments, [(1.0, 2.0), (5.0, 6.5)]):
-        assert abs(seg.start_s - start) <= PARAMS.frame_s
-        assert abs(seg.end_s - end) <= PARAMS.frame_s
+        assert abs(seg[0] - start) <= PARAMS.frame_s
+        assert abs(seg[1] - end) <= PARAMS.frame_s
 
 
 def test_vad_merges_gaps_up_to_hangover():
@@ -144,7 +143,7 @@ def test_vad_splits_on_long_gaps():
 
 def test_vad_discards_sub_minimum_segments():
     ch = tone_channel(4.0, [(1.0, 1.08)])  # 80 ms < 100 ms minimum
-    assert vad(ch, PARAMS) == []
+    assert vad(ch, PARAMS).shape == (0, 2)
     ch = tone_channel(4.0, [(1.0, 1.1)])  # exactly at the minimum
     assert len(vad(ch, PARAMS)) == 1
 
@@ -154,17 +153,31 @@ def test_vad_threshold_is_strict():
     amp_at = np.sqrt(2.0) * 10.0 ** (-45.0 / 20.0)
     quiet = tone_channel(2.0, [(0.5, 1.5)], amp=amp_at * 0.98)
     loud = tone_channel(2.0, [(0.5, 1.5)], amp=amp_at * 1.05)
-    assert vad(quiet, PARAMS) == []
+    assert vad(quiet, PARAMS).shape == (0, 2)
     assert len(vad(loud, PARAMS)) == 1
 
 
 def test_vad_is_deterministic():
     ch = tone_channel(6.0, [(1.0, 2.0), (3.0, 4.2)])
-    assert vad(ch, PARAMS) == vad(ch, PARAMS)
+    assert np.array_equal(vad(ch, PARAMS), vad(ch, PARAMS))
 
 
 def segs(*pairs):
-    return [SpeechSegment(a, b) for a, b in pairs]
+    return np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
+
+
+@pytest.mark.parametrize("bad", [
+    [(25.0, 25.0)],                   # end == start
+    [(20.0, 24.0), (26.0, 25.0)],     # end before start
+    [(25.0, float("nan"))],           # no order at all
+    np.zeros((2, 3)) + [0.0, 1.0, 2.0],
+    np.array([25.0, 26.0]),
+    np.array([[[25.0, 26.0]]]),
+], ids=["empty span", "reversed", "nan", "three columns", "one pair, 1-D", "3-D"])
+def test_detect_rejects_malformed_segments(bad):
+    meeting = silent_meeting(60.0)
+    with pytest.raises(ValueError):
+        detect(meeting, [segs((20.0, 40.0)), bad])
 
 
 def test_detect_emits_gated_candidate():
@@ -251,7 +264,7 @@ def test_detect_boundary_gate_is_the_export_window():
     assert [c.onset_s for c in result.candidates] == onsets[1:3]
     assert result.rejections[REJECT_BOUNDARY] == 2
     for desc in result.candidates:
-        assert len(export_clip(desc, meeting).right) == CLIP_DURATION_S * SAMPLE_RATE
+        assert len(export_clip(desc, meeting)) == CLIP_DURATION_S * SAMPLE_RATE
     # the window is export_clip's alone; detect cannot be told another
     with pytest.raises(TypeError):
         detect(meeting, segments, pre_s=2.0)
@@ -302,7 +315,7 @@ def test_tightening_any_gate_never_adds_candidates():
                 e = s + rng.uniform(0.1, 4.0)
                 if e > 90.0:
                     break
-                chan.append(SpeechSegment(s, e))
+                chan.append((s, e))
                 t = e
             segments.append(chan)
         base = len(detect(meeting, segments).candidates)
@@ -324,12 +337,12 @@ def test_export_clip_cuts_exact_window():
     (desc,) = detect(meeting, segments).candidates
     clip = export_clip(desc, meeting)
     n = int(CLIP_DURATION_S * SAMPLE_RATE)
-    assert len(clip.left) == n and len(clip.right) == n
+    assert clip.shape == (n, 2) and clip.dtype == np.float64
     start = int((desc.onset_s - ONSET_OFFSET_S) * SAMPLE_RATE)
     b = meeting.channels[1]
-    assert np.array_equal(clip.right.samples, b.samples[start:start + n])
+    assert np.array_equal(clip[:, 1], b.samples[start:start + n])
     a = meeting.channels[0]
-    assert np.array_equal(clip.left.samples, a.samples[start:start + n])
+    assert np.array_equal(clip[:, 0], a.samples[start:start + n])
 
 
 def test_export_clip_mixes_all_other_channels():
@@ -342,7 +355,7 @@ def test_export_clip_mixes_all_other_channels():
     desc = [d for d in detect(meeting, segments).candidates
             if d.interrupter_id == "b"][0]
     clip = export_clip(desc, meeting)
-    assert np.allclose(clip.left.samples, 0.3)
+    assert np.allclose(clip[:, 0], 0.3)
 
 
 def test_export_clip_rejects_out_of_bounds():
@@ -352,10 +365,4 @@ def test_export_clip_rejects_out_of_bounds():
     with pytest.raises(AudioError):
         export_clip(desc, meeting)
 
-
-def test_candidate_clip_enforces_length():
-    good = AudioChannel(np.zeros(160000), SAMPLE_RATE, "x")
-    bad = AudioChannel(np.zeros(1000), SAMPLE_RATE, "x")
-    with pytest.raises(AudioError):
-        CandidateClip("c", "m", "b", 25.0, good, bad)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -125,6 +126,15 @@ def test_telemetry_is_deterministic():
     b = make_telemetry(n=300, seed=3)
     assert same_telemetry(a, b)
     assert not same_telemetry(a, make_telemetry(n=300, seed=4))
+
+
+def test_telemetry_of_one_meeting_draws_from_finite_probabilities():
+    # one row makes every numeric column constant, so its spread is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        records = make_telemetry(n=1, seed=0)
+    assert len(records) == 1
+    assert records.participant_count[0] >= 2 and records.duration_min[0] > 0
 
 
 def test_telemetry_confounds_the_naive_estimate():
