@@ -146,34 +146,36 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def fit_propensity(telemetry) -> PsModel:
-    """Maximum-likelihood logistic fit of treatment on confounders by
-    Newton/IRLS; converges when the largest coefficient change drops
-    below 1e-8, capped at 100 iterations."""
-    if len(telemetry) < 2:
-        raise CausalError("need at least 2 records to fit a propensity model")
-    y = telemetry.column("vrh_used")
+def _design(raw, means, stds):
+    """The standardized design as a (k + 1, n) array, one row per
+    coefficient: an intercept row of ones, then the k columns of raw."""
+    XT = np.ones((raw.shape[1] + 1, raw.shape[0]))
+    XT[1:] = ((raw - means) / stds).T
+    return XT
+
+
+def _live_rows(XT):
+    """The rows of a design that vary; the intercept row always stays.
+    A constant confounder is collinear with the intercept, so it is fit
+    without."""
+    live = XT.max(axis=1) > XT.min(axis=1)
+    live[0] = True
+    return live
+
+
+def _newton(XT, y, beta):
+    """Maximum-likelihood logistic coefficients of treatment y on the
+    (k, n) design XT by Newton/IRLS from beta; converges when the
+    largest coefficient change drops below 1e-8, capped at 100
+    iterations."""
     if y.min() == y.max():
         raise SingleClassTreatmentError(
             "all records have vrh_used=%s; propensity undefined" % bool(y[0]))
-
-    names = _feature_names(telemetry)
-    raw = _raw_matrix(telemetry, names)
-    means, stds = _standardize(raw, names)
-    Z = (raw - means) / stds
-
-    # constant columns are collinear with the intercept; fit without them
-    active = np.ptp(Z, axis=0) > 0
-    X = np.hstack([np.ones((len(telemetry), 1)), Z[:, active]])
-
-    beta = np.zeros(X.shape[1])
     for _ in range(PS_MAX_ITER):
-        p = _sigmoid(X @ beta)
+        p = _sigmoid(beta @ XT)
         W = p * (1.0 - p)
-        H = (X * W[:, None]).T @ X
-        grad = X.T @ (y - p)
         try:
-            step = np.linalg.solve(H, grad)
+            step = np.linalg.solve((XT * W) @ XT.T, XT @ (y - p))
         except np.linalg.LinAlgError:
             raise CausalError("singular design in propensity fit") from None
         beta = beta + step
@@ -182,11 +184,24 @@ def fit_propensity(telemetry) -> PsModel:
                 "coefficients diverged past %g; treatment is separable" % PS_COEF_LIMIT)
         if np.max(np.abs(step)) < PS_TOL:
             break
+    if not np.all(np.isfinite(beta)):
+        raise CausalError("non-finite propensity coefficients")
+    return beta
 
-    coefs = np.zeros(len(names) + 1)
-    coefs[0] = beta[0]
-    coefs[1:][active] = beta[1:]
-    dropped = tuple(name for name, live in zip(names, active) if not live)
+
+def fit_propensity(telemetry) -> PsModel:
+    """Maximum-likelihood logistic fit of treatment on confounders,
+    standardized on these records, by Newton/IRLS from zero."""
+    if len(telemetry) < 2:
+        raise CausalError("need at least 2 records to fit a propensity model")
+    names = _feature_names(telemetry)
+    raw = _raw_matrix(telemetry, names)
+    means, stds = _standardize(raw, names)
+    XT = _design(raw, means, stds)
+    live = _live_rows(XT)
+    coefs = np.zeros(len(live))
+    coefs[live] = _newton(XT[live], telemetry.column("vrh_used"), coefs[live])
+    dropped = tuple(name for name, keep in zip(names, live[1:]) if not keep)
     return PsModel(names, tuple(means), tuple(stds), tuple(coefs), dropped)
 
 
@@ -206,18 +221,29 @@ def stratify(telemetry, model: PsModel, n_bins: int = 5) -> np.ndarray:
     """Quantile bins of the propensity score: meetings sorted by PS and
     split into n_bins contiguous groups of equal size (within 1).
     Returns the bin index of each meeting in input order."""
+    return _bins(predict_ps(model, telemetry), n_bins)
+
+
+def _bins(ps, n_bins):
+    """The bin of each score when the stable argsort of ps is cut into
+    the chunks np.array_split(order, n_bins) gives: the first
+    len % n_bins bins hold one meeting more. Only the n_bins - 1 cut
+    values are found, by partition; meetings tied at a cut value are
+    ranked by input position, as the stable sort ranks them."""
     if n_bins < 2:
         raise CausalError("need at least 2 bins")
-    if len(telemetry) < n_bins:
-        raise CausalError("%d records cannot fill %d bins" % (len(telemetry), n_bins))
-    order = np.argsort(predict_ps(model, telemetry), kind="stable")
-    # the chunk sizes np.array_split(order, n_bins) gives: the first
-    # len % n_bins bins hold one meeting more
-    size, extra = divmod(len(telemetry), n_bins)
-    sizes = [size + 1] * extra + [size] * (n_bins - extra)
-    assignment = np.empty(len(telemetry), dtype=np.int64)
-    assignment[order] = np.repeat(np.arange(n_bins), sizes)
-    return assignment
+    if len(ps) < n_bins:
+        raise CausalError("%d records cannot fill %d bins" % (len(ps), n_bins))
+    size, extra = divmod(len(ps), n_bins)
+    later = np.arange(1, n_bins)
+    starts = later * size + np.minimum(later, extra)  # first sorted rank of bins 1..
+    cuts = np.partition(ps, starts)[starts]
+    bins = np.searchsorted(cuts, ps, side="right")
+    for value in dict.fromkeys(cuts.tolist()):
+        tied = np.flatnonzero(ps == value)
+        ranks = np.count_nonzero(ps < value) + np.arange(len(tied))
+        bins[tied] = np.searchsorted(starts, ranks, side="right")
+    return bins
 
 
 def _smd(a: np.ndarray, b: np.ndarray) -> float:
@@ -242,11 +268,18 @@ def _strata(telemetry, assignment, values=None):
     if len(telemetry) != len(assignment):
         raise CausalError("assignment length does not match records")
     labels, code = np.unique(assignment, return_inverse=True)
-    cell = code * 2 + telemetry.vrh_used
-    counts = np.bincount(cell, minlength=2 * len(labels)).reshape(-1, 2)
-    sums = np.bincount(cell, values, 2 * len(labels)).reshape(-1, 2)
+    counts, sums = _arm_table(code, len(labels), telemetry.vrh_used, values)
     both = counts.all(axis=1)
     return labels[both].tolist(), counts[both], sums[both], labels[~both].tolist()
+
+
+def _arm_table(code, n_codes, treated, values):
+    """(control, treated) counts and sums of values per stratum code
+    0 .. n_codes - 1, as two (n_codes, 2) arrays."""
+    cell = code * 2 + treated
+    counts = np.bincount(cell, minlength=2 * n_codes).reshape(-1, 2)
+    sums = np.bincount(cell, values, 2 * n_codes).reshape(-1, 2)
+    return counts, sums
 
 
 def balance_report(telemetry, assignment) -> dict:
@@ -302,21 +335,31 @@ def estimate_impact(telemetry, assignment) -> ImpactEstimate:
     if not labels:
         raise NoValidStrataError("every stratum lacks a treated or control arm")
 
+    delta, var, diffs = _stratified_delta(counts, sums)
+    half = Z_975 * np.sqrt(var)
+    per_stratum = tuple((b, n_t, n_c, d)
+                        for b, (n_c, n_t), d in zip(labels, counts.tolist(), diffs))
+    return ImpactEstimate(float(delta), (float(delta - half), float(delta + half)),
+                          per_stratum)
+
+
+def _stratified_delta(counts, sums):
+    """Bin-weighted treated-minus-control outcome difference over strata
+    that all hold both arms, from their (control, treated) counts and
+    outcome sums; returns (delta, variance, per-stratum differences)."""
     # outcomes are 0/1, so each sum is exact and sum / n is the arm mean
     means = (sums / counts).tolist()
     counts = counts.tolist()
     total = sum(n_c + n_t for n_c, n_t in counts)
     delta = var = 0.0
-    per_stratum = []
-    for b, (n_c, n_t), (p_c, p_t) in zip(labels, counts, means):
+    diffs = []
+    for (n_c, n_t), (p_c, p_t) in zip(counts, means):
         w = (n_t + n_c) / total
         d = p_t - p_c
         delta += w * d
         var += w * w * (p_t * (1 - p_t) / n_t + p_c * (1 - p_c) / n_c)
-        per_stratum.append((b, n_t, n_c, d))
-    half = Z_975 * np.sqrt(var)
-    return ImpactEstimate(float(delta), (float(delta - half), float(delta + half)),
-                          tuple(per_stratum))
+        diffs.append(d)
+    return delta, var, diffs
 
 
 def naive_difference(telemetry) -> float:
@@ -330,24 +373,66 @@ def naive_difference(telemetry) -> float:
 
 
 def bootstrap_ci(telemetry, n_bins: int = 5, n_boot: int = 200, seed: int = 0):
-    """Percentile bootstrap of the full fit-stratify-estimate pipeline.
-    Slower than the normal approximation; offered as an alternative."""
+    """Percentile bootstrap (Efron and Tibshirani, 1993) of the full
+    fit-stratify-estimate pipeline; returns (lo, hi, resamples used).
+
+    The design is built once, standardized on these records, and each
+    resample takes its columns by index. A resample drops the
+    confounders constant within it, refits from the full-sample
+    coefficients (the fit does not depend on the scaling), bins as
+    stratify does and estimates as estimate_impact does. It is skipped
+    where those would raise CausalError: one treatment class, a
+    singular or separable design, non-finite coefficients, too few
+    meetings for n_bins, or no stratum holding both arms."""
+    try:
+        model = fit_propensity(telemetry)
+    except CausalError as exc:
+        # the refits start from this fit; records it rejects for one
+        # treatment class or too few rows give resamples that fail alike
+        raise CausalError("all bootstrap resamples were degenerate") from exc
+    n = len(telemetry)
+    XT = _design(_raw_matrix(telemetry, model.feature_names), model.means, model.stds)
+    start = np.asarray(model.coefficients)
+    y = telemetry.column("vrh_used")
+    treated = telemetry.vrh_used
+    outcome = telemetry.column("predicted_inclusive")
     rng = np.random.default_rng(seed)
+    X = np.empty_like(XT)
     deltas = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(n_boot):
-            sample = telemetry.take(rng.integers(0, len(telemetry), size=len(telemetry)))
-            try:
-                model = fit_propensity(sample)
-                est = estimate_impact(sample, stratify(sample, model, n_bins))
-            except CausalError:
-                continue  # degenerate resample; skip it
-            deltas.append(est.delta)
+    for _ in range(n_boot):
+        rows = rng.integers(0, n, size=n)
+        np.take(XT, rows, axis=1, out=X)
+        live = _live_rows(X)
+        X_live = X if live.all() else X[live]
+        try:
+            beta = _newton(X_live, y[rows], start[live])
+            bins = _bins(_sigmoid(beta @ X_live), n_bins)
+        except CausalError:
+            continue  # degenerate resample; skip it
+        counts, sums = _arm_table(bins, n_bins, treated[rows], outcome[rows])
+        both = counts.all(axis=1)
+        if both.any():
+            deltas.append(_stratified_delta(counts[both], sums[both])[0])
     if not deltas:
         raise CausalError("all bootstrap resamples were degenerate")
-    lo, hi = np.quantile(deltas, [BOOTSTRAP_ALPHA / 2, 1 - BOOTSTRAP_ALPHA / 2])
-    return float(lo), float(hi), len(deltas)
+    deltas.sort()
+    return (_percentile(deltas, BOOTSTRAP_ALPHA / 2),
+            _percentile(deltas, 1 - BOOTSTRAP_ALPHA / 2), len(deltas))
+
+
+def _percentile(ordered, q):
+    """The q-quantile of sorted floats by np.quantile's default linear
+    rule, bit for bit: index (n - 1) q, interpolated from the nearer
+    neighbour. np.quantile itself imports numpy.ma, which costs
+    start-up time and memory."""
+    last = len(ordered) - 1
+    at = last * q
+    if at >= last:
+        return ordered[-1]
+    i = int(at)
+    a, b = ordered[i], ordered[i + 1]
+    t = at - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def run_impact(telemetry, n_bins: int = 5, bootstrap: bool = False,

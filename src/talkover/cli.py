@@ -104,12 +104,12 @@ def cmd_extract(args) -> int:
     from .manifest import ClipRecord, write_manifest
     from .overlap import VadParams, detect, export_clip, vad
 
+    meetings, base = _read_meetings_manifest(args.meetings)
     out_dir = _ensure_out(args)
     clips_dir = os.path.join(out_dir, "clips")
     os.makedirs(clips_dir, exist_ok=True)
     params = VadParams(energy_threshold_db=args.energy_threshold)
 
-    meetings, base = _read_meetings_manifest(args.meetings)
     records = []
     totals = {}
     n_candidates = 0

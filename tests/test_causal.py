@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import same_telemetry
 from talkover.causal import (MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
-                             Telemetry, _feature_names, _raw_matrix, _sigmoid, _smd,
-                             balance_report, bootstrap_ci, estimate_impact,
+                             Telemetry, _bins, _feature_names, _percentile, _raw_matrix,
+                             _sigmoid, _smd, balance_report, bootstrap_ci, estimate_impact,
                              filter_eligible, fit_propensity, naive_difference,
                              predict_ps, read_telemetry_csv, run_impact, stratify,
                              write_telemetry_csv)
@@ -438,6 +438,121 @@ def test_bootstrap_ci_smoke():
     lo, hi, used = bootstrap_ci(records, n_bins=4, n_boot=15, seed=1)
     assert lo <= hi
     assert 0 < used <= 15
+
+
+def oracle_bootstrap_ci(telemetry, n_bins=5, n_boot=200, seed=0):
+    """bootstrap_ci as a copied table and a fit from zero, standardized
+    on the resample, per resample: the oracle the refits keep."""
+    rng = np.random.default_rng(seed)
+    deltas = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(n_boot):
+            sample = telemetry.take(rng.integers(0, len(telemetry), size=len(telemetry)))
+            try:
+                model = fit_propensity(sample)
+                est = estimate_impact(sample, stratify(sample, model, n_bins))
+            except CausalError:
+                continue  # degenerate resample; skip it
+            deltas.append(est.delta)
+    if not deltas:
+        raise CausalError("all bootstrap resamples were degenerate")
+    lo, hi = np.quantile(deltas, [0.025, 0.975])
+    return float(lo), float(hi), len(deltas)
+
+
+def assert_bootstrap_matches_oracle(records, n_bins, n_boot, seed):
+    lo, hi, used = bootstrap_ci(records, n_bins, n_boot, seed)
+    want_lo, want_hi, want_used = oracle_bootstrap_ci(records, n_bins, n_boot, seed)
+    assert used == want_used
+    assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12
+    return used
+
+
+@pytest.mark.parametrize("n_bins", range(2, 11))
+def test_bootstrap_matches_per_resample_refit_oracle(n_bins):
+    records = synth_records(np.random.default_rng(20 + n_bins), 300)
+    assert assert_bootstrap_matches_oracle(records, n_bins, 20, n_bins) == 20
+
+
+def test_bootstrap_skips_single_class_resamples_as_the_oracle_does():
+    # two treated meetings inside a grid of controls, so no resample
+    # separates them; a resample draws neither about one time in eight
+    rows = [record(i, pc=3 + i % 5, dur=20.0 + 7.0 * (i // 5 % 3), vrh=i in (6, 21),
+                   inclusive=i % 3 == 0) for i in range(30)]
+    used = assert_bootstrap_matches_oracle(table(rows), 2, 40, 5)
+    assert 0 < used < 40
+
+
+class FixedDraws:
+    """Stands in for np.random.default_rng(seed): integers() hands out
+    the given resample rows in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def integers(self, low, high, size):
+        return next(self.draws)
+
+
+def test_bootstrap_drops_a_confounder_constant_in_the_resample(monkeypatch):
+    # x is nonzero in meeting 0 only, so it is live in the full-sample
+    # fit and constant, and dropped, in every resample without meeting
+    # 0. A resample with it lets x fit meeting 0 exactly, a
+    # quasi-separation whose fit ends where rounding leaves it, from
+    # zero or from a warm start alike; so the draws leave meeting 0 out.
+    records = synth_records(np.random.default_rng(21), 120)
+    records = dataclasses.replace(records, extras={"x": np.eye(1, 120).ravel()})
+    assert "x" not in fit_propensity(records).dropped
+    draws = np.random.default_rng(24).integers(1, 120, size=(30, 120))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(draws))
+    assert assert_bootstrap_matches_oracle(records, 4, 30, 0) == 30
+
+
+@pytest.mark.parametrize("case", ["one bin per meeting", "one treatment class"])
+def test_bootstrap_raises_when_every_resample_is_degenerate(case):
+    records = synth_records(np.random.default_rng(22), 12)
+    n_bins = 12 if case == "one bin per meeting" else 3
+    if case == "one treatment class":
+        records = dataclasses.replace(records, vrh_used=np.ones(12, dtype=bool))
+    for fn in (bootstrap_ci, oracle_bootstrap_ci):
+        with pytest.raises(CausalError, match="all bootstrap resamples were degenerate"):
+            fn(records, n_bins, 10, 0)
+
+
+def test_bootstrap_refits_start_from_the_full_sample_fit(monkeypatch):
+    records = synth_records(np.random.default_rng(23), 2000)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    fit_propensity(records)
+    full_fit = len(solves)
+    _, _, used = bootstrap_ci(records, n_bins=5, n_boot=20, seed=0)
+    # a fit from zero takes 6 or more Newton steps on this generator
+    assert full_fit >= 6
+    assert (len(solves) - 2 * full_fit) / used < 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cut_rank_bins_match_stable_argsort_chunks(data):
+    n_bins = data.draw(st.integers(2, 10), label="bins")
+    pool = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=7, unique=True),
+                     label="distinct scores")
+    ps = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n_bins, max_size=200),
+                            label="scores"))
+    expected = np.empty(len(ps), dtype=np.int64)
+    for b, chunk in enumerate(np.array_split(np.argsort(ps, kind="stable"), n_bins)):
+        expected[chunk] = b
+    assert np.array_equal(_bins(ps, n_bins), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 0.25, -3.5]),
+                       min_size=1, max_size=300),
+       q=st.floats(0.0, 1.0) | st.sampled_from([0.025, 1 - 0.025]))
+def test_percentile_matches_np_quantile_bit_for_bit(values, q):
+    assert repr(_percentile(sorted(values), q)) == repr(float(np.quantile(values, q)))
 
 
 def test_run_impact_report():

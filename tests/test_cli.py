@@ -180,13 +180,15 @@ _TWO_CHANNELS = [{"participant_id": "a", "wav_path": "a.wav"},
         {"wav_path": "a.wav"}, {"participant_id": "b", "wav_path": "b.wav"}]}]}),
     json.dumps({"meetings": [{"channels": _TWO_CHANNELS}]}),
     json.dumps({"meetings": ["x"]}),
+    json.dumps({"meetings": [{"meeting_id": "x", "channels": _TWO_CHANNELS}] * 2}),
 ], ids=["truncated", "top-level list", "no participant_id", "no meeting_id",
-        "meeting not an object"])
+        "meeting not an object", "repeated meeting_id"])
 def test_malformed_meetings_manifest_exits_9(tmp_path, blob):
     bad = tmp_path / "meetings.json"
     bad.write_text(blob)
     assert run_cli(["extract", "--meetings", bad, "--out", tmp_path / "o"]) == 9
     assert not (tmp_path / "o" / "manifest.jsonl").exists()
+    assert not (tmp_path / "o" / "clips").exists()
 
 
 @pytest.mark.parametrize("blob", [b'{"vote_0000": "other"', b'["vote_0000"]',
@@ -1225,6 +1227,16 @@ def test_table_commands_load_no_audio_or_classifier_code(fixtures_dir, tmp_path,
     assert module in modules
     assert not modules & {"talkover.audio", "talkover.features", "talkover.model",
                           "talkover.overlap"}
+
+
+def test_impact_bootstrap_loads_no_numpy_ma(fixtures_dir, tmp_path):
+    # np.quantile, and np.unique without return flags, import numpy.ma:
+    # about 20 ms and 2 MiB of peak RSS that impact has no use for
+    modules = _imported_modules(["impact", "--telemetry",
+                                 fixtures_dir / "telemetry" / "telemetry.csv",
+                                 "--bootstrap", "--bootstrap-samples", 3, "--out", tmp_path])
+    assert "talkover.causal" in modules
+    assert "numpy.ma" not in modules
 
 
 @pytest.mark.parametrize("command", ["featurize", "train", "eval", "gen-fixtures"])
