@@ -5,10 +5,11 @@ rate with samples in [-1, 1]. Files at any other rate are rejected
 instead of resampled so the DSP surface stays deterministic.
 
 A track comes in two forms with one read interface (participant_id,
-sample_rate, len() and window(start, stop)): AudioChannel holds its
-float64 samples in memory; WavChannel, which load_wav returns, leaves
-them in the WAV file and decodes only the window asked for, so a
-meeting's memory does not grow with its length.
+sample_rate, len() and window(start, stop)); the program reads samples
+only through window. WavChannel, which load_wav returns, decodes only
+the window asked for from its WAV file, so a meeting's memory does not
+grow with its length. AudioChannel, the in-memory input form, holds
+float64 samples; the program builds none of its own.
 """
 from __future__ import annotations
 
@@ -128,13 +129,7 @@ class MeetingAudio:
     def __post_init__(self):
         if len(self.channels) < 2:
             raise ChannelLayoutError("a meeting needs at least 2 channels")
-        rates = {ch.sample_rate for ch in self.channels}
-        if len(rates) != 1:
-            raise SampleRateError("channels disagree on sample rate: %s" % sorted(rates))
-        lengths = {len(ch) for ch in self.channels}
-        if len(lengths) != 1:
-            raise ChannelLayoutError("channels disagree on length: %s" % sorted(lengths))
-        _require_unique_ids(self.channels, "meeting %s" % self.meeting_id)
+        _check_channel_set(self.channels, "meeting %s" % self.meeting_id)
 
     @classmethod
     def from_channels(cls, channels, meeting_id: str) -> "MeetingAudio":
@@ -170,7 +165,14 @@ class MeetingAudio:
         return self.n_samples / self.sample_rate
 
 
-def _require_unique_ids(channels, where: str) -> None:
+def _check_channel_set(channels, where: str) -> None:
+    """Require one sample rate, one length and unique participant ids."""
+    rates = {ch.sample_rate for ch in channels}
+    if len(rates) != 1:
+        raise SampleRateError("%s: channels disagree on sample rate: %s" % (where, sorted(rates)))
+    lengths = {len(ch) for ch in channels}
+    if len(lengths) != 1:
+        raise ChannelLayoutError("%s: channels disagree on length: %s" % (where, sorted(lengths)))
     ids = sorted(ch.participant_id for ch in channels)
     repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
     if repeated:
@@ -307,26 +309,27 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
     if encoding == "pcm16":
         tag, bits = _FMT_PCM, 16
         quantized = np.clip(np.round(samples * _PCM16_SCALE), -32768, 32767)
-        payload = quantized.astype("<i2").tobytes()
+        payload = quantized.astype("<i2", order="C")
     elif encoding == "float32":
         tag, bits = _FMT_IEEE_FLOAT, 32
-        payload = samples.astype("<f4").tobytes()
+        payload = samples.astype("<f4", order="C")
     else:
         raise UnsupportedEncodingError("unknown encoding %r" % encoding)
 
     block_align = n_channels * bits // 8
-    fmt = struct.pack("<HHIIHH", tag, n_channels, sample_rate,
-                      sample_rate * block_align, block_align, bits)
-    body = b"".join([
-        b"fmt ", struct.pack("<I", len(fmt)), fmt,
-        b"data", struct.pack("<I", len(payload)), payload,
-    ])
+    header = struct.pack("<4sI4s4sIHHIIHH4sI",
+                         b"RIFF", 36 + payload.nbytes, b"WAVE",
+                         b"fmt ", 16, tag, n_channels, sample_rate,
+                         sample_rate * block_align, block_align, bits,
+                         b"data", payload.nbytes)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        fh.write(header)
+        fh.write(payload)
 
 
-def mixdown(channels) -> AudioChannel:
-    """Sum channels sample-wise and hard-clip to [-1, 1].
+def mixdown(channels, start: int, stop: int) -> np.ndarray:
+    """Samples [start, stop) of the channels, read through window,
+    summed and hard-clipped to [-1, 1] as float64.
 
     Clipping rather than rescaling keeps local energy relationships
     between the interrupter and the rest intact. Channels are summed in
@@ -336,14 +339,11 @@ def mixdown(channels) -> AudioChannel:
     channels = list(channels)
     if not channels:
         raise ChannelLayoutError("mixdown of an empty channel list")
-    rates = {ch.sample_rate for ch in channels}
-    if len(rates) != 1:
-        raise SampleRateError("mixdown channels disagree on rate: %s" % sorted(rates))
-    lengths = {len(ch) for ch in channels}
-    if len(lengths) != 1:
-        raise ChannelLayoutError("mixdown channels disagree on length: %s" % sorted(lengths))
-    _require_unique_ids(channels, "mixdown")
-    total = np.zeros(lengths.pop())
+    _check_channel_set(channels, "mixdown")
+    if not 0 <= start <= stop <= len(channels[0]):
+        raise ChannelLayoutError("mixdown span [%d, %d) outside [0, %d]"
+                                 % (start, stop, len(channels[0])))
+    total = np.zeros(stop - start)
     for ch in sorted(channels, key=lambda ch: ch.participant_id):
-        total += ch.samples
-    return AudioChannel(np.clip(total, -1.0, 1.0), rates.pop(), "mix")
+        total += ch.window(start, stop)
+    return np.clip(total, -1.0, 1.0, out=total)

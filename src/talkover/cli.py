@@ -57,6 +57,7 @@ def _bounded(convert, ok, what: str):
 _positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
 _fraction = _bounded(float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
+_open_fraction = _bounded(float, lambda v: 0.0 < v < 1.0, "a fraction in (0, 1)")
 _positive_float = _bounded(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 _non_negative_float = _bounded(float, lambda v: 0.0 <= v < math.inf,
                                "a non-negative finite number")
@@ -425,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, seeded=False):
         p.add_argument("--out", required=True, help="output directory")
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = sub.add_parser("extract", help="detect overlap candidates and cut clips")
     add_common(p)
@@ -468,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--split-name", default="test")
     p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--fpr-target", type=float, default=0.01)
+    p.add_argument("--fpr-target", type=_open_fraction, default=0.01)
     p.add_argument("--threshold", type=_finite_float, default=None,
                    help="fixed decision threshold; skips calibration")
     p.add_argument("--calibration-split", default=None,

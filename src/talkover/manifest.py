@@ -119,20 +119,22 @@ def read_split(path) -> dict:
 def load_clip(record: ClipRecord, wav_path=None):
     """Read a clip's stereo WAV as the (CLIP_DURATION_S * rate, 2) float64
     array that export_clip cut: column 0 is the mixdown of the other
-    speakers, column 1 the interrupter. The audio code is imported here,
-    so that reading a manifest loads none."""
-    from .audio import SAMPLE_RATE, read_wav_data
+    speakers, column 1 the interrupter. The header's layout is checked
+    before any sample is decoded. The audio code is imported here, so
+    that reading a manifest loads none."""
+    from .audio import SAMPLE_RATE, read_wav_data, read_wav_header
     from .overlap import CLIP_DURATION_S
 
     path = wav_path if wav_path is not None else record.wav_path
-    rate, frames = read_wav_data(path)
-    if frames.shape[1] != 2:
+    layout = read_wav_header(path)
+    if layout.n_channels != 2:
         raise ChannelLayoutError("%s: clip WAVs are stereo, got %d channels"
-                                 % (path, frames.shape[1]))
+                                 % (path, layout.n_channels))
+    rate = layout.sample_rate
     if rate != SAMPLE_RATE:
         raise SampleRateError("%s: rate %d Hz, expected %d" % (path, rate, SAMPLE_RATE))
     expected = int(CLIP_DURATION_S * rate)
-    if len(frames) != expected:
+    if layout.n_frames != expected:
         raise AudioError("%s: clip %s: channels must hold exactly %d samples"
                          % (path, record.clip_id, expected))
-    return frames
+    return read_wav_data(path)[1]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioChannel, MeetingAudio, mixdown
+from .audio import MeetingAudio, mixdown
 from .errors import AudioError
 
 CLIP_DURATION_S = 10.0
@@ -210,8 +210,6 @@ def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> np.ndarray
     interrupter = meeting.channels[descriptor.channel_index]
     if interrupter.participant_id != descriptor.interrupter_id:
         raise ValueError("descriptor does not match meeting channel layout")
-    windows = [AudioChannel(ch.window(start, stop), rate, ch.participant_id)
-               for ch in meeting.channels]
-    right = windows.pop(descriptor.channel_index)
-    return np.stack([mixdown(windows).samples, right.samples], axis=1)
+    others = [ch for ch in meeting.channels if ch is not interrupter]
+    return np.stack([mixdown(others, start, stop), interrupter.window(start, stop)], axis=1)
 

@@ -272,19 +272,18 @@ def test_mixdown_permutation_invariant(seed, n_channels):
         AudioChannel(rng.uniform(-0.6, 0.6, 64), SAMPLE_RATE, "p%d" % i)
         for i in range(n_channels)
     ]
-    ref = mixdown(channels)
+    ref = mixdown(channels, 0, 64)
     perm = [channels[i] for i in rng.permutation(n_channels)]
-    out = mixdown(perm)
-    assert out.samples.tobytes() == ref.samples.tobytes()
-    assert out.participant_id == "mix"
+    out = mixdown(perm, 0, 64)
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_mixdown_hard_clips():
     chans = [AudioChannel(np.full(8, 0.8), SAMPLE_RATE, "p%d" % i) for i in range(3)]
-    out = mixdown(chans)
-    assert np.all(out.samples == 1.0)
+    out = mixdown(chans, 0, 8)
+    assert np.all(out == 1.0)
     neg = [AudioChannel(np.full(8, -0.7), SAMPLE_RATE, "n%d" % i) for i in range(2)]
-    assert np.all(mixdown(neg).samples == -1.0)
+    assert np.all(mixdown(neg, 0, 8) == -1.0)
 
 
 def test_mixdown_rejects_repeated_participant_ids():
@@ -292,16 +291,105 @@ def test_mixdown_rejects_repeated_participant_ids():
     # the mix, to the order of the input list
     chans = [AudioChannel(np.full(8, v), SAMPLE_RATE, "p") for v in (0.1, 0.2)]
     with pytest.raises(ChannelLayoutError):
-        mixdown(chans)
+        mixdown(chans, 0, 8)
 
 
 def test_mixdown_empty_rejected():
     with pytest.raises(ChannelLayoutError):
-        mixdown([])
+        mixdown([], 0, 0)
 
 
 def test_mixdown_length_mismatch_rejected():
     a = AudioChannel(np.zeros(8), SAMPLE_RATE, "a")
     b = AudioChannel(np.zeros(9), SAMPLE_RATE, "b")
     with pytest.raises(ChannelLayoutError):
-        mixdown([a, b])
+        mixdown([a, b], 0, 8)
+
+
+def test_mixdown_rate_mismatch_rejected():
+    a = AudioChannel(np.zeros(8), SAMPLE_RATE, "a")
+    b = AudioChannel(np.zeros(8), 8000, "b")
+    with pytest.raises(SampleRateError):
+        mixdown([a, b], 0, 8)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (0, 9), (9, 9)])
+def test_mixdown_rejects_a_span_outside_the_channels(start, stop):
+    chans = [AudioChannel(np.zeros(8), SAMPLE_RATE, pid) for pid in ("a", "b")]
+    with pytest.raises(ChannelLayoutError, match="span"):
+        mixdown(chans, start, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+       tracks=st.lists(st.tuples(st.sampled_from(["pcm16", "float32"]), st.integers(0, 300)),
+                       min_size=1, max_size=4),
+       pad=st.integers(0, 40))
+def test_wav_mixdown_matches_in_memory_and_loop_oracles(seed, data, tracks, pad):
+    rng = np.random.default_rng(seed)
+    n = max(n_stored for _, n_stored in tracks) + pad
+    pids = ["p%d" % k for k in rng.permutation(len(tracks))]
+    start = data.draw(st.integers(0, n))
+    stop = data.draw(st.integers(start, n))
+    with tempfile.TemporaryDirectory() as tmp:
+        wav_channels, memory_channels = [], []
+        for pid, (encoding, n_stored) in zip(pids, tracks):
+            path = os.path.join(tmp, pid + ".wav")
+            write_wav(path, rng.uniform(-1.0, 1.0, n_stored), encoding=encoding)
+            wav_channels.append(load_wav(path, pid).padded(n))
+            stored = read_wav_data(path)[1][:, 0]
+            memory_channels.append(
+                AudioChannel(np.concatenate([stored, np.zeros(n - n_stored)]), SAMPLE_RATE, pid))
+        got = mixdown(wav_channels, start, stop)
+        total = np.zeros(stop - start)
+        for ch in sorted(wav_channels, key=lambda ch: ch.participant_id):
+            total = total + ch.window(start, stop)
+    assert got.dtype == np.float64 and got.shape == (stop - start,)
+    assert got.tobytes() == mixdown(memory_channels, start, stop).tobytes()
+    assert got.tobytes() == np.clip(total, -1.0, 1.0).tobytes()
+
+
+def parent_write_wav(path, samples, sample_rate=SAMPLE_RATE, encoding="float32"):
+    """write_wav as it was when it joined the header and the payload's
+    bytes into one string: the oracle for the bytes on disk."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim == 1:
+        samples = samples[:, None]
+    n_channels = samples.shape[1]
+    if encoding == "pcm16":
+        tag, bits = 0x0001, 16
+        quantized = np.clip(np.round(samples * 32768.0), -32768, 32767)
+        payload = quantized.astype("<i2").tobytes()
+    else:
+        tag, bits = 0x0003, 32
+        payload = samples.astype("<f4").tobytes()
+    block_align = n_channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, n_channels, sample_rate,
+                      sample_rate * block_align, block_align, bits)
+    body = b"".join([
+        b"fmt ", struct.pack("<I", len(fmt)), fmt,
+        b"data", struct.pack("<I", len(payload)), payload,
+    ])
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), encoding=st.sampled_from(["pcm16", "float32"]),
+       layout=st.sampled_from(["mono", "stereo", "stereo, column-major"]),
+       n_frames=st.integers(0, 40), rate=st.sampled_from([8000, SAMPLE_RATE]))
+def test_write_wav_matches_the_joined_bytes_writer(seed, encoding, layout, n_frames, rate):
+    rng = np.random.default_rng(seed)
+    # past full scale too, and on the half-quantum steps pcm16 rounds
+    samples = rng.uniform(-1.2, 1.2, (n_frames, 2))
+    samples[rng.random(samples.shape) < 0.3] = rng.integers(-8, 8) / 65536.0
+    if layout == "mono":
+        samples = samples[:, 0]
+    elif layout == "stereo, column-major":
+        samples = np.asfortranarray(samples)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.wav"), os.path.join(tmp, "want.wav")
+        write_wav(got, samples, rate, encoding)
+        parent_write_wav(want, samples, rate, encoding)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()

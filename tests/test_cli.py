@@ -26,7 +26,7 @@ from talkover import synth
 from talkover.audio import AudioChannel, MeetingAudio, SAMPLE_RATE, read_wav_data, write_wav
 from talkover.causal import write_telemetry_csv
 from talkover.labels import VOTE_LABELS, fleiss_kappa, read_votes_csv, votes_to_table
-from talkover.manifest import ClipRecord, read_manifest, write_manifest, write_split
+from talkover.manifest import ClipRecord, read_manifest, read_split, write_manifest, write_split
 from talkover.overlap import detect, export_clip, vad
 from talkover.vocab import CLASSES
 
@@ -108,6 +108,10 @@ def test_telemetry_n_below_one_exits_2(tmp_path, value):
     ("extract", "--energy-threshold", "nan"), ("extract", "--energy-threshold", "inf"),
     ("extract", "--min-utterance", "nan"), ("extract", "--min-utterance", -0.1),
     ("extract", "--min-presilence", "nan"), ("extract", "--min-presilence", "inf"),
+    ("eval", "--fpr-target", 1.5), ("eval", "--fpr-target", 1), ("eval", "--fpr-target", 0),
+    ("eval", "--fpr-target", -1), ("eval", "--fpr-target", "nan"),
+    ("eval", "--fpr-target", "inf"),
+    ("train", "--seed", -1), ("impact", "--seed", -1), ("gen-fixtures", "--seed", -1),
 ])
 def test_unworkable_counts_and_fractions_exit_2(fixtures_dir, tmp_path, command, flag, value):
     emb = fixtures_dir / "embeddings"
@@ -119,6 +123,7 @@ def test_unworkable_counts_and_fractions_exit_2(fixtures_dir, tmp_path, command,
         "train": corpus,
         "eval": corpus + ["--model-dir", tmp_path / "model"],
         "impact": ["--telemetry", fixtures_dir / "telemetry" / "telemetry.csv", "--bootstrap"],
+        "gen-fixtures": [],
     }
     with pytest.raises(SystemExit) as err:
         run_cli([command] + inputs[command] + [flag, value, "--out", tmp_path / "o"])
@@ -908,14 +913,20 @@ def test_unknown_split_name_exits_9(fixtures_dir, model_dir, tmp_path):
     assert code == 9
 
 
-def test_bad_fpr_target_exits_6(fixtures_dir, model_dir, tmp_path):
+def test_split_without_negatives_exits_6(fixtures_dir, model_dir, tmp_path, capsys):
     emb = fixtures_dir / "embeddings"
+    labels = {r.clip_id: r.label for r in read_manifest(emb / "manifest.jsonl")}
+    positives = [c for c in read_split(emb / "split.json")["val"]
+                 if labels[c] == "failed_interruption"]
+    split = tmp_path / "split.json"
+    write_split(split, {"val": positives})
     code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
-                    "--split", emb / "split.json", "--features", emb,
+                    "--split", split, "--features", emb,
                     "--feature", "emb", "--profile", "tiny",
                     "--model-dir", model_dir, "--split-name", "val",
-                    "--fpr-target", 0.0, "--out", tmp_path])
+                    "--out", tmp_path / "o"])
     assert code == 6
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_extract_finds_the_engineered_overlaps(extract_out, capsys):

@@ -171,3 +171,23 @@ def test_load_clip_rejects_wrong_layout(tmp_path):
     write_wav(wav2, slow, 8000, encoding="float32")
     with pytest.raises(SampleRateError):
         load_clip(rec("a", wav_path=str(wav2)))
+
+
+@pytest.mark.parametrize("shape, rate, error", [
+    ((60 * 16000, 2), 16000, AudioError),
+    ((60 * 16000, 1), 16000, ChannelLayoutError),
+    ((60 * 8000, 2), 8000, SampleRateError),
+])
+def test_load_clip_checks_the_header_before_decoding(tmp_path, monkeypatch, shape, rate, error):
+    # a meeting-length WAV listed as a clip is refused from its header,
+    # before its samples are decoded to float64
+    import talkover.audio
+
+    wav = tmp_path / "long.wav"
+    write_wav(wav, np.zeros(shape), rate, encoding="pcm16")
+
+    def no_decode(path):
+        raise AssertionError("read_wav_data called on %s" % path)
+    monkeypatch.setattr(talkover.audio, "read_wav_data", no_decode)
+    with pytest.raises(error):
+        load_clip(rec("a", wav_path=str(wav)))

@@ -358,6 +358,40 @@ def test_export_clip_mixes_all_other_channels():
     assert np.allclose(clip[:, 0], 0.3)
 
 
+def test_export_clip_from_wavs_builds_no_audio_channel(tmp_path, monkeypatch):
+    from talkover.overlap import ClipDescriptor
+    rng = np.random.default_rng(7)
+    n = int(12.5 * SAMPLE_RATE)
+    channels = []
+    for pid, encoding, n_stored in [("c", "pcm16", n), ("a", "float32", n - 999),
+                                    ("b", "pcm16", n - 5000), ("d", "float32", n)]:
+        path = tmp_path / (pid + ".wav")
+        write_wav(path, rng.uniform(-0.7, 0.7, n_stored), encoding=encoding)
+        channels.append(load_wav(path, pid))
+    meeting = MeetingAudio.from_channels(channels, "m")
+
+    built = []
+    post_init = AudioChannel.__post_init__
+    monkeypatch.setattr(AudioChannel, "__post_init__",
+                        lambda self: (built.append(self.participant_id), post_init(self)))
+    for i, ch in enumerate(meeting.channels):
+        for onset in (5.0, 7.5):
+            desc = ClipDescriptor("m_x", "m", ch.participant_id, onset, i)
+            clip = export_clip(desc, meeting)
+            assert built == []
+            # the clip as every window wrapped in an AudioChannel cut it:
+            # the others summed in participant-id order, then clipped
+            start = int((onset - ONSET_OFFSET_S) * SAMPLE_RATE)
+            stop = start + int(CLIP_DURATION_S * SAMPLE_RATE)
+            total = np.zeros(stop - start)
+            for other in sorted(meeting.channels, key=lambda c: c.participant_id):
+                if other is not ch:
+                    total += AudioChannel(other.window(start, stop), SAMPLE_RATE, "w").samples
+            want = np.stack([np.clip(total, -1.0, 1.0), ch.window(start, stop)], axis=1)
+            assert clip.tobytes() == want.tobytes()
+            built.clear()
+
+
 def test_export_clip_rejects_out_of_bounds():
     from talkover.overlap import ClipDescriptor
     meeting = silent_meeting(8.0)
