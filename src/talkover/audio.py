@@ -5,11 +5,24 @@ rate with samples in [-1, 1]. Files at any other rate are rejected
 instead of resampled so the DSP surface stays deterministic.
 
 A track comes in two forms with one read interface (participant_id,
-sample_rate, len() and window(start, stop)); the program reads samples
-only through window. WavChannel, which load_wav returns, decodes only
-the window asked for from its WAV file, so a meeting's memory does not
-grow with its length. AudioChannel, the in-memory input form, holds
+sample_rate, len() and window(start, stop)); the program reads float64
+samples only through window. WavChannel, which load_wav returns, reads
+only the window asked for from its WAV file, so a meeting's memory does
+not grow with its length. AudioChannel, the in-memory input form, holds
 float64 samples; the program builds none of its own.
+
+Sums over 16-bit PCM WAVs are taken on the stored integers. A stored
+int16 k decodes to k * 2^-15 exactly, so a float64 sum of decoded
+samples is an integer times 2^-15 and a sum of their squares an integer
+times 2^-30. While that integer stays below 2^53, every partial sum is
+exact in any order, and the integer sum scaled once has the bits of the
+float64 sum. So when every channel is a PCM16 WavChannel (pcm16_only),
+mixdown adds the stored windows in int32, which holds any sum of fewer
+than 2^16 channels, and overlap.frame_energies_db sums each frame's
+squares in int64, which stays below 2^53 for frames of fewer than
+PCM16_MAX_FRAME = 2^23 samples. Float32 WAVs, AudioChannels and mixed
+sets are decoded to float64 and summed there; the outputs are the same
+bytes either way.
 """
 from __future__ import annotations
 
@@ -34,7 +47,9 @@ _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
 
-_PCM16_SCALE = 32768.0
+PCM16_SCALE = 32768.0
+PCM16_MAX_FRAME = 1 << 23
+_PCM16_MAX_CHANNELS = 1 << 16
 
 # samples read at a time by the finiteness pass over a float WAV
 _FINITE_CHECK_SAMPLES = 1 << 18
@@ -50,6 +65,11 @@ class AudioChannel:
     participant_id: str
 
     def __post_init__(self):
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise SampleRateError("channel %r: sample rate %r is not a positive integer"
+                                  % (self.participant_id, rate))
+        object.__setattr__(self, "sample_rate", int(rate))
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ChannelLayoutError("AudioChannel requires a 1-D sample array")
@@ -104,12 +124,18 @@ class WavChannel:
             raise MalformedWavError("%s: file shrank while being read" % self.path)
         return raw
 
+    def stored_window(self, start: int, stop: int) -> np.ndarray:
+        """The file's samples [start, stop), undecoded, zeros past the
+        stored end."""
+        raw = self.stored(start, stop)
+        if raw.size < stop - start:
+            raw = np.concatenate([raw, np.zeros(stop - start - raw.size, raw.dtype)])
+        return raw
+
     def window(self, start: int, stop: int) -> np.ndarray:
         """Samples [start, stop) as float64, zeros past the stored end."""
         out = np.empty(stop - start)
-        raw = self.stored(start, stop)
-        _decode(raw, out[:raw.size])
-        out[raw.size:] = 0.0
+        _decode(self.stored_window(start, stop), out)
         return out
 
     def padded(self, n_samples: int) -> "WavChannel":
@@ -163,6 +189,14 @@ class MeetingAudio:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate
+
+
+def pcm16_only(channels) -> bool:
+    """Whether channels are fewer than 2^16 PCM16 WavChannels, so sums
+    over them may be taken on the stored integers (see the module
+    docstring)."""
+    return len(channels) < _PCM16_MAX_CHANNELS and all(
+        isinstance(ch, WavChannel) and ch.dtype == "<i2" for ch in channels)
 
 
 def _check_channel_set(channels, where: str) -> None:
@@ -245,12 +279,12 @@ def read_wav_header(path) -> WavLayout:
 
 def _decode(raw: np.ndarray, out: np.ndarray) -> None:
     """Stored samples into float64 out: 16-bit PCM scaled by 1/32768,
-    float clipped to [-1, 1]."""
-    out[...] = raw
+    float clipped to [-1, 1]. Dividing by a power of two is exact, and a
+    finite float32 clips to the same value before or after widening."""
     if raw.dtype.kind == "i":
-        out /= _PCM16_SCALE
+        np.divide(raw, PCM16_SCALE, out=out)
     else:
-        np.clip(out, -1.0, 1.0, out=out)
+        np.clip(raw, -1.0, 1.0, out=out)
 
 
 def read_wav_data(path) -> tuple[int, np.ndarray]:
@@ -297,9 +331,16 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
     """Write samples as a WAV file.
 
     samples may be 1-D (mono) or (n, channels). encoding is "float32"
-    or "pcm16"; pcm16 quantizes with round-half-away and clamps -32768.
+    or "pcm16"; pcm16 rounds half to even and clamps to [-32768, 32767].
+    Non-finite samples raise AudioError before the file is opened.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    # one sum finds any NaN or inf; only a sum of finite samples that
+    # overflows needs the elementwise check
+    with np.errstate(over="ignore"):
+        total = samples.sum()
+    if not (np.isfinite(total) or np.isfinite(samples).all()):
+        raise AudioError("%s: non-finite samples not written" % path)
     if samples.ndim == 1:
         samples = samples[:, None]
     if samples.ndim != 2:
@@ -308,7 +349,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
 
     if encoding == "pcm16":
         tag, bits = _FMT_PCM, 16
-        quantized = np.clip(np.round(samples * _PCM16_SCALE), -32768, 32767)
+        quantized = np.multiply(samples, PCM16_SCALE)
+        np.clip(np.round(quantized, out=quantized), -32768, 32767, out=quantized)
         payload = quantized.astype("<i2", order="C")
     elif encoding == "float32":
         tag, bits = _FMT_IEEE_FLOAT, 32
@@ -328,13 +370,15 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
 
 
 def mixdown(channels, start: int, stop: int) -> np.ndarray:
-    """Samples [start, stop) of the channels, read through window,
-    summed and hard-clipped to [-1, 1] as float64.
+    """Samples [start, stop) of the channels, summed and hard-clipped to
+    [-1, 1] as float64.
 
     Clipping rather than rescaling keeps local energy relationships
-    between the interrupter and the rest intact. Channels are summed in
-    order of their unique participant ids, so the result is bit-identical
-    under any permutation of the input list.
+    between the interrupter and the rest intact. PCM16 WavChannels
+    (pcm16_only) are summed as their stored int16 windows in int32,
+    clipped to +-32768 and scaled once. Any other set is read through
+    window and summed in float64 in order of the unique participant ids.
+    Both give the same bits under any permutation of the input list.
     """
     channels = list(channels)
     if not channels:
@@ -343,6 +387,12 @@ def mixdown(channels, start: int, stop: int) -> np.ndarray:
     if not 0 <= start <= stop <= len(channels[0]):
         raise ChannelLayoutError("mixdown span [%d, %d) outside [0, %d]"
                                  % (start, stop, len(channels[0])))
+    if pcm16_only(channels):
+        ints = np.zeros(stop - start, dtype=np.int32)
+        for ch in channels:
+            raw = ch.stored(start, stop)
+            ints[:raw.size] += raw
+        return np.divide(np.clip(ints, -32768, 32768, out=ints), PCM16_SCALE)
     total = np.zeros(stop - start)
     for ch in sorted(channels, key=lambda ch: ch.participant_id):
         total += ch.window(start, stop)

@@ -10,8 +10,13 @@ array with everyone else mixed into column 0 and the interrupter alone
 in column 1, the onset pinned to the 5-second mark. Each gate is one
 array comparison over a channel's segment start and end times.
 
-Channels are read through window(start, stop), so a meeting of
-WavChannels is decoded one energy block, or one clip window, at a time.
+Channels are read one energy block, or one clip window, at a time, so
+a meeting of WavChannels is never held whole. A PCM16 WavChannel's
+frame energies, and the mixdown of a set of PCM16 WavChannels, are
+summed on the stored int16 samples without a float64 decode; the rule
+and why it gives the float64 path's bits are in the audio module's
+docstring. Other channels are read as float64 through window(start,
+stop).
 """
 from __future__ import annotations
 
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import MeetingAudio, mixdown
-from .errors import AudioError
+from .audio import PCM16_MAX_FRAME, PCM16_SCALE, MeetingAudio, mixdown, pcm16_only
+from .errors import AudioError, SampleRateError
 
 CLIP_DURATION_S = 10.0
 ONSET_OFFSET_S = 5.0
@@ -36,6 +41,8 @@ _GATES = (REJECT_NO_OVERLAP, REJECT_PRESILENCE, REJECT_TOO_SHORT, REJECT_BOUNDAR
 
 # frames read and squared at a time when computing frame energies
 _ENERGY_BLOCK_FRAMES = 1024
+# the square of one PCM16 step, 2^-30
+_SQUARE_STEP = 1.0 / (PCM16_SCALE * PCM16_SCALE)
 
 VAD_FRAME_MS = 20
 HANGOVER_FRAMES = 5  # longest silence, in frames, merged into a segment
@@ -68,15 +75,24 @@ class ClipDescriptor:
 def frame_energies_db(channel, frame_len: int) -> np.ndarray:
     """Per-frame RMS energy in dBFS; trailing partial frame is dropped.
 
-    The channel is read _ENERGY_BLOCK_FRAMES frames at a time, so at
-    most one block of its samples is float64 at once.
+    The channel is read _ENERGY_BLOCK_FRAMES frames at a time. A PCM16
+    WavChannel's frames are squared and summed as stored integers in
+    int64, then scaled by 2^-30; any other channel's block is decoded to
+    float64 first. Both give the same bits.
     """
     n_frames = len(channel) // frame_len
     mean_sq = np.empty(n_frames)
+    integer = frame_len < PCM16_MAX_FRAME and pcm16_only([channel])
     for lo in range(0, n_frames, _ENERGY_BLOCK_FRAMES):
         hi = min(lo + _ENERGY_BLOCK_FRAMES, n_frames)
-        block = channel.window(lo * frame_len, hi * frame_len).reshape(hi - lo, frame_len)
-        mean_sq[lo:hi] = np.mean(block * block, axis=1)
+        start, stop = lo * frame_len, hi * frame_len
+        if integer:
+            block = channel.stored_window(start, stop).reshape(hi - lo, frame_len)
+            sum_sq = np.einsum("ij,ij->i", block, block, dtype=np.int64)
+            mean_sq[lo:hi] = sum_sq * _SQUARE_STEP / frame_len
+        else:
+            block = channel.window(start, stop).reshape(hi - lo, frame_len)
+            mean_sq[lo:hi] = np.mean(block * block, axis=1)
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(np.sqrt(mean_sq))
 
@@ -105,6 +121,9 @@ def activity_frames(channel, params: VadParams) -> np.ndarray:
     if len(channel) == 0:
         raise AudioError("VAD on an empty channel")
     frame_len = params.frame_samples(channel.sample_rate)
+    if frame_len < 1:
+        raise SampleRateError("VAD at %r Hz: a %d ms frame holds no sample"
+                              % (channel.sample_rate, VAD_FRAME_MS))
     active = frame_energies_db(channel, frame_len) > params.energy_threshold_db
     return _fill_gaps(active, HANGOVER_FRAMES)
 

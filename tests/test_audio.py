@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,27 @@ def test_header_locates_samples_without_reading_them(tmp_path):
         (SAMPLE_RATE, "<f4", 2, 10)
     # RIFF header 12, fmt 8 + 40, junk 8 + 3 + 1 pad, data header 8
     assert layout.offset == 80
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_wav_refuses_non_finite_samples(tmp_path, encoding, bad):
+    samples = np.zeros((50, 2))
+    samples[37, 1] = bad
+    path = tmp_path / "t.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AudioError, match="non-finite"):
+            write_wav(path, samples, encoding=encoding)
+    assert not path.exists()
+
+
+def test_write_wav_takes_finite_samples_whose_sum_overflows(tmp_path):
+    samples = np.array([1e308, 1e308, -0.5])
+    with np.errstate(over="ignore"):  # the quantizer's scaling overflows to inf, then clips
+        write_wav(tmp_path / "t.wav", samples, encoding="pcm16")
+    assert read_wav_data(tmp_path / "t.wav")[1][:, 0].tolist() == [32767 / 32768, 32767 / 32768,
+                                                                    -0.5]
 
 
 def test_channel_rejects_out_of_range():

@@ -371,12 +371,39 @@ def test_extract_pads_a_short_channel_like_in_memory_channels(tmp_path, encoding
         assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("float_channel", [None, "b"])
+def test_extract_sums_pcm16_meetings_without_window(tmp_path, monkeypatch, float_channel):
+    from talkover.audio import WavChannel
+    meetings = _write_meeting(tmp_path, [
+        ("a", _tones(30.0, [(1.0, 28.0)], 300.0)),
+        ("b", _tones(30.0, [(18.0, 19.5)], 500.0)),
+        ("c", _tones(21.0, [(10.0, 12.0), (17.0, 20.9)], 700.0)),
+    ], "pcm16")
+    if float_channel:
+        path = tmp_path / (float_channel + ".wav")
+        write_wav(path, read_wav_data(path)[1], encoding="float32")
+    callers = []
+    window = WavChannel.window
+    monkeypatch.setattr(WavChannel, "window", lambda self, start, stop: (
+        callers.append(sys._getframe(1).f_code.co_name), window(self, start, stop))[1])
+    assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 0
+    n_clips = len(read_manifest(tmp_path / "o" / "manifest.jsonl"))
+    assert n_clips == 3
+    if float_channel is None:
+        # only each clip's interrupter column is decoded to float64
+        assert callers == ["export_clip"] * n_clips
+    else:
+        assert {"frame_energies_db", "mixdown", "export_clip"} == set(callers)
+
+
 def test_nan_in_trailing_partial_frame_exits_3(tmp_path):
-    # the VAD drops the last 100 samples, which hold the NaN
-    tail = np.zeros(20 * SAMPLE_RATE + 100)
-    tail[-1] = np.nan
+    # the VAD drops the last 100 samples, which hold the NaN; write_wav
+    # refuses a NaN, so it is patched into the file's last sample
     meetings = _write_meeting(tmp_path, [("a", _tones(20.0, [(6.0, 9.0)], 300.0)),
-                                         ("b", tail)], "float32")
+                                         ("b", np.zeros(20 * SAMPLE_RATE + 100))], "float32")
+    with open(tmp_path / "b.wav", "r+b") as fh:
+        fh.seek(-4, os.SEEK_END)
+        fh.write(np.float32(np.nan).tobytes())
     assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 3
     assert not (tmp_path / "o" / "manifest.jsonl").exists()
 

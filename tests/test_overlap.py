@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav, read_wav_data,
-                            write_wav)
-from talkover.errors import AudioError
+from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav, mixdown,
+                            pcm16_only, read_wav_data, write_wav)
+from talkover.errors import AudioError, SampleRateError
 from talkover.overlap import (_ENERGY_BLOCK_FRAMES, CLIP_DURATION_S, ONSET_OFFSET_S,
                               REJECT_BOUNDARY, REJECT_NO_OVERLAP,
                               REJECT_PRESILENCE, REJECT_TOO_SHORT, VadParams,
@@ -97,6 +97,59 @@ def test_file_backed_frame_energies_match_one_shot_oracle(seed, frame_len, n_fra
         got = frame_energies_db(channel, frame_len)
     want = one_shot_frame_energies_db(np.concatenate([stored, np.zeros(pad)]), frame_len)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+       stored=st.lists(st.integers(0, 1500), min_size=1, max_size=6),
+       pad=st.integers(0, 700), frame_len=st.sampled_from([1, 7, 320]),
+       runs=st.lists(st.tuples(st.integers(0, 2200), st.integers(1, 700),
+                               st.sampled_from([-32768, 32767, 0])), max_size=4))
+def test_pcm16_integer_sums_match_the_float_path(seed, data, stored, pad, frame_len, runs):
+    # runs of full scale, shared by every channel, give clipped sums and
+    # 0 dB frames; short tracks are padded, so windows reach past n_stored
+    rng = np.random.default_rng(seed)
+    n = max(stored) + pad
+    pids = ["p%d" % k for k in rng.permutation(len(stored))]
+    wav_channels, memory_channels = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for pid, n_stored in zip(pids, stored):
+            ints = rng.integers(-32768, 32768, n_stored)
+            for lo, length, value in runs:
+                ints[lo:lo + length] = value
+            path = os.path.join(tmp, pid + ".wav")
+            write_wav(path, ints / 32768.0, encoding="pcm16")
+            wav_channels.append(load_wav(path, pid).padded(n))
+            memory_channels.append(AudioChannel(
+                np.concatenate([ints / 32768.0, np.zeros(n - n_stored)]), SAMPLE_RATE, pid))
+        assert pcm16_only(wav_channels)
+        start = data.draw(st.integers(0, n))
+        stop = data.draw(st.integers(start, n))
+        got = mixdown(wav_channels, start, stop)
+        assert got.tobytes() == mixdown(memory_channels, start, stop).tobytes()
+        for wav, memory in zip(wav_channels, memory_channels):
+            got = frame_energies_db(wav, frame_len)
+            assert got.tobytes() == frame_energies_db(memory, frame_len).tobytes()
+
+
+@pytest.mark.parametrize("rate, refused_by", [
+    (0, "AudioChannel"), (-16000, "AudioChannel"), (16000.5, "AudioChannel"),
+    (True, "AudioChannel"), ("16000", "AudioChannel"), (10, "vad"), (49, "vad")])
+def test_unworkable_sample_rate_raises_sample_rate_error(rate, refused_by):
+    if refused_by == "AudioChannel":
+        with pytest.raises(SampleRateError):
+            AudioChannel(np.zeros(1600), rate, "p")
+    else:
+        channel = AudioChannel(np.zeros(1600), rate, "p")
+        with pytest.raises(SampleRateError):
+            vad(channel)
+
+
+def test_lowest_workable_sample_rate():
+    # 50 Hz puts one sample in a 20 ms frame
+    channel = AudioChannel(np.r_[np.zeros(50), np.full(50, 0.5)], np.int64(50), "p")
+    assert type(channel.sample_rate) is int
+    assert vad(channel).tolist() == [[1.0, 2.0]]
 
 
 def loop_fill_gaps(active, max_gap):
