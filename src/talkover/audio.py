@@ -332,7 +332,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
 
     samples may be 1-D (mono) or (n, channels). encoding is "float32"
     or "pcm16"; pcm16 rounds half to even and clamps to [-32768, 32767].
-    Non-finite samples raise AudioError before the file is opened.
+    Non-finite samples, and float32 samples past its range, raise
+    AudioError before the file is opened.
     """
     samples = np.asarray(samples, dtype=np.float64)
     # one sum finds any NaN or inf; only a sum of finite samples that
@@ -354,7 +355,12 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
         payload = quantized.astype("<i2", order="C")
     elif encoding == "float32":
         tag, bits = _FMT_IEEE_FLOAT, 32
-        payload = samples.astype("<f4", order="C")
+        try:  # the cast flags overflow exactly where a sample would become inf
+            with np.errstate(over="raise"):
+                payload = samples.astype("<f4", order="C")
+        except FloatingPointError:
+            raise AudioError("%s: samples beyond the float32 range not written"
+                             % path) from None
     else:
         raise UnsupportedEncodingError("unknown encoding %r" % encoding)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (CausalError, NoValidStrataError, PerfectSeparationError,
                      SingleClassTreatmentError)
+from .textio import write_csv
 
 BASE_NUMERIC = ("participant_count", "duration_min")
 BASE_BOOLEAN = ("video_used", "screenshare_used")
@@ -372,24 +373,20 @@ def naive_difference(telemetry) -> float:
     return float(outcome[treated].mean() - outcome[~treated].mean())
 
 
-def bootstrap_ci(telemetry, n_bins: int = 5, n_boot: int = 200, seed: int = 0):
+def bootstrap_ci(telemetry, model: PsModel, n_bins: int = 5, n_boot: int = 200,
+                 seed: int = 0):
     """Percentile bootstrap (Efron and Tibshirani, 1993) of the full
     fit-stratify-estimate pipeline; returns (lo, hi, resamples used).
 
-    The design is built once, standardized on these records, and each
-    resample takes its columns by index. A resample drops the
-    confounders constant within it, refits from the full-sample
-    coefficients (the fit does not depend on the scaling), bins as
-    stratify does and estimates as estimate_impact does. It is skipped
-    where those would raise CausalError: one treatment class, a
-    singular or separable design, non-finite coefficients, too few
-    meetings for n_bins, or no stratum holding both arms."""
-    try:
-        model = fit_propensity(telemetry)
-    except CausalError as exc:
-        # the refits start from this fit; records it rejects for one
-        # treatment class or too few rows give resamples that fail alike
-        raise CausalError("all bootstrap resamples were degenerate") from exc
+    model is fit_propensity(telemetry). Its design is built once,
+    standardized on these records, and each resample takes its columns
+    by index. A resample drops the confounders constant within it,
+    refits from the model's coefficients (the fit does not depend on
+    the scaling), bins as stratify does and estimates as
+    estimate_impact does. It is skipped where those would raise
+    CausalError: one treatment class, a singular or separable design,
+    non-finite coefficients, too few meetings for n_bins, or no stratum
+    holding both arms."""
     n = len(telemetry)
     XT = _design(_raw_matrix(telemetry, model.feature_names), model.means, model.stds)
     start = np.asarray(model.coefficients)
@@ -468,15 +465,21 @@ def run_impact(telemetry, n_bins: int = 5, bootstrap: bool = False,
             for b, nt, nc, d in estimate.per_stratum
         ],
         "balance": {
-            "summary": balance["summary"],
-            "per_bin": {str(b): v for b, v in balance["per_bin"].items()},
+            "summary": _json_smds(balance["summary"]),
+            "per_bin": {str(b): _json_smds(v) for b, v in balance["per_bin"].items()},
         },
     }
     if bootstrap:
-        lo, hi, used = bootstrap_ci(eligible, n_bins, bootstrap_samples, seed)
+        lo, hi, used = bootstrap_ci(eligible, model, n_bins, bootstrap_samples, seed)
         report["bootstrap_ci95"] = [lo, hi]
         report["bootstrap_samples_used"] = used
     return report
+
+
+def _json_smds(smds: dict) -> dict:
+    """SMDs for a strict JSON report: an infinite one, where both arms
+    are constant and differ, becomes None (JSON null)."""
+    return {name: v if np.isfinite(v) else None for name, v in smds.items()}
 
 
 def read_telemetry_csv(path) -> Telemetry:
@@ -531,7 +534,4 @@ def write_telemetry_csv(path, telemetry) -> None:
                ["%.10g" % x for x in telemetry.duration_min.tolist()]]
     columns += [getattr(telemetry, c).astype(int).tolist() for c in TELEMETRY_COLUMNS[3:]]
     columns += [["%.10g" % x for x in c.tolist()] for c in telemetry.extras.values()]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(TELEMETRY_COLUMNS) + list(telemetry.extras))
-        writer.writerows(zip(*columns))
+    write_csv(path, list(TELEMETRY_COLUMNS) + list(telemetry.extras), zip(*columns))

@@ -2,8 +2,8 @@
 
 Every command is deterministic for fixed inputs and, where it draws
 random numbers (train, impact, gen-fixtures), for --seed: all of them
-come from numpy's default_rng. Every output directory gets a config.json
-sidecar echoing the run's arguments so results can be reproduced.
+come from numpy's default_rng. A successful run writes a config.json
+sidecar echoing its arguments so results can be reproduced.
 
 Exit codes: 0 success, 2 usage (argparse), then one code per error
 family, held as its exit_code: 3 audio, 4 features, 5 model, 6 metrics,
@@ -17,30 +17,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import math
 import os
 import shutil
 import sys
 
 from .errors import LabelError, ManifestError, TalkoverError
+from .textio import read_json, write_csv, write_json, write_jsonl
 from .vocab import PROFILE_NAMES
 
 EXIT_OK = 0
 EXIT_IO = 10
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_sidecar(out_dir, command: str, args: argparse.Namespace) -> None:
-    echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    _write_json(os.path.join(out_dir, "config.json"),
-                {"command": command, "arguments": echo})
 
 
 def _bounded(convert, ok, what: str):
@@ -73,11 +60,7 @@ def _ensure_out(args) -> str:
 # ---------------------------------------------------------------- extract
 
 def _read_meetings_manifest(path):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise ManifestError("%s: %s" % (path, exc)) from None
+    doc = read_json(path, ManifestError)
     meetings = doc.get("meetings") if isinstance(doc, dict) else None
     if not isinstance(meetings, list):
         raise ManifestError("%s: expected a top-level 'meetings' list" % path)
@@ -133,7 +116,6 @@ def cmd_extract(args) -> int:
             n_candidates += 1
 
     write_manifest(os.path.join(out_dir, "manifest.jsonl"), records)
-    _write_sidecar(out_dir, "extract", args)
     print("candidates: %d" % n_candidates)
     for reason in sorted(totals):
         print("rejected %s: %d" % (reason, totals[reason]))
@@ -175,8 +157,7 @@ def cmd_featurize(args) -> int:
             np.save(os.path.join(out_dir, rec.clip_id + ".npy"), feat)
             shapes[rec.clip_id] = list(feat.shape)
 
-    _write_json(os.path.join(out_dir, "shapes.json"), shapes)
-    _write_sidecar(out_dir, "featurize", args)
+    write_json(os.path.join(out_dir, "shapes.json"), shapes)
     print("wrote %d %s feature files" % (len(records), args.feature))
     return EXIT_OK
 
@@ -228,14 +209,13 @@ def cmd_train(args) -> int:
                                        epochs=args.epochs, seed=seed, patience=args.patience)
         result = model_mod.train(train_set, config, val_set, channels=args.channels)
         model_mod.save_model(result.model, os.path.join(out_dir, "checkpoint_r%d.bin" % run))
-        _write_json(os.path.join(out_dir, "history_r%d.json" % run),
-                    {"seed": seed, "train_loss": result.train_loss,
-                     "val_loss": result.val_loss, "stopped_epoch": result.stopped_epoch,
-                     "layer_weights": result.layer_weights})
+        write_json(os.path.join(out_dir, "history_r%d.json" % run),
+                   {"seed": seed, "train_loss": result.train_loss,
+                    "val_loss": result.val_loss, "stopped_epoch": result.stopped_epoch,
+                    "layer_weights": result.layer_weights})
         print("run %d: %d epochs, final train loss %.4f"
               % (run, result.stopped_epoch, result.train_loss[-1]))
 
-    _write_sidecar(out_dir, "train", args)
     return EXIT_OK
 
 
@@ -293,24 +273,20 @@ def cmd_eval(args) -> int:
         print("run %d: auc=%.4f tpr@%.3g=%.4f tau=%.6g fpr=%.4g"
               % (run, auc, args.fpr_target, tpr, tau, fpr))
 
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "auc", "tpr", "threshold", "realized_fpr"])
-        for run, auc, tpr, tau, fpr in rows:
-            writer.writerow([run, "%.10g" % auc, "%.10g" % tpr,
-                             "%.10g" % tau, "%.10g" % fpr])
-        arr = np.array([[r[1], r[2], r[3], r[4]] for r in rows], dtype=np.float64)
-        writer.writerow(["mean"] + ["%.10g" % v for v in arr.mean(axis=0)])
-        # a column whose runs agree has sd 0, also when they agree on an
-        # infinite threshold, where arr.std would subtract inf from inf
-        agree = np.all(arr == arr[0], axis=0)
-        sd = np.zeros(arr.shape[1])
-        sd[~agree] = arr[:, ~agree].std(axis=0)
-        writer.writerow(["sd"] + ["%.10g" % v for v in sd])
+    arr = np.array([r[1:] for r in rows], dtype=np.float64)
+    # a column whose runs agree has sd 0, also when they agree on an
+    # infinite threshold, where arr.std would subtract inf from inf
+    agree = np.all(arr == arr[0], axis=0)
+    sd = np.zeros(arr.shape[1])
+    sd[~agree] = arr[:, ~agree].std(axis=0)
+    labeled = [(run, values) for run, *values in rows] + [("mean", arr.mean(axis=0)),
+                                                          ("sd", sd)]
+    write_csv(os.path.join(out_dir, "metrics.csv"),
+              ["run", "auc", "tpr", "threshold", "realized_fpr"],
+              [[name] + ["%.10g" % v for v in values] for name, values in labeled])
     if len(rows) > 1:
         print("mean auc=%.4f tpr=%.4f" % (arr[:, 0].mean(), arr[:, 1].mean()))
 
-    _write_sidecar(out_dir, "eval", args)
     return EXIT_OK
 
 
@@ -332,21 +308,19 @@ def cmd_labels(args) -> int:
         from .manifest import read_manifest
         by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
 
-    with open(os.path.join(out_dir, "consensus.jsonl"), "w") as fh:
-        for res in results:
-            rec = by_id.get(res.clip_id)
-            if rec is not None:
-                d = rec.to_dict()
-            else:
-                d = {"clip_id": res.clip_id}
-            if res.accepted:
-                d["label"] = res.label
-            else:
-                d.pop("label", None)
-                d["rejected"] = True
-            d["agreement"] = res.agreement_fraction
-            d["votes"] = res.vote_count
-            fh.write(json.dumps(d, sort_keys=True) + "\n")
+    def consensus(res):
+        rec = by_id.get(res.clip_id)
+        d = rec.to_dict() if rec is not None else {"clip_id": res.clip_id}
+        if res.accepted:
+            d["label"] = res.label
+        else:
+            d.pop("label", None)
+            d["rejected"] = True
+        d["agreement"] = res.agreement_fraction
+        d["votes"] = res.vote_count
+        return d
+
+    write_jsonl(os.path.join(out_dir, "consensus.jsonl"), map(consensus, results))
 
     accepted = [r for r in results if r.accepted]
     per_label = {}
@@ -354,12 +328,11 @@ def cmd_labels(args) -> int:
         per_label[r.label] = per_label.get(r.label, 0) + 1
     summary = {"clips": len(results), "accepted": len(accepted),
                "rejected": len(results) - len(accepted), "per_label": per_label}
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
 
     if accuracy is not None:
-        _write_json(os.path.join(out_dir, "annotator_accuracy.json"), accuracy)
+        write_json(os.path.join(out_dir, "annotator_accuracy.json"), accuracy)
 
-    _write_sidecar(out_dir, "labels", args)
     print("accepted %d of %d clips" % (len(accepted), len(results)))
     return EXIT_OK
 
@@ -371,11 +344,10 @@ def cmd_kappa(args) -> int:
     votes = labels_mod.read_votes_csv(args.votes)
     table, clip_ids = labels_mod.votes_to_table(votes)
     kappa = labels_mod.fleiss_kappa(table)
-    _write_json(os.path.join(out_dir, "kappa.json"),
-                {"kappa": kappa, "n_clips": len(clip_ids),
-                 "ratings_per_clip": int(table.sum(axis=1)[0]),
-                 "categories": list(labels_mod.VOTE_LABELS)})
-    _write_sidecar(out_dir, "kappa", args)
+    write_json(os.path.join(out_dir, "kappa.json"),
+               {"kappa": kappa, "n_clips": len(clip_ids),
+                "ratings_per_clip": int(table.sum(axis=1)[0]),
+                "categories": list(labels_mod.VOTE_LABELS)})
     print("kappa=%.6f over %d clips" % (kappa, len(clip_ids)))
     return EXIT_OK
 
@@ -391,8 +363,7 @@ def cmd_impact(args) -> int:
                                bootstrap=args.bootstrap,
                                bootstrap_samples=args.bootstrap_samples,
                                seed=args.seed)
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    _write_sidecar(out_dir, "impact", args)
+    write_json(os.path.join(out_dir, "report.json"), report)
     print("delta=%+.2f points, 95%% CI (%.2f, %.2f), naive %+.2f"
           % (100 * report["delta"], 100 * report["ci95"][0],
              100 * report["ci95"][1], 100 * report["naive_delta"]))
@@ -408,7 +379,6 @@ def cmd_gen_fixtures(args) -> int:
     paths = synth.write_all_fixtures(out_dir, seed=args.seed,
                                      profile_name=args.profile,
                                      telemetry_n=args.telemetry_n)
-    _write_sidecar(out_dir, "gen-fixtures", args)
     for name in sorted(paths):
         print("%s: %s" % (name, paths[name]))
     return EXIT_OK
@@ -512,7 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == EXIT_OK:
+            echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+            write_json(os.path.join(args.out, "config.json"),
+                       {"command": args.command, "arguments": echo})
+        return code
     except TalkoverError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code

@@ -11,13 +11,13 @@ that write_votes_csv writes."""
 from __future__ import annotations
 
 import csv
-import json
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicateVoteError, LabelError, UndefinedKappaError
+from .textio import read_json, write_csv
 from .vocab import CLASSES
 
 VOTE_LABELS = CLASSES + ("other",)
@@ -184,11 +184,7 @@ def annotator_accuracy(votes: Votes, golden_labels: dict) -> dict:
 
 def read_golden_json(path) -> dict:
     """Golden labels: one JSON object mapping clip id to its true label."""
-    with open(path) as fh:
-        try:
-            golden = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise LabelError("%s: %s" % (path, exc)) from None
+    golden = read_json(path, LabelError)
     if not isinstance(golden, dict) or not all(lab in VOTE_LABELS for lab in golden.values()):
         raise LabelError("%s: expected a JSON object mapping clip ids to labels in %s"
                          % (path, ", ".join(VOTE_LABELS)))
@@ -210,7 +206,5 @@ def read_votes_csv(path) -> Votes:
 
 
 def write_votes_csv(path, votes) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "annotator_id", "label"])
-        writer.writerows([v.clip_id, v.annotator_id, v.label] for v in votes)
+    write_csv(path, ["clip_id", "annotator_id", "label"],
+              ([v.clip_id, v.annotator_id, v.label] for v in votes))

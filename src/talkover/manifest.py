@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import AudioError, ChannelLayoutError, ManifestError, SampleRateError
+from .textio import read_json, write_json, write_jsonl
 
 # fields that must hold strings when present; all but label are required
 _STRING_FIELDS = ("clip_id", "meeting_id", "interrupter_id", "wav_path", "label")
@@ -66,9 +67,7 @@ def write_manifest(path, records) -> None:
     ids = [r.clip_id for r in records]
     if len(set(ids)) != len(ids):
         raise ManifestError("duplicate clip ids in manifest")
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(path, (r.to_dict() for r in records))
 
 
 def read_manifest(path):
@@ -98,18 +97,11 @@ def read_manifest(path):
 
 def write_split(path, split: dict) -> None:
     """split maps split names (train/val/test) to clip id lists."""
-    canon = {name: sorted(ids) for name, ids in split.items()}
-    with open(path, "w") as fh:
-        json.dump(canon, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {name: sorted(ids) for name, ids in split.items()})
 
 
 def read_split(path) -> dict:
-    with open(path) as fh:
-        try:
-            split = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise ManifestError("%s: %s" % (path, exc)) from None
+    split = read_json(path, ManifestError)
     if not isinstance(split, dict) or not all(
             isinstance(v, list) and all(isinstance(c, str) for c in v) for v in split.values()):
         raise ManifestError("%s: split file must map names to lists of clip id strings" % path)

@@ -6,7 +6,6 @@ shipped tooling, but every function takes the class name explicitly.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistributionError, MetricError
+from .textio import write_csv
 from .vocab import CLASSES
 
 BELOW_THRESHOLD = "below_threshold"
@@ -212,27 +212,16 @@ def roc_points(samples, positive_class: str):
 
 
 def write_roc_csv(path, points) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, thr in points:
-            writer.writerow(["%.10g" % fpr, "%.10g" % tpr, "%.10g" % thr])
+    write_csv(path, ["fpr", "tpr", "threshold"],
+              (["%.10g" % v for v in point] for point in points))
 
 
 def write_confusion_csv(path, confusion: ThresholdedConfusion) -> None:
-    mat = confusion.matrix
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true_label"] + list(CLASSES) + [BELOW_THRESHOLD])
-        for i, name in enumerate(CLASSES):
-            writer.writerow([name] + [int(x) for x in mat[i]])
+    write_csv(path, ["true_label"] + list(CLASSES) + [BELOW_THRESHOLD],
+              ([name] + row for name, row in zip(CLASSES, confusion.matrix.tolist())))
 
 
 def write_report_csv(path, report: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "support"])
-        for name in CLASSES:
-            row = report[name]
-            writer.writerow([name, "%.10g" % row["precision"],
-                             "%.10g" % row["recall"], row["support"]])
+    write_csv(path, ["class", "precision", "recall", "support"],
+              ([name, "%.10g" % report[name]["precision"], "%.10g" % report[name]["recall"],
+                report[name]["support"]] for name in CLASSES))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import FeatureProfileError, ModelError, TrainingDivergedError
 from .features import EmbeddingFile, LayeredEmbedding, MatrixFile
+from .textio import json_line
 from .vocab import CLASSES
 
 N_CLASSES = len(CLASSES)
@@ -470,7 +471,7 @@ def save_model(model: InterruptionModel, path) -> None:
                         if name.startswith("head_b")],
         "blocks": [[name, list(a.shape)] for name, a in params.items()],
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
+    header_bytes = json_line(header).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header_bytes)))
         fh.write(header_bytes)

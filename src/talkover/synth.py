@@ -7,7 +7,6 @@ these fixtures can be checked byte-for-byte.
 """
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -17,6 +16,7 @@ from .causal import Telemetry, write_telemetry_csv
 from .features import PROFILES, LayeredEmbedding, write_embeddings
 from .labels import VOTE_LABELS, VoteRecord, write_votes_csv
 from .manifest import ClipRecord, write_manifest, write_split
+from .textio import write_json
 from .vocab import CLASSES
 
 SPEECH_AMPLITUDE = 0.2  # about -19 dBFS RMS, far above the VAD threshold
@@ -60,9 +60,7 @@ def write_meeting_fixture(out_dir, seed: int = 0) -> str:
         entries.append({"participant_id": speaker, "wav_path": wav_name})
     manifest = {"meetings": [{"meeting_id": "m0", "channels": entries}]}
     path = os.path.join(out_dir, "meetings.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 
@@ -163,9 +161,7 @@ def write_votes_fixture(out_dir, seed: int = 0):
     votes_path = os.path.join(out_dir, "votes.csv")
     golden_path = os.path.join(out_dir, "golden.json")
     write_votes_csv(votes_path, votes)
-    with open(golden_path, "w") as fh:
-        json.dump(golden, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(golden_path, golden)
     return votes_path, golden_path
 
 
@@ -213,10 +209,7 @@ def write_telemetry_fixture(out_dir, n: int = 50000, seed: int = 0,
     csv_path = os.path.join(out_dir, "telemetry.csv")
     write_telemetry_csv(csv_path, make_telemetry(n, seed, effect))
     truth_path = os.path.join(out_dir, "truth.json")
-    with open(truth_path, "w") as fh:
-        json.dump({"injected_effect": effect, "n": n, "seed": seed},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(truth_path, {"injected_effect": effect, "n": n, "seed": seed})
     return csv_path, truth_path
 
 

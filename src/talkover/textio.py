@@ -1,0 +1,38 @@
+"""The program's text formats, each written in one place: JSON with
+sorted keys, indent 2 and a final newline; sorted-key JSON lines; and
+CSV as the csv module writes it, rows ending in \\r\\n."""
+import csv
+import json
+
+
+def json_line(obj) -> str:
+    """One sorted-key JSON object on one line, without its newline."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def write_json(path, obj) -> None:
+    """A non-finite float raises ValueError before the file is opened."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def write_jsonl(path, objs) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(json_line(obj) + "\n" for obj in objs)
+
+
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path, error):
+    """The document at path; bad bytes or JSON raise error("<path>: <reason>")."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error("%s: %s" % (path, exc)) from None

@@ -226,6 +226,15 @@ def test_write_wav_refuses_non_finite_samples(tmp_path, encoding, bad):
     assert not path.exists()
 
 
+def test_write_wav_refuses_samples_past_the_float32_range(tmp_path):
+    path = tmp_path / "t.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AudioError, match="float32 range"):
+            write_wav(path, [0.5, 1e39], encoding="float32")
+    assert not path.exists()
+
+
 def test_write_wav_takes_finite_samples_whose_sum_overflows(tmp_path):
     samples = np.array([1e308, 1e308, -0.5])
     with np.errstate(over="ignore"):  # the quantizer's scaling overflows to inf, then clips

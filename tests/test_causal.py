@@ -435,7 +435,7 @@ def test_naive_difference_hand_case():
 def test_bootstrap_ci_smoke():
     rng = np.random.default_rng(8)
     records = synth_records(rng, 250)
-    lo, hi, used = bootstrap_ci(records, n_bins=4, n_boot=15, seed=1)
+    lo, hi, used = bootstrap_ci(records, fit_propensity(records), n_bins=4, n_boot=15, seed=1)
     assert lo <= hi
     assert 0 < used <= 15
 
@@ -462,7 +462,7 @@ def oracle_bootstrap_ci(telemetry, n_bins=5, n_boot=200, seed=0):
 
 
 def assert_bootstrap_matches_oracle(records, n_bins, n_boot, seed):
-    lo, hi, used = bootstrap_ci(records, n_bins, n_boot, seed)
+    lo, hi, used = bootstrap_ci(records, fit_propensity(records), n_bins, n_boot, seed)
     want_lo, want_hi, want_used = oracle_bootstrap_ci(records, n_bins, n_boot, seed)
     assert used == want_used
     assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12
@@ -511,13 +511,21 @@ def test_bootstrap_drops_a_confounder_constant_in_the_resample(monkeypatch):
 
 @pytest.mark.parametrize("case", ["one bin per meeting", "one treatment class"])
 def test_bootstrap_raises_when_every_resample_is_degenerate(case):
-    records = synth_records(np.random.default_rng(22), 12)
-    n_bins = 12 if case == "one bin per meeting" else 3
+    # 20 meetings, not 12: the full-sample fit of these 12 separates
+    n = 20 if case == "one bin per meeting" else 12
+    records = synth_records(np.random.default_rng(22), n)
+    n_bins = n if case == "one bin per meeting" else 3
     if case == "one treatment class":
-        records = dataclasses.replace(records, vrh_used=np.ones(12, dtype=bool))
-    for fn in (bootstrap_ci, oracle_bootstrap_ci):
-        with pytest.raises(CausalError, match="all bootstrap resamples were degenerate"):
-            fn(records, n_bins, 10, 0)
+        records = dataclasses.replace(records, vrh_used=np.ones(n, dtype=bool))
+    with pytest.raises(CausalError, match="all bootstrap resamples were degenerate"):
+        oracle_bootstrap_ci(records, n_bins, 10, 0)
+    if case == "one treatment class":
+        # bootstrap_ci takes the full-sample fit, which raises first
+        with pytest.raises(SingleClassTreatmentError):
+            fit_propensity(records)
+        return
+    with pytest.raises(CausalError, match="all bootstrap resamples were degenerate"):
+        bootstrap_ci(records, fit_propensity(records), n_bins, 10, 0)
 
 
 def test_bootstrap_refits_start_from_the_full_sample_fit(monkeypatch):
@@ -525,12 +533,12 @@ def test_bootstrap_refits_start_from_the_full_sample_fit(monkeypatch):
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
-    fit_propensity(records)
+    model = fit_propensity(records)
     full_fit = len(solves)
-    _, _, used = bootstrap_ci(records, n_bins=5, n_boot=20, seed=0)
+    _, _, used = bootstrap_ci(records, model, n_bins=5, n_boot=20, seed=0)
     # a fit from zero takes 6 or more Newton steps on this generator
     assert full_fit >= 6
-    assert (len(solves) - 2 * full_fit) / used < 5
+    assert (len(solves) - full_fit) / used < 5
 
 
 @settings(max_examples=300, deadline=None)

@@ -1182,6 +1182,23 @@ def test_impact_report(fixtures_dir, tmp_path):
     assert report["naive_delta"] > report["delta"]
 
 
+def test_impact_report_is_strict_json_when_an_smd_is_infinite(tmp_path):
+    # on these 40 meetings video_used is constant in each arm of a bin
+    # and differs between them, so its SMD there is infinite
+    path = tmp_path / "telemetry.csv"
+    write_telemetry_csv(path, synth.make_telemetry(40, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a stratum lacking an arm is dropped
+        assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 0
+
+    def refuse(name):
+        raise ValueError("non-standard JSON constant %s" % name)
+    with open(tmp_path / "o" / "report.json") as fh:
+        report = json.load(fh, parse_constant=refuse)
+    assert report["balance"]["summary"]["video_used"] is None
+    assert None in [smds["video_used"] for smds in report["balance"]["per_bin"].values()]
+
+
 def test_installed_entry_point():
     proc = subprocess.run([sys.executable, "-m", "talkover.cli", "--help"],
                           capture_output=True, text=True)

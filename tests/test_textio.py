@@ -1,0 +1,98 @@
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import talkover
+from talkover.errors import LabelError, ManifestError
+from talkover.textio import json_line, read_json, write_csv, write_json, write_jsonl
+
+SRC = Path(talkover.__file__).resolve().parent
+
+
+def test_write_json_sorts_keys_indents_by_two_and_ends_in_a_newline(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, {"b": 0.5, "a": [1, "x"], "c": None})
+    assert path.read_bytes() == (b'{\n  "a": [\n    1,\n    "x"\n  ],\n'
+                                 b'  "b": 0.5,\n  "c": null\n}\n')
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_write_json_refuses_non_finite_floats_before_opening(tmp_path, bad):
+    path = tmp_path / "t.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"x": [1.0, bad]})
+    assert not path.exists()
+
+
+def test_write_jsonl_writes_one_sorted_object_per_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, iter([{"b": 1, "a": "x"}, {"c": [2.5, None]}]))
+    assert path.read_bytes() == b'{"a": "x", "b": 1}\n{"c": [2.5, null]}\n'
+    assert json_line({"b": 1, "a": "x"}) == '{"a": "x", "b": 1}'
+
+
+def test_write_jsonl_of_no_objects_is_empty(tmp_path):
+    write_jsonl(tmp_path / "t.jsonl", [])
+    assert (tmp_path / "t.jsonl").read_bytes() == b""
+
+
+def test_write_csv_ends_rows_in_crlf_and_quotes_as_the_csv_module(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["id", "value"], iter([["a", 1], ["b,c", "0.25"], ['say "hi"', ""]]))
+    assert path.read_bytes() == (b'id,value\r\na,1\r\n"b,c",0.25\r\n'
+                                 b'"say ""hi""",\r\n')
+
+
+def test_write_csv_of_no_rows_is_its_header(tmp_path):
+    write_csv(tmp_path / "t.csv", ["x"], [])
+    assert (tmp_path / "t.csv").read_bytes() == b"x\r\n"
+
+
+def test_read_json_returns_the_document(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, {"a": [1, 2]})
+    assert read_json(path, ManifestError) == {"a": [1, 2]}
+
+
+@pytest.mark.parametrize("error", [ManifestError, LabelError])
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b""])
+def test_read_json_raises_the_callers_family_naming_the_path(tmp_path, error, content):
+    path = tmp_path / "t.json"
+    path.write_bytes(content)
+    with pytest.raises(error, match="^%s: " % str(path).replace("\\", "\\\\")):
+        read_json(path, error)
+
+
+def _text_writer_calls(tree):
+    """(line, name) of each json.dump, json.dumps and csv.writer use."""
+    banned = {("json", "dump"), ("json", "dumps"), ("csv", "writer")}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in banned):
+            found.append((node.lineno, "%s.%s" % (node.value.id, node.attr)))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "%s.%s" % (node.module, alias.name))
+                      for alias in node.names if (node.module, alias.name) in banned]
+    return found
+
+
+def test_only_textio_writes_json_and_csv():
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "textio.py" in modules and len(modules) > 5
+    offenders = {}
+    for path in modules:
+        if path.name != "textio.py":
+            calls = _text_writer_calls(ast.parse(path.read_text(), str(path)))
+            if calls:
+                offenders[path.name] = calls
+    assert offenders == {}
+
+
+def test_the_guard_sees_each_banned_writer():
+    tree = ast.parse("import csv, json\nfrom json import dumps\n"
+                     "json.dump(1, f)\nw = csv.writer(f)\ns = json.dumps(1)\n")
+    assert sorted(_text_writer_calls(tree)) == [
+        (2, "json.dumps"), (3, "json.dump"), (4, "csv.writer"), (5, "json.dumps")]
