@@ -52,11 +52,6 @@ _finite_float = _bounded(float, math.isfinite, "a finite number")
 _bin_count = _bounded(int, lambda v: v >= 2, "an integer of at least 2")
 
 
-def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 # ---------------------------------------------------------------- extract
 
 def _read_meetings_manifest(path):
@@ -89,14 +84,11 @@ def cmd_extract(args) -> int:
     from .overlap import VadParams, detect, export_clip, vad
 
     meetings, base = _read_meetings_manifest(args.meetings)
-    out_dir = _ensure_out(args)
-    clips_dir = os.path.join(out_dir, "clips")
-    os.makedirs(clips_dir, exist_ok=True)
+    os.makedirs(os.path.join(args.out, "clips"), exist_ok=True)
     params = VadParams(energy_threshold_db=args.energy_threshold)
 
-    records = []
+    records = {}  # clip id -> its ClipRecord
     totals = {}
-    n_candidates = 0
     for m in meetings:
         channels = [load_wav(os.path.join(base, ch["wav_path"]), ch["participant_id"])
                     for ch in m["channels"]]
@@ -108,15 +100,19 @@ def cmd_extract(args) -> int:
         for reason, count in result.rejections.items():
             totals[reason] = totals.get(reason, 0) + count
         for desc in result.candidates:
+            # meeting a_b's c and meeting a's b_c can make the same id
+            if desc.clip_id in records:
+                raise ManifestError("clip id %s comes from meetings %s and %s"
+                                    % (desc.clip_id, records[desc.clip_id].meeting_id,
+                                       desc.meeting_id))
             clip = export_clip(desc, meeting)
             wav_name = os.path.join("clips", desc.clip_id + ".wav")
-            write_wav(os.path.join(out_dir, wav_name), clip, meeting.sample_rate, "float32")
-            records.append(ClipRecord(desc.clip_id, desc.meeting_id,
-                                      desc.interrupter_id, desc.onset_s, wav_name))
-            n_candidates += 1
+            write_wav(os.path.join(args.out, wav_name), clip, meeting.sample_rate, "float32")
+            records[desc.clip_id] = ClipRecord(desc.clip_id, desc.meeting_id,
+                                               desc.interrupter_id, desc.onset_s, wav_name)
 
-    write_manifest(os.path.join(out_dir, "manifest.jsonl"), records)
-    print("candidates: %d" % n_candidates)
+    write_manifest(os.path.join(args.out, "manifest.jsonl"), records.values())
+    print("candidates: %d" % len(records))
     for reason in sorted(totals):
         print("rejected %s: %d" % (reason, totals[reason]))
     return EXIT_OK
@@ -136,7 +132,6 @@ def cmd_featurize(args) -> int:
     from .features import PROFILES, load_embeddings, mfcc, spectrogram
     from .manifest import load_clip, read_manifest
 
-    out_dir = _ensure_out(args)
     records = read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     profile = PROFILES[args.profile]
@@ -149,67 +144,67 @@ def cmd_featurize(args) -> int:
             emb = load_embeddings(os.path.join(base, _embedding_path(rec.wav_path)),
                                   profile)
             with contextlib.suppress(shutil.SameFileError):
-                shutil.copyfile(emb.path, os.path.join(out_dir, rec.clip_id + ".sie"))
+                shutil.copyfile(emb.path, os.path.join(args.out, rec.clip_id + ".sie"))
             shapes[rec.clip_id] = list(profile.shape)
         else:
             clip = load_clip(rec, os.path.join(base, rec.wav_path))
             feat = mfcc(clip) if args.feature == "mfcc" else spectrogram(clip)
-            np.save(os.path.join(out_dir, rec.clip_id + ".npy"), feat)
+            np.save(os.path.join(args.out, rec.clip_id + ".npy"), feat)
             shapes[rec.clip_id] = list(feat.shape)
 
-    write_json(os.path.join(out_dir, "shapes.json"), shapes)
+    write_json(os.path.join(args.out, "shapes.json"), shapes)
     print("wrote %d %s feature files" % (len(records), args.feature))
     return EXIT_OK
 
 
 # ------------------------------------------------------------ train / eval
 
-def _load_split(records_by_id, clip_ids, features_dir, feature, profile):
-    """Checked feature handles and CLASSES indices of the listed clips,
-    in list order."""
-    from .features import load_embeddings, load_matrix
+def _read_splits(args, names, missing_ok):
+    """(clip ids, checked feature handles, CLASSES indices) of each named
+    split, in file order; the manifest and split file are read once. A
+    name the file lacks raises ManifestError, or is empty when missing_ok."""
+    from .features import PROFILES, load_embeddings, load_matrix
+    from .manifest import read_manifest, read_split
     from .vocab import CLASSES
 
-    feats, labels = [], []
-    for cid in clip_ids:
-        rec = records_by_id.get(cid)
-        if rec is None:
-            raise ManifestError("split references unknown clip %s" % cid)
-        if rec.label not in CLASSES:
-            raise LabelError("clip %s has label %r; need one of %s"
-                             % (cid, rec.label, list(CLASSES)))
-        if feature == "emb":
-            feats.append(load_embeddings(os.path.join(features_dir, cid + ".sie"), profile))
-        else:
-            feats.append(load_matrix(os.path.join(features_dir, cid + ".npy")))
-        labels.append(CLASSES.index(rec.label))
-    return feats, labels
+    records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
+    split = read_split(args.split)
+    profile = PROFILES[args.profile]
+    loaded = []
+    for name in names:
+        if name not in split and not missing_ok:
+            raise ManifestError("split file has no %r entry" % name)
+        clip_ids = split.get(name, [])
+        feats, labels = [], []
+        for cid in clip_ids:
+            rec = records_by_id.get(cid)
+            if rec is None:
+                raise ManifestError("split references unknown clip %s" % cid)
+            if rec.label not in CLASSES:
+                raise LabelError("clip %s has label %r; need one of %s"
+                                 % (cid, rec.label, list(CLASSES)))
+            path = os.path.join(args.features, cid)
+            feats.append(load_embeddings(path + ".sie", profile) if args.feature == "emb"
+                         else load_matrix(path + ".npy"))
+            labels.append(CLASSES.index(rec.label))
+        loaded.append((clip_ids, feats, labels))
+    return loaded
 
 
 def cmd_train(args) -> int:
     from . import model as model_mod
-    from .features import PROFILES
-    from .manifest import read_manifest, read_split
 
-    out_dir = _ensure_out(args)
-    records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
-    split = read_split(args.split)
-    profile = PROFILES[args.profile]
-
-    train_set = list(zip(*_load_split(records_by_id, split.get("train", []),
-                                      args.features, args.feature, profile)))
-    val_set = None
-    if split.get("val"):
-        val_set = list(zip(*_load_split(records_by_id, split["val"],
-                                        args.features, args.feature, profile)))
+    # an empty or missing val split trains without validation
+    train_set, val_set = (list(zip(feats, labels)) for _, feats, labels in
+                          _read_splits(args, ["train", "val"], missing_ok=True))
 
     for run in range(args.runs):
         seed = args.seed + run
         config = model_mod.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                                        epochs=args.epochs, seed=seed, patience=args.patience)
         result = model_mod.train(train_set, config, val_set, channels=args.channels)
-        model_mod.save_model(result.model, os.path.join(out_dir, "checkpoint_r%d.bin" % run))
-        write_json(os.path.join(out_dir, "history_r%d.json" % run),
+        model_mod.save_model(result.model, os.path.join(args.out, "checkpoint_r%d.bin" % run))
+        write_json(os.path.join(args.out, "history_r%d.json" % run),
                    {"seed": seed, "train_loss": result.train_loss,
                     "val_loss": result.val_loss, "stopped_epoch": result.stopped_epoch,
                     "layer_weights": result.layer_weights})
@@ -223,28 +218,15 @@ def cmd_eval(args) -> int:
     import numpy as np
 
     from . import metrics, model as model_mod
-    from .features import PROFILES
-    from .manifest import read_manifest, read_split
-
-    out_dir = _ensure_out(args)
-    records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
-    split = read_split(args.split)
-    profile = PROFILES[args.profile]
-
-    # every run scores the same clips, so each split is read once
-    def load(name):
-        if name not in split:
-            raise ManifestError("split file has no %r entry" % name)
-        return (split[name],) + _load_split(records_by_id, split[name], args.features,
-                                            args.feature, profile)
 
     def score(net, clip_ids, feats, labels):
         return metrics.Scores(clip_ids, labels, model_mod.forward_batch(net, feats))
 
-    scored = load(args.split_name)
-    calib_split = None
+    # every run scores the same clips, so each split is read once
+    names = [args.split_name]
     if args.threshold is None and args.calibration_split:
-        calib_split = load(args.calibration_split)
+        names.append(args.calibration_split)
+    scored, *calibration = _read_splits(args, names, missing_ok=False)
 
     positive = "failed_interruption"
     rows = []
@@ -256,18 +238,18 @@ def cmd_eval(args) -> int:
 
         tau = args.threshold
         if tau is None:
-            calib = samples if calib_split is None else score(net, *calib_split)
+            calib = score(net, *calibration[0]) if calibration else samples
             _, tau = metrics.tpr_at_fpr(calib, positive, args.fpr_target)
         tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
 
         confusion = metrics.thresholded_confusion(samples, tau, positive)
         metrics.write_confusion_csv(
-            os.path.join(out_dir, "confusion_r%d.csv" % run), confusion)
+            os.path.join(args.out, "confusion_r%d.csv" % run), confusion)
         metrics.write_report_csv(
-            os.path.join(out_dir, "report_r%d.csv" % run),
+            os.path.join(args.out, "report_r%d.csv" % run),
             metrics.per_class_report(confusion))
         metrics.write_roc_csv(
-            os.path.join(out_dir, "roc_r%d.csv" % run),
+            os.path.join(args.out, "roc_r%d.csv" % run),
             metrics.roc_points(samples, positive))
         rows.append((run, auc, tpr, tau, fpr))
         print("run %d: auc=%.4f tpr@%.3g=%.4f tau=%.6g fpr=%.4g"
@@ -281,7 +263,7 @@ def cmd_eval(args) -> int:
     sd[~agree] = arr[:, ~agree].std(axis=0)
     labeled = [(run, values) for run, *values in rows] + [("mean", arr.mean(axis=0)),
                                                           ("sd", sd)]
-    write_csv(os.path.join(out_dir, "metrics.csv"),
+    write_csv(os.path.join(args.out, "metrics.csv"),
               ["run", "auc", "tpr", "threshold", "realized_fpr"],
               [[name] + ["%.10g" % v for v in values] for name, values in labeled])
     if len(rows) > 1:
@@ -295,7 +277,6 @@ def cmd_eval(args) -> int:
 def cmd_labels(args) -> int:
     from . import labels as labels_mod
 
-    out_dir = _ensure_out(args)
     votes = labels_mod.read_votes_csv(args.votes)
     results = labels_mod.aggregate_all(votes, args.threshold)
     accuracy = None
@@ -320,7 +301,7 @@ def cmd_labels(args) -> int:
         d["votes"] = res.vote_count
         return d
 
-    write_jsonl(os.path.join(out_dir, "consensus.jsonl"), map(consensus, results))
+    write_jsonl(os.path.join(args.out, "consensus.jsonl"), map(consensus, results))
 
     accepted = [r for r in results if r.accepted]
     per_label = {}
@@ -328,10 +309,10 @@ def cmd_labels(args) -> int:
         per_label[r.label] = per_label.get(r.label, 0) + 1
     summary = {"clips": len(results), "accepted": len(accepted),
                "rejected": len(results) - len(accepted), "per_label": per_label}
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(args.out, "summary.json"), summary)
 
     if accuracy is not None:
-        write_json(os.path.join(out_dir, "annotator_accuracy.json"), accuracy)
+        write_json(os.path.join(args.out, "annotator_accuracy.json"), accuracy)
 
     print("accepted %d of %d clips" % (len(accepted), len(results)))
     return EXIT_OK
@@ -340,11 +321,10 @@ def cmd_labels(args) -> int:
 def cmd_kappa(args) -> int:
     from . import labels as labels_mod
 
-    out_dir = _ensure_out(args)
     votes = labels_mod.read_votes_csv(args.votes)
     table, clip_ids = labels_mod.votes_to_table(votes)
     kappa = labels_mod.fleiss_kappa(table)
-    write_json(os.path.join(out_dir, "kappa.json"),
+    write_json(os.path.join(args.out, "kappa.json"),
                {"kappa": kappa, "n_clips": len(clip_ids),
                 "ratings_per_clip": int(table.sum(axis=1)[0]),
                 "categories": list(labels_mod.VOTE_LABELS)})
@@ -357,13 +337,12 @@ def cmd_kappa(args) -> int:
 def cmd_impact(args) -> int:
     from . import causal
 
-    out_dir = _ensure_out(args)
     telemetry = causal.read_telemetry_csv(args.telemetry)
     report = causal.run_impact(telemetry, n_bins=args.bins,
                                bootstrap=args.bootstrap,
                                bootstrap_samples=args.bootstrap_samples,
                                seed=args.seed)
-    write_json(os.path.join(out_dir, "report.json"), report)
+    write_json(os.path.join(args.out, "report.json"), report)
     print("delta=%+.2f points, 95%% CI (%.2f, %.2f), naive %+.2f"
           % (100 * report["delta"], 100 * report["ci95"][0],
              100 * report["ci95"][1], 100 * report["naive_delta"]))
@@ -375,8 +354,7 @@ def cmd_impact(args) -> int:
 def cmd_gen_fixtures(args) -> int:
     from . import synth
 
-    out_dir = _ensure_out(args)
-    paths = synth.write_all_fixtures(out_dir, seed=args.seed,
+    paths = synth.write_all_fixtures(args.out, seed=args.seed,
                                      profile_name=args.profile,
                                      telemetry_n=args.telemetry_n)
     for name in sorted(paths):
@@ -398,6 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=_non_negative_int, default=0)
 
+    def add_corpus(p, split=False):
+        p.add_argument("--manifest", required=True)
+        if split:
+            p.add_argument("--split", required=True)
+            p.add_argument("--features", required=True, help="feature directory")
+        p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
+        p.add_argument("--profile", choices=PROFILE_NAMES, default="base")
+
     p = sub.add_parser("extract", help="detect overlap candidates and cut clips")
     add_common(p)
     p.add_argument("--meetings", required=True, help="meetings manifest JSON")
@@ -409,18 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="compute or validate clip features")
     add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
-    p.add_argument("--profile", choices=PROFILE_NAMES, default="base")
+    add_corpus(p)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train the interruption classifier")
     add_common(p, seeded=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--features", required=True, help="feature directory")
-    p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
-    p.add_argument("--profile", choices=PROFILE_NAMES, default="base")
+    add_corpus(p, split=True)
     p.add_argument("--channels", choices=["2", "right"], default="2")
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--epochs", type=_positive_int, default=50)
@@ -431,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a checkpoint on a split")
     add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--feature", required=True, choices=["mfcc", "spec", "emb"])
-    p.add_argument("--profile", choices=PROFILE_NAMES, default="base")
+    add_corpus(p, split=True)
     p.add_argument("--model-dir", required=True)
     p.add_argument("--split-name", default="test")
     p.add_argument("--runs", type=_positive_int, default=1)
@@ -482,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        os.makedirs(args.out, exist_ok=True)
         code = args.func(args)
         if code == EXIT_OK:
             echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}

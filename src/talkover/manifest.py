@@ -6,11 +6,10 @@ identical inputs always serialize to identical bytes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import AudioError, ChannelLayoutError, ManifestError, SampleRateError
-from .textio import read_json, write_json, write_jsonl
+from .textio import parse_json, read_json, write_json, write_jsonl
 
 # fields that must hold strings when present; all but label are required
 _STRING_FIELDS = ("clip_id", "meeting_id", "interrupter_id", "wav_path", "label")
@@ -64,9 +63,9 @@ class ClipRecord:
 
 def write_manifest(path, records) -> None:
     records = sorted(records, key=lambda r: r.clip_id)
-    ids = [r.clip_id for r in records]
-    if len(set(ids)) != len(ids):
-        raise ManifestError("duplicate clip ids in manifest")
+    for a, b in zip(records, records[1:]):
+        if a.clip_id == b.clip_id:
+            raise ManifestError("duplicate clip id %s in manifest" % a.clip_id)
     write_jsonl(path, (r.to_dict() for r in records))
 
 
@@ -82,11 +81,11 @@ def read_manifest(path):
                 if not line:
                     continue
                 try:
-                    rec = ClipRecord.from_dict(json.loads(line))
+                    rec = ClipRecord.from_dict(parse_json(line))
                     if rec.clip_id in first_line:
                         raise ManifestError("duplicate clip_id %r, first on line %d"
                                             % (rec.clip_id, first_line[rec.clip_id]))
-                except (ValueError, ManifestError) as exc:  # bad JSON or a huge integer
+                except (ValueError, ManifestError) as exc:  # bad JSON, a non-finite or huge number
                     raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from None
                 first_line[rec.clip_id] = lineno
                 records.append(rec)

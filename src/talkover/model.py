@@ -19,7 +19,6 @@ handles read when their clip is pooled.
 from __future__ import annotations
 
 import contextlib
-import json
 import struct
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import FeatureProfileError, ModelError, TrainingDivergedError
 from .features import EmbeddingFile, LayeredEmbedding, MatrixFile
-from .textio import json_line
+from .textio import json_line, parse_json
 from .vocab import CLASSES
 
 N_CLASSES = len(CLASSES)
@@ -494,7 +493,7 @@ def load_model(path) -> InterruptionModel:
         if version != _CKPT_VERSION:
             raise ModelError("%s: unsupported checkpoint version %d" % (path, version))
         try:
-            header = json.loads(fh.read(header_len).decode())
+            header = parse_json(fh.read(header_len).decode())
             spec = FeatureSpec.from_dict(header["feature_spec"])
             head_widths = tuple(_header_int(w) for w in header["head_widths"])
             blocks = [(name, tuple(shape)) for name, shape in header["blocks"]]

@@ -136,6 +136,24 @@ def test_missing_input_exits_10(tmp_path):
     assert code == 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["extract", "--meetings", "{missing}"],
+    ["featurize", "--manifest", "{missing}", "--feature", "emb"],
+    ["train", "--manifest", "{missing}", "--split", "{missing}", "--features", "{missing}",
+     "--feature", "emb"],
+    ["eval", "--manifest", "{missing}", "--split", "{missing}", "--features", "{missing}",
+     "--feature", "emb", "--model-dir", "{missing}"],
+    ["labels", "--votes", "{missing}"],
+    ["kappa", "--votes", "{missing}"],
+    ["impact", "--telemetry", "{missing}"],
+], ids=lambda argv: argv[0])
+def test_out_is_made_before_any_input_is_read(tmp_path, argv):
+    out = tmp_path / "a" / "b"
+    missing = str(tmp_path / "missing")
+    assert run_cli([missing if a == "{missing}" else a for a in argv] + ["--out", out]) == 10
+    assert os.listdir(out) == []
+
+
 def test_bad_votes_header_exits_7(tmp_path, capsys):
     votes = tmp_path / "votes.csv"
     votes.write_text("who,what,when\na,b,c\n")
@@ -256,9 +274,14 @@ CLIP_LINE = {"clip_id": "vote_0000", "meeting_id": "m9", "interrupter_id": "dana
     json.dumps(dict(CLIP_LINE, label="laughter", agreement="high")),
     json.dumps(dict(CLIP_LINE, onset_s=10 ** 400)),
     json.dumps(CLIP_LINE)[:-1] + ', "x": %s}' % ("1" * 5000),
+    json.dumps(dict(CLIP_LINE, onset_s=math.nan)),
+    json.dumps(dict(CLIP_LINE, onset_s=math.inf)),
+    json.dumps(dict(CLIP_LINE, label="laughter", agreement=-math.inf)),
+    json.dumps(CLIP_LINE).replace("5.0", "5e400"),
 ], ids=["list", "string", "onset not a number", "wav_path a number", "clip_id a number",
         "meeting_id null", "interrupter_id a list", "label a number", "onset a bool",
-        "agreement a string", "onset past the float range", "integer past the digit limit"])
+        "agreement a string", "onset past the float range", "integer past the digit limit",
+        "onset NaN", "onset Infinity", "agreement -Infinity", "onset 5e400"])
 def test_malformed_clip_manifest_line_exits_9(fixtures_dir, tmp_path, line):
     manifest = tmp_path / "clips.jsonl"
     manifest.write_text(line + "\n")
@@ -342,6 +365,31 @@ def _tones(duration_s, bursts, freq):
     for lo, hi in bursts:
         on |= (t >= lo) & (t < hi)
     return np.where(on, 0.3 * np.sin(2 * np.pi * freq * t), 0.0)
+
+
+def test_clip_id_two_meetings_make_exits_9_before_overwriting(tmp_path, capsys):
+    # meeting a_b's c and meeting a's b_c both interrupt at 10 s: a_b_c_0010000
+    entries = {}
+    for meeting_id, interrupter, freq in (("a_b", "c", 700.0), ("a", "b_c", 500.0)):
+        entries[meeting_id] = []
+        for pid, samples in (("x", _tones(40.0, [(1.0, 38.0)], 300.0)),
+                             (interrupter, _tones(40.0, [(10.0, 12.0)], freq))):
+            wav = "%s-%s.wav" % (meeting_id, pid)
+            write_wav(tmp_path / wav, samples, encoding="pcm16")
+            entries[meeting_id].append({"participant_id": pid, "wav_path": wav})
+    for name, ids in (("first.json", ["a_b"]), ("both.json", ["a_b", "a"])):
+        (tmp_path / name).write_text(json.dumps({"meetings": [
+            {"meeting_id": m, "channels": entries[m]} for m in ids]}))
+
+    assert run_cli(["extract", "--meetings", tmp_path / "first.json",
+                    "--out", tmp_path / "first"]) == 0
+    capsys.readouterr()
+    assert run_cli(["extract", "--meetings", tmp_path / "both.json",
+                    "--out", tmp_path / "both"]) == 9
+    assert "clip id a_b_c_0010000 comes from meetings a_b and a" in capsys.readouterr().err
+    clip = os.path.join("clips", "a_b_c_0010000.wav")
+    assert (tmp_path / "both" / clip).read_bytes() == (tmp_path / "first" / clip).read_bytes()
+    assert not (tmp_path / "both" / "manifest.jsonl").exists()
 
 
 @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
@@ -899,13 +947,13 @@ def test_eval_sd_of_an_infinite_threshold_is_zero(fixtures_dir, model_dir, tmp_p
     # calibrating on negatives the model emits as failed_interruption
     # finds no threshold within a 1% FPR target, so tau is inf
     from talkover import model as model_mod
-    from talkover.cli import _load_split
-    from talkover.features import PROFILES
+    from talkover.features import PROFILES, load_embeddings
     emb = fixtures_dir / "embeddings"
     records = {r.clip_id: r for r in read_manifest(emb / "manifest.jsonl")}
     split = json.loads((emb / "split.json").read_text())
     ids = split["train"] + split["val"]
-    feats, labels = _load_split(records, ids, emb, "emb", PROFILES["tiny"])
+    feats = [load_embeddings(emb / (cid + ".sie"), PROFILES["tiny"]) for cid in ids]
+    labels = [CLASSES.index(records[cid].label) for cid in ids]
     probs = model_mod.forward_batch(model_mod.load_model(model_dir / "checkpoint_r0.bin"), feats)
     positive = CLASSES.index("failed_interruption")
     split["calib"] = [cid for cid, p, y in zip(ids, probs.argmax(axis=1).tolist(), labels)
@@ -928,6 +976,30 @@ def test_eval_sd_of_an_infinite_threshold_is_zero(fixtures_dir, model_dir, tmp_p
         rows = list(csv.reader(fh))
     assert [row[3] for row in rows[1:runs + 2]] == ["inf"] * (runs + 1)
     assert rows[-1] == ["sd", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("fault, code", [("unknown clip", 9), ("label not a class", 7)])
+def test_split_clip_the_manifest_cannot_serve_exits(fixtures_dir, model_dir, tmp_path,
+                                                     capsys, command, fault, code):
+    emb = fixtures_dir / "embeddings"
+    manifest, split = emb / "manifest.jsonl", read_split(emb / "split.json")
+    if fault == "unknown clip":
+        split = {name: ids + ["ghost"] for name, ids in split.items()}
+        expected = "split references unknown clip ghost"
+    else:
+        records = read_manifest(manifest)
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(manifest, [dataclasses.replace(r, label="other") for r in records])
+        expected = "has label 'other'"
+    write_split(tmp_path / "split.json", split)
+    extra = ["--model-dir", model_dir] if command == "eval" else ["--epochs", 1]
+    capsys.readouterr()
+    assert run_cli([command, "--manifest", manifest, "--split", tmp_path / "split.json",
+                    "--features", emb, "--feature", "emb", "--profile", "tiny",
+                    "--out", tmp_path / "o"] + extra) == code
+    assert expected in capsys.readouterr().err
+    assert os.listdir(tmp_path / "o") == []
 
 
 def test_unknown_split_name_exits_9(fixtures_dir, model_dir, tmp_path):

@@ -36,8 +36,9 @@ def test_manifest_sorted_and_stable(tmp_path):
 
 
 def test_manifest_rejects_duplicate_ids(tmp_path):
-    with pytest.raises(ManifestError):
-        write_manifest(tmp_path / "m.jsonl", [rec("a"), rec("a")])
+    with pytest.raises(ManifestError, match="^duplicate clip id b in manifest$"):
+        write_manifest(tmp_path / "m.jsonl", [rec("c"), rec("b"), rec("c"), rec("a"), rec("b")])
+    assert not (tmp_path / "m.jsonl").exists()
 
 
 def test_to_dict_omits_unset_label_fields():

@@ -6,7 +6,8 @@ import pytest
 
 import talkover
 from talkover.errors import LabelError, ManifestError
-from talkover.textio import json_line, read_json, write_csv, write_json, write_jsonl
+from talkover.textio import (json_line, parse_json, read_json, write_csv, write_json,
+                             write_jsonl)
 
 SRC = Path(talkover.__file__).resolve().parent
 
@@ -24,6 +25,12 @@ def test_write_json_refuses_non_finite_floats_before_opening(tmp_path, bad):
     with pytest.raises(ValueError):
         write_json(path, {"x": [1.0, bad]})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_json_line_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError):
+        json_line({"x": bad})
 
 
 def test_write_jsonl_writes_one_sorted_object_per_line(tmp_path):
@@ -56,8 +63,19 @@ def test_read_json_returns_the_document(tmp_path):
     assert read_json(path, ManifestError) == {"a": [1, 2]}
 
 
+def test_parse_json_reads_finite_numbers():
+    assert parse_json('{"a": [1, -2.5e3, 1e308], "b": null}') == {"a": [1, -2500.0, 1e308],
+                                                                  "b": None}
+
+
+@pytest.mark.parametrize("text", ["NaN", "[Infinity]", '{"a": -Infinity}', "1e400", "[-1e400]"])
+def test_parse_json_refuses_non_finite_numbers(text):
+    with pytest.raises(ValueError, match="is not a finite number"):
+        parse_json(text)
+
+
 @pytest.mark.parametrize("error", [ManifestError, LabelError])
-@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b""])
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b"", b'{"a": NaN}'])
 def test_read_json_raises_the_callers_family_naming_the_path(tmp_path, error, content):
     path = tmp_path / "t.json"
     path.write_bytes(content)
@@ -65,9 +83,11 @@ def test_read_json_raises_the_callers_family_naming_the_path(tmp_path, error, co
         read_json(path, error)
 
 
-def _text_writer_calls(tree):
-    """(line, name) of each json.dump, json.dumps and csv.writer use."""
-    banned = {("json", "dump"), ("json", "dumps"), ("csv", "writer")}
+def _text_format_calls(tree):
+    """(line, name) of each json.dump, json.dumps, json.load, json.loads
+    and csv.writer use."""
+    banned = {("json", "dump"), ("json", "dumps"), ("json", "load"), ("json", "loads"),
+              ("csv", "writer")}
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -80,19 +100,22 @@ def _text_writer_calls(tree):
 
 
 def test_only_textio_writes_json_and_csv():
+    """No module but textio.py writes JSON or CSV, or reads JSON."""
     modules = sorted(SRC.glob("*.py"))
     assert SRC / "textio.py" in modules and len(modules) > 5
     offenders = {}
     for path in modules:
         if path.name != "textio.py":
-            calls = _text_writer_calls(ast.parse(path.read_text(), str(path)))
+            calls = _text_format_calls(ast.parse(path.read_text(), str(path)))
             if calls:
                 offenders[path.name] = calls
     assert offenders == {}
 
 
 def test_the_guard_sees_each_banned_writer():
-    tree = ast.parse("import csv, json\nfrom json import dumps\n"
-                     "json.dump(1, f)\nw = csv.writer(f)\ns = json.dumps(1)\n")
-    assert sorted(_text_writer_calls(tree)) == [
-        (2, "json.dumps"), (3, "json.dump"), (4, "csv.writer"), (5, "json.dumps")]
+    tree = ast.parse("import csv, json\nfrom json import dumps, loads\n"
+                     "json.dump(1, f)\nw = csv.writer(f)\ns = json.dumps(1)\n"
+                     "d = json.load(f)\nd = json.loads(s)\n")
+    assert sorted(_text_format_calls(tree)) == [
+        (2, "json.dumps"), (2, "json.loads"), (3, "json.dump"), (4, "csv.writer"),
+        (5, "json.dumps"), (6, "json.load"), (7, "json.loads")]
