@@ -8,7 +8,8 @@ A track comes in two forms with one read interface (participant_id,
 sample_rate, len() and window(start, stop)); the program reads float64
 samples only through window. WavChannel, which load_wav returns, reads
 only the window asked for from its WAV file, so a meeting's memory does
-not grow with its length. AudioChannel, the in-memory input form, holds
+not grow with its length; every read of the file's samples goes through
+its stored(start, stop). AudioChannel, the in-memory input form, holds
 float64 samples; the program builds none of its own.
 
 Sums over 16-bit PCM WAVs are taken on the stored integers. A stored
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,11 +98,12 @@ class AudioChannel:
 class WavChannel:
     """One participant's mono track, left in its WAV file.
 
-    window() reads and decodes only the samples asked for. Samples past
-    the n_stored ones in the file read as zeros: that is how padded()
-    extends a short track to the meeting length. load_wav has checked
-    the header, and a float file's samples for finiteness, so every
-    window holds finite float64 samples in [-1, 1].
+    stored() is the one reader of the file's samples: it reads only the
+    samples asked for, undecoded, and window() decodes them. Samples
+    past the n_stored ones in the file read as zeros: that is how
+    padded() extends a short track to the meeting length. load_wav has
+    checked the header, and a float file's samples for finiteness, so
+    every window holds finite float64 samples in [-1, 1].
     """
 
     path: str
@@ -116,26 +118,21 @@ class WavChannel:
         return self.n_samples
 
     def stored(self, start: int, stop: int) -> np.ndarray:
-        """The file's samples [start, min(stop, n_stored)), undecoded."""
+        """The file's samples [start, stop), undecoded, zeros past the
+        stored end."""
         count = max(0, min(stop, self.n_stored) - start)
         raw = np.fromfile(self.path, self.dtype, count,
                           offset=self.offset + start * np.dtype(self.dtype).itemsize)
         if raw.size != count:
             raise MalformedWavError("%s: file shrank while being read" % self.path)
-        return raw
-
-    def stored_window(self, start: int, stop: int) -> np.ndarray:
-        """The file's samples [start, stop), undecoded, zeros past the
-        stored end."""
-        raw = self.stored(start, stop)
-        if raw.size < stop - start:
-            raw = np.concatenate([raw, np.zeros(stop - start - raw.size, raw.dtype)])
+        if count < stop - start:
+            raw = np.concatenate([raw, np.zeros(stop - start - count, raw.dtype)])
         return raw
 
     def window(self, start: int, stop: int) -> np.ndarray:
         """Samples [start, stop) as float64, zeros past the stored end."""
         out = np.empty(stop - start)
-        _decode(self.stored_window(start, stop), out)
+        _decode(self.stored(start, stop), out)
         return out
 
     def padded(self, n_samples: int) -> "WavChannel":
@@ -150,7 +147,6 @@ class MeetingAudio:
 
     channels: tuple
     meeting_id: str
-    padding: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.channels) < 2:
@@ -162,21 +158,12 @@ class MeetingAudio:
         """Build a meeting, zero-padding shorter channels to the longest.
 
         Padding preserves timestamp alignment for tracks that start or
-        stop late; the per-participant pad length is recorded.
+        stop late.
         """
         channels = list(channels)
-        if len(channels) < 2:
-            raise ChannelLayoutError("a meeting needs at least 2 channels")
-        target = max(len(ch) for ch in channels)
-        padded = []
-        padding = {}
-        for ch in channels:
-            deficit = target - len(ch)
-            if deficit:
-                ch = ch.padded(target)
-                padding[ch.participant_id] = deficit
-            padded.append(ch)
-        return cls(tuple(padded), meeting_id, padding)
+        target = max(map(len, channels), default=0)
+        return cls(tuple(ch if len(ch) == target else ch.padded(target) for ch in channels),
+                   meeting_id)
 
     @property
     def sample_rate(self) -> int:
@@ -396,8 +383,7 @@ def mixdown(channels, start: int, stop: int) -> np.ndarray:
     if pcm16_only(channels):
         ints = np.zeros(stop - start, dtype=np.int32)
         for ch in channels:
-            raw = ch.stored(start, stop)
-            ints[:raw.size] += raw
+            ints += ch.stored(start, stop)
         return np.divide(np.clip(ints, -32768, 32768, out=ints), PCM16_SCALE)
     total = np.zeros(stop - start)
     for ch in sorted(channels, key=lambda ch: ch.participant_id):

@@ -25,6 +25,7 @@ BASE_BOOLEAN = ("video_used", "screenshare_used")
 PS_MAX_ITER = 100
 PS_TOL = 1e-8
 PS_COEF_LIMIT = 30.0  # log-odds beyond this only arise when classes separate
+PS_EPS = 10 * np.finfo(np.float64).eps  # R glm.fit's "fitted probabilities numerically 0 or 1"
 
 MIN_PARTICIPANTS = 3  # analysis covers meetings with more than 2 people
 
@@ -168,7 +169,8 @@ def _newton(XT, y, beta):
     """Maximum-likelihood logistic coefficients of treatment y on the
     (k, n) design XT by Newton/IRLS from beta; converges when the
     largest coefficient change drops below 1e-8, capped at 100
-    iterations."""
+    iterations. Separation raises PerfectSeparationError: a coefficient
+    past PS_COEF_LIMIT, or a fitted propensity within PS_EPS of 0 or 1."""
     if y.min() == y.max():
         raise SingleClassTreatmentError(
             "all records have vrh_used=%s; propensity undefined" % bool(y[0]))
@@ -187,6 +189,10 @@ def _newton(XT, y, beta):
             break
     if not np.all(np.isfinite(beta)):
         raise CausalError("non-finite propensity coefficients")
+    p = _sigmoid(beta @ XT)
+    if p.min() < PS_EPS or p.max() > 1.0 - PS_EPS:
+        raise PerfectSeparationError(
+            "fitted propensities numerically 0 or 1; treatment is separable")
     return beta
 
 
@@ -499,16 +505,16 @@ def read_telemetry_csv(path) -> Telemetry:
             parsers = (str, np.int64, float) + (_parse_bool,) * 4
             parsers += (float,) * (len(header) - len(parsers))
             columns = [[] for _ in header]
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
-                if len(row) != len(header):
-                    raise CausalError("%s:%d: expected %d columns" % (path, lineno, len(header)))
                 try:
+                    if len(row) != len(header):
+                        raise ValueError("expected %d columns" % len(header))
                     for column, parse, text in zip(columns, parsers, row):
                         column.append(parse(text))
                 except (ValueError, OverflowError) as exc:
-                    raise CausalError("%s:%d: %s" % (path, lineno, exc)) from None
+                    raise CausalError("%s:%d: %s" % (path, reader.line_num, exc)) from None
         except (UnicodeDecodeError, csv.Error) as exc:
             raise CausalError("%s: %s" % (path, exc)) from None
     # here, not in Telemetry: bootstrap resamples repeat rows on purpose

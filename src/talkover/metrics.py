@@ -146,18 +146,12 @@ def tpr_fpr_at_threshold(samples, positive_class: str, tau: float):
     return _rates(_argmax_is(samples, idx) & (scores >= tau), truth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdedConfusion:
-    counts: tuple  # 4 rows x 5 columns, row-major
-    threshold: float
+    """Counts by true class (rows, CLASSES order) and prediction
+    (CLASSES, then BELOW_THRESHOLD), a (4, 5) int64 array."""
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64).reshape(len(CLASSES), len(CLASSES) + 1)
-
-    @property
-    def total(self) -> int:
-        return int(self.matrix.sum())
+    matrix: np.ndarray
 
 
 def thresholded_confusion(samples, tau: float, positive_class: str = "failed_interruption") -> ThresholdedConfusion:
@@ -169,7 +163,7 @@ def thresholded_confusion(samples, tau: float, positive_class: str = "failed_int
     column = np.where((pred == pos_idx) & (scores < tau), len(CLASSES), pred)
     width = len(CLASSES) + 1
     counts = np.bincount(samples.labels * width + column, minlength=len(CLASSES) * width)
-    return ThresholdedConfusion(tuple(counts.tolist()), float(tau))
+    return ThresholdedConfusion(counts.reshape(len(CLASSES), width))
 
 
 def per_class_report(confusion: ThresholdedConfusion) -> dict:

@@ -13,10 +13,11 @@ array comparison over a channel's segment start and end times.
 Channels are read one energy block, or one clip window, at a time, so
 a meeting of WavChannels is never held whole. A PCM16 WavChannel's
 frame energies, and the mixdown of a set of PCM16 WavChannels, are
-summed on the stored int16 samples without a float64 decode; the rule
-and why it gives the float64 path's bits are in the audio module's
-docstring. Other channels are read as float64 through window(start,
-stop).
+summed on the int16 samples that WavChannel.stored(start, stop) reads,
+without a float64 decode; the rule and why it gives the float64 path's
+bits are in the audio module's docstring. Other channels are read as
+float64 through window(start, stop), which a WavChannel also serves
+from stored.
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ def frame_energies_db(channel, frame_len: int) -> np.ndarray:
         hi = min(lo + _ENERGY_BLOCK_FRAMES, n_frames)
         start, stop = lo * frame_len, hi * frame_len
         if integer:
-            block = channel.stored_window(start, stop).reshape(hi - lo, frame_len)
+            block = channel.stored(start, stop).reshape(hi - lo, frame_len)
             sum_sq = np.einsum("ij,ij->i", block, block, dtype=np.int64)
             mean_sq[lo:hi] = sum_sq * _SQUARE_STEP / frame_len
         else:

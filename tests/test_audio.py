@@ -38,6 +38,9 @@ def test_pcm16_negative_full_scale_clamps(tmp_path):
     write_wav(path, np.array([-1.0, 1.0 - 1.0 / 32768]), encoding="pcm16")
     ch = load_wav(path, "p")
     assert ch.window(0, len(ch))[0] == -1.0
+    # a span past the stored end reads the stored int16s, then int16 zeros
+    raw = ch.padded(4).stored(1, 4)
+    assert raw.dtype == np.int16 and raw.tolist() == [32767, 0, 0]
 
 
 def test_load_rejects_other_rates(tmp_path):
@@ -269,9 +272,9 @@ def test_from_channels_pads_to_longest():
     b = AudioChannel(np.full(60, 0.2), SAMPLE_RATE, "b")
     meeting = MeetingAudio.from_channels([a, b], "m")
     assert meeting.n_samples == 100
-    assert meeting.padding == {"b": 40}
     padded = [ch for ch in meeting.channels if ch.participant_id == "b"][0]
-    assert np.all(padded.samples[60:] == 0.0)
+    assert len(padded) == 100
+    assert np.all(padded.window(60, 100) == 0.0)
 
 
 def test_meeting_needs_two_channels():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import same_telemetry
+from conftest import run_cli, same_telemetry
 from talkover.causal import (MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
                              Telemetry, _bins, _feature_names, _percentile, _raw_matrix,
                              _sigmoid, _smd, balance_report, bootstrap_ci, estimate_impact,
@@ -144,6 +144,19 @@ def test_separable_treatment_raises():
                               vrh=pc >= 12, inclusive=bool(rng.random() < 0.5)))
     with pytest.raises(PerfectSeparationError):
         fit_propensity(table(records))
+
+
+def test_impact_exits_8_on_a_propensity_numerically_0_or_1(tmp_path):
+    # x is nonzero in meeting 0 only, so the fit drives that meeting's
+    # propensity to 0 while every coefficient stays far under
+    # PS_COEF_LIMIT: a quasi-separation only the fitted values show
+    records = synth_records(np.random.default_rng(21), 120)
+    records = dataclasses.replace(records, extras={"x": np.eye(1, 120).ravel()})
+    with pytest.raises(PerfectSeparationError, match="numerically 0 or 1"):
+        fit_propensity(records)
+    path = tmp_path / "telemetry.csv"
+    write_telemetry_csv(path, records)
+    assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 8
 
 
 def test_single_class_treatment_raises():
@@ -496,15 +509,16 @@ class FixedDraws:
 
 
 def test_bootstrap_drops_a_confounder_constant_in_the_resample(monkeypatch):
-    # x is nonzero in meeting 0 only, so it is live in the full-sample
-    # fit and constant, and dropped, in every resample without meeting
-    # 0. A resample with it lets x fit meeting 0 exactly, a
-    # quasi-separation whose fit ends where rounding leaves it, from
-    # zero or from a warm start alike; so the draws leave meeting 0 out.
+    # x is nonzero in meetings 0 and 1 only, one treated and one not, so
+    # it is live in the full-sample fit, which does not separate, and
+    # constant, and dropped, in every resample without them. A resample
+    # that draws only one of the two lets x fit it exactly, a
+    # quasi-separation; so the draws leave both out.
     records = synth_records(np.random.default_rng(21), 120)
-    records = dataclasses.replace(records, extras={"x": np.eye(1, 120).ravel()})
+    assert records.vrh_used[0] != records.vrh_used[1]
+    records = dataclasses.replace(records, extras={"x": (np.arange(120) < 2) * 1.0})
     assert "x" not in fit_propensity(records).dropped
-    draws = np.random.default_rng(24).integers(1, 120, size=(30, 120))
+    draws = np.random.default_rng(24).integers(2, 120, size=(30, 120))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(draws))
     assert assert_bootstrap_matches_oracle(records, 4, 30, 0) == 30
 
@@ -627,6 +641,11 @@ def test_telemetry_csv_rejects_bad_input(tmp_path):
 
     path.write_text(good + "m0,99999999999999999999,30.0,1,0,1,1\n")
     with pytest.raises(CausalError, match=":2: .*too large"):
+        read_telemetry_csv(path)
+
+    # a quoted line break in row 2 puts row 3 on line 4
+    path.write_text(good + '"a\nb",4,30.0,1,0,1,1\nm1,5,20.0,0,1,0,x\n')
+    with pytest.raises(CausalError, match=":4: boolean column must be 0 or 1, got 'x'"):
         read_telemetry_csv(path)
 
     path.write_text(good + "m0,4,30.0,1,0,1,1\n\nm1,5,20.0,0,1,0,0\n")

@@ -349,7 +349,7 @@ def test_confusion_counts_and_rows():
                               argmax_failed=bool(rng.random() < 0.5),
                               clip_id="s%d" % i))
     conf = thresholded_confusion(scores(samples), 0.5, POS)
-    assert conf.total == 120
+    assert conf.matrix.sum() == 120
     mat = conf.matrix
     for i, cls in enumerate(CLASSES):
         assert mat[i].sum() == sum(1 for s in samples if s[1] == cls)
@@ -404,19 +404,19 @@ def test_csv_writers(tmp_path):
 
     conf_path = tmp_path / "confusion.csv"
     write_confusion_csv(conf_path, conf)
-    rows = list(csv.reader(conf_path.open()))
+    rows = list(csv.reader(conf_path.read_text().splitlines()))
     assert rows[0] == ["true_label"] + list(CLASSES) + ["below_threshold"]
     assert len(rows) == 5
-    assert sum(int(x) for row in rows[1:] for x in row[1:]) == conf.total
+    assert sum(int(x) for row in rows[1:] for x in row[1:]) == conf.matrix.sum()
 
     report_path = tmp_path / "report.csv"
     write_report_csv(report_path, per_class_report(conf))
-    rows = list(csv.reader(report_path.open()))
+    rows = list(csv.reader(report_path.read_text().splitlines()))
     assert rows[0] == ["class", "precision", "recall", "support"]
     assert [r[0] for r in rows[1:]] == list(CLASSES)
 
     roc_path = tmp_path / "roc.csv"
     write_roc_csv(roc_path, roc_points(samples, POS))
-    rows = list(csv.reader(roc_path.open()))
+    rows = list(csv.reader(roc_path.read_text().splitlines()))
     assert rows[0] == ["fpr", "tpr", "threshold"]
     assert rows[1] == ["0", "0", "inf"]
