@@ -57,14 +57,14 @@ def main():
     for reason in sorted(result.rejections):
         print("  rejected %-22s %d" % (reason, result.rejections[reason]))
 
-    for desc in result.candidates:
-        clip = export_clip(desc, meeting)
+    for rec in result.candidates:
+        clip = export_clip(rec, meeting)
         outcome = floor_outcome(clip, params)
         print("\n%s: %s interrupts at %.1f s, weak floor label %r"
-              % (desc.clip_id, desc.interrupter_id, desc.onset_s, outcome))
+              % (rec.clip_id, rec.interrupter_id, rec.onset_s, outcome))
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, desc.clip_id + ".wav")
+            path = os.path.join(args.out, rec.clip_id + ".wav")
             write_wav(path, clip)
             print("  wrote %s" % path)
 

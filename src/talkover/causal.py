@@ -492,7 +492,7 @@ def read_telemetry_csv(path) -> Telemetry:
     """Telemetry CSV with the documented columns and one row per
     meeting_id; booleans as 0/1. Any additional columns are carried as
     numeric extras."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)

@@ -194,7 +194,7 @@ def read_golden_json(path) -> dict:
 def read_votes_csv(path) -> Votes:
     """Votes CSV is clip_id,annotator_id,label with a header row; blank
     lines are skipped. A bad row's error names the file and line."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
             if next(reader, None) != ["clip_id", "annotator_id", "label"]:

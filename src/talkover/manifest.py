@@ -6,7 +6,8 @@ identical inputs always serialize to identical bytes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 
 from .errors import AudioError, ChannelLayoutError, ManifestError, SampleRateError
 from .textio import parse_json, read_json, write_json, write_jsonl
@@ -16,6 +17,7 @@ _STRING_FIELDS = ("clip_id", "meeting_id", "interrupter_id", "wav_path", "label"
 # fields that must hold JSON numbers (not booleans) when present;
 # agreement is optional
 _NUMBER_FIELDS = ("onset_s", "agreement")
+_PATH_CHARS = [c for c in ("/", os.sep, os.altsep, "\0") if c]  # none is in a clip id
 
 
 @dataclass(frozen=True)
@@ -28,15 +30,15 @@ class ClipRecord:
     label: str | None = None
     agreement: float | None = None
 
+    def __post_init__(self):
+        if self.clip_id in ("", ".", "..") or any(c in self.clip_id for c in _PATH_CHARS):
+            raise ManifestError("clip id %r is not a plain file name" % self.clip_id)
+        if "\0" in self.wav_path:
+            raise ManifestError("clip %s: wav_path %r holds a NUL byte"
+                                % (self.clip_id, self.wav_path))
+
     def to_dict(self) -> dict:
-        d = {"clip_id": self.clip_id, "meeting_id": self.meeting_id,
-             "interrupter_id": self.interrupter_id, "onset_s": self.onset_s,
-             "wav_path": self.wav_path}
-        if self.label is not None:
-            d["label"] = self.label
-        if self.agreement is not None:
-            d["agreement"] = self.agreement
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClipRecord":
@@ -74,7 +76,7 @@ def read_manifest(path):
     repeats an earlier line's clip_id, raises ManifestError naming it."""
     records = []
     first_line = {}  # clip_id -> line it first appears on
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()

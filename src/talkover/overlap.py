@@ -5,10 +5,11 @@ form active runs, short gaps between runs are merged, and the merged
 runs become segments, an (n, 2) float64 array of [start_s, end_s) rows.
 Segment onsets that pass the gating rules (another speaker active, 3 s
 of prior silence, utterance at least 0.3 s, full clip window inside the
-meeting) become candidate clips: a (CLIP_DURATION_S * rate, 2) float64
-array with everyone else mixed into column 0 and the interrupter alone
-in column 1, the onset pinned to the 5-second mark. Each gate is one
-array comparison over a channel's segment start and end times.
+meeting), each one array comparison over a channel's segment times,
+become candidates: detect returns the manifest.ClipRecord rows that
+extract writes, each naming CLIPS_DIR/<clip_id>.wav. export_clip cuts a
+row's (CLIP_DURATION_S * rate, 2) float64 clip, everyone else mixed into
+column 0 and the interrupter alone in column 1, the onset at 5 s.
 
 Channels are read one energy block, or one clip window, at a time, so
 a meeting of WavChannels is never held whole. A PCM16 WavChannel's
@@ -21,6 +22,7 @@ from stored.
 """
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,9 +30,11 @@ import numpy as np
 
 from .audio import PCM16_MAX_FRAME, PCM16_SCALE, MeetingAudio, mixdown, pcm16_only
 from .errors import AudioError, SampleRateError
+from .manifest import ClipRecord
 
 CLIP_DURATION_S = 10.0
 ONSET_OFFSET_S = 5.0
+CLIPS_DIR = "clips"  # under extract's --out, holds the clip WAVs
 
 # gate rejection reasons, as reported by scan summaries
 REJECT_NO_OVERLAP = "no_other_speaker"
@@ -60,17 +64,6 @@ class VadParams:
     @property
     def frame_s(self) -> float:
         return VAD_FRAME_MS / 1000.0
-
-
-@dataclass(frozen=True)
-class ClipDescriptor:
-    """Where to cut one candidate clip out of a meeting."""
-
-    clip_id: str
-    meeting_id: str
-    interrupter_id: str
-    onset_s: float
-    channel_index: int
 
 
 def frame_energies_db(channel, frame_len: int) -> np.ndarray:
@@ -144,12 +137,14 @@ def vad(channel, params: VadParams = VadParams()) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    candidates: tuple[ClipDescriptor, ...]
+    candidates: tuple[ClipRecord, ...]
     rejections: Counter
 
 
-def _make_clip_id(meeting_id: str, interrupter_id: str, onset_s: float) -> str:
-    return "%s_%s_%07d" % (meeting_id, interrupter_id, round(onset_s * 1000))
+def _candidate(meeting_id: str, interrupter_id: str, onset_s: float) -> ClipRecord:
+    clip_id = "%s_%s_%07d" % (meeting_id, interrupter_id, round(onset_s * 1000))
+    return ClipRecord(clip_id, meeting_id, interrupter_id, onset_s,
+                      os.path.join(CLIPS_DIR, clip_id + ".wav"))
 
 
 def _covering(starts: np.ndarray, ends: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -204,32 +199,29 @@ def detect(meeting: MeetingAudio, segments_by_channel,
         ])
         rejected = failed.any(axis=0)
         first_failed.append(failed.argmax(axis=0)[rejected])
-        candidates += [ClipDescriptor(
-            clip_id=_make_clip_id(meeting.meeting_id, channel.participant_id, t),
-            meeting_id=meeting.meeting_id,
-            interrupter_id=channel.participant_id,
-            onset_s=t,
-            channel_index=i,
-        ) for t in starts[~rejected].tolist()]
+        candidates += [_candidate(meeting.meeting_id, channel.participant_id, t)
+                       for t in starts[~rejected].tolist()]
     counts = np.bincount(np.concatenate(first_failed), minlength=len(_GATES))
     candidates.sort(key=lambda c: c.clip_id)
     return DetectionResult(tuple(candidates),
                            Counter({g: int(n) for g, n in zip(_GATES, counts) if n}))
 
 
-def export_clip(descriptor: ClipDescriptor, meeting: MeetingAudio) -> np.ndarray:
-    """Cut the stereo clip for one candidate out of the meeting: a
+def export_clip(clip: ClipRecord, meeting: MeetingAudio) -> np.ndarray:
+    """Cut the stereo clip of one candidate row out of the meeting: a
     (CLIP_DURATION_S * rate, 2) float64 array, the mixdown of the other
-    channels in column 0 and the interrupter in column 1."""
+    channels in column 0 and the interrupter, the channel whose
+    participant id is clip.interrupter_id, in column 1."""
     rate = meeting.sample_rate
-    start = round((descriptor.onset_s - ONSET_OFFSET_S) * rate)
+    start = round((clip.onset_s - ONSET_OFFSET_S) * rate)
     stop = start + int(CLIP_DURATION_S * rate)
     if start < 0 or stop > meeting.n_samples:
-        raise AudioError("clip %s: window [%d, %d) out of bounds" % (descriptor.clip_id, start, stop))
+        raise AudioError("clip %s: window [%d, %d) out of bounds" % (clip.clip_id, start, stop))
 
-    interrupter = meeting.channels[descriptor.channel_index]
-    if interrupter.participant_id != descriptor.interrupter_id:
-        raise ValueError("descriptor does not match meeting channel layout")
+    interrupter = next((ch for ch in meeting.channels
+                        if ch.participant_id == clip.interrupter_id), None)
+    if interrupter is None:
+        raise ValueError("meeting %s has no participant %r" % (meeting.meeting_id, clip.interrupter_id))
     others = [ch for ch in meeting.channels if ch is not interrupter]
     return np.stack([mixdown(others, start, stop), interrupter.window(start, stop)], axis=1)
 

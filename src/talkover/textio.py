@@ -15,17 +15,17 @@ def json_line(obj) -> str:
 def write_json(path, obj) -> None:
     """A non-finite float raises ValueError before the file is opened."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def write_jsonl(path, objs) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json_line(obj) + "\n" for obj in objs)
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -50,7 +50,7 @@ def parse_json(text):
 
 def read_json(path, error):
     """The document at path; bad bytes or JSON raise error("<path>: <reason>")."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return parse_json(fh.read())
         except ValueError as exc:

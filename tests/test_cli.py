@@ -204,8 +204,10 @@ _TWO_CHANNELS = [{"participant_id": "a", "wav_path": "a.wav"},
     json.dumps({"meetings": [{"channels": _TWO_CHANNELS}]}),
     json.dumps({"meetings": ["x"]}),
     json.dumps({"meetings": [{"meeting_id": "x", "channels": _TWO_CHANNELS}] * 2}),
+    json.dumps({"meetings": [{"meeting_id": "x", "channels": [
+        {"participant_id": "a", "wav_path": "a.wav\0"}, _TWO_CHANNELS[1]]}]}),
 ], ids=["truncated", "top-level list", "no participant_id", "no meeting_id",
-        "meeting not an object", "repeated meeting_id"])
+        "meeting not an object", "repeated meeting_id", "NUL in wav_path"])
 def test_malformed_meetings_manifest_exits_9(tmp_path, blob):
     bad = tmp_path / "meetings.json"
     bad.write_text(blob)
@@ -367,6 +369,63 @@ def _tones(duration_s, bursts, freq):
     return np.where(on, 0.3 * np.sin(2 * np.pi * freq * t), 0.0)
 
 
+def _new_files_outside(root, out, before):
+    """Files under root that are not in before and not under out."""
+    return sorted(p for p in root.rglob("*")
+                  if p.is_file() and p not in before and out not in p.parents)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("meeting_id", "../../escaped"), ("meeting_id", "m\0"), ("participant_id", "b/ob"),
+], ids=["meeting_id leaves --out", "NUL in meeting_id", "slash in participant_id"])
+def test_extract_of_an_id_no_file_may_have_exits_9(tmp_path, capsys, field, value):
+    meetings = Path(_write_meeting(tmp_path, [("a", _tones(30.0, [(1.0, 28.0)], 300.0)),
+                                              ("b", _tones(30.0, [(18.0, 19.5)], 500.0))],
+                                   "pcm16"))
+    doc = json.loads(meetings.read_text())
+    meeting = doc["meetings"][0]
+    (meeting if field == "meeting_id" else meeting["channels"][1])[field] = value
+    meetings.write_text(json.dumps(doc))
+    out = tmp_path / "x" / "y" / "o"
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(["extract", "--meetings", meetings, "--out", out]) == 9
+    assert repr(value)[1:-1] in capsys.readouterr().err
+    assert _new_files_outside(tmp_path, out, before) == []
+    assert not (out / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("field, value", [("clip_id", "../../../escaped_clip"),
+                                          ("wav_path", "x.sie\0")])
+def test_featurize_of_a_clip_row_no_file_may_have_exits_9(small_corpus, tmp_path, field, value):
+    rows = [dict(r.to_dict(), wav_path=str(small_corpus / r.wav_path))
+            for r in read_manifest(small_corpus / "manifest.jsonl")]
+    rows[0][field] = value
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "a" / "b" / "c" / "o"
+    before = set(tmp_path.rglob("*"))
+    assert run_cli(["featurize", "--manifest", manifest, "--feature", "emb",
+                    "--profile", "tiny", "--out", out]) == 9
+    assert _new_files_outside(tmp_path, out, before) == []
+    assert not (out / "shapes.json").exists()
+
+
+def test_extract_writes_the_rows_detect_returns(fixtures_dir, extract_out):
+    from talkover.audio import load_wav
+    audio = fixtures_dir / "audio"
+    rows = []
+    for m in json.loads((audio / "meetings.json").read_text())["meetings"]:
+        meeting = MeetingAudio.from_channels(
+            [load_wav(audio / ch["wav_path"], ch["participant_id"]) for ch in m["channels"]],
+            m["meeting_id"])
+        rows += [c.to_dict() for c in
+                 detect(meeting, [vad(ch) for ch in meeting.channels]).candidates]
+    written = (extract_out / "manifest.jsonl").read_text().splitlines()
+    assert rows and [json.loads(line) for line in written] == rows
+    assert all((extract_out / row["wav_path"]).is_file() for row in rows)
+
+
 def test_clip_id_two_meetings_make_exits_9_before_overwriting(tmp_path, capsys):
     # meeting a_b's c and meeting a's b_c both interrupt at 10 s: a_b_c_0010000
     entries = {}
@@ -410,11 +469,11 @@ def test_extract_pads_a_short_channel_like_in_memory_channels(tmp_path, encoding
         ["m_b_0018000", "m_c_0010000", "m_c_0017000"]
     assert [r.clip_id for r in read_manifest(tmp_path / "o" / "manifest.jsonl")] == \
         [d.clip_id for d in result.candidates]
-    for desc in result.candidates:
-        clip = export_clip(desc, meeting)
+    for rec in result.candidates:
+        clip = export_clip(rec, meeting)
         want = tmp_path / "want.wav"
         write_wav(want, clip)
-        got = tmp_path / "o" / "clips" / (desc.clip_id + ".wav")
+        got = tmp_path / "o" / "clips" / (rec.clip_id + ".wav")
         assert got.read_bytes() == want.read_bytes()
 
 
@@ -1305,6 +1364,37 @@ def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     return env
+
+
+def test_labels_reads_utf8_text_whatever_the_locale(tmp_path):
+    votes = tmp_path / "votes.csv"
+    votes.write_text("clip_id,annotator_id,label\n"
+                     + "".join("r\u00e9union_%d,%s,%s\n" % (i, who, label)
+                               for i, labels in enumerate([["laughter"] * 3,
+                                                           ["other", "other", "laughter"]])
+                               for who, label in zip(["jos\u00e9", "zo\u00eb", "\u674e"],
+                                                     labels)),
+                     encoding="utf-8")
+    golden = tmp_path / "golden.json"
+    golden.write_text('{"r\u00e9union_0": "laughter"}', encoding="utf-8")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(ClipRecord("r\u00e9union_0", "r\u00e9union", "jos\u00e9",
+                                              5.0, "clips/r\u00e9union_0.wav").to_dict(),
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+    env = _src_env()
+    ascii_env = dict(env, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    outputs = {}
+    for name, child_env in (("default", env), ("ascii", ascii_env)):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "talkover.cli", "labels",
+                               "--votes", votes, "--golden", golden, "--manifest", manifest,
+                               "--out", out], capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = {p.name: p.read_bytes().replace(bytes(out), b"<out>")
+                         for p in out.iterdir()}
+    assert outputs["ascii"] == outputs["default"]
+    assert json.loads(outputs["ascii"]["consensus.jsonl"].splitlines()[0])["meeting_id"] == \
+        "r\u00e9union"
 
 
 def test_cli_import_loads_no_scipy():

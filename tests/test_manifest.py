@@ -46,6 +46,40 @@ def test_to_dict_omits_unset_label_fields():
     assert "label" not in d and "agreement" not in d
     d = rec("a", label="other", agreement=1.0).to_dict()
     assert d["label"] == "other" and d["agreement"] == 1.0
+    # every set field, in field order
+    core = [("clip_id", "a"), ("meeting_id", "m0"), ("interrupter_id", "bob"),
+            ("onset_s", 12.5), ("wav_path", "clips/a.wav")]
+    for labels, tail in [({}, []), ({"label": "other"}, [("label", "other")]),
+                         ({"agreement": 0.75}, [("agreement", 0.75)]),
+                         ({"label": "x", "agreement": 1}, [("label", "x"), ("agreement", 1)])]:
+        assert list(rec("a", **labels).to_dict().items()) == core + tail
+
+
+@pytest.mark.parametrize("clip_id", ["", ".", "..", "../x", "a/b", "/abs", "a\0b"])
+def test_clip_id_that_is_not_a_plain_file_name_raises(clip_id):
+    with pytest.raises(ManifestError, match="is not a plain file name"):
+        rec(clip_id, wav_path="x.wav")
+
+
+def test_wav_path_with_a_nul_byte_raises():
+    with pytest.raises(ManifestError, match="NUL"):
+        rec("a", wav_path="clips/a.wav\0")
+
+
+@pytest.mark.parametrize("clip_id", ["...", "a..b", ".hidden", "a b", "r\u00e9union_1"])
+def test_clip_id_may_hold_dots_and_other_characters(clip_id):
+    assert rec(clip_id).clip_id == clip_id
+
+
+@pytest.mark.parametrize("field, value", [("clip_id", "../../x"), ("clip_id", "a\0"),
+                                          ("wav_path", "a.wav\0")])
+def test_read_manifest_refuses_a_row_that_would_name_another_file(tmp_path, field, value):
+    path = tmp_path / "m.jsonl"
+    rows = [rec("a").to_dict(), rec("b").to_dict()]
+    rows[1][field] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ManifestError, match=r"m\.jsonl:2: "):
+        read_manifest(path)
 
 
 def test_from_dict_requires_core_fields():

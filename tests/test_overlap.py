@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav, mixdown,
                             pcm16_only, read_wav_data, write_wav)
 from talkover.errors import AudioError, SampleRateError
-from talkover.overlap import (_ENERGY_BLOCK_FRAMES, CLIP_DURATION_S, ONSET_OFFSET_S,
+from talkover.manifest import ClipRecord
+from talkover.overlap import (_ENERGY_BLOCK_FRAMES, CLIP_DURATION_S, CLIPS_DIR, ONSET_OFFSET_S,
                               REJECT_BOUNDARY, REJECT_NO_OVERLAP,
                               REJECT_PRESILENCE, REJECT_TOO_SHORT, VadParams,
                               _fill_gaps, detect, export_clip, frame_energies_db, vad)
@@ -316,8 +317,8 @@ def test_detect_boundary_gate_is_the_export_window():
     result = detect(meeting, segments)
     assert [c.onset_s for c in result.candidates] == onsets[1:3]
     assert result.rejections[REJECT_BOUNDARY] == 2
-    for desc in result.candidates:
-        assert len(export_clip(desc, meeting)) == CLIP_DURATION_S * SAMPLE_RATE
+    for rec in result.candidates:
+        assert len(export_clip(rec, meeting)) == CLIP_DURATION_S * SAMPLE_RATE
     # the window is export_clip's alone; detect cannot be told another
     with pytest.raises(TypeError):
         detect(meeting, segments, pre_s=2.0)
@@ -387,11 +388,11 @@ def make_meeting_with_tone(duration_s=60.0):
 def test_export_clip_cuts_exact_window():
     meeting = make_meeting_with_tone()
     segments = [segs((20.0, 40.0)), segs((25.0, 26.0))]
-    (desc,) = detect(meeting, segments).candidates
-    clip = export_clip(desc, meeting)
+    (rec,) = detect(meeting, segments).candidates
+    clip = export_clip(rec, meeting)
     n = int(CLIP_DURATION_S * SAMPLE_RATE)
     assert clip.shape == (n, 2) and clip.dtype == np.float64
-    start = int((desc.onset_s - ONSET_OFFSET_S) * SAMPLE_RATE)
+    start = int((rec.onset_s - ONSET_OFFSET_S) * SAMPLE_RATE)
     b = meeting.channels[1]
     assert np.array_equal(clip[:, 1], b.samples[start:start + n])
     a = meeting.channels[0]
@@ -405,14 +406,13 @@ def test_export_clip_mixes_all_other_channels():
     b = tone_channel(60.0, [(25.0, 26.0)], pid="b")
     meeting = MeetingAudio.from_channels([a, b, c], "m")
     segments = [segs((5.0, 55.0)), segs((25.0, 26.0)), segs((5.0, 55.0))]
-    desc = [d for d in detect(meeting, segments).candidates
-            if d.interrupter_id == "b"][0]
-    clip = export_clip(desc, meeting)
+    rec = [d for d in detect(meeting, segments).candidates
+           if d.interrupter_id == "b"][0]
+    clip = export_clip(rec, meeting)
     assert np.allclose(clip[:, 0], 0.3)
 
 
 def test_export_clip_from_wavs_builds_no_audio_channel(tmp_path, monkeypatch):
-    from talkover.overlap import ClipDescriptor
     rng = np.random.default_rng(7)
     n = int(12.5 * SAMPLE_RATE)
     channels = []
@@ -427,10 +427,10 @@ def test_export_clip_from_wavs_builds_no_audio_channel(tmp_path, monkeypatch):
     post_init = AudioChannel.__post_init__
     monkeypatch.setattr(AudioChannel, "__post_init__",
                         lambda self: (built.append(self.participant_id), post_init(self)))
-    for i, ch in enumerate(meeting.channels):
+    for ch in meeting.channels:
         for onset in (5.0, 7.5):
-            desc = ClipDescriptor("m_x", "m", ch.participant_id, onset, i)
-            clip = export_clip(desc, meeting)
+            clip = export_clip(ClipRecord("m_x", "m", ch.participant_id, onset, "m_x.wav"),
+                               meeting)
             assert built == []
             # the clip as every window wrapped in an AudioChannel cut it:
             # the others summed in participant-id order, then clipped
@@ -445,11 +445,23 @@ def test_export_clip_from_wavs_builds_no_audio_channel(tmp_path, monkeypatch):
             built.clear()
 
 
+def test_detect_returns_the_manifest_rows():
+    meeting = make_meeting_with_tone()
+    (rec,) = detect(meeting, [segs((20.0, 40.0)), segs((25.0, 26.0))]).candidates
+    assert rec == ClipRecord("m_b_0025000", "m", "b", 25.0,
+                             os.path.join(CLIPS_DIR, "m_b_0025000.wav"))
+
+
+def test_export_clip_names_an_interrupter_the_meeting_lacks():
+    meeting = make_meeting_with_tone()
+    with pytest.raises(ValueError, match="meeting m has no participant 'zed'"):
+        export_clip(ClipRecord("m_zed_0025000", "m", "zed", 25.0, "m_zed_0025000.wav"),
+                    meeting)
+
+
 def test_export_clip_rejects_out_of_bounds():
-    from talkover.overlap import ClipDescriptor
     meeting = silent_meeting(8.0)
-    desc = ClipDescriptor("m_b_0004000", "m", "b", 4.0, 1)
     with pytest.raises(AudioError):
-        export_clip(desc, meeting)
+        export_clip(ClipRecord("m_b_0004000", "m", "b", 4.0, "m_b_0004000.wav"), meeting)
 
 

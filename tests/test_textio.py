@@ -119,3 +119,40 @@ def test_the_guard_sees_each_banned_writer():
     assert sorted(_text_format_calls(tree)) == [
         (2, "json.dumps"), (2, "json.loads"), (3, "json.dump"), (4, "csv.writer"),
         (5, "json.dumps"), (6, "json.load"), (7, "json.loads")]
+
+
+def _text_opens_without_utf8(tree):
+    """Line of each text-mode open() call that does not pass
+    encoding="utf-8"; a mode holding "b" is binary and exempt."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        if isinstance(mode, ast.Constant) and "b" in mode.value:
+            continue
+        encoding = keywords.get("encoding")
+        if not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8"):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_text_open_is_utf8():
+    """Text files are read and written as UTF-8 whatever the locale."""
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _text_opens_without_utf8(ast.parse(path.read_text(), str(path)))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_the_guard_sees_each_text_open_without_utf8():
+    tree = ast.parse("open(path)\nopen(path, 'w')\nopen(path, newline='')\n"
+                     "open(path, encoding='latin-1')\nopen(path, mode='r', encoding=enc)\n"
+                     "open(path, 'rb')\nopen(path, mode='wb')\nopen(path, 'r+b')\n"
+                     "open(path, 'w', encoding='utf-8', newline='')\n"
+                     "open(path, encoding='utf-8')\n")
+    assert _text_opens_without_utf8(tree) == [1, 2, 3, 4, 5]
