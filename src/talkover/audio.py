@@ -5,12 +5,13 @@ rate with samples in [-1, 1]. Files at any other rate are rejected
 instead of resampled so the DSP surface stays deterministic.
 
 A track comes in two forms with one read interface (participant_id,
-sample_rate, len() and window(start, stop)); the program reads float64
-samples only through window. WavChannel, which load_wav returns, reads
-only the window asked for from its WAV file, so a meeting's memory does
-not grow with its length; every read of the file's samples goes through
-its stored(start, stop). AudioChannel, the in-memory input form, holds
-float64 samples; the program builds none of its own.
+sample_rate, len() and window(start, stop, out=None)); the program reads
+decoded samples only through window, which returns float64 or fills a
+caller's float32 or float64 array. WavChannel, which load_wav returns,
+reads only the window asked for from its WAV file, so a meeting's memory
+does not grow with its length; every read of the file's samples goes
+through its stored(start, stop). AudioChannel, the in-memory input form,
+holds float64 samples; the program builds none of its own.
 
 Sums over 16-bit PCM WAVs are taken on the stored integers. A stored
 int16 k decodes to k * 2^-15 exactly, so a float64 sum of decoded
@@ -24,6 +25,13 @@ squares in int64, which stays below 2^53 for frames of fewer than
 PCM16_MAX_FRAME = 2^23 samples. Float32 WAVs, AudioChannels and mixed
 sets are decoded to float64 and summed there; the outputs are the same
 bytes either way.
+
+A clip is float32 from its cut to its features. The decoded sample of a
+PCM16 or float32 WAV, and a mixdown of PCM16 channels, is a float32
+value, so writing it into a float32 array (mixdown's and window's out)
+is exact; only float64 sums are rounded there, as the float32 WAV that
+stores them would round them. write_wav writes a C-ordered float32 array
+as it is.
 """
 from __future__ import annotations
 
@@ -51,6 +59,7 @@ _FMT_EXTENSIBLE = 0xFFFE
 PCM16_SCALE = 32768.0
 PCM16_MAX_FRAME = 1 << 23
 _PCM16_MAX_CHANNELS = 1 << 16
+_F32 = np.dtype("<f4")  # a float WAV's samples, and a clip in memory
 
 # samples read at a time by the finiteness pass over a float WAV
 _FINITE_CHECK_SAMPLES = 1 << 18
@@ -84,9 +93,13 @@ class AudioChannel:
     def __len__(self) -> int:
         return self.samples.size
 
-    def window(self, start: int, stop: int) -> np.ndarray:
-        """Samples [start, stop), with 0 <= start <= stop <= len(self)."""
-        return self.samples[start:stop]
+    def window(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples [start, stop), with 0 <= start <= stop <= len(self);
+        copied into out, rounded to its dtype, when it is given."""
+        if out is None:
+            return self.samples[start:stop]
+        out[...] = self.samples[start:stop]
+        return out
 
     def padded(self, n_samples: int) -> "AudioChannel":
         """This channel zero-padded at the end to n_samples."""
@@ -129,9 +142,11 @@ class WavChannel:
             raw = np.concatenate([raw, np.zeros(stop - start - count, raw.dtype)])
         return raw
 
-    def window(self, start: int, stop: int) -> np.ndarray:
-        """Samples [start, stop) as float64, zeros past the stored end."""
-        out = np.empty(stop - start)
+    def window(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples [start, stop), zeros past the stored end: as float64,
+        or decoded into out, a float32 or float64 array, which is exact."""
+        if out is None:
+            out = np.empty(stop - start)
         _decode(self.stored(start, stop), out)
         return out
 
@@ -265,27 +280,52 @@ def read_wav_header(path) -> WavLayout:
 
 
 def _decode(raw: np.ndarray, out: np.ndarray) -> None:
-    """Stored samples into float64 out: 16-bit PCM scaled by 1/32768,
-    float clipped to [-1, 1]. Dividing by a power of two is exact, and a
-    finite float32 clips to the same value before or after widening."""
+    """Stored samples into out, float32 or float64: 16-bit PCM scaled by
+    1/32768, float clipped to [-1, 1]. Dividing by a power of two is
+    exact in either, and a finite float32 clips to the same value before
+    or after widening."""
     if raw.dtype.kind == "i":
-        np.divide(raw, PCM16_SCALE, out=out)
+        np.divide(raw, PCM16_SCALE, out=out, dtype=out.dtype)
     else:
         np.clip(raw, -1.0, 1.0, out=out)
 
 
+def read_wav_into(path, layout: WavLayout, out: np.ndarray | None = None) -> np.ndarray:
+    """Read the samples of the WAV at path, whose header read_wav_header
+    returned as layout, into out, a C-contiguous float32 array of shape
+    (n_frames, n_channels) (a new one when None), and return it. A float
+    payload is read with one readinto, then checked and clipped to
+    [-1, 1] in place; non-finite samples raise MalformedWavError. PCM16
+    is scaled by 1/32768. Both decode exactly, as _decode does."""
+    shape = (layout.n_frames, layout.n_channels)
+    if out is None:
+        out = np.empty(shape, dtype=_F32)
+    elif out.shape != shape or out.dtype != _F32 or not out.flags.c_contiguous:
+        raise ValueError("%s: a %s %s array cannot hold %s float32 frames"
+                         % (path, out.dtype, out.shape, shape))
+    if layout.dtype == "<i2":
+        raw = np.fromfile(path, layout.dtype, out.size, offset=layout.offset)
+        if raw.size != out.size:
+            raise MalformedWavError("%s: file shrank while being read" % path)
+        _decode(raw.reshape(shape), out)
+        return out
+    with open(path, "rb") as fh:
+        fh.seek(layout.offset)
+        if fh.readinto(out) != out.nbytes:
+            raise MalformedWavError("%s: file shrank while being read" % path)
+    lo, hi = out.min(initial=0.0), out.max(initial=0.0)  # NaN if any sample is
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise MalformedWavError("%s: non-finite float samples" % path)
+    if lo < -1.0 or hi > 1.0:
+        np.clip(out, -1.0, 1.0, out=out)
+    return out
+
+
 def read_wav_data(path) -> tuple[int, np.ndarray]:
     """Read a whole RIFF/WAVE file into (sample_rate, samples[n, channels])
-    float64, with the checks of read_wav_header. Non-finite float samples
-    raise MalformedWavError."""
+    float64, with the checks of read_wav_header and read_wav_into."""
     layout = read_wav_header(path)
-    raw = np.fromfile(path, layout.dtype, layout.n_frames * layout.n_channels,
-                      offset=layout.offset).reshape(-1, layout.n_channels)
-    if raw.dtype.kind == "f" and not np.isfinite(raw).all():
-        raise MalformedWavError("%s: non-finite float samples" % path)
-    frames = np.empty(raw.shape)
-    _decode(raw, frames)
-    return layout.sample_rate, frames
+    return layout.sample_rate, read_wav_into(path, layout).astype(np.float64)
 
 
 def load_wav(path, participant_id: str | None = None) -> WavChannel:
@@ -319,10 +359,13 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
 
     samples may be 1-D (mono) or (n, channels). encoding is "float32"
     or "pcm16"; pcm16 rounds half to even and clamps to [-32768, 32767].
-    Non-finite samples, and float32 samples past its range, raise
-    AudioError before the file is opened.
+    A C-ordered float32 array is written as float32 without a copy;
+    other samples are taken as float64. Non-finite samples, and float32
+    samples past its range, raise AudioError before the file is opened.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples)
+    if not (encoding == "float32" and samples.dtype == np.float32):
+        samples = samples.astype(np.float64, copy=False)
     # one sum finds any NaN or inf; only a sum of finite samples that
     # overflows needs the elementwise check
     with np.errstate(over="ignore"):
@@ -344,7 +387,7 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
         tag, bits = _FMT_IEEE_FLOAT, 32
         try:  # the cast flags overflow exactly where a sample would become inf
             with np.errstate(over="raise"):
-                payload = samples.astype("<f4", order="C")
+                payload = samples.astype("<f4", order="C", copy=False)
         except FloatingPointError:
             raise AudioError("%s: samples beyond the float32 range not written"
                              % path) from None
@@ -362,16 +405,18 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
         fh.write(payload)
 
 
-def mixdown(channels, start: int, stop: int) -> np.ndarray:
+def mixdown(channels, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Samples [start, stop) of the channels, summed and hard-clipped to
-    [-1, 1] as float64.
+    [-1, 1]: as float64, or written into out, a float32 or float64 array
+    of stop - start samples, which is returned.
 
     Clipping rather than rescaling keeps local energy relationships
     between the interrupter and the rest intact. PCM16 WavChannels
     (pcm16_only) are summed as their stored int16 windows in int32,
-    clipped to +-32768 and scaled once. Any other set is read through
-    window and summed in float64 in order of the unique participant ids.
-    Both give the same bits under any permutation of the input list.
+    clipped to +-32768 and scaled once, in out's dtype, which is exact.
+    Any other set is read through window and summed in float64 in order
+    of the unique participant ids, then clipped into out. Both give the
+    same bits under any permutation of the input list.
     """
     channels = list(channels)
     if not channels:
@@ -384,8 +429,10 @@ def mixdown(channels, start: int, stop: int) -> np.ndarray:
         ints = np.zeros(stop - start, dtype=np.int32)
         for ch in channels:
             ints += ch.stored(start, stop)
-        return np.divide(np.clip(ints, -32768, 32768, out=ints), PCM16_SCALE)
+        np.clip(ints, -32768, 32768, out=ints)
+        return np.divide(ints, PCM16_SCALE, out=out,
+                         dtype=np.float64 if out is None else out.dtype)
     total = np.zeros(stop - start)
     for ch in sorted(channels, key=lambda ch: ch.participant_id):
         total += ch.window(start, stop)
-    return np.clip(total, -1.0, 1.0, out=total)
+    return np.clip(total, -1.0, 1.0, out=total if out is None else out)

@@ -92,6 +92,7 @@ def cmd_extract(args) -> int:
 
     records = {}  # clip id -> its ClipRecord
     totals = {}
+    clip = None  # the one array every clip is cut into, from the first on
     for m in meetings:
         channels = [load_wav(os.path.join(base, ch["wav_path"]), ch["participant_id"])
                     for ch in m["channels"]]
@@ -108,10 +109,7 @@ def cmd_extract(args) -> int:
                 raise ManifestError("clip id %s comes from meetings %s and %s"
                                     % (rec.clip_id, records[rec.clip_id].meeting_id,
                                        rec.meeting_id))
-            # kept bound until the next clip is cut: freed at once, glibc
-            # returns its pages and every clip faults in new ones (130,000
-            # faults, not 11,000, and 0.3 s more on the perfbench meeting)
-            clip = export_clip(rec, meeting)
+            clip = export_clip(rec, meeting, out=clip)
             write_wav(os.path.join(args.out, rec.wav_path), clip, meeting.sample_rate, "float32")
             records[rec.clip_id] = rec
 
@@ -133,12 +131,17 @@ def _embedding_path(wav_path: str) -> str:
 def cmd_featurize(args) -> int:
     import numpy as np
 
-    from .features import PROFILES, load_embeddings, mfcc, spectrogram
+    from .features import (PROFILES, MfccScratch, SpectrogramScratch, load_embeddings, mfcc,
+                           spectrogram)
     from .manifest import load_clip, read_manifest
 
     records = read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
     profile = PROFILES[args.profile]
+    clip = None  # the one array every clip is read into, from the first on
+    if args.feature != "emb":
+        featurize, scratch = ((mfcc, MfccScratch()) if args.feature == "mfcc"
+                              else (spectrogram, SpectrogramScratch()))
 
     shapes = {}
     for rec in records:
@@ -151,8 +154,8 @@ def cmd_featurize(args) -> int:
                 shutil.copyfile(emb.path, os.path.join(args.out, rec.clip_id + ".sie"))
             shapes[rec.clip_id] = list(profile.shape)
         else:
-            clip = load_clip(rec, os.path.join(base, rec.wav_path))
-            feat = mfcc(clip) if args.feature == "mfcc" else spectrogram(clip)
+            clip = load_clip(rec, os.path.join(base, rec.wav_path), out=clip)
+            feat = featurize(clip, scratch)
             np.save(os.path.join(args.out, rec.clip_id + ".npy"), feat)
             shapes[rec.clip_id] = list(feat.shape)
 

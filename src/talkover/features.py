@@ -3,12 +3,19 @@ precomputed self-supervised embeddings checked in SIE1 files, which
 load_embeddings leaves on disk behind an EmbeddingFile handle; load_matrix
 does the same for a (d, M) feature matrix in a .npy file.
 
-Every extractor takes a clip as the (n, 2) array export_clip cuts,
-consumes only its last 5 seconds (80000 rows) and stacks the per-channel
-feature blocks along the feature axis: rows [0, d) come from column 0
-(the mixdown), rows [d, 2d) from column 1 (the interrupter). Window and
-hop sizes are fixed so 5 s of 16 kHz audio yields exactly 401 MFCC
-frames and 313 spectrogram frames.
+Every extractor takes a clip as the (n, 2) array export_clip cuts and
+load_clip reads, float32 or float64, consumes only its last 5 seconds
+(80000 rows) and stacks the per-channel feature blocks along the feature
+axis: rows [0, d) come from column 0 (the mixdown), rows [d, 2d) from
+column 1 (the interrupter). Window and hop sizes are fixed so 5 s of
+16 kHz audio yields exactly 401 MFCC frames and 313 spectrogram frames.
+
+Each FFT is two hops long, so the centered, zero-padded channel is laid
+out as hop-sized rows and frame k is rows k and k + 1 joined; the
+window multiply, the FFT and everything after it run in float64 and
+write into the arrays of an MfccScratch or SpectrogramScratch, which a
+loop over clips allocates once. A float32 clip gives the bytes of its
+float64 widening.
 """
 from __future__ import annotations
 
@@ -144,13 +151,33 @@ def _check_row(out: np.ndarray, profile: EmbeddingProfile) -> None:
                                  % (out.dtype, out.shape, profile.name, profile.shape))
 
 
-def _frame(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
-    """Centered framing with zero padding; returns (n_frames, n_fft)."""
-    pad = n_fft // 2
-    padded = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
-    n_frames = len(x) // hop + 1
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
-    return padded[idx]
+class _Stft:
+    """Reused arrays for the STFT of n_samples samples with an FFT of
+    n_fft = 2 * hop and centered zero padding of hop at each end:
+    n_samples // hop + 1 frames."""
+
+    def __init__(self, n_fft: int, window: np.ndarray, n_samples: int = ANALYSIS_SAMPLES):
+        hop = n_fft // 2
+        n_frames = n_samples // hop + 1
+        self.window = window
+        # the padded samples as hop-sized rows; the samples never reach
+        # the first row or the end of the last, so the padding stays 0
+        self.rows = np.zeros((n_frames + 1, hop))
+        self.frames = np.empty((n_frames, n_fft))
+        self.spectrum = np.empty((n_frames, hop + 1), dtype=np.complex128)
+
+    def frame(self, x: np.ndarray) -> np.ndarray:
+        """The windowed frames of x, (n_frames, n_fft): frame k is rows
+        k and k + 1 joined."""
+        hop = self.rows.shape[1]
+        self.rows.reshape(-1)[hop:hop + len(x)] = x
+        np.multiply(self.rows[:-1], self.window[:hop], out=self.frames[:, :hop])
+        np.multiply(self.rows[1:], self.window[hop:], out=self.frames[:, hop:])
+        return self.frames
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The rfft of each windowed frame of x, (n_frames, hop + 1)."""
+        return np.fft.rfft(self.frame(x), axis=1, out=self.spectrum)
 
 
 def _hann(n: int) -> np.ndarray:
@@ -205,40 +232,58 @@ def _tail(clip: np.ndarray) -> np.ndarray:
     return clip[-ANALYSIS_SAMPLES:]
 
 
-def _mfcc_mono(x: np.ndarray) -> np.ndarray:
-    frames = _frame(x, MFCC_N_FFT, MFCC_HOP) * _MFCC_WINDOW
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    mel = power @ _MEL_FB.T
-    logmel = np.log(mel + _LOG_FLOOR)
-    return _DCT @ logmel.T  # (n_coeff, n_frames)
+class MfccScratch:
+    """The arrays mfcc computes a clip's MFCCs in. A loop that passes
+    one MfccScratch to every call allocates them once; each call returns
+    .out, which the next call overwrites."""
+
+    def __init__(self):
+        self.stft = _Stft(MFCC_N_FFT, _MFCC_WINDOW)
+        self.power = np.empty(self.stft.spectrum.shape)
+        self.mel = np.empty((MFCC_FRAMES, MFCC_N_COEFF))
+        self.out = np.empty((2 * MFCC_N_COEFF, MFCC_FRAMES))
 
 
-def _spectrogram_mono(x: np.ndarray) -> np.ndarray:
-    frames = _frame(x, SPEC_N_FFT, SPEC_HOP) * _SPEC_WINDOW
-    return np.abs(np.fft.rfft(frames, axis=1)).T  # (bins, n_frames)
+class SpectrogramScratch:
+    """The arrays spectrogram computes a clip's spectrogram in, reused
+    as MfccScratch's are."""
+
+    def __init__(self):
+        self.stft = _Stft(SPEC_N_FFT, _SPEC_WINDOW)
+        # Fortran order, as the stacked transposed spectra always were,
+        # so that np.save writes the same bytes
+        self.out = np.empty((2 * SPEC_BINS, SPEC_FRAMES), order="F")
 
 
-def mfcc(clip: np.ndarray) -> np.ndarray:
+def mfcc(clip: np.ndarray, scratch: MfccScratch | None = None) -> np.ndarray:
     """40 MFCCs per channel over the last 5 s of an (n, 2) clip, as
-    export_clip and load_clip return it; shape (80, 401).
+    export_clip and load_clip return it; shape (80, 401), computed in
+    scratch (a new one when None) and returned as its .out.
 
     Window 400 samples, hop 200, centered zero padding, 40-filter mel
     bank over 0-8 kHz, orthonormal DCT-II with c0 kept.
     """
-    out = np.concatenate([_mfcc_mono(x) for x in _tail(clip).T])
-    assert out.shape == (2 * MFCC_N_COEFF, MFCC_FRAMES)
-    return out
+    s = MfccScratch() if scratch is None else scratch
+    for c, x in enumerate(_tail(clip).T):
+        power = np.abs(s.stft(x), out=s.power)
+        np.square(power, out=power)
+        mel = np.matmul(power, _MEL_FB.T, out=s.mel)
+        np.log(np.add(mel, _LOG_FLOOR, out=mel), out=mel)
+        np.matmul(_DCT, mel.T, out=s.out[c * MFCC_N_COEFF:(c + 1) * MFCC_N_COEFF])
+    return s.out
 
 
-def spectrogram(clip: np.ndarray) -> np.ndarray:
+def spectrogram(clip: np.ndarray, scratch: SpectrogramScratch | None = None) -> np.ndarray:
     """Magnitude STFT per channel over the last 5 s of an (n, 2) clip;
-    shape (514, 313).
+    shape (514, 313), computed in scratch (a new one when None) and
+    returned as its .out.
 
     FFT size 512 (257 bins), hop 256, centered zero padding.
     """
-    out = np.concatenate([_spectrogram_mono(x) for x in _tail(clip).T])
-    assert out.shape == (2 * SPEC_BINS, SPEC_FRAMES)
-    return out
+    s = SpectrogramScratch() if scratch is None else scratch
+    for c, x in enumerate(_tail(clip).T):
+        np.abs(s.stft(x).T, out=s.out[c * SPEC_BINS:(c + 1) * SPEC_BINS])
+    return s.out
 
 
 _SIE1_MAGIC = b"SIE1"

@@ -109,13 +109,16 @@ def read_split(path) -> dict:
     return split
 
 
-def load_clip(record: ClipRecord, wav_path=None):
-    """Read a clip's stereo WAV as the (CLIP_DURATION_S * rate, 2) float64
-    array that export_clip cut: column 0 is the mixdown of the other
-    speakers, column 1 the interrupter. The header's layout is checked
-    before any sample is decoded. The audio code is imported here, so
-    that reading a manifest loads none."""
-    from .audio import SAMPLE_RATE, read_wav_data, read_wav_header
+def load_clip(record: ClipRecord, wav_path=None, out=None):
+    """Read a clip's stereo WAV into out, a C-contiguous
+    (CLIP_DURATION_S * rate, 2) float32 array (a new one when out is
+    None), and return it: the array export_clip cut, column 0 the
+    mixdown of the other speakers, column 1 the interrupter. The
+    header's layout is checked before any sample is read; the samples
+    are read with one readinto and checked as audio.read_wav_into does.
+    The audio code is imported here, so that reading a manifest loads
+    none."""
+    from .audio import SAMPLE_RATE, read_wav_header, read_wav_into
     from .overlap import CLIP_DURATION_S
 
     path = wav_path if wav_path is not None else record.wav_path
@@ -130,4 +133,4 @@ def load_clip(record: ClipRecord, wav_path=None):
     if layout.n_frames != expected:
         raise AudioError("%s: clip %s: channels must hold exactly %d samples"
                          % (path, record.clip_id, expected))
-    return read_wav_data(path)[1]
+    return read_wav_into(path, layout, out)

@@ -8,8 +8,10 @@ of prior silence, utterance at least 0.3 s, full clip window inside the
 meeting), each one array comparison over a channel's segment times,
 become candidates: detect returns the manifest.ClipRecord rows that
 extract writes, each naming CLIPS_DIR/<clip_id>.wav. export_clip cuts a
-row's (CLIP_DURATION_S * rate, 2) float64 clip, everyone else mixed into
-column 0 and the interrupter alone in column 1, the onset at 5 s.
+row's (CLIP_DURATION_S * rate, 2) float32 clip, the array its WAV
+stores, everyone else mixed into column 0 and the interrupter alone in
+column 1, the onset at 5 s. It writes both columns straight into a
+caller's array, so a loop over clips cuts every clip into one buffer.
 
 Channels are read one energy block, or one clip window, at a time, so
 a meeting of WavChannels is never held whole. A PCM16 WavChannel's
@@ -18,7 +20,8 @@ summed on the int16 samples that WavChannel.stored(start, stop) reads,
 without a float64 decode; the rule and why it gives the float64 path's
 bits are in the audio module's docstring. Other channels are read as
 float64 through window(start, stop), which a WavChannel also serves
-from stored.
+from stored; a clip's interrupter column is decoded by window straight
+into the clip.
 """
 from __future__ import annotations
 
@@ -207,21 +210,31 @@ def detect(meeting: MeetingAudio, segments_by_channel,
                            Counter({g: int(n) for g, n in zip(_GATES, counts) if n}))
 
 
-def export_clip(clip: ClipRecord, meeting: MeetingAudio) -> np.ndarray:
-    """Cut the stereo clip of one candidate row out of the meeting: a
-    (CLIP_DURATION_S * rate, 2) float64 array, the mixdown of the other
-    channels in column 0 and the interrupter, the channel whose
-    participant id is clip.interrupter_id, in column 1."""
+def export_clip(clip: ClipRecord, meeting: MeetingAudio,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Cut the stereo clip of one candidate row out of the meeting into
+    out, a (CLIP_DURATION_S * rate, 2) float32 array (a new one when out
+    is None), and return it: the mixdown of the other channels in column
+    0 and the interrupter, the channel whose participant id is
+    clip.interrupter_id, in column 1. These are the float32 samples the
+    clip's WAV stores."""
     rate = meeting.sample_rate
     start = round((clip.onset_s - ONSET_OFFSET_S) * rate)
     stop = start + int(CLIP_DURATION_S * rate)
     if start < 0 or stop > meeting.n_samples:
         raise AudioError("clip %s: window [%d, %d) out of bounds" % (clip.clip_id, start, stop))
+    if out is None:
+        out = np.empty((stop - start, 2), dtype=np.float32)
+    elif out.shape != (stop - start, 2) or out.dtype != np.float32:
+        raise ValueError("clip %s: a %s %s array cannot hold a (%d, 2) float32 clip"
+                         % (clip.clip_id, out.dtype, out.shape, stop - start))
 
     interrupter = next((ch for ch in meeting.channels
                         if ch.participant_id == clip.interrupter_id), None)
     if interrupter is None:
         raise ValueError("meeting %s has no participant %r" % (meeting.meeting_id, clip.interrupter_id))
     others = [ch for ch in meeting.channels if ch is not interrupter]
-    return np.stack([mixdown(others, start, stop), interrupter.window(start, stop)], axis=1)
+    mixdown(others, start, stop, out=out[:, 0])
+    interrupter.window(start, stop, out=out[:, 1])
+    return out
 

@@ -490,13 +490,13 @@ def test_extract_sums_pcm16_meetings_without_window(tmp_path, monkeypatch, float
         write_wav(path, read_wav_data(path)[1], encoding="float32")
     callers = []
     window = WavChannel.window
-    monkeypatch.setattr(WavChannel, "window", lambda self, start, stop: (
-        callers.append(sys._getframe(1).f_code.co_name), window(self, start, stop))[1])
+    monkeypatch.setattr(WavChannel, "window", lambda self, start, stop, out=None: (
+        callers.append(sys._getframe(1).f_code.co_name), window(self, start, stop, out))[1])
     assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 0
     n_clips = len(read_manifest(tmp_path / "o" / "manifest.jsonl"))
     assert n_clips == 3
     if float_channel is None:
-        # only each clip's interrupter column is decoded to float64
+        # only each clip's interrupter column is decoded, into the clip
         assert callers == ["export_clip"] * n_clips
     else:
         assert {"frame_energies_db", "mixdown", "export_clip"} == set(callers)
@@ -1140,6 +1140,43 @@ def test_featurize_clip_of_wrong_length_exits_3(tmp_path, capsys, seconds):
                     "--feature", "mfcc", "--out", tmp_path / "o"]) == 3
     assert str(wav) in capsys.readouterr().err
     assert not (tmp_path / "o" / "m0_bob_0025000.npy").exists()
+
+
+def _clip_corpus(directory, frames):
+    """One clip WAV holding frames, and its clip manifest."""
+    wav = directory / "clips" / "m0_bob_0025000.wav"
+    wav.parent.mkdir(parents=True)
+    write_wav(wav, frames)
+    write_manifest(directory / "manifest.jsonl",
+                   [ClipRecord("m0_bob_0025000", "m0", "bob", 25.0,
+                               os.path.join("clips", wav.name))])
+    return wav
+
+
+def test_featurize_of_a_clip_holding_a_nan_exits_3(tmp_path, capsys):
+    # write_wav refuses a NaN, so it is patched into the last 5 s that
+    # mfcc reads
+    frames = np.random.default_rng(12).uniform(-0.5, 0.5, (10 * SAMPLE_RATE, 2))
+    wav = _clip_corpus(tmp_path, frames.astype(np.float32))
+    with open(wav, "r+b") as fh:
+        fh.seek(-4 * 2 * SAMPLE_RATE, os.SEEK_END)
+        fh.write(np.float32(np.nan).tobytes())
+    capsys.readouterr()
+    assert run_cli(["featurize", "--manifest", tmp_path / "manifest.jsonl",
+                    "--feature", "mfcc", "--out", tmp_path / "o"]) == 3
+    assert capsys.readouterr().err == "error: %s: non-finite float samples\n" % wav
+    assert not (tmp_path / "o" / "m0_bob_0025000.npy").exists()
+
+
+def test_featurize_clips_samples_beyond_one(tmp_path):
+    frames = np.random.default_rng(13).uniform(-3.0, 3.0, (10 * SAMPLE_RATE, 2))
+    outs = []
+    for name, clip in (("loud", frames), ("clipped", np.clip(frames, -1.0, 1.0))):
+        _clip_corpus(tmp_path / name, clip.astype(np.float32))
+        assert run_cli(["featurize", "--manifest", tmp_path / name / "manifest.jsonl",
+                        "--feature", "mfcc", "--out", tmp_path / name / "o"]) == 0
+        outs.append((tmp_path / name / "o" / "m0_bob_0025000.npy").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_featurize_emb_copies_files_and_may_run_in_place(small_corpus, tmp_path):

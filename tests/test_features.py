@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from talkover import features
 from talkover.audio import SAMPLE_RATE
@@ -14,6 +15,36 @@ from talkover.features import (ANALYSIS_SAMPLES, MFCC_FRAMES, MFCC_HOP,
                                LayeredEmbedding, load_embeddings, load_matrix,
                                mel_filterbank, mfcc, spectrogram,
                                write_embeddings)
+
+
+# The framing and per-channel transforms that mfcc and spectrogram
+# replaced: a fancy-index gather of every frame from the padded channel,
+# and new arrays at every step. They are the oracles of the reused-buffer
+# path.
+def _frame(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Centered framing with zero padding; returns (n_frames, n_fft)."""
+    pad = n_fft // 2
+    padded = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
+    n_frames = len(x) // hop + 1
+    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+    return padded[idx]
+
+
+def _mfcc_mono(x: np.ndarray) -> np.ndarray:
+    frames = _frame(x, MFCC_N_FFT, MFCC_HOP) * features._MFCC_WINDOW
+    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    mel = power @ features._MEL_FB.T
+    logmel = np.log(mel + features._LOG_FLOOR)
+    return features._DCT @ logmel.T  # (n_coeff, n_frames)
+
+
+def _spectrogram_mono(x: np.ndarray) -> np.ndarray:
+    frames = _frame(x, SPEC_N_FFT, SPEC_HOP) * features._SPEC_WINDOW
+    return np.abs(np.fft.rfft(frames, axis=1)).T  # (bins, n_frames)
+
+
+def oracle_features(clip: np.ndarray, mono) -> np.ndarray:
+    return np.concatenate([mono(x) for x in clip[-ANALYSIS_SAMPLES:].T])
 
 
 def make_clip(seed=0, left=None, right=None):
@@ -87,8 +118,8 @@ def test_mfcc_matches_scipy_dct():
     scipy_fft = pytest.importorskip("scipy.fft")
 
     def oracle(samples):
-        frames = features._frame(samples[-ANALYSIS_SAMPLES:], MFCC_N_FFT,
-                                 MFCC_HOP) * features._MFCC_WINDOW
+        frames = _frame(samples[-ANALYSIS_SAMPLES:], MFCC_N_FFT,
+                        MFCC_HOP) * features._MFCC_WINDOW
         power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
         logmel = np.log(power @ features._MEL_FB.T + features._LOG_FLOOR)
         return scipy_fft.dct(logmel, type=2, norm="ortho", axis=1).T
@@ -99,6 +130,48 @@ def test_mfcc_matches_scipy_dct():
         expected = np.concatenate([oracle(clip[:, 0]), oracle(clip[:, 1])])
         got = mfcc(clip)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from([(MFCC_N_FFT, MFCC_HOP, "_MFCC_WINDOW"),
+                             (SPEC_N_FFT, SPEC_HOP, "_SPEC_WINDOW")]),
+       n=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1), f32=st.booleans())
+def test_row_framing_matches_the_gather(pair, n, seed, f32):
+    n_fft, hop, window = pair
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n).astype(
+        np.float32 if f32 else np.float64)
+    stft = features._Stft(n_fft, getattr(features, window), n)
+    want = _frame(x.astype(np.float64), n_fft, hop) * getattr(features, window)
+    for _ in range(2):  # the reused rows keep their zero padding
+        got = stft.frame(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert stft(x).tobytes() == np.fft.rfft(want, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_clip_gives_the_bytes_of_its_float64_widening(seed):
+    t = np.arange(160000) / SAMPLE_RATE
+    clip = make_clip(seed)
+    if seed == 2:  # a silent mixdown takes the log floor everywhere
+        clip = make_clip(left=np.zeros(160000), right=0.4 * np.sin(2 * np.pi * 440.0 * t))
+    clip32 = clip.astype(np.float32)
+    wide = clip32.astype(np.float64)
+    scratches = {mfcc: features.MfccScratch(), spectrogram: features.SpectrogramScratch()}
+    for extract, mono in ((mfcc, _mfcc_mono), (spectrogram, _spectrogram_mono)):
+        # in the array's own memory order, which np.save keeps
+        want = oracle_features(wide, mono).tobytes("A")
+        assert extract(clip32).tobytes("A") == want
+        assert extract(wide).tobytes("A") == want
+        # a scratch reused over other clips first gives the same bytes
+        extract(make_clip(seed + 10).astype(np.float32), scratches[extract])
+        assert extract(clip32, scratches[extract]).tobytes("A") == want
+
+
+def test_scratch_result_is_its_out():
+    scratch = features.MfccScratch()
+    first = mfcc(make_clip(1), scratch)
+    assert first is scratch.out
+    assert mfcc(make_clip(1)) is not mfcc(make_clip(1))
 
 
 def test_pure_tone_lands_in_its_fft_bin():

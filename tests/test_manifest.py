@@ -180,9 +180,22 @@ def test_load_clip_channel_roles(tmp_path):
 
     record = rec("m0_bob_0012500", wav_path=str(wav))
     clip = load_clip(record)
-    assert clip.shape == (160000, 2) and clip.dtype == np.float64
-    np.testing.assert_array_equal(clip[:, 0], frames[:, 0].astype(np.float64))
-    np.testing.assert_array_equal(clip[:, 1], frames[:, 1].astype(np.float64))
+    assert clip.shape == (160000, 2) and clip.dtype == np.float32
+    np.testing.assert_array_equal(clip[:, 0], frames[:, 0])
+    np.testing.assert_array_equal(clip[:, 1], frames[:, 1])
+
+
+def test_load_clip_reads_into_the_callers_buffer(tmp_path):
+    frames = np.random.default_rng(1).uniform(-0.5, 0.5, (160000, 2)).astype(np.float32)
+    wav = tmp_path / "clip.wav"
+    write_wav(wav, frames, 16000, encoding="float32")
+    buffer = np.empty((160000, 2), dtype=np.float32)
+    assert load_clip(rec("a", wav_path=str(wav)), out=buffer) is buffer
+    assert buffer.tobytes() == frames.tobytes()
+    for wrong in (np.empty((160000, 2)), np.empty((2, 160000), np.float32).T,
+                  np.empty((159999, 2), np.float32)):
+        with pytest.raises(ValueError, match="cannot hold"):
+            load_clip(rec("a", wav_path=str(wav)), out=wrong)
 
 
 @pytest.mark.parametrize("seconds", [9, 11])
@@ -215,14 +228,14 @@ def test_load_clip_rejects_wrong_layout(tmp_path):
 ])
 def test_load_clip_checks_the_header_before_decoding(tmp_path, monkeypatch, shape, rate, error):
     # a meeting-length WAV listed as a clip is refused from its header,
-    # before its samples are decoded to float64
+    # before any of its samples is read
     import talkover.audio
 
     wav = tmp_path / "long.wav"
     write_wav(wav, np.zeros(shape), rate, encoding="pcm16")
 
-    def no_decode(path):
-        raise AssertionError("read_wav_data called on %s" % path)
-    monkeypatch.setattr(talkover.audio, "read_wav_data", no_decode)
+    def no_decode(path, layout, out):
+        raise AssertionError("read_wav_into called on %s" % path)
+    monkeypatch.setattr(talkover.audio, "read_wav_into", no_decode)
     with pytest.raises(error):
         load_clip(rec("a", wav_path=str(wav)))

@@ -3,17 +3,25 @@ training and inference read each clip from its SIE1 or .npy file and
 pool it alone, and a training step keeps only its batch's float64 H
 and the pooled results. labels and kappa hold votes as code columns,
 not one object per vote. Each command runs in a child process, and its
-peak RSS is the ru_maxrss that os.wait4 reports for that child alone."""
+peak RSS is the ru_maxrss that os.wait4 reports for that child alone.
+Clips are cut, written, read and featurized in buffers allocated once,
+so what each clip allocates on top of them is traced in-process with
+tracemalloc, which sees numpy's array data."""
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from talkover.audio import SAMPLE_RATE, MeetingAudio, load_wav, write_wav
+from talkover.features import MfccScratch, SpectrogramScratch, mfcc, spectrogram
 from talkover.labels import VOTE_LABELS, VoteRecord, write_votes_csv
-from talkover.manifest import ClipRecord, write_manifest, write_split
+from talkover.manifest import ClipRecord, load_clip, write_manifest, write_split
+from talkover.overlap import CLIP_DURATION_S, export_clip
 from talkover.vocab import CLASSES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,6 +30,13 @@ MFCC_BATCH_MIB = 32 * 80 * 401 * 8 / 2 ** 20  # 32 MFCC-shaped f64 clips, 7.8 Mi
 # from 7,000 to 112,000 votes, labels --golden and kappa grew 34.6 and
 # 30.8 MiB with a VoteRecord per vote, and grow 8.0 and 6.1 MiB as columns
 VOTES_GROWTH_MIB = 18.0
+
+CLIP_ROWS = int(CLIP_DURATION_S * SAMPLE_RATE)
+F64_CLIP_BYTES = CLIP_ROWS * 2 * 8  # 2.56 MB
+# small blocks that numpy's and Python's caches keep from one clip to the
+# next, about 1 KiB over 8 clips; the smallest per-clip array, a PCM16
+# channel window, is 320 KB
+CACHED_BYTES = 16 * 1024
 
 # A child's ru_maxrss starts at its parent's peak RSS at spawn, which for
 # a test process can exceed the CLI's own peak. So a fresh small process
@@ -138,3 +153,72 @@ def test_labels_and_kappa_peak_rss_grows_slower_than_per_vote_objects(tmp_path):
         growth = peaks[command, 16000] - peaks[command, 1000]
         assert growth < VOTES_GROWTH_MIB, (
             "%s peak grew %.1f MiB from 7,000 to 112,000 votes" % (command, growth))
+
+
+def traced_peak(step, items):
+    """The tracemalloc peak, in bytes, of step over items."""
+    tracemalloc.start()
+    try:
+        for item in items:
+            step(item)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def pcm16_meeting(tmp_path, seconds=40.0):
+    rng = np.random.default_rng(8)
+    channels = []
+    for pid in ("a", "b", "c", "d"):
+        path = tmp_path / (pid + ".wav")
+        write_wav(path, rng.uniform(-0.4, 0.4, int(seconds * SAMPLE_RATE)), encoding="pcm16")
+        channels.append(load_wav(path, pid))
+    return MeetingAudio.from_channels(channels, "m")
+
+
+def clip_rows(meeting, n):
+    ids = [ch.participant_id for ch in meeting.channels]
+    return [ClipRecord("m_%d" % k, "m", ids[k % len(ids)], 5.0 + 3.0 * k, "m_%d.wav" % k)
+            for k in range(n)]
+
+
+def test_cutting_and_writing_clips_allocates_no_clip_per_clip(tmp_path):
+    meeting = pcm16_meeting(tmp_path)
+    clip = np.empty((CLIP_ROWS, 2), dtype=np.float32)
+
+    def cut(rec):
+        export_clip(rec, meeting, out=clip)
+        write_wav(tmp_path / rec.wav_path, clip, SAMPLE_RATE, "float32")
+
+    rows = clip_rows(meeting, 8)
+    cut(rows[0])
+    peaks = [traced_peak(cut, rows[:n]) for n in (2, 8)]
+    assert peaks[1] <= peaks[0] + CACHED_BYTES, (
+        "8 clips peaked at %d bytes, 2 at %d" % (peaks[1], peaks[0]))
+    assert peaks[1] < F64_CLIP_BYTES
+
+
+@pytest.mark.parametrize("extract, scratch",
+                         [(mfcc, MfccScratch), (spectrogram, SpectrogramScratch)])
+def test_reading_and_featurizing_clips_allocates_no_clip_per_clip(tmp_path, extract, scratch):
+    meeting = pcm16_meeting(tmp_path)
+    clip = np.empty((CLIP_ROWS, 2), dtype=np.float32)
+    rows = clip_rows(meeting, 8)
+    for rec in rows:
+        write_wav(tmp_path / rec.wav_path, export_clip(rec, meeting), SAMPLE_RATE, "float32")
+    scratch = scratch()
+
+    def featurize(rec):
+        extract(load_clip(rec, tmp_path / rec.wav_path, out=clip), scratch)
+
+    featurize(rows[0])
+    peaks = [traced_peak(featurize, rows[:n]) for n in (2, 8)]
+    assert peaks[1] <= peaks[0] + CACHED_BYTES, (
+        "8 clips peaked at %d bytes, 2 at %d" % (peaks[1], peaks[0]))
+    assert peaks[1] < F64_CLIP_BYTES
+
+
+def test_write_wav_writes_a_float32_clip_without_a_copy(tmp_path):
+    clip = np.random.default_rng(9).uniform(-1.0, 1.0, (CLIP_ROWS, 2)).astype(np.float32)
+    peak = traced_peak(lambda path: write_wav(path, clip), [tmp_path / "c.wav"])
+    assert peak < 0.1 * clip.nbytes, "write_wav allocated %d bytes" % peak

@@ -391,12 +391,13 @@ def test_export_clip_cuts_exact_window():
     (rec,) = detect(meeting, segments).candidates
     clip = export_clip(rec, meeting)
     n = int(CLIP_DURATION_S * SAMPLE_RATE)
-    assert clip.shape == (n, 2) and clip.dtype == np.float64
+    assert clip.shape == (n, 2) and clip.dtype == np.float32
     start = int((rec.onset_s - ONSET_OFFSET_S) * SAMPLE_RATE)
+    # the float32 samples the clip's WAV stores
     b = meeting.channels[1]
-    assert np.array_equal(clip[:, 1], b.samples[start:start + n])
+    assert np.array_equal(clip[:, 1], b.samples[start:start + n].astype(np.float32))
     a = meeting.channels[0]
-    assert np.array_equal(clip[:, 0], a.samples[start:start + n])
+    assert np.array_equal(clip[:, 0], a.samples[start:start + n].astype(np.float32))
 
 
 def test_export_clip_mixes_all_other_channels():
@@ -441,7 +442,8 @@ def test_export_clip_from_wavs_builds_no_audio_channel(tmp_path, monkeypatch):
                 if other is not ch:
                     total += AudioChannel(other.window(start, stop), SAMPLE_RATE, "w").samples
             want = np.stack([np.clip(total, -1.0, 1.0), ch.window(start, stop)], axis=1)
-            assert clip.tobytes() == want.tobytes()
+            # as the float32 WAV stores it
+            assert clip.tobytes() == want.astype(np.float32).tobytes()
             built.clear()
 
 
@@ -457,6 +459,18 @@ def test_export_clip_names_an_interrupter_the_meeting_lacks():
     with pytest.raises(ValueError, match="meeting m has no participant 'zed'"):
         export_clip(ClipRecord("m_zed_0025000", "m", "zed", 25.0, "m_zed_0025000.wav"),
                     meeting)
+
+
+def test_export_clip_cuts_into_the_callers_buffer():
+    meeting = make_meeting_with_tone()
+    (rec,) = detect(meeting, [segs((20.0, 40.0)), segs((25.0, 26.0))]).candidates
+    n = int(CLIP_DURATION_S * SAMPLE_RATE)
+    buffer = np.full((n, 2), np.nan, dtype=np.float32)
+    assert export_clip(rec, meeting, out=buffer) is buffer
+    assert buffer.tobytes() == export_clip(rec, meeting).tobytes()
+    for wrong in (np.empty((n, 2)), np.empty((n - 1, 2), np.float32)):
+        with pytest.raises(ValueError, match="cannot hold"):
+            export_clip(rec, meeting, out=wrong)
 
 
 def test_export_clip_rejects_out_of_bounds():
