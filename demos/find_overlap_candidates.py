@@ -26,7 +26,8 @@ def floor_outcome(clip, params):
                    for col, name in ((1, "interrupter"), (0, "mix")))
     solo = np.concatenate(([False], right & ~left, [False]))
     runs = np.flatnonzero(np.diff(solo)).reshape(-1, 2)
-    overtake = (runs[:, 1] - runs[:, 0] >= round(1.5 / params.frame_s)).any()
+    frame_s = params.frame_samples(SAMPLE_RATE) / SAMPLE_RATE
+    overtake = (runs[:, 1] - runs[:, 0] >= round(1.5 / frame_s)).any()
     return "overtake" if overtake else "no_overtake"
 
 

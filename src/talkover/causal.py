@@ -96,49 +96,42 @@ def filter_eligible(telemetry):
     return kept, len(telemetry) - len(kept)
 
 
-def _feature_names(telemetry):
-    return BASE_NUMERIC + tuple(telemetry.extras) + BASE_BOOLEAN
+def _confounders(telemetry):
+    """The confounder names and their (n, k) float64 matrix, the
+    transpose of one row per name."""
+    names = BASE_NUMERIC + tuple(telemetry.extras) + BASE_BOOLEAN
+    return names, np.stack([telemetry.column(name) for name in names]).T
 
 
-def _raw_matrix(telemetry, names):
-    return np.stack([telemetry.column(name) for name in names]).T  # (n, k)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsModel:
     """Logistic model over standardized confounders.
 
     Numeric columns are z-scored with the stored means/stds; boolean
     columns pass through as 0/1 (their stored mean/std are 0/1).
     Constant columns are dropped from the fit and keep coefficient 0.
-    coefficients[0] is the intercept.
+    means, stds and coefficients are float64 arrays; coefficients[0] is
+    the intercept.
     """
 
     feature_names: tuple
-    means: tuple
-    stds: tuple
-    coefficients: tuple
+    means: np.ndarray
+    stds: np.ndarray
+    coefficients: np.ndarray
     dropped: tuple
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.coefficients)):
-            raise CausalError("non-finite propensity coefficients")
 
 
 def _standardize(raw, names):
     """Column means and spreads that z-score the numeric columns of raw;
     boolean columns get mean 0 and spread 1, so they pass through."""
-    means = np.zeros(raw.shape[1])
-    stds = np.ones(raw.shape[1])
-    for j, name in enumerate(names):
-        if name not in BASE_BOOLEAN:
-            with np.errstate(over="ignore", invalid="ignore"):
-                means[j] = raw[:, j].mean()
-                stds[j] = raw[:, j].std()
-            if not (np.isfinite(means[j]) and np.isfinite(stds[j])):
-                raise CausalError("column %r has a non-finite mean or spread" % name)
-            if stds[j] == 0.0:
-                stds[j] = 1.0  # constant column; zeroed by centering
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, stds = raw.mean(axis=0), raw.std(axis=0)
+    boolean = np.isin(names, BASE_BOOLEAN)
+    means[boolean], stds[boolean] = 0.0, 1.0
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        raise CausalError("column %r has a non-finite mean or spread" % names[np.argmax(bad)])
+    stds[stds == 0.0] = 1.0  # constant column; zeroed by centering
     return means, stds
 
 
@@ -201,26 +194,25 @@ def fit_propensity(telemetry) -> PsModel:
     standardized on these records, by Newton/IRLS from zero."""
     if len(telemetry) < 2:
         raise CausalError("need at least 2 records to fit a propensity model")
-    names = _feature_names(telemetry)
-    raw = _raw_matrix(telemetry, names)
+    names, raw = _confounders(telemetry)
     means, stds = _standardize(raw, names)
     XT = _design(raw, means, stds)
     live = _live_rows(XT)
     coefs = np.zeros(len(live))
     coefs[live] = _newton(XT[live], telemetry.column("vrh_used"), coefs[live])
     dropped = tuple(name for name, keep in zip(names, live[1:]) if not keep)
-    return PsModel(names, tuple(means), tuple(stds), tuple(coefs), dropped)
+    return PsModel(names, means, stds, coefs, dropped)
 
 
 def predict_ps(model: PsModel, telemetry) -> np.ndarray:
     """Propensity scores in (0,1) for each meeting, in order."""
-    names = _feature_names(telemetry)
+    names, raw = _confounders(telemetry)
     if names != model.feature_names:
         raise CausalError(
             "records carry confounders %s but the model was fit on %s"
             % (list(names), list(model.feature_names)))
-    Z = (_raw_matrix(telemetry, names) - model.means) / model.stds
-    beta = np.asarray(model.coefficients)
+    Z = (raw - model.means) / model.stds
+    beta = model.coefficients
     return _sigmoid(beta[0] + Z @ beta[1:])
 
 
@@ -296,8 +288,7 @@ def balance_report(telemetry, assignment) -> dict:
     bin-size-weighted mean of the within-bin SMDs.
     """
     labels, counts, _, _ = _strata(telemetry, assignment)
-    names = _feature_names(telemetry)
-    raw = _raw_matrix(telemetry, names)
+    names, raw = _confounders(telemetry)
     treated = telemetry.vrh_used
     assignment = np.asarray(assignment)
 
@@ -394,8 +385,8 @@ def bootstrap_ci(telemetry, model: PsModel, n_bins: int = 5, n_boot: int = 200,
     non-finite coefficients, too few meetings for n_bins, or no stratum
     holding both arms."""
     n = len(telemetry)
-    XT = _design(_raw_matrix(telemetry, model.feature_names), model.means, model.stds)
-    start = np.asarray(model.coefficients)
+    XT = _design(_confounders(telemetry)[1], model.means, model.stds)
+    start = model.coefficients
     y = telemetry.column("vrh_used")
     treated = telemetry.vrh_used
     outcome = telemetry.column("predicted_inclusive")
@@ -458,9 +449,8 @@ def run_impact(telemetry, n_bins: int = 5, bootstrap: bool = False,
         "n_bins": n_bins,
         "propensity": {
             "feature_names": list(model.feature_names),
-            "coefficients": {"intercept": model.coefficients[0],
-                             **{n: c for n, c in zip(model.feature_names,
-                                                     model.coefficients[1:])}},
+            "coefficients": dict(zip(("intercept",) + model.feature_names,
+                                     model.coefficients.tolist())),
             "dropped_constant_columns": list(model.dropped),
         },
         "delta": estimate.delta,

@@ -21,6 +21,7 @@ import math
 import os
 import shutil
 import sys
+from collections import Counter
 
 from .errors import LabelError, ManifestError, TalkoverError
 from .textio import read_json, write_csv, write_json, write_jsonl
@@ -81,7 +82,7 @@ def _read_meetings_manifest(path):
     return meetings, base
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> None:
     from .audio import MeetingAudio, load_wav, write_wav
     from .manifest import write_manifest
     from .overlap import CLIPS_DIR, VadParams, detect, export_clip, vad
@@ -91,7 +92,7 @@ def cmd_extract(args) -> int:
     params = VadParams(energy_threshold_db=args.energy_threshold)
 
     records = {}  # clip id -> its ClipRecord
-    totals = {}
+    totals = Counter()
     clip = None  # the one array every clip is cut into, from the first on
     for m in meetings:
         channels = [load_wav(os.path.join(base, ch["wav_path"]), ch["participant_id"])
@@ -101,8 +102,7 @@ def cmd_extract(args) -> int:
         result = detect(meeting, segments,
                         min_presilence_s=args.min_presilence,
                         min_utterance_s=args.min_utterance)
-        for reason, count in result.rejections.items():
-            totals[reason] = totals.get(reason, 0) + count
+        totals.update(result.rejections)
         for rec in result.candidates:
             # meeting a_b's c and meeting a's b_c can make the same id
             if rec.clip_id in records:
@@ -117,7 +117,6 @@ def cmd_extract(args) -> int:
     print("candidates: %d" % len(records))
     for reason in sorted(totals):
         print("rejected %s: %d" % (reason, totals[reason]))
-    return EXIT_OK
 
 
 # -------------------------------------------------------------- featurize
@@ -128,7 +127,7 @@ def _embedding_path(wav_path: str) -> str:
     return os.path.splitext(wav_path)[0] + ".sie"
 
 
-def cmd_featurize(args) -> int:
+def cmd_featurize(args) -> None:
     import numpy as np
 
     from .features import (PROFILES, MfccScratch, SpectrogramScratch, load_embeddings, mfcc,
@@ -161,15 +160,14 @@ def cmd_featurize(args) -> int:
 
     write_json(os.path.join(args.out, "shapes.json"), shapes)
     print("wrote %d %s feature files" % (len(records), args.feature))
-    return EXIT_OK
 
 
 # ------------------------------------------------------------ train / eval
 
-def _read_splits(args, names, missing_ok):
+def _read_splits(args, names, optional=()):
     """(clip ids, checked feature handles, CLASSES indices) of each named
     split, in file order; the manifest and split file are read once. A
-    name the file lacks raises ManifestError, or is empty when missing_ok."""
+    name the file lacks raises ManifestError, unless optional holds it."""
     from .features import PROFILES, load_embeddings, load_matrix
     from .manifest import read_manifest, read_split
     from .vocab import CLASSES
@@ -179,7 +177,7 @@ def _read_splits(args, names, missing_ok):
     profile = PROFILES[args.profile]
     loaded = []
     for name in names:
-        if name not in split and not missing_ok:
+        if name not in split and name not in optional:
             raise ManifestError("split file has no %r entry" % name)
         clip_ids = split.get(name, [])
         feats, labels = [], []
@@ -198,12 +196,12 @@ def _read_splits(args, names, missing_ok):
     return loaded
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     from . import model as model_mod
 
     # an empty or missing val split trains without validation
     train_set, val_set = (list(zip(feats, labels)) for _, feats, labels in
-                          _read_splits(args, ["train", "val"], missing_ok=True))
+                          _read_splits(args, ["train", "val"], optional=["val"]))
 
     for run in range(args.runs):
         seed = args.seed + run
@@ -218,10 +216,8 @@ def cmd_train(args) -> int:
         print("run %d: %d epochs, final train loss %.4f"
               % (run, result.stopped_epoch, result.train_loss[-1]))
 
-    return EXIT_OK
 
-
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     import numpy as np
 
     from . import metrics, model as model_mod
@@ -233,7 +229,7 @@ def cmd_eval(args) -> int:
     names = [args.split_name]
     if args.threshold is None and args.calibration_split:
         names.append(args.calibration_split)
-    scored, *calibration = _read_splits(args, names, missing_ok=False)
+    scored, *calibration = _read_splits(args, names)
 
     positive = "failed_interruption"
     rows = []
@@ -276,12 +272,10 @@ def cmd_eval(args) -> int:
     if len(rows) > 1:
         print("mean auc=%.4f tpr=%.4f" % (arr[:, 0].mean(), arr[:, 1].mean()))
 
-    return EXIT_OK
-
 
 # ---------------------------------------------------------- labels / kappa
 
-def cmd_labels(args) -> int:
+def cmd_labels(args) -> None:
     from . import labels as labels_mod
 
     votes = labels_mod.read_votes_csv(args.votes)
@@ -311,9 +305,7 @@ def cmd_labels(args) -> int:
     write_jsonl(os.path.join(args.out, "consensus.jsonl"), map(consensus, results))
 
     accepted = [r for r in results if r.accepted]
-    per_label = {}
-    for r in accepted:
-        per_label[r.label] = per_label.get(r.label, 0) + 1
+    per_label = Counter(r.label for r in accepted)
     summary = {"clips": len(results), "accepted": len(accepted),
                "rejected": len(results) - len(accepted), "per_label": per_label}
     write_json(os.path.join(args.out, "summary.json"), summary)
@@ -322,10 +314,9 @@ def cmd_labels(args) -> int:
         write_json(os.path.join(args.out, "annotator_accuracy.json"), accuracy)
 
     print("accepted %d of %d clips" % (len(accepted), len(results)))
-    return EXIT_OK
 
 
-def cmd_kappa(args) -> int:
+def cmd_kappa(args) -> None:
     from . import labels as labels_mod
 
     votes = labels_mod.read_votes_csv(args.votes)
@@ -336,12 +327,11 @@ def cmd_kappa(args) -> int:
                 "ratings_per_clip": int(table.sum(axis=1)[0]),
                 "categories": list(labels_mod.VOTE_LABELS)})
     print("kappa=%.6f over %d clips" % (kappa, len(clip_ids)))
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------- impact
 
-def cmd_impact(args) -> int:
+def cmd_impact(args) -> None:
     from . import causal
 
     telemetry = causal.read_telemetry_csv(args.telemetry)
@@ -353,12 +343,11 @@ def cmd_impact(args) -> int:
     print("delta=%+.2f points, 95%% CI (%.2f, %.2f), naive %+.2f"
           % (100 * report["delta"], 100 * report["ci95"][0],
              100 * report["ci95"][1], 100 * report["naive_delta"]))
-    return EXIT_OK
 
 
 # ----------------------------------------------------------- gen-fixtures
 
-def cmd_gen_fixtures(args) -> int:
+def cmd_gen_fixtures(args) -> None:
     from . import synth
 
     paths = synth.write_all_fixtures(args.out, seed=args.seed,
@@ -366,7 +355,6 @@ def cmd_gen_fixtures(args) -> int:
                                      telemetry_n=args.telemetry_n)
     for name in sorted(paths):
         print("%s: %s" % (name, paths[name]))
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
@@ -466,12 +454,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
-        code = args.func(args)
-        if code == EXIT_OK:
-            echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-            write_json(os.path.join(args.out, "config.json"),
-                       {"command": args.command, "arguments": echo})
-        return code
+        args.func(args)
+        echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+        write_json(os.path.join(args.out, "config.json"),
+                   {"command": args.command, "arguments": echo})
+        return EXIT_OK
     except TalkoverError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code

@@ -84,14 +84,8 @@ class Votes:
                 raise LabelError("%sexpected 3 columns" % where()) from None
             except KeyError:
                 raise LabelError("%sunknown vote label %r" % (where(), lab)) from None
-            code = clip_code.get(c)
-            if code is None:
-                code = clip_code[c] = len(clip_code)
-            clip.append(code)
-            code = annotator_code.get(a)
-            if code is None:
-                code = annotator_code[a] = len(annotator_code)
-            annotator.append(code)
+            clip.append(clip_code.setdefault(c, len(clip_code)))
+            annotator.append(annotator_code.setdefault(a, len(annotator_code)))
         clip, clip_ids = _in_sorted_order(clip, clip_code)
         annotator, annotator_ids = _in_sorted_order(annotator, annotator_code)
         pairs = np.sort(clip * len(annotator_ids) + annotator)

@@ -7,6 +7,7 @@ identical inputs always serialize to identical bytes.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .errors import AudioError, ChannelLayoutError, ManifestError, SampleRateError
@@ -106,6 +107,11 @@ def read_split(path) -> dict:
     if not isinstance(split, dict) or not all(
             isinstance(v, list) and all(isinstance(c, str) for c in v) for v in split.values()):
         raise ManifestError("%s: split file must map names to lists of clip id strings" % path)
+    for name, clip_ids in split.items():
+        twice = [c for c, n in Counter(clip_ids).items() if n > 1]
+        if twice:
+            raise ManifestError("%s: split %r lists clip %s more than once"
+                                % (path, name, twice[0]))
     return split
 
 

@@ -64,10 +64,6 @@ class VadParams:
     def frame_samples(self, sample_rate: int) -> int:
         return sample_rate * VAD_FRAME_MS // 1000
 
-    @property
-    def frame_s(self) -> float:
-        return VAD_FRAME_MS / 1000.0
-
 
 def frame_energies_db(channel, frame_len: int) -> np.ndarray:
     """Per-frame RMS energy in dBFS; trailing partial frame is dropped.
@@ -135,7 +131,8 @@ def vad(channel, params: VadParams = VadParams()) -> np.ndarray:
     """
     runs = _runs(activity_frames(channel, params))
     keep = runs[:, 1] - runs[:, 0] >= MIN_SEGMENT_MS / VAD_FRAME_MS
-    return runs[keep] * params.frame_s
+    rate = channel.sample_rate
+    return runs[keep] * (params.frame_samples(rate) / rate)
 
 
 @dataclass(frozen=True)

@@ -216,15 +216,10 @@ def write_telemetry_fixture(out_dir, n: int = 50000, seed: int = 0,
 def write_all_fixtures(out_dir, seed: int = 0, profile_name: str = "tiny",
                        telemetry_n: int = 50000) -> dict:
     """Everything gen-fixtures produces, in fixed subdirectories."""
-    paths = {}
-    paths["meetings"] = write_meeting_fixture(os.path.join(out_dir, "audio"), seed)
-    m, s = write_embedding_corpus(os.path.join(out_dir, "embeddings"), seed, profile_name)
-    paths["embedding_manifest"] = m
-    paths["embedding_split"] = s
-    v, g = write_votes_fixture(os.path.join(out_dir, "votes"), seed)
-    paths["votes"] = v
-    paths["golden"] = g
-    t, tr = write_telemetry_fixture(os.path.join(out_dir, "telemetry"), telemetry_n, seed)
-    paths["telemetry"] = t
-    paths["telemetry_truth"] = tr
+    paths = {"meetings": write_meeting_fixture(os.path.join(out_dir, "audio"), seed)}
+    paths["embedding_manifest"], paths["embedding_split"] = write_embedding_corpus(
+        os.path.join(out_dir, "embeddings"), seed, profile_name)
+    paths["votes"], paths["golden"] = write_votes_fixture(os.path.join(out_dir, "votes"), seed)
+    paths["telemetry"], paths["telemetry_truth"] = write_telemetry_fixture(
+        os.path.join(out_dir, "telemetry"), telemetry_n, seed)
     return paths

@@ -7,11 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import run_cli, same_telemetry
-from talkover.causal import (MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
-                             Telemetry, _bins, _feature_names, _percentile, _raw_matrix,
-                             _sigmoid, _smd, balance_report, bootstrap_ci, estimate_impact,
+from talkover.causal import (BASE_BOOLEAN, MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
+                             Telemetry, _bins, _confounders, _percentile, _sigmoid, _smd,
+                             _standardize, balance_report, bootstrap_ci, estimate_impact,
                              filter_eligible, fit_propensity, naive_difference,
                              predict_ps, read_telemetry_csv, run_impact, stratify,
                              write_telemetry_csv)
@@ -345,8 +346,7 @@ def test_estimate_length_mismatch():
 
 def loop_balance_report(telemetry, assignment):
     """balance_report as one boolean mask per stratum, for an oracle."""
-    names = _feature_names(telemetry)
-    raw = _raw_matrix(telemetry, names)
+    names, raw = _confounders(telemetry)
     treated = telemetry.vrh_used
     per_bin, weights = {}, {}
     for b in sorted(set(assignment.tolist())):
@@ -679,6 +679,71 @@ def test_telemetry_csv_rejects_repeated_meeting_id(tmp_path):
         read_telemetry_csv(path)
     path.write_text(GOOD_HEADER + "\n" + "\n".join(rows[:3]) + "\n")
     assert len(read_telemetry_csv(path)) == 3
+
+
+def loop_standardize(raw, names):
+    """_standardize as one column at a time, for an oracle."""
+    means = np.zeros(raw.shape[1])
+    stds = np.ones(raw.shape[1])
+    for j, name in enumerate(names):
+        if name not in BASE_BOOLEAN:
+            with np.errstate(over="ignore", invalid="ignore"):
+                means[j] = raw[:, j].mean()
+                stds[j] = raw[:, j].std()
+            if not (np.isfinite(means[j]) and np.isfinite(stds[j])):
+                raise CausalError("column %r has a non-finite mean or spread" % name)
+            if stds[j] == 0.0:
+                stds[j] = 1.0
+    return means, stds
+
+
+def assert_standardizes_as_the_loop(telemetry):
+    names, raw = _confounders(telemetry)
+    try:
+        expected = loop_standardize(raw, names)
+    except CausalError as exc:
+        with pytest.raises(CausalError) as info:
+            _standardize(raw, names)
+        assert str(info.value) == str(exc)
+        return
+    means, stds = _standardize(raw, names)
+    assert means.tobytes() == expected[0].tobytes()
+    assert stds.tobytes() == expected[1].tobytes()
+    boolean = [name in BASE_BOOLEAN for name in names]
+    assert means[boolean].tolist() == [0.0, 0.0] and stds[boolean].tolist() == [1.0, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_standardize_matches_the_column_loop_bit_for_bit(data):
+    n = data.draw(st.integers(1, 400), label="meetings")
+    flags = [data.draw(hnp.arrays(bool, n), label=name) for name in TELEMETRY_COLUMNS[3:]]
+    extras = {}
+    for name in data.draw(st.lists(st.sampled_from(["a", "speech_share", "z"]),
+                                   max_size=3, unique=True), label="extras"):
+        scale = data.draw(st.sampled_from([1e-300, 1.0, 1e6, 1e150, 1e306]), label=name)
+        if data.draw(st.booleans(), label=name + " constant"):
+            extras[name] = np.full(n, data.draw(st.floats(-1.0, 1.0)) * scale)
+        else:
+            extras[name] = data.draw(hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)),
+                                     label=name) * scale
+    telemetry = Telemetry(
+        ["m%d" % i for i in range(n)],
+        data.draw(hnp.arrays(np.int64, n, elements=st.integers(2, 10**6)), label="size"),
+        data.draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e4)), label="duration"),
+        *flags, extras=extras)
+    assert_standardizes_as_the_loop(telemetry)
+
+
+def test_standardize_names_the_first_column_that_overflows():
+    rng = np.random.default_rng(3)
+    huge = np.array([1.7e308, 1.7e308, -1.7e308, 1.7e308])
+    telemetry = table([record(i, vrh=bool(i % 2)) for i in range(4)])
+    telemetry = dataclasses.replace(telemetry, extras={"a": rng.normal(size=4), "b": huge,
+                                                       "c": huge})
+    assert_standardizes_as_the_loop(telemetry)
+    with pytest.raises(CausalError, match="^column 'b' has a non-finite mean or spread$"):
+        fit_propensity(telemetry)
 
 
 @pytest.mark.parametrize("duration", ["inf", "1e308"])

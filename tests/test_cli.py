@@ -1070,6 +1070,29 @@ def test_unknown_split_name_exits_9(fixtures_dir, model_dir, tmp_path):
     assert code == 9
 
 
+@pytest.mark.parametrize("edit, err", [
+    ("no train", "error: split file has no 'train' entry\n"),
+    ("train twice", "lists clip %s more than once\n"),
+])
+def test_train_without_a_list_of_distinct_train_clips_exits_9(fixtures_dir, tmp_path,
+                                                              capsys, edit, err):
+    emb = fixtures_dir / "embeddings"
+    split = read_split(emb / "split.json")
+    if edit == "no train":
+        del split["train"]
+    else:
+        split["train"].append(split["train"][0])
+        err %= split["train"][0]
+    write_split(tmp_path / "split.json", split)
+    capsys.readouterr()
+    assert run_cli(["train", "--manifest", emb / "manifest.jsonl",
+                    "--split", tmp_path / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny", "--epochs", 1,
+                    "--out", tmp_path / "o"]) == 9
+    assert capsys.readouterr().err.endswith(err)
+    assert os.listdir(tmp_path / "o") == []
+
+
 def test_split_without_negatives_exits_6(fixtures_dir, model_dir, tmp_path, capsys):
     emb = fixtures_dir / "embeddings"
     labels = {r.clip_id: r.label for r in read_manifest(emb / "manifest.jsonl")}

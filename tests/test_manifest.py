@@ -155,6 +155,14 @@ def test_read_split_rejects_non_mapping(tmp_path):
         read_split(path)
 
 
+def test_read_split_rejects_a_list_naming_a_clip_twice(tmp_path):
+    path = tmp_path / "split.json"
+    write_split(path, {"train": ["a", "b"], "test": ["d", "c", "d", "c"]})
+    with pytest.raises(ManifestError) as info:
+        read_split(path)
+    assert str(info.value) == "%s: split 'test' lists clip c more than once" % path
+
+
 @pytest.mark.parametrize("blob", [b'{"train": ["a"', b'{"train": ["a\xff"]}'],
                          ids=["truncated", "non-UTF-8"])
 def test_read_split_rejects_unparseable_files(tmp_path, blob):

@@ -179,8 +179,22 @@ def test_vad_finds_engineered_bursts():
     segments = vad(ch, PARAMS)
     assert len(segments) == 2
     for seg, (start, end) in zip(segments, [(1.0, 2.0), (5.0, 6.5)]):
-        assert abs(seg[0] - start) <= PARAMS.frame_s
-        assert abs(seg[1] - end) <= PARAMS.frame_s
+        assert abs(seg[0] - start) <= PARAMS.frame_samples(SAMPLE_RATE) / SAMPLE_RATE
+        assert abs(seg[1] - end) <= PARAMS.frame_samples(SAMPLE_RATE) / SAMPLE_RATE
+
+
+def test_vad_times_frames_by_their_real_length():
+    # at 11025 Hz a frame is 220 samples, 19.95 ms; counting 20 ms a
+    # frame put this burst at [100.22, 101.24)
+    rate = 11025
+    t = np.arange(111 * rate) / rate
+    samples = np.where((t >= 100) & (t < 101), 0.2 * np.sin(2 * np.pi * 440 * t), 0.0)
+    segments = vad(AudioChannel(samples, rate, "p"), PARAMS)
+    frame_s = PARAMS.frame_samples(rate) / rate
+    assert segments.shape == (1, 2)
+    assert abs(segments[0, 0] - 100) <= frame_s and abs(segments[0, 1] - 101) <= frame_s
+    # where a frame is 20 ms, its length is the double 0.02, as before
+    assert all(PARAMS.frame_samples(r) / r == 0.02 for r in (8000, 16000, 22050, 44100))
 
 
 def test_vad_merges_gaps_up_to_hangover():

@@ -156,3 +156,38 @@ def test_the_guard_sees_each_text_open_without_utf8():
                      "open(path, 'w', encoding='utf-8', newline='')\n"
                      "open(path, encoding='utf-8')\n")
     assert _text_opens_without_utf8(tree) == [1, 2, 3, 4, 5]
+
+
+def _command_returns(tree):
+    """(line, name) of each return with a value in the body of a
+    top-level cmd_* function; functions nested in it may return."""
+    def own_returns(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Return) and child.value is not None:
+                yield child.lineno
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield from own_returns(child)
+    return [(line, node.name) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+            for line in own_returns(node)]
+
+
+def test_commands_return_nothing_so_main_owns_the_exit_code():
+    """A command succeeds by returning and fails by raising; only main
+    turns either into an exit code."""
+    assert _command_returns(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def test_the_guard_sees_a_command_returning_a_value():
+    tree = ast.parse("def cmd_a(args):\n    def score(x):\n        return x\n    return\n"
+                     "def cmd_b(args):\n    if args:\n        return 0\n"
+                     "def helper():\n    return 1\n")
+    assert _command_returns(tree) == [(7, "cmd_b")]
+    # a copy of cli.py whose every command ends in `return 0`
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 8
+    for node in commands:
+        node.body.append(ast.Return(ast.Constant(0), lineno=node.end_lineno + 1))
+    assert _command_returns(tree) == [(node.end_lineno + 1, node.name) for node in commands]
