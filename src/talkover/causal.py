@@ -205,15 +205,16 @@ def fit_propensity(telemetry) -> PsModel:
 
 
 def predict_ps(model: PsModel, telemetry) -> np.ndarray:
-    """Propensity scores in (0,1) for each meeting, in order."""
+    """Propensity scores in (0,1) for each meeting, in order; on the
+    fit's own records, the propensities it converged on, bit for bit."""
     names, raw = _confounders(telemetry)
     if names != model.feature_names:
         raise CausalError(
             "records carry confounders %s but the model was fit on %s"
             % (list(names), list(model.feature_names)))
-    Z = (raw - model.means) / model.stds
-    beta = model.coefficients
-    return _sigmoid(beta[0] + Z @ beta[1:])
+    live = np.array([True] + [name not in model.dropped for name in names])
+    XT = _design(raw, model.means, model.stds)[live]
+    return _sigmoid(model.coefficients[live] @ XT)
 
 
 def stratify(telemetry, model: PsModel, n_bins: int = 5) -> np.ndarray:

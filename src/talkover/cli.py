@@ -21,6 +21,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from collections import Counter
 
 from .errors import LabelError, ManifestError, TalkoverError
@@ -243,14 +244,13 @@ def cmd_eval(args) -> None:
         if tau is None:
             calib = score(net, *calibration[0]) if calibration else samples
             _, tau = metrics.tpr_at_fpr(calib, positive, args.fpr_target)
-        tpr, fpr = metrics.tpr_fpr_at_threshold(samples, positive, tau)
 
         confusion = metrics.thresholded_confusion(samples, tau, positive)
+        report = metrics.per_class_report(confusion)
+        tpr, fpr = report[positive]["recall"], report[positive]["fpr"]
         metrics.write_confusion_csv(
             os.path.join(args.out, "confusion_r%d.csv" % run), confusion)
-        metrics.write_report_csv(
-            os.path.join(args.out, "report_r%d.csv" % run),
-            metrics.per_class_report(confusion))
+        metrics.write_report_csv(os.path.join(args.out, "report_r%d.csv" % run), report)
         metrics.write_roc_csv(
             os.path.join(args.out, "roc_r%d.csv" % run),
             metrics.roc_points(samples, positive))
@@ -452,19 +452,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        args.func(args)
-        echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-        write_json(os.path.join(args.out, "config.json"),
-                   {"command": args.command, "arguments": echo})
-        return EXIT_OK
-    except TalkoverError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        # the program's warnings print once per place, each as one line
+        warnings.filterwarnings("default", category=UserWarning, module="talkover")
+        warnings.showwarning = lambda message, *_: print("warning: %s" % message,
+                                                         file=sys.stderr)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            args.func(args)
+            echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+            write_json(os.path.join(args.out, "config.json"),
+                       {"command": args.command, "arguments": echo})
+            return EXIT_OK
+        except TalkoverError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -241,6 +241,7 @@ class MfccScratch:
         self.stft = _Stft(MFCC_N_FFT, _MFCC_WINDOW)
         self.power = np.empty(self.stft.spectrum.shape)
         self.mel = np.empty((MFCC_FRAMES, MFCC_N_COEFF))
+        self.cepstra = np.empty((MFCC_FRAMES, MFCC_N_COEFF))
         self.out = np.empty((2 * MFCC_N_COEFF, MFCC_FRAMES))
 
 
@@ -269,7 +270,8 @@ def mfcc(clip: np.ndarray, scratch: MfccScratch | None = None) -> np.ndarray:
         np.square(power, out=power)
         mel = np.matmul(power, _MEL_FB.T, out=s.mel)
         np.log(np.add(mel, _LOG_FLOOR, out=mel), out=mel)
-        np.matmul(_DCT, mel.T, out=s.out[c * MFCC_N_COEFF:(c + 1) * MFCC_N_COEFF])
+        # frames by coefficients: unlike _DCT @ mel.T, the same bytes at 1 and 2 BLAS threads
+        s.out[c * MFCC_N_COEFF:(c + 1) * MFCC_N_COEFF] = np.matmul(mel, _DCT.T, out=s.cepstra).T
     return s.out
 
 

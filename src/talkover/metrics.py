@@ -62,20 +62,6 @@ def _scores_and_truth(samples: Scores, positive_class: str):
     return samples.probs[:, idx], samples.labels == idx, idx
 
 
-def _argmax_is(samples: Scores, idx: int) -> np.ndarray:
-    """Whether each sample's most probable class is CLASSES[idx]."""
-    return np.argmax(samples.probs, axis=1) == idx
-
-
-def _rates(emitted: np.ndarray, truth: np.ndarray):
-    """(TPR, FPR) of the emitted mask against the truth mask."""
-    n_pos = int(truth.sum())
-    n_neg = len(truth) - n_pos
-    tpr = float((emitted & truth).sum()) / n_pos if n_pos else 0.0
-    fpr = float((emitted & ~truth).sum()) / n_neg if n_neg else 0.0
-    return tpr, fpr
-
-
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of x; each run of tied values gets the mean of the
     ranks it spans."""
@@ -124,7 +110,7 @@ def tpr_at_fpr(samples, positive_class: str, target_fpr: float = 0.01):
             "only %d negatives for a %.4g FPR target; the realized FPR is "
             "coarse" % (n_neg, target_fpr), stacklevel=2)
 
-    argmax_is_pos = _argmax_is(samples, idx)
+    argmax_is_pos = np.argmax(samples.probs, axis=1) == idx
     # False positives at threshold u are the emitted negatives scoring
     # >= u; that count only falls as u rises, so the feasible thresholds
     # form an upper run of the sorted distinct scores.
@@ -135,15 +121,8 @@ def tpr_at_fpr(samples, positive_class: str, target_fpr: float = 0.01):
     if len(feasible) == 0:
         return 0.0, float("inf")
     best = candidates[feasible[0]]
-    return _rates(argmax_is_pos & (scores >= best), truth)[0], float(best)
-
-
-def tpr_fpr_at_threshold(samples, positive_class: str, tau: float):
-    """TPR and realized FPR at a given threshold, under the emission rule
-    of tpr_at_fpr: argmax = positive class and score >= tau. Returns
-    (tpr, fpr); a rate whose denominator class is absent is 0."""
-    scores, truth, idx = _scores_and_truth(samples, positive_class)
-    return _rates(_argmax_is(samples, idx) & (scores >= tau), truth)
+    hits = int(np.count_nonzero(argmax_is_pos & truth & (scores >= best)))
+    return (hits / n_pos if n_pos else 0.0), float(best)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,12 +146,15 @@ def thresholded_confusion(samples, tau: float, positive_class: str = "failed_int
 
 
 def per_class_report(confusion: ThresholdedConfusion) -> dict:
-    """Precision and recall per class from the thresholded confusion.
+    """Precision, recall and false-positive rate per class from the
+    thresholded confusion.
 
     The below-threshold column never counts as a predicted positive;
-    recall denominators are full row sums. Empty denominators give 0.
+    recall denominators are full row sums, FPR denominators the clips of
+    all other classes. Empty denominators give 0.
     """
     mat = confusion.matrix
+    total = int(mat.sum())
     report = {}
     for i, name in enumerate(CLASSES):
         col = int(mat[:, i].sum())
@@ -180,6 +162,7 @@ def per_class_report(confusion: ThresholdedConfusion) -> dict:
         report[name] = {
             "precision": mat[i, i] / col if col else 0.0,
             "recall": mat[i, i] / row if row else 0.0,
+            "fpr": (col - mat[i, i]) / (total - row) if total > row else 0.0,
             "support": row,
         }
     return report

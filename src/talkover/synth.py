@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .audio import SAMPLE_RATE, write_wav
-from .causal import Telemetry, write_telemetry_csv
+from .causal import Telemetry, _sigmoid, write_telemetry_csv
 from .features import PROFILES, LayeredEmbedding, write_embeddings
 from .labels import VOTE_LABELS, VoteRecord, write_votes_csv
 from .manifest import ClipRecord, write_manifest, write_split
@@ -195,10 +195,6 @@ def make_telemetry(n: int = 50000, seed: int = 0,
 
     ids = ["mtg_%06d" % i for i in range(n)]
     return Telemetry(ids, size, dur, video, share, treated, outcome)
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
 def write_telemetry_fixture(out_dir, n: int = 50000, seed: int = 0,

@@ -43,9 +43,12 @@ _STRICT = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
 
 
 def parse_json(text):
-    """The JSON document in text. NaN, Infinity, -Infinity and a number
-    past the float range (1e400) raise ValueError, as does bad JSON."""
-    return _STRICT.decode(text)
+    """The JSON document in text. NaN, Infinity, -Infinity, a number
+    past the float range (1e400) and deep nesting raise ValueError."""
+    try:
+        return _STRICT.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def read_json(path, error):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import run_cli, same_telemetry
+from talkover import causal, synth
 from talkover.causal import (BASE_BOOLEAN, MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
                              Telemetry, _bins, _confounders, _percentile, _sigmoid, _smd,
                              _standardize, balance_report, bootstrap_ci, estimate_impact,
@@ -194,6 +195,28 @@ def test_predict_rejects_mismatched_confounders():
     with_extras = table([record(i, 5, 30.0, extras={"x": 1.0}) for i in range(3)])
     with pytest.raises(CausalError):
         predict_ps(model, with_extras)
+
+
+@pytest.mark.parametrize("constant_extra", [False, True])
+def test_predict_ps_is_the_fits_converged_propensity_bit_for_bit(monkeypatch, constant_extra):
+    # the scores stratify bins are the propensities the fit converged on
+    # and checked against PS_EPS, not the same sum in another order
+    n = 4000
+    telemetry = synth.make_telemetry(n, 1)
+    if constant_extra:
+        telemetry = dataclasses.replace(telemetry, extras={"year": np.full(n, 5.0)})
+    converged = []
+    newton = causal._newton
+
+    def spy(XT, y, beta):
+        beta = newton(XT, y, beta)
+        converged.append(_sigmoid(beta @ XT))
+        return beta
+    monkeypatch.setattr(causal, "_newton", spy)
+    model = fit_propensity(telemetry)
+    assert model.dropped == (("year",) if constant_extra else ())
+    assert len(converged) == 1
+    assert predict_ps(model, telemetry).tobytes() == converged[0].tobytes()
 
 
 def test_inconsistent_extras_rejected():

@@ -194,6 +194,8 @@ def test_repeated_meeting_id_exits_9_before_reading_audio(fixtures_dir, tmp_path
 
 _TWO_CHANNELS = [{"participant_id": "a", "wav_path": "a.wav"},
                  {"participant_id": "b", "wav_path": "b.wav"}]
+# about 2 KB that the JSON decoder, recursing once a level, cannot parse
+DEEP_JSON = "[" * 1000 + "]" * 1000
 
 
 @pytest.mark.parametrize("blob", [
@@ -206,8 +208,10 @@ _TWO_CHANNELS = [{"participant_id": "a", "wav_path": "a.wav"},
     json.dumps({"meetings": [{"meeting_id": "x", "channels": _TWO_CHANNELS}] * 2}),
     json.dumps({"meetings": [{"meeting_id": "x", "channels": [
         {"participant_id": "a", "wav_path": "a.wav\0"}, _TWO_CHANNELS[1]]}]}),
+    DEEP_JSON,
 ], ids=["truncated", "top-level list", "no participant_id", "no meeting_id",
-        "meeting not an object", "repeated meeting_id", "NUL in wav_path"])
+        "meeting not an object", "repeated meeting_id", "NUL in wav_path",
+        "nested 1,000 deep"])
 def test_malformed_meetings_manifest_exits_9(tmp_path, blob):
     bad = tmp_path / "meetings.json"
     bad.write_text(blob)
@@ -217,8 +221,8 @@ def test_malformed_meetings_manifest_exits_9(tmp_path, blob):
 
 
 @pytest.mark.parametrize("blob", [b'{"vote_0000": "other"', b'["vote_0000"]',
-                                  b'{"vote_0000": "shouting"}'],
-                         ids=["truncated", "list", "unknown label"])
+                                  b'{"vote_0000": "shouting"}', DEEP_JSON.encode()],
+                         ids=["truncated", "list", "unknown label", "nested 1,000 deep"])
 def test_malformed_golden_labels_exit_7(fixtures_dir, tmp_path, blob):
     golden = tmp_path / "golden.json"
     golden.write_bytes(blob)
@@ -280,10 +284,12 @@ CLIP_LINE = {"clip_id": "vote_0000", "meeting_id": "m9", "interrupter_id": "dana
     json.dumps(dict(CLIP_LINE, onset_s=math.inf)),
     json.dumps(dict(CLIP_LINE, label="laughter", agreement=-math.inf)),
     json.dumps(CLIP_LINE).replace("5.0", "5e400"),
+    json.dumps(dict(CLIP_LINE, x=0)).replace("0}", DEEP_JSON + "}"),
 ], ids=["list", "string", "onset not a number", "wav_path a number", "clip_id a number",
         "meeting_id null", "interrupter_id a list", "label a number", "onset a bool",
         "agreement a string", "onset past the float range", "integer past the digit limit",
-        "onset NaN", "onset Infinity", "agreement -Infinity", "onset 5e400"])
+        "onset NaN", "onset Infinity", "agreement -Infinity", "onset 5e400",
+        "field nested 1,000 deep"])
 def test_malformed_clip_manifest_line_exits_9(fixtures_dir, tmp_path, line):
     manifest = tmp_path / "clips.jsonl"
     manifest.write_text(line + "\n")
@@ -316,6 +322,16 @@ def test_split_of_non_string_ids_exits_9(fixtures_dir, tmp_path):
                     "--features", emb, "--feature", "emb", "--profile", "tiny",
                     "--out", tmp_path / "o"]) == 9
     assert not (tmp_path / "o" / "checkpoint_r0.bin").exists()
+
+
+def test_split_nested_1000_deep_exits_9(fixtures_dir, tmp_path, capsys):
+    emb = fixtures_dir / "embeddings"
+    split = tmp_path / "split.json"
+    split.write_text(DEEP_JSON)
+    assert run_cli(["train", "--manifest", emb / "manifest.jsonl", "--split", split,
+                    "--features", emb, "--feature", "emb", "--profile", "tiny",
+                    "--out", tmp_path / "o"]) == 9
+    assert capsys.readouterr().err == "error: %s: JSON nested too deeply\n" % split
 
 
 def test_undecodable_clip_manifest_exits_9(fixtures_dir, tmp_path):
@@ -746,6 +762,60 @@ def test_corrupted_votes_exit_0_or_7(data):
             assert code in (0, 7)
 
 
+JSON_FUZZ_BYTES = list(b'{}[]",:\\ 0e-')
+
+
+def _corrupt_json(blob, data):
+    """blob with one drawn fault: overwritten bytes, inserted bytes, a
+    truncation, or the document nested in arrays, up to deeper than the
+    JSON decoder can recurse."""
+    fault = data.draw(st.sampled_from(["overwrite", "insert", "truncate", "nest"]),
+                      label="fault")
+    event(fault)
+    if fault == "nest":
+        depth = data.draw(st.sampled_from([1, 2, 500, 1000, 100000]), label="depth")
+        return b"[" * depth + blob + b"]" * depth
+    if fault == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="truncate at")]
+    byte = st.sampled_from(JSON_FUZZ_BYTES) | st.integers(0, 255)
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4), label="bytes")):
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        if fault == "overwrite":
+            blob[at] = data.draw(byte, label="value")
+        else:
+            blob.insert(at, data.draw(byte, label="value"))
+    return bytes(blob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_meetings_manifest_exits_0_3_9_or_10(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        meetings = _short_meeting_wavs(tmp)
+        with open(meetings, "rb") as fh:
+            blob = _corrupt_json(fh.read(), data)
+        with open(meetings, "wb") as fh:
+            fh.write(blob)
+        code = run_cli(["extract", "--meetings", meetings, "--out", os.path.join(tmp, "o")])
+    event("exit %d" % code)
+    assert code in (0, 3, 9, 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_golden_labels_exit_0_or_7(fixtures_dir, data):
+    blob = _corrupt_json((fixtures_dir / "votes" / "golden.json").read_bytes(), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = os.path.join(tmp, "golden.json")
+        with open(golden, "wb") as fh:
+            fh.write(blob)
+        code = run_cli(["labels", "--votes", fixtures_dir / "votes" / "votes.csv",
+                        "--golden", golden, "--out", os.path.join(tmp, "o")])
+    event("exit %d" % code)
+    assert code in (0, 7)
+
+
 def _corrupt_sie(blob, data):
     """blob with one drawn fault: a truncation, a changed header field, a
     non-finite value, or bytes appended after the payload."""
@@ -894,6 +964,20 @@ def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):
                     "--feature", "emb", "--profile", "tiny",
                     "--model-dir", bad_dir, "--out", tmp_path / "o"])
     assert code == 5
+
+
+def test_checkpoint_header_nested_1000_deep_exits_5(small_corpus, model_dir, tmp_path):
+    blob = (model_dir / "checkpoint_r0.bin").read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    text = DEEP_JSON.encode()
+    bad_dir = tmp_path / "model"
+    bad_dir.mkdir()
+    (bad_dir / "checkpoint_r0.bin").write_bytes(
+        blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + header_len:])
+    assert run_cli(["eval", "--manifest", small_corpus / "manifest.jsonl",
+                    "--split", small_corpus / "split.json", "--features", small_corpus,
+                    "--feature", "emb", "--profile", "tiny", "--split-name", "val",
+                    "--model-dir", bad_dir, "--out", tmp_path / "o"]) == 5
 
 
 def _corrupt_checkpoint(blob, data):
@@ -1150,6 +1234,25 @@ def test_featurize_mfcc_and_spec(extract_out, tmp_path):
         assert list(arr.shape) == shape
 
 
+def test_featurize_bytes_do_not_depend_on_the_blas_thread_count(extract_out, tmp_path):
+    # OpenBLAS splits a product over threads only where it is large
+    # enough; the MFCC's DCT product is, so a split that changed its sums
+    # would show here
+    for feature in ("mfcc", "spec"):
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("%s_%s" % (feature, threads))
+            proc = subprocess.run(
+                [sys.executable, "-m", "talkover.cli", "featurize", "--manifest",
+                 extract_out / "manifest.jsonl", "--feature", feature, "--out", out],
+                capture_output=True, text=True,
+                env=dict(_src_env(), OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.npy"))})
+        assert len(blobs[0]) == 2
+        assert blobs[0] == blobs[1], feature
+
+
 @pytest.mark.parametrize("seconds", [9, 11])
 def test_featurize_clip_of_wrong_length_exits_3(tmp_path, capsys, seconds):
     wav = tmp_path / "clips" / "m0_bob_0025000.wav"
@@ -1272,7 +1375,7 @@ def test_train_writes_checkpoint_and_history(model_dir):
     assert config["arguments"]["epochs"] == 2
 
 
-def test_eval_writes_metric_files(fixtures_dir, model_dir, tmp_path):
+def test_eval_writes_metric_files(fixtures_dir, model_dir, tmp_path, capsys):
     emb = fixtures_dir / "embeddings"
     code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
                     "--split", emb / "split.json", "--features", emb,
@@ -1280,6 +1383,10 @@ def test_eval_writes_metric_files(fixtures_dir, model_dir, tmp_path):
                     "--model-dir", model_dir, "--split-name", "val",
                     "--out", tmp_path])
     assert code == 0
+    # the 20 val clips per class hold 60 negatives; the warning is one
+    # line of the program's, not Python's with a source location
+    assert capsys.readouterr().err == ("warning: only 60 negatives for a 0.01 FPR target; "
+                                       "the realized FPR is coarse\n")
     for name in ("confusion_r0.csv", "report_r0.csv", "roc_r0.csv", "metrics.csv"):
         assert (tmp_path / name).is_file(), name
 
@@ -1372,14 +1479,16 @@ def test_impact_report(fixtures_dir, tmp_path):
     assert report["naive_delta"] > report["delta"]
 
 
-def test_impact_report_is_strict_json_when_an_smd_is_infinite(tmp_path):
+def test_impact_report_is_strict_json_when_an_smd_is_infinite(tmp_path, capsys):
     # on these 40 meetings video_used is constant in each arm of a bin
     # and differs between them, so its SMD there is infinite
     path = tmp_path / "telemetry.csv"
     write_telemetry_csv(path, synth.make_telemetry(40, 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a stratum lacking an arm is dropped
-        assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 0
+    assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 0
+    # a stratum lacking an arm is dropped, with one line of warning
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"warning: dropping strata \[\d+(, \d+)*\] with no treated or no "
+                        r"control meetings; weights renormalized\n", err), err
 
     def refuse(name):
         raise ValueError("non-standard JSON constant %s" % name)

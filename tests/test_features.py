@@ -35,7 +35,7 @@ def _mfcc_mono(x: np.ndarray) -> np.ndarray:
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
     mel = power @ features._MEL_FB.T
     logmel = np.log(mel + features._LOG_FLOOR)
-    return features._DCT @ logmel.T  # (n_coeff, n_frames)
+    return (logmel @ features._DCT.T).T.copy()  # (n_coeff, n_frames), C-ordered
 
 
 def _spectrogram_mono(x: np.ndarray) -> np.ndarray:

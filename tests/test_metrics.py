@@ -10,7 +10,7 @@ from talkover import metrics
 from talkover.errors import DegenerateDistributionError, MetricError
 from talkover.metrics import (Scores, per_class_report,
                               roc_auc, roc_points, thresholded_confusion,
-                              tpr_at_fpr, tpr_fpr_at_threshold,
+                              tpr_at_fpr,
                               write_confusion_csv, write_report_csv,
                               write_roc_csv)
 from talkover.model import CLASSES
@@ -89,7 +89,6 @@ def test_scored_sample_validation():
     valid = two_class([0.9], [0.1])
     for metric in (lambda c: roc_auc(valid, c), lambda c: tpr_at_fpr(valid, c),
                    lambda c: roc_points(valid, c),
-                   lambda c: tpr_fpr_at_threshold(valid, c, 0.5),
                    lambda c: thresholded_confusion(valid, 0.5, c)):
         with pytest.raises(MetricError, match="unknown class 'nope'"):
             metric("nope")
@@ -241,8 +240,17 @@ def test_tpr_at_fpr_validates_target():
         tpr_at_fpr(ladder_samples(), POS, 1.0)
 
 
-def loop_tpr_fpr_at_threshold(samples, positive_class, tau):
-    """Per-sample reference for the rates at a given threshold."""
+def confusion_rates(samples, positive_class, tau):
+    """(TPR, realized FPR) at tau as eval reads them: the positive
+    class's recall and FPR in the report of the thresholded confusion."""
+    report = per_class_report(thresholded_confusion(samples, tau, positive_class))
+    return report[positive_class]["recall"], report[positive_class]["fpr"]
+
+
+def loop_rates_at_threshold(samples, positive_class, tau):
+    """Per-sample reference for the rates at a given threshold, under
+    the emission rule of tpr_at_fpr: argmax = positive class and
+    score >= tau."""
     idx = CLASSES.index(positive_class)
     truth = np.array([label == positive_class for label, _ in rows(samples)])
     emitted = np.array([int(np.argmax(p)) == idx and p[idx] >= tau
@@ -254,7 +262,7 @@ def loop_tpr_fpr_at_threshold(samples, positive_class, tau):
     return tpr, fpr
 
 
-def test_tpr_fpr_at_threshold_hand_case():
+def test_confusion_rates_hand_case():
     # p3 and n1 never argmax to the positive class, so no threshold emits them
     listed = [sample(POS, 0.6, clip_id="p1"),
               sample(POS, 0.3, clip_id="p2"),
@@ -262,31 +270,31 @@ def test_tpr_fpr_at_threshold_hand_case():
               sample("laughter", 0.4, argmax_failed=False, clip_id="n1"),
               sample("laughter", 0.5, clip_id="n2")]
     samples = scores(listed)
-    assert tpr_fpr_at_threshold(samples, POS, 0.3) == (2 / 3, 0.5)
-    assert tpr_fpr_at_threshold(samples, POS, 0.5) == (1 / 3, 0.5)
-    assert tpr_fpr_at_threshold(samples, POS, 0.55) == (1 / 3, 0.0)
-    assert tpr_fpr_at_threshold(samples, POS, 0.0) == (2 / 3, 0.5)
-    assert tpr_fpr_at_threshold(samples, POS, math.inf) == (0.0, 0.0)
+    assert confusion_rates(samples, POS, 0.3) == (2 / 3, 0.5)
+    assert confusion_rates(samples, POS, 0.5) == (1 / 3, 0.5)
+    assert confusion_rates(samples, POS, 0.55) == (1 / 3, 0.0)
+    assert confusion_rates(samples, POS, 0.0) == (2 / 3, 0.5)
+    assert confusion_rates(samples, POS, math.inf) == (0.0, 0.0)
     # an absent class gives a zero rate, not a division error
-    assert tpr_fpr_at_threshold(scores(listed[:3]), POS, 0.3) == (2 / 3, 0.0)
-    assert tpr_fpr_at_threshold(scores(listed[3:]), POS, 0.3) == (0.0, 0.5)
-    with pytest.raises(MetricError):
-        tpr_fpr_at_threshold(samples, "shouting", 0.3)
+    assert confusion_rates(scores(listed[:3]), POS, 0.3) == (2 / 3, 0.0)
+    assert confusion_rates(scores(listed[3:]), POS, 0.3) == (0.0, 0.5)
+    with pytest.raises(MetricError, match="unknown class 'shouting'"):
+        thresholded_confusion(samples, 0.3, "shouting")
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        target=st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5]))
-def test_tpr_fpr_at_threshold_matches_loop_and_calibration(seed, target):
+def test_confusion_rates_match_loop_and_calibration(seed, target):
     rng = np.random.default_rng(seed)
     samples = coarse_samples(rng, int(rng.integers(1, 80)))
     for tau in sorted(set(samples.probs[:, POS_IDX].tolist())) + [math.inf]:
-        assert (tpr_fpr_at_threshold(samples, POS, tau)
-                == loop_tpr_fpr_at_threshold(samples, POS, tau))
+        assert (confusion_rates(samples, POS, tau)
+                == loop_rates_at_threshold(samples, POS, tau))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tpr, tau = tpr_at_fpr(samples, POS, target)
-    got_tpr, got_fpr = tpr_fpr_at_threshold(samples, POS, tau)
+    got_tpr, got_fpr = confusion_rates(samples, POS, tau)
     assert got_tpr == tpr
     assert got_fpr <= target
 
@@ -374,6 +382,7 @@ def test_per_class_report_zero_denominators():
     assert report[POS]["precision"] == 0.0
     assert report[POS]["recall"] == 0.0
     assert report[POS]["support"] == 2
+    assert report[POS]["fpr"] == 0.0  # no negatives
     assert report["laughter"]["support"] == 0
     assert report["laughter"]["recall"] == 0.0
 

@@ -74,6 +74,19 @@ def test_parse_json_refuses_non_finite_numbers(text):
         parse_json(text)
 
 
+@pytest.mark.parametrize("depth, parses", [(500, True), (1000, False), (100000, False)])
+@pytest.mark.parametrize("open_, value, close", [("[", "", "]"), ('{"a": ', "1", "}")],
+                         ids=["arrays", "objects"])
+def test_parse_json_refuses_nesting_past_the_recursion_limit(depth, parses, open_, value,
+                                                             close):
+    text = open_ * depth + value + close * depth
+    if parses:
+        assert parse_json(text) is not None
+    else:
+        with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+            parse_json(text)
+
+
 @pytest.mark.parametrize("error", [ManifestError, LabelError])
 @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b"", b'{"a": NaN}'])
 def test_read_json_raises_the_callers_family_naming_the_path(tmp_path, error, content):
