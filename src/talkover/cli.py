@@ -57,6 +57,8 @@ _bin_count = _bounded(int, lambda v: v >= 2, "an integer of at least 2")
 # ---------------------------------------------------------------- extract
 
 def _read_meetings_manifest(path):
+    from .manifest import check_file_name
+
     doc = read_json(path, ManifestError)
     meetings = doc.get("meetings") if isinstance(doc, dict) else None
     if not isinstance(meetings, list):
@@ -77,9 +79,7 @@ def _read_meetings_manifest(path):
                     and isinstance(ch.get("wav_path"), str)):
                 raise ManifestError("meeting %s: every channel needs participant_id and "
                                     "wav_path strings" % m["meeting_id"])
-            if "\0" in ch["wav_path"]:
-                raise ManifestError("meeting %s: wav_path %r holds a NUL byte"
-                                    % (m["meeting_id"], ch["wav_path"]))
+            check_file_name(ch["wav_path"], "meeting %s: wav_path" % m["meeting_id"])
     return meetings, base
 
 

@@ -21,6 +21,16 @@ _NUMBER_FIELDS = ("onset_s", "agreement")
 _PATH_CHARS = [c for c in ("/", os.sep, os.altsep, "\0") if c]  # none is in a clip id
 
 
+def check_file_name(name: str, what: str) -> None:
+    """Raise ManifestError naming what unless name can name a file: it has
+    no NUL and encodes as UTF-8 (a surrogate only in U+DC80 to U+DCFF)."""
+    try:
+        if b"\0" in name.encode("utf-8", "surrogateescape"):
+            raise ManifestError("%s %r holds a NUL byte" % (what, name))
+    except UnicodeEncodeError:
+        raise ManifestError("%s %r cannot be encoded as a file name" % (what, name)) from None
+
+
 @dataclass(frozen=True)
 class ClipRecord:
     clip_id: str
@@ -34,9 +44,8 @@ class ClipRecord:
     def __post_init__(self):
         if self.clip_id in ("", ".", "..") or any(c in self.clip_id for c in _PATH_CHARS):
             raise ManifestError("clip id %r is not a plain file name" % self.clip_id)
-        if "\0" in self.wav_path:
-            raise ManifestError("clip %s: wav_path %r holds a NUL byte"
-                                % (self.clip_id, self.wav_path))
+        check_file_name(self.clip_id, "clip id")
+        check_file_name(self.wav_path, "clip %s: wav_path" % self.clip_id)
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}

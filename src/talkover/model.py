@@ -14,13 +14,14 @@ layer gradient. Everything downstream of the layer mix, and the
 parameters, are float64. So a step holds one clip plus the batch's
 float64 H, and memory grows with neither the split nor, beyond H, the
 batch size. Matrix features are float64 (d, M) arrays, or MatrixFile
-handles read when their clip is pooled.
+handles read when their clip is pooled. Training and inference share
+one head pass; training masks by the sign of each layer's input.
 """
 from __future__ import annotations
 
 import contextlib
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,8 +88,7 @@ class FeatureSpec:
     layers: int | None = None
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "input_dim": self.input_dim, "frames": self.frames,
-                "profile": self.profile, "channels": self.channels, "layers": self.layers}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
@@ -222,50 +222,31 @@ def _read(model: InterruptionModel, f, buffer) -> np.ndarray:
     return X
 
 
-def _batch_h(model: InterruptionModel, stacked: np.ndarray) -> np.ndarray:
-    """Layer-mixed H of shape (B, d, M) from _read arrays, stacked.
-    Embedding channels stack on the feature axis: rows [0, d0) left
-    channel, rows [d0, 2*d0) right. einsum upcasts the f32 layers in
-    bounded buffers, so no f64 copy of the stack is made."""
-    spec = model.feature_spec
-    if spec.kind != "emb":
-        return stacked
-    w = softmax(model.params["layer_logits"])
-    return np.einsum("l,bcldm->bcdm", w, stacked).reshape(len(stacked), spec.input_dim, -1)
-
-
 def _pool(model: InterruptionModel, stacked: np.ndarray):
-    """Attention pooling of _read arrays, stacked; returns (H, Q, U). A
+    """Attention pooling of _read arrays, stacked; returns (H, Q, U), H
+    the (B, d, M) layer mix. Embedding channels stack on the feature
+    axis: rows [0, d0) left, [d0, 2*d0) right. einsum upcasts the f32
+    layers in bounded buffers, so no f64 copy of the stack is made. A
     sample's U has the same bits whatever batch it is pooled in."""
-    H = _batch_h(model, stacked)
+    H = stacked
+    if model.feature_spec.kind == "emb":
+        w = softmax(model.params["layer_logits"])
+        H = np.einsum("l,bcldm->bcdm", w, stacked).reshape(len(stacked), -1, stacked.shape[-1])
     scores = np.einsum("d,bdm->bm", model.params["pooler_w"], H)
     Q = softmax(scores, axis=1)
     U = np.einsum("bdm,bm->bd", H, Q)
     return H, Q, U
 
 
-def _head_forward(params: dict, U: np.ndarray):
-    """Head pass for training; returns (logits, preactivations,
-    activations), every layer's kept for the backward pass."""
-    depth = sum(name.startswith("head_w") for name in params)
-    acts, zs = [], []
-    a = U
-    for i in range(depth):
-        z = a @ params["head_w%d" % i].T + params["head_b%d" % i]
-        acts.append(a)
-        zs.append(z)
-        if i < depth - 1:
-            a = np.where(z > 0, z, LEAKY_SLOPE * z)
-    return zs[-1], zs, acts
-
-
-def _head_logits(params: dict, U: np.ndarray) -> np.ndarray:
-    """Head pass for inference: the logits of _head_forward, bit for
-    bit. Each layer adds its bias and applies LeakyReLU in place, so
-    only a layer's input and output are held at once."""
+def _head(params: dict, U: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    """The head's logits for pooled rows U. Each layer adds its bias and
+    applies LeakyReLU in place, so only its input and output are held,
+    unless inputs is a list: each layer's input is appended to it."""
     depth = sum(name.startswith("head_w") for name in params)
     z = U
     for i in range(depth):
+        if inputs is not None:
+            inputs.append(z)
         z = z @ params["head_w%d" % i].T
         z += params["head_b%d" % i]
         if i < depth - 1:
@@ -278,7 +259,10 @@ def _forward_pass(model: InterruptionModel, batch_features):
     must match; returns (H, Q, U, preactivations, activations, probs)."""
     stacked = np.concatenate([_read(model, f, _clip_buffer(model, f)) for f in batch_features])
     H, Q, U = _pool(model, stacked)
-    logits, zs, acts = _head_forward(model.params, U)
+    acts = []
+    logits = _head(model.params, U, acts)
+    zs = [a @ model.params["head_w%d" % i].T + model.params["head_b%d" % i]
+          for i, a in enumerate(acts)]
     return H, Q, U, zs, acts, softmax(logits, axis=1)
 
 
@@ -296,7 +280,7 @@ def forward_batch(model: InterruptionModel, features_list, logits: bool = False)
         _check_features(model, f)
     buffer = _clip_buffer(model, features_list[0])
     U = np.concatenate([_pool(model, _read(model, f, buffer))[2] for f in features_list])
-    z = _head_logits(model.params, U)
+    z = _head(model.params, U)
     return z if logits else softmax(z, axis=1)
 
 
@@ -308,7 +292,9 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
     batch's float64 H, Q and U. An embedding clip X_b also gives all the
     layer gradient needs of it: V_b = X_b Q_b of shape (C, L, d0) and
     s_b = pooler_w . X_b of shape (C, L, M). So a step holds one clip,
-    not the batch, and never the (B, d, M) gradient w.r.t. H."""
+    not the batch, and never the (B, d, M) gradient w.r.t. H. The one
+    head pass records each layer's input, and LeakyReLU's derivative is
+    set by the sign of the next layer's input: no preactivation is kept."""
     B = len(batch_features)
     labels = np.asarray(labels)
     params = model.params
@@ -326,7 +312,8 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
         if spec.kind == "emb":
             V[b] = np.einsum("cldm,m->cld", X[0], Q[b])
             S[b] = np.einsum("cd,cldm->clm", params["pooler_w"].reshape(C, d0), X[0])
-    logits, zs, acts = _head_forward(params, U)
+    acts = []
+    logits = _head(params, U, acts)
     probs = softmax(logits, axis=1)
     loss = _logit_loss(logits, labels)
 
@@ -334,12 +321,12 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
     dz[np.arange(B), labels] -= 1.0
     dz /= B
 
-    for i in range(len(zs) - 1, -1, -1):
+    for i in range(len(acts) - 1, -1, -1):
         grads["head_w%d" % i] = dz.T @ acts[i]
         grads["head_b%d" % i] = dz.sum(axis=0)
         if i > 0:
             da = dz @ params["head_w%d" % i]
-            dz = da * np.where(zs[i - 1] > 0, 1.0, LEAKY_SLOPE)
+            dz = da * np.where(acts[i] > 0, 1.0, LEAKY_SLOPE)
     g = dz @ params["head_w0"]  # (B, d) gradient w.r.t. pooled U
 
     dQ = np.einsum("bdm,bd->bm", H, g)

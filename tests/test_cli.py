@@ -22,7 +22,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import talkover
 from conftest import run_cli
-from talkover import synth
+from talkover import cli, synth
 from talkover.audio import AudioChannel, MeetingAudio, SAMPLE_RATE, read_wav_data, write_wav
 from talkover.causal import write_telemetry_csv
 from talkover.labels import VOTE_LABELS, fleiss_kappa, read_votes_csv, votes_to_table
@@ -427,6 +427,54 @@ def test_featurize_of_a_clip_row_no_file_may_have_exits_9(small_corpus, tmp_path
     assert not (out / "shapes.json").exists()
 
 
+# a lone surrogate that no file name encodes; U+DC80 to U+DCFF stand for
+# the bytes 0x80 to 0xFF and do
+UNENCODABLE = "x\ud800"
+
+
+def test_extract_of_an_unencodable_wav_path_exits_9(tmp_path, capsys):
+    meetings = Path(_write_meeting(tmp_path, [("a", _tones(12.0, [(1.0, 11.0)], 300.0)),
+                                              ("b", _tones(12.0, [(6.0, 7.5)], 500.0))],
+                                   "pcm16"))
+    doc = json.loads(meetings.read_text())
+    doc["meetings"][0]["channels"][1]["wav_path"] = UNENCODABLE + ".wav"
+    meetings.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["extract", "--meetings", meetings, "--out", tmp_path / "o"]) == 9
+    assert "\\ud800" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("field", ["clip_id", "wav_path"])
+def test_featurize_of_an_unencodable_clip_row_exits_9(small_corpus, tmp_path, field):
+    rows = [dict(r.to_dict(), wav_path=str(small_corpus / r.wav_path))
+            for r in read_manifest(small_corpus / "manifest.jsonl")]
+    rows[0][field] = UNENCODABLE
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert run_cli(["featurize", "--manifest", manifest, "--feature", "emb",
+                    "--profile", "tiny", "--out", tmp_path / "o"]) == 9
+    assert os.listdir(tmp_path / "o") == []
+
+
+def test_train_of_an_unencodable_clip_id_exits_9(fixtures_dir, tmp_path):
+    emb = fixtures_dir / "embeddings"
+    rows = [json.loads(line) for line in (emb / "manifest.jsonl").read_text().splitlines()]
+    split = json.loads((emb / "split.json").read_text())
+    old = split["train"][0]
+    for row in rows:
+        if row["clip_id"] == old:
+            row["clip_id"] = UNENCODABLE
+    split["train"][0] = UNENCODABLE
+    manifest, split_path = tmp_path / "manifest.jsonl", tmp_path / "split.json"
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    split_path.write_text(json.dumps(split))
+    assert run_cli(["train", "--manifest", manifest, "--split", split_path, "--features", emb,
+                    "--feature", "emb", "--profile", "tiny", "--epochs", 1,
+                    "--out", tmp_path / "o"]) == 9
+    assert not (tmp_path / "o" / "checkpoint_r0.bin").exists()
+
+
 def test_extract_writes_the_rows_detect_returns(fixtures_dir, extract_out):
     from talkover.audio import load_wav
     audio = fixtures_dir / "audio"
@@ -728,6 +776,49 @@ def test_corrupted_manifest_and_split_exit_0_or_their_codes(small_corpus, data):
         assert code in (0, 7, 9)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_surrogate_in_manifest_and_split_exits_0_9_or_10(small_corpus, data):
+    with open(small_corpus / "manifest.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    with open(small_corpus / "split.json") as fh:
+        split = json.load(fh)
+    rec = data.draw(st.sampled_from(records), label="record")
+    field = data.draw(st.sampled_from(["clip_id", "meeting_id", "interrupter_id", "wav_path"]),
+                      label="field")
+    old, rec[field] = rec[field], _with_surrogates(rec[field], data)
+    renamed = field == "clip_id" and data.draw(st.booleans(), label="renamed in the split")
+    if renamed:
+        split = {name: [rec[field] if cid == old else cid for cid in ids]
+                 for name, ids in split.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, split_path = os.path.join(tmp, "manifest.jsonl"), os.path.join(tmp, "split.json")
+        with open(manifest, "w") as fh:
+            fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        with open(split_path, "w") as fh:
+            json.dump(split, fh)
+        for name in os.listdir(small_corpus):
+            if name.endswith(".sie"):
+                os.symlink(small_corpus / name, os.path.join(tmp, name))
+        featurized = run_cli(["featurize", "--manifest", manifest, "--feature", "emb",
+                              "--profile", "tiny", "--out", os.path.join(tmp, "feat")])
+        trained = run_cli(["train", "--manifest", manifest, "--split", split_path,
+                           "--features", small_corpus, "--feature", "emb", "--profile", "tiny",
+                           "--epochs", 1, "--out", os.path.join(tmp, "model")])
+    event("featurize exit %d, train exit %d" % (featurized, trained))
+    if field in ("clip_id", "wav_path") and not _encodes(rec[field]):
+        assert (featurized, trained) == (9, 9)
+    elif field == "clip_id":
+        # no feature file has the new id; the split names the old one
+        assert (featurized, trained) == (0, 10 if renamed else 9)
+    elif field == "wav_path":
+        # featurize reads the .sie of the path's stem, which may still exist
+        sie = small_corpus / cli._embedding_path(rec[field])
+        assert (featurized, trained) == (0 if sie.exists() else 10, 0)
+    else:
+        assert (featurized, trained) == (0, 0)
+
+
 VOTE_FUZZ_CELLS = ["", "shouting", "Other", "interruption", "ann_1", "vote_0000",
                    "vote_0001", '"', "a,b"]
 
@@ -800,6 +891,55 @@ def test_corrupted_meetings_manifest_exits_0_3_9_or_10(data):
         code = run_cli(["extract", "--meetings", meetings, "--out", os.path.join(tmp, "o")])
     event("exit %d" % code)
     assert code in (0, 3, 9, 10)
+
+
+# the ends of the surrogate blocks, and of U+DC80 to U+DCFF, which
+# encode as the bytes 0x80 to 0xFF
+SURROGATES = st.sampled_from([0xD800, 0xDBFF, 0xDC00, 0xDC7F, 0xDC80, 0xDCFF, 0xDD00,
+                              0xDFFF]) | st.integers(0xD800, 0xDFFF)
+
+
+def _with_surrogates(text, data):
+    """text with 1 to 3 surrogates inserted, which json.dumps writes as
+    \\uDxxx escapes; a high one before a low one decodes as one pair."""
+    for _ in range(data.draw(st.integers(1, 3), label="surrogates")):
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + chr(data.draw(SURROGATES, label="code point")) + text[at:]
+    return json.loads(json.dumps(text))
+
+
+def _encodes(name):
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_surrogate_in_meetings_manifest_exits_0_9_or_10(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        # b interrupts a once, so meeting m gives clip m_b_...
+        meetings = _write_meeting(tmp, [("a", _tones(12.0, [(1.0, 11.0)], 300.0)),
+                                        ("b", _tones(12.0, [(6.0, 7.5)], 500.0))], "pcm16")
+        with open(meetings) as fh:
+            doc = json.load(fh)
+        meeting = doc["meetings"][0]
+        field = data.draw(st.sampled_from(["meeting_id", "participant_id", "wav_path"]),
+                          label="field")
+        channel = data.draw(st.integers(0, 1), label="channel")
+        holder = meeting if field == "meeting_id" else meeting["channels"][channel]
+        holder[field] = name = _with_surrogates(holder[field], data)
+        with open(meetings, "w") as fh:
+            json.dump(doc, fh)
+        code = run_cli(["extract", "--meetings", meetings, "--out", os.path.join(tmp, "o")])
+    event("exit %d" % code)
+    # a's participant id names no clip; b's, the interrupter's, does
+    if (field != "participant_id" or channel == 1) and not _encodes(name):
+        assert code == 9
+    else:
+        assert code == (10 if field == "wav_path" else 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1251,6 +1391,44 @@ def test_featurize_bytes_do_not_depend_on_the_blas_thread_count(extract_out, tmp
             blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.npy"))})
         assert len(blobs[0]) == 2
         assert blobs[0] == blobs[1], feature
+
+
+def test_pipeline_bytes_do_not_depend_on_the_blas_thread_count(fixtures_dir, tmp_path):
+    # the classifier's head and backward pass, and the propensity fit's
+    # Newton steps, multiply matrices through BLAS too
+    emb = fixtures_dir / "embeddings"
+    corpus = ["--manifest", emb / "manifest.jsonl", "--split", emb / "split.json",
+              "--features", "feat", "--feature", "emb", "--profile", "tiny"]
+    commands = [
+        ["extract", "--meetings", fixtures_dir / "audio" / "meetings.json", "--out", "clips"],
+        ["featurize", "--manifest", emb / "manifest.jsonl", "--feature", "emb",
+         "--profile", "tiny", "--out", "feat"],
+        ["train", *corpus, "--epochs", 3, "--out", "model"],
+        ["eval", *corpus, "--model-dir", "model", "--out", "eval"],
+        ["impact", "--telemetry", fixtures_dir / "telemetry" / "telemetry.csv",
+         "--bootstrap", "--out", "impact"],
+    ]
+    runs = []
+    for threads in ("1", "2"):
+        # outputs are named relative to the run's directory, so each
+        # config.json echoes the same arguments
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        stdout = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "talkover.cli", *map(str, argv)],
+                                  cwd=cwd, capture_output=True, text=True,
+                                  env=dict(_src_env(), OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            stdout.append(proc.stdout)
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs.append((stdout, files))
+    (stdout_1, files_1), (stdout_2, files_2) = runs
+    assert stdout_1 == stdout_2
+    assert sorted(files_1) == sorted(files_2)
+    assert {"model/checkpoint_r0.bin", "eval/metrics.csv", "impact/report.json"} <= set(files_1)
+    assert [name for name in files_1 if files_1[name] != files_2[name]] == []
 
 
 @pytest.mark.parametrize("seconds", [9, 11])

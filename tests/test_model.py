@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from talkover import model as M
 from talkover.errors import (FeatureProfileError, ModelError,
@@ -78,7 +79,7 @@ def test_layer_mix_matches_manual_mix():
     profile = emb_profile()
     emb = random_embedding(rng, profile)
     model = small_model(rng, profile)
-    out = M._batch_h(model, M._read(model, emb, M._clip_buffer(model, emb)))[0]
+    out = M._pool(model, M._read(model, emb, M._clip_buffer(model, emb)))[0][0]
     assert out.shape == (profile.stacked_dim, profile.frames)
     weights = M.softmax(model.params["layer_logits"])
     manual = np.tensordot(weights, emb.data.astype(np.float64), axes=([0], [1]))
@@ -299,9 +300,8 @@ def dense_loss_and_grads(model, batch_features, labels):
     grads = dict.fromkeys(params)
     stacked = np.concatenate([M._read(model, f, M._clip_buffer(model, f))
                               for f in batch_features])
-    H, Q, U = M._pool(model, stacked)
-    logits, zs, acts = M._head_forward(params, U)
-    probs = M.softmax(logits, axis=1)
+    H, Q, U, zs, acts, probs = M._forward_pass(model, batch_features)
+    logits = zs[-1]
     loss = M._logit_loss(logits, labels)
 
     dz = probs.copy()
@@ -398,15 +398,122 @@ def test_forward_batch_pools_one_clip_at_a_time():
 
 def test_forward_batch_head_keeps_no_layer_per_clip():
     # the head runs once on every pooled vector; keeping each layer's
-    # activations for a backward pass, as _head_forward does, costs
-    # about 20 KB a clip
+    # activations for a backward pass, as _head does when given a list,
+    # costs about 20 KB a clip
     rng = np.random.default_rng(26)
     clip, = profile_clips(rng, PROFILES["tiny"], 1)
     model = M.build_model(M.feature_spec_of(clip), rng)
     U = np.repeat(M._pool(model, M._read(model, clip, M._clip_buffer(model, clip)))[2], 400,
                   axis=0)
-    kept = traced_peak(M._head_forward, model.params, U)
+    kept = traced_peak(M._head, model.params, U, [])
     assert traced_peak(M.forward_batch, model, [clip] * 400) < kept
+
+
+def _head_forward(params, U):
+    """The head pass training ran before it shared inference's: every
+    layer's preactivation and activation kept in new arrays. Returns
+    (logits, preactivations, activations)."""
+    depth = sum(name.startswith("head_w") for name in params)
+    acts, zs = [], []
+    a = U
+    for i in range(depth):
+        z = a @ params["head_w%d" % i].T + params["head_b%d" % i]
+        acts.append(a)
+        zs.append(z)
+        if i < depth - 1:
+            a = np.where(z > 0, z, M.LEAKY_SLOPE * z)
+    return zs[-1], zs, acts
+
+
+def _head_backward(params, zs, acts, probs, labels):
+    """The head's gradients for mean cross-entropy, masked by the sign of
+    each preactivation, and the gradient w.r.t. the pooled rows."""
+    grads = {}
+    dz = probs.copy()
+    dz[np.arange(len(labels)), labels] -= 1.0
+    dz /= len(labels)
+    for i in range(len(zs) - 1, -1, -1):
+        grads["head_w%d" % i] = dz.T @ acts[i]
+        grads["head_b%d" % i] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ params["head_w%d" % i]) * np.where(zs[i - 1] > 0, 1.0, M.LEAKY_SLOPE)
+    return grads, dz @ params["head_w0"]
+
+
+# exact zeros of both signs and subnormals, so that preactivations land
+# on LeakyReLU's kink and below the normal range
+_KINK_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]
+
+
+def _kinked_head(data, fan_in, widths):
+    """Head parameters where some rows of a weight matrix are zero, so
+    that their preactivations are the bias: often +-0 or subnormal."""
+    value = st.sampled_from(_KINK_VALUES) | st.floats(-1.0, 1.0)
+    params = {}
+    for i, width in enumerate(widths):
+        w = data.draw(hnp.arrays(np.float64, (width, fan_in), elements=value), label="w%d" % i)
+        zero_rows = data.draw(hnp.arrays(bool, width), label="zero rows %d" % i)
+        w[zero_rows] = data.draw(st.sampled_from([0.0, -0.0]), label="zero %d" % i)
+        params["head_w%d" % i] = w
+        params["head_b%d" % i] = data.draw(hnp.arrays(np.float64, width, elements=value),
+                                           label="b%d" % i)
+        fan_in = width
+    return params
+
+
+def _on_kink(zs):
+    """Whether a hidden preactivation is +-0 or subnormal."""
+    return any(np.any(np.abs(z) < np.finfo(np.float64).tiny) for z in zs[:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_head_matches_the_two_list_oracle_bit_for_bit(data):
+    fan_in = data.draw(st.integers(1, 5), label="fan in")
+    widths = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="widths")
+    params = _kinked_head(data, fan_in, widths)
+    value = st.sampled_from(_KINK_VALUES) | st.floats(-3.0, 3.0)
+    U = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 6), label="rows"), fan_in),
+                             elements=value), label="U")
+    want, zs, acts = _head_forward(params, U)
+    event("preactivation on the kink" if _on_kink(zs) else "no preactivation on the kink")
+    U_bytes = U.tobytes()
+    inputs = []
+    assert M._head(params, U, inputs).tobytes() == want.tobytes()
+    assert M._head(params, U).tobytes() == want.tobytes()
+    assert U.tobytes() == U_bytes
+    assert [a.tobytes() for a in inputs] == [a.tobytes() for a in acts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_loss_and_grads_match_the_two_list_head_bit_for_bit(data):
+    d, frames = data.draw(st.integers(1, 5), label="d"), data.draw(st.integers(1, 4), label="M")
+    widths = data.draw(st.lists(st.integers(1, 5), max_size=3), label="widths") + [4]
+    model = M.build_model(M.FeatureSpec("matrix", d, frames), np.random.default_rng(0),
+                          tuple(widths))
+    model.params.update(_kinked_head(data, d, widths))
+    model.params["pooler_w"] = data.draw(hnp.arrays(np.float64, d, elements=st.floats(-1, 1)),
+                                         label="pooler_w")
+    B = data.draw(st.integers(1, 5), label="B")
+    batch = [data.draw(hnp.arrays(np.float64, (d, frames), elements=st.floats(-3, 3)),
+                       label="clip") for _ in range(B)]
+    labels = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=B, max_size=B),
+                                  label="labels"))
+    loss, grads = M._loss_and_grads(model, batch, labels)
+
+    pooled = [M._pool(model, f[None]) for f in batch]
+    H, Q, U = (np.concatenate([p[k] for p in pooled]) for k in range(3))
+    logits, zs, acts = _head_forward(model.params, U)
+    event("preactivation on the kink" if _on_kink(zs) else "no preactivation on the kink")
+    want, g = _head_backward(model.params, zs, acts, M.softmax(logits, axis=1), labels)
+    dQ = np.einsum("bdm,bd->bm", H, g)
+    dS = Q * (dQ - np.sum(dQ * Q, axis=1, keepdims=True))
+    want["pooler_w"] = np.einsum("bdm,bm->d", H, dS)
+    assert loss == M._logit_loss(logits, labels)
+    assert list(grads) == list(model.params)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 def test_forward_rejects_mismatched_features():
