@@ -13,6 +13,10 @@ does not grow with its length; every read of the file's samples goes
 through its stored(start, stop). AudioChannel, the in-memory input form,
 holds float64 samples; the program builds none of its own.
 
+A stored payload (WAV, SIE1 or .npy) is checked once, by wav_layout and
+check_finite, then read by offset with read_at, never through a memory
+map; a file that shrank since its check raises its family's error there.
+
 Sums over 16-bit PCM WAVs are taken on the stored integers. A stored
 int16 k decodes to k * 2^-15 exactly, so a float64 sum of decoded
 samples is an integer times 2^-15 and a sum of their squares an integer
@@ -61,8 +65,7 @@ PCM16_MAX_FRAME = 1 << 23
 _PCM16_MAX_CHANNELS = 1 << 16
 _F32 = np.dtype("<f4")  # a float WAV's samples, and a clip in memory
 
-# samples read at a time by the finiteness pass over a float WAV
-_FINITE_CHECK_SAMPLES = 1 << 18
+_CHECK_BLOCK = 1 << 18  # values per block of check_finite (1 MiB of f32)
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,10 @@ class WavChannel:
     def stored(self, start: int, stop: int) -> np.ndarray:
         """The file's samples [start, stop), undecoded, zeros past the
         stored end."""
+        raw = np.empty(stop - start, self.dtype)
         count = max(0, min(stop, self.n_stored) - start)
-        raw = np.fromfile(self.path, self.dtype, count,
-                          offset=self.offset + start * np.dtype(self.dtype).itemsize)
-        if raw.size != count:
-            raise MalformedWavError("%s: file shrank while being read" % self.path)
-        if count < stop - start:
-            raw = np.concatenate([raw, np.zeros(stop - start - count, raw.dtype)])
+        read_at(self.path, self.offset + start * raw.itemsize, raw[:count], MalformedWavError)
+        raw[count:] = 0
         return raw
 
     def window(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -279,6 +279,41 @@ def read_wav_header(path) -> WavLayout:
     return WavLayout(int(rate), dtype, n_channels, data_start, data_len // block_align)
 
 
+def wav_layout(path, n_channels: int) -> WavLayout:
+    """The header of the WAV at path, which must hold n_channels channels
+    (else ChannelLayoutError) at SAMPLE_RATE (else SampleRateError)."""
+    layout = read_wav_header(path)
+    if layout.n_channels != n_channels:
+        raise ChannelLayoutError("%s: %d channels, expected %d"
+                                 % (path, layout.n_channels, n_channels))
+    if layout.sample_rate != SAMPLE_RATE:
+        raise SampleRateError("%s: rate %d Hz, expected %d"
+                              % (path, layout.sample_rate, SAMPLE_RATE))
+    return layout
+
+
+def read_at(path, offset: int, out: np.ndarray, error) -> np.ndarray:
+    """Fill out, a C-contiguous array, with one readinto of the bytes at
+    offset in path, and return it; a short read raises error."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        if fh.readinto(out) != out.nbytes:
+            raise error("%s: file shrank after it was checked" % path)
+    return out
+
+
+def check_finite(fh, path, count: int, dtype: np.dtype, error) -> None:
+    """Raise error unless the count values of dtype from fh's position
+    on are all finite, read _CHECK_BLOCK values at a time."""
+    block = np.empty(min(count, _CHECK_BLOCK), dtype)
+    for lo in range(0, count, _CHECK_BLOCK):
+        part = block[:count - lo]
+        if fh.readinto(part) != part.nbytes:
+            raise error("%s: file shrank after it was checked" % path)
+        if not np.isfinite(part).all():
+            raise error("%s: non-finite values" % path)
+
+
 def _decode(raw: np.ndarray, out: np.ndarray) -> None:
     """Stored samples into out, float32 or float64: 16-bit PCM scaled by
     1/32768, float clipped to [-1, 1]. Dividing by a power of two is
@@ -294,7 +329,7 @@ def read_wav_into(path, layout: WavLayout, out: np.ndarray | None = None) -> np.
     """Read the samples of the WAV at path, whose header read_wav_header
     returned as layout, into out, a C-contiguous float32 array of shape
     (n_frames, n_channels) (a new one when None), and return it. A float
-    payload is read with one readinto, then checked and clipped to
+    payload is read with one read_at, then checked and clipped to
     [-1, 1] in place; non-finite samples raise MalformedWavError. PCM16
     is scaled by 1/32768. Both decode exactly, as _decode does."""
     shape = (layout.n_frames, layout.n_channels)
@@ -304,18 +339,12 @@ def read_wav_into(path, layout: WavLayout, out: np.ndarray | None = None) -> np.
         raise ValueError("%s: a %s %s array cannot hold %s float32 frames"
                          % (path, out.dtype, out.shape, shape))
     if layout.dtype == "<i2":
-        raw = np.fromfile(path, layout.dtype, out.size, offset=layout.offset)
-        if raw.size != out.size:
-            raise MalformedWavError("%s: file shrank while being read" % path)
-        _decode(raw.reshape(shape), out)
+        _decode(read_at(path, layout.offset, np.empty(shape, "<i2"), MalformedWavError), out)
         return out
-    with open(path, "rb") as fh:
-        fh.seek(layout.offset)
-        if fh.readinto(out) != out.nbytes:
-            raise MalformedWavError("%s: file shrank while being read" % path)
+    read_at(path, layout.offset, out, MalformedWavError)
     lo, hi = out.min(initial=0.0), out.max(initial=0.0)  # NaN if any sample is
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise MalformedWavError("%s: non-finite float samples" % path)
+        raise MalformedWavError("%s: non-finite values" % path)
     if lo < -1.0 or hi > 1.0:
         np.clip(out, -1.0, 1.0, out=out)
     return out
@@ -331,26 +360,18 @@ def read_wav_data(path) -> tuple[int, np.ndarray]:
 def load_wav(path, participant_id: str | None = None) -> WavChannel:
     """Open a mono WAV at the canonical rate as a WavChannel.
 
-    Only the header is parsed; samples stay in the file. Multi-channel
-    files and files at rates other than 16 kHz are rejected with
-    distinct errors. A float file is scanned once, a block at a time,
-    so a non-finite sample anywhere in it raises MalformedWavError here.
+    Only the header is parsed, by wav_layout; samples stay in the file.
+    A float file is scanned once by check_finite, so a non-finite sample
+    anywhere in it raises MalformedWavError here.
     """
-    layout = read_wav_header(path)
-    if layout.n_channels != 1:
-        raise ChannelLayoutError("%s: expected mono, got %d channels" % (path, layout.n_channels))
-    if layout.sample_rate != SAMPLE_RATE:
-        raise SampleRateError("%s: rate %d Hz, expected %d"
-                              % (path, layout.sample_rate, SAMPLE_RATE))
-    if participant_id is None:
-        participant_id = str(path)
-    channel = WavChannel(os.fspath(path), layout.sample_rate, participant_id, layout.dtype,
-                         layout.offset, layout.n_frames, layout.n_frames)
+    layout = wav_layout(path, 1)
     if layout.dtype == "<f4":
-        for lo in range(0, layout.n_frames, _FINITE_CHECK_SAMPLES):
-            if not np.isfinite(channel.stored(lo, lo + _FINITE_CHECK_SAMPLES)).all():
-                raise MalformedWavError("%s: non-finite float samples" % path)
-    return channel
+        with open(path, "rb") as fh:
+            fh.seek(layout.offset)
+            check_finite(fh, path, layout.n_frames, _F32, MalformedWavError)
+    return WavChannel(os.fspath(path), layout.sample_rate,
+                      str(path) if participant_id is None else participant_id, layout.dtype,
+                      layout.offset, layout.n_frames, layout.n_frames)
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,

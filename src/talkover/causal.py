@@ -63,6 +63,8 @@ class Telemetry:
         for name in self.extras:
             if name in TELEMETRY_COLUMNS:
                 raise CausalError("extra column %r repeats a telemetry column" % name)
+            if name == "intercept":  # report.json keys the fitted intercept so
+                raise CausalError("extra column 'intercept' is reserved for the fitted intercept")
         n = len(self.meeting_id)
         columns = [getattr(self, c) for c in TELEMETRY_COLUMNS] + list(self.extras.values())
         if any(c.shape != (n,) for c in columns):

@@ -464,12 +464,13 @@ def main(argv=None) -> int:
             write_json(os.path.join(args.out, "config.json"),
                        {"command": args.command, "arguments": echo})
             return EXIT_OK
-        except TalkoverError as exc:
+        except (TalkoverError, OSError) as exc:
             print("error: %s" % exc, file=sys.stderr)
-            return exc.exit_code
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_IO
+            return exc.exit_code if isinstance(exc, TalkoverError) else EXIT_IO
+        except UnicodeEncodeError as exc:  # a name the file system's encoding cannot hold
+            print("error: %r cannot be encoded as a file name: %s" % (exc.object, exc),
+                  file=sys.stderr)
+            return ManifestError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Feature tensors for the classifier: MFCC, magnitude spectrogram, and
 precomputed self-supervised embeddings checked in SIE1 files, which
 load_embeddings leaves on disk behind an EmbeddingFile handle; load_matrix
-does the same for a (d, M) feature matrix in a .npy file.
+does the same for a (d, M) feature matrix in a .npy file. Both are
+checked and read back as the audio module's docstring describes.
 
 Every extractor takes a clip as the (n, 2) array export_clip cuts and
 load_clip reads, float32 or float64, consumes only its last 5 seconds
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import SAMPLE_RATE
+from .audio import SAMPLE_RATE, check_finite, read_at
 from .errors import EmbeddingFormatError, MatrixFormatError, ShapeContractError
 
 ANALYSIS_WINDOW_S = 5.0
@@ -112,12 +113,9 @@ class EmbeddingFile:
 
     def read_into(self, out: np.ndarray) -> None:
         """Read the payload into out, a C-contiguous f32 array of
-        profile.shape, with one readinto at the payload's offset."""
+        profile.shape, with one read_at at the payload's offset."""
         _check_row(out, self.profile)
-        with open(self.path, "rb") as fh:
-            fh.seek(_SIE1_HEADER_BYTES)
-            if fh.readinto(out) != out.nbytes:
-                raise EmbeddingFormatError("%s: file shrank after it was checked" % self.path)
+        read_at(self.path, _SIE1_HEADER_BYTES, out, EmbeddingFormatError)
 
 
 @dataclass(frozen=True)
@@ -136,13 +134,10 @@ class MatrixFile:
     offset: int  # of the first value
 
     def read(self) -> np.ndarray:
-        """The matrix as float64, read with one np.fromfile at its offset."""
-        count = self.shape[0] * self.shape[1]
-        values = np.fromfile(self.path, self.dtype, count, offset=self.offset)
-        if values.size != count:
-            raise MatrixFormatError("%s: file shrank after it was checked" % self.path)
-        order = "F" if self.fortran_order else "C"
-        return values.reshape(self.shape, order=order).astype(np.float64, copy=False)
+        """The matrix as float64, by one read_at (of its transpose if Fortran-ordered)."""
+        shape = self.shape[::-1] if self.fortran_order else self.shape
+        values = read_at(self.path, self.offset, np.empty(shape, self.dtype), MatrixFormatError)
+        return (values.T if self.fortran_order else values).astype(np.float64, copy=False)
 
 
 def _check_row(out: np.ndarray, profile: EmbeddingProfile) -> None:
@@ -292,25 +287,18 @@ _SIE1_MAGIC = b"SIE1"
 _SIE1_VERSION = 1
 _SIE1_HEADER_BYTES = 24
 _SIE1_DTYPE = np.dtype("<f4")
-_CHECK_BLOCK = 1 << 18  # values per block of the finiteness check (1 MiB of f32)
 _NPY_HEADER_MAX = 1024  # np.save writes 118 header bytes for a 2-D float matrix
 
 
 def _check_payload(fh, path, count: int, dtype: np.dtype, error) -> None:
     """Raise error unless fh holds exactly count values of dtype from its
-    position on, all finite; reads _CHECK_BLOCK values at a time."""
+    position on, all finite by check_finite."""
     extra = os.fstat(fh.fileno()).st_size - fh.tell() - dtype.itemsize * count
     if extra < 0:
         raise error("%s: truncated payload" % path)
     if extra > 0:
         raise error("%s: %d trailing bytes after the payload" % (path, extra))
-    block = np.empty(min(count, _CHECK_BLOCK), dtype)
-    for lo in range(0, count, _CHECK_BLOCK):
-        part = block[: min(count - lo, _CHECK_BLOCK)]
-        if fh.readinto(part) != part.nbytes:
-            raise error("%s: truncated payload" % path)
-        if not np.all(np.isfinite(part)):
-            raise error("%s: non-finite values" % path)
+    check_finite(fh, path, count, dtype, error)
 
 
 def write_embeddings(path, emb: LayeredEmbedding) -> None:
@@ -331,7 +319,7 @@ def load_embeddings(path, expected: EmbeddingProfile) -> EmbeddingFile:
     """Check a SIE1 file against an expected profile and return its
     handle. The header must declare the profile's shape, the file must
     end right after the payload, and every value must be finite; the
-    payload is read once, _CHECK_BLOCK values at a time."""
+    payload is read once, by check_finite."""
     with open(path, "rb") as fh:
         header = fh.read(_SIE1_HEADER_BYTES)
         if len(header) < _SIE1_HEADER_BYTES or header[:4] != _SIE1_MAGIC:
@@ -355,7 +343,7 @@ def load_matrix(path) -> MatrixFile:
     be a format 1.0 header of at most _NPY_HEADER_MAX bytes, as np.save
     writes for a matrix, describing a 2-D real float array with no empty
     axis; the file must end right after the values, and every value must
-    be finite. The values are read once, _CHECK_BLOCK at a time."""
+    be finite. The values are read once, by check_finite."""
     with open(path, "rb") as fh:
         try:
             if np.lib.format.read_magic(fh) != (1, 0):

@@ -10,7 +10,7 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .errors import AudioError, ChannelLayoutError, ManifestError, SampleRateError
+from .errors import AudioError, ManifestError
 from .textio import parse_json, read_json, write_json, write_jsonl
 
 # fields that must hold strings when present; all but label are required
@@ -129,22 +129,16 @@ def load_clip(record: ClipRecord, wav_path=None, out=None):
     (CLIP_DURATION_S * rate, 2) float32 array (a new one when out is
     None), and return it: the array export_clip cut, column 0 the
     mixdown of the other speakers, column 1 the interrupter. The
-    header's layout is checked before any sample is read; the samples
-    are read with one readinto and checked as audio.read_wav_into does.
-    The audio code is imported here, so that reading a manifest loads
-    none."""
-    from .audio import SAMPLE_RATE, read_wav_header, read_wav_into
+    header is checked by audio.wav_layout (2 channels at 16 kHz) and
+    the clip's length before any sample is read; the samples are read
+    and checked by audio.read_wav_into. The audio code is imported here,
+    so that reading a manifest loads none."""
+    from .audio import read_wav_into, wav_layout
     from .overlap import CLIP_DURATION_S
 
     path = wav_path if wav_path is not None else record.wav_path
-    layout = read_wav_header(path)
-    if layout.n_channels != 2:
-        raise ChannelLayoutError("%s: clip WAVs are stereo, got %d channels"
-                                 % (path, layout.n_channels))
-    rate = layout.sample_rate
-    if rate != SAMPLE_RATE:
-        raise SampleRateError("%s: rate %d Hz, expected %d" % (path, rate, SAMPLE_RATE))
-    expected = int(CLIP_DURATION_S * rate)
+    layout = wav_layout(path, 2)
+    expected = int(CLIP_DURATION_S * layout.sample_rate)
     if layout.n_frames != expected:
         raise AudioError("%s: clip %s: channels must hold exactly %d samples"
                          % (path, record.clip_id, expected))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from talkover import audio
 from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav,
                             mixdown, read_wav_data, read_wav_header, write_wav)
 from talkover.errors import (AudioError, ChannelLayoutError, MalformedWavError,
@@ -54,6 +55,22 @@ def test_load_rejects_stereo(tmp_path):
     path = tmp_path / "t.wav"
     write_wav(path, np.zeros((100, 2)))
     with pytest.raises(ChannelLayoutError):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("at", [0, 6, 7, -1])
+def test_load_scans_every_block_of_a_float_track(tmp_path, monkeypatch, at):
+    # blocks of 7 samples: a NaN first, last, or either side of a boundary
+    monkeypatch.setattr(audio, "_CHECK_BLOCK", 7)
+    path = tmp_path / "t.wav"
+    samples = np.zeros(20, np.float32)
+    write_wav(path, samples)
+    assert len(load_wav(path)) == 20
+    samples[at] = np.nan
+    with open(path, "r+b") as fh:
+        fh.seek(read_wav_header(path).offset)
+        fh.write(samples.tobytes())
+    with pytest.raises(MalformedWavError, match="^%s: non-finite values$" % path):
         load_wav(path)
 
 

@@ -692,6 +692,19 @@ def test_telemetry_csv_rejects_extra_named_like_a_base_column(tmp_path):
         read_telemetry_csv(path)
 
 
+def test_extra_column_may_not_be_named_intercept(tmp_path):
+    # report.json keys the fitted intercept "intercept"; a covariate of
+    # that name would overwrite it there
+    with pytest.raises(CausalError, match="^extra column 'intercept' is reserved for the "
+                                          "fitted intercept$"):
+        table([record(0, extras={"intercept": 0.5}), record(1, vrh=True,
+                                                            extras={"intercept": 1.5})])
+    path = tmp_path / "telemetry.csv"
+    path.write_text(GOOD_HEADER + ",intercept\nm0,4,30.0,1,0,1,1,0.5\n")
+    with pytest.raises(CausalError, match="'intercept' is reserved"):
+        read_telemetry_csv(path)
+
+
 def test_telemetry_csv_rejects_repeated_meeting_id(tmp_path):
     path = tmp_path / "telemetry.csv"
     rows = ["m0,4,30.0,1,0,1,1", "m1,5,20.0,0,1,0,0", "m2,3,10.0,0,0,1,0",

@@ -683,6 +683,27 @@ def test_doubled_telemetry_exits_8(fixtures_dir, tmp_path):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("name, code", [("intercept", 8), ("spread", 0)])
+def test_extra_column_named_intercept_exits_8(fixtures_dir, tmp_path, capsys, name, code):
+    # under another name the same column is a sixth coefficient
+    lines = (fixtures_dir / "telemetry" / "telemetry.csv").read_text().splitlines()
+    values = np.random.default_rng(33).normal(size=len(lines) - 1)
+    path = tmp_path / "telemetry.csv"
+    path.write_text("\n".join([lines[0] + "," + name]
+                              + ["%s,%.6f" % row for row in zip(lines[1:], values)]) + "\n")
+    capsys.readouterr()
+    assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == code
+    report = tmp_path / "o" / "report.json"
+    if code:
+        assert capsys.readouterr().err == ("error: extra column 'intercept' is reserved for "
+                                           "the fitted intercept\n")
+        assert not report.exists()
+    else:
+        assert sorted(json.loads(report.read_text())["propensity"]["coefficients"]) == [
+            "duration_min", "intercept", "participant_count", "screenshare_used", "spread",
+            "video_used"]
+
+
 FUZZ_CELLS = ["nan", "inf", "-inf", "1e308", "-1", "2", "", "abc", "0.5"]
 
 
@@ -1468,7 +1489,60 @@ def test_featurize_of_a_clip_holding_a_nan_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["featurize", "--manifest", tmp_path / "manifest.jsonl",
                     "--feature", "mfcc", "--out", tmp_path / "o"]) == 3
-    assert capsys.readouterr().err == "error: %s: non-finite float samples\n" % wav
+    assert capsys.readouterr().err == "error: %s: non-finite values\n" % wav
+    assert not (tmp_path / "o" / "m0_bob_0025000.npy").exists()
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_track_cut_after_its_check_exits_3_at_the_read(fixtures_dir, tmp_path, capsys,
+                                                       encoding):
+    # load_wav checks the track, which then loses its second half before
+    # vad reads it: a float32 track through WavChannel.window, a PCM16
+    # one through WavChannel.stored
+    from talkover import audio
+    meeting = json.loads((fixtures_dir / "audio" / "meetings.json").read_text())["meetings"][0]
+    for ch in meeting["channels"]:
+        rate, samples = read_wav_data(fixtures_dir / "audio" / ch["wav_path"])
+        ch["wav_path"] = ch["participant_id"] + ".wav"
+        write_wav(tmp_path / ch["wav_path"], samples, rate, encoding)
+    (tmp_path / "meetings.json").write_text(json.dumps({"meetings": [meeting]}))
+    victim = str(tmp_path / meeting["channels"][-1]["wav_path"])
+    real_load = audio.load_wav
+
+    def load_then_cut(path, participant_id=None):
+        channel = real_load(path, participant_id)
+        if path == victim:
+            os.truncate(path, os.path.getsize(path) // 2)
+        return channel
+
+    capsys.readouterr()
+    with mock.patch.object(audio, "load_wav", load_then_cut):
+        assert run_cli(["extract", "--meetings", tmp_path / "meetings.json",
+                        "--out", tmp_path / "o"]) == 3
+    assert capsys.readouterr().err == "error: %s: file shrank after it was checked\n" % victim
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_clip_cut_after_its_check_exits_3_at_the_read(tmp_path, capsys, encoding):
+    # load_clip checks the header, then the clip loses its last frame
+    # before read_wav_into reads it
+    from talkover import audio
+    frames = np.random.default_rng(14).uniform(-0.5, 0.5, (10 * SAMPLE_RATE, 2))
+    wav = _clip_corpus(tmp_path, frames.astype(np.float32))
+    write_wav(wav, frames, SAMPLE_RATE, encoding)
+    real_layout = audio.wav_layout
+
+    def layout_then_cut(path, n_channels):
+        layout = real_layout(path, n_channels)
+        os.truncate(path, os.path.getsize(path) - 1)
+        return layout
+
+    capsys.readouterr()
+    with mock.patch.object(audio, "wav_layout", layout_then_cut):
+        assert run_cli(["featurize", "--manifest", tmp_path / "manifest.jsonl",
+                        "--feature", "mfcc", "--out", tmp_path / "o"]) == 3
+    assert capsys.readouterr().err == "error: %s: file shrank after it was checked\n" % wav
     assert not (tmp_path / "o" / "m0_bob_0025000.npy").exists()
 
 
@@ -1742,6 +1816,47 @@ def test_labels_reads_utf8_text_whatever_the_locale(tmp_path):
     assert outputs["ascii"] == outputs["default"]
     assert json.loads(outputs["ascii"]["consensus.jsonl"].splitlines()[0])["meeting_id"] == \
         "r\u00e9union"
+
+
+def test_a_name_the_locale_cannot_encode_exits_9(small_corpus, fixtures_dir, tmp_path):
+    # under a C locale without UTF-8 mode the file system encoding is
+    # ASCII: featurize cannot open a clip's file named by a non-ASCII
+    # clip id and wav_path, nor extract a non-ASCII track, though labels
+    # reads and writes the same manifest
+    sie = sorted(n for n in os.listdir(small_corpus) if n.endswith(".sie"))[0]
+    shutil.copy(small_corpus / sie, tmp_path / "r\u00e9union.sie")
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest(manifest, [ClipRecord("r\u00e9union", "m0", "p0", 5.0, "r\u00e9union.wav")])
+    votes = tmp_path / "votes.csv"
+    votes.write_text("clip_id,annotator_id,label\n" + "".join(
+        "r\u00e9union,a%d,laughter\n" % i for i in range(3)), encoding="utf-8")
+    meeting = json.loads((fixtures_dir / "audio" / "meetings.json").read_text())["meetings"][0]
+    for ch in meeting["channels"]:
+        name = "r\u00e9union_" + ch["wav_path"]
+        shutil.copy(fixtures_dir / "audio" / ch["wav_path"], tmp_path / name)
+        ch["wav_path"] = name
+    meetings = tmp_path / "meetings.json"
+    meetings.write_text(json.dumps({"meetings": [meeting]}))
+    featurize = ["featurize", "--manifest", manifest, "--feature", "emb", "--profile", "tiny"]
+    runs = {"featurize": featurize, "extract": ["extract", "--meetings", meetings],
+            "labels": ["labels", "--votes", votes, "--manifest", manifest]}
+    env = _src_env()
+    ascii_env = dict(env, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+
+    def run(name, child_env):
+        return subprocess.run([sys.executable, "-m", "talkover.cli", *map(str, runs[name]),
+                               "--out", str(tmp_path / name)],
+                              capture_output=True, text=True, env=child_env)
+
+    assert run("featurize", env).returncode == 0
+    assert run("labels", ascii_env).returncode == 0
+    for name, unencodable in (("featurize", tmp_path / "r\u00e9union.sie"),
+                              ("extract", tmp_path / meeting["channels"][0]["wav_path"])):
+        proc = run(name, ascii_env)
+        assert proc.returncode == 9, proc.stderr
+        assert proc.stderr == "error: %s cannot be encoded as a file name: 'ascii' codec " \
+            "can't encode character '\\xe9' in position %d: ordinal not in range(128)\n" % (
+                ascii(str(unencodable)), len(str(tmp_path)) + 2)
 
 
 def test_cli_import_loads_no_scipy():

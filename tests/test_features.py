@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from talkover import features
+from talkover import audio, features
 from talkover.audio import SAMPLE_RATE
 from talkover.errors import EmbeddingFormatError, MatrixFormatError, ShapeContractError
 from talkover.features import (ANALYSIS_SAMPLES, MFCC_FRAMES, MFCC_HOP,
@@ -289,7 +289,7 @@ def test_embedding_file_cut_after_its_check_fails_to_read(tmp_path):
 @pytest.mark.parametrize("at", [0, 6, 7, -1])
 def test_finiteness_check_covers_every_block(tmp_path, monkeypatch, at):
     # blocks of 7 values: a NaN first, last, or either side of a boundary
-    monkeypatch.setattr(features, "_CHECK_BLOCK", 7)
+    monkeypatch.setattr(audio, "_CHECK_BLOCK", 7)
     emb = tiny_embedding()
     path = tmp_path / "clip.sie"
     write_embeddings(path, emb)
@@ -370,7 +370,7 @@ def test_matrix_file_needs_a_2d_real_float_matrix(tmp_path, array):
 
 @pytest.mark.parametrize("at", [0, 6, 7, -1])
 def test_matrix_file_checks_size_and_every_value(tmp_path, monkeypatch, at):
-    monkeypatch.setattr(features, "_CHECK_BLOCK", 7)
+    monkeypatch.setattr(audio, "_CHECK_BLOCK", 7)
     path = tmp_path / "clip.npy"
     data = np.arange(24.0).reshape(4, 6)
     np.save(path, data)

@@ -204,3 +204,51 @@ def test_the_guard_sees_a_command_returning_a_value():
     for node in commands:
         node.body.append(ast.Return(ast.Constant(0), lineno=node.end_lineno + 1))
     assert _command_returns(tree) == [(node.end_lineno + 1, node.name) for node in commands]
+
+
+_RAW_READS = {("np", "fromfile"), ("np", "memmap"), ("np", "load"),
+              ("numpy", "fromfile"), ("numpy", "memmap"), ("numpy", "load")}
+
+
+def _raw_reads(tree):
+    """(function, line, name) of each .readinto, np.fromfile, np.memmap
+    and np.load use, with the innermost function that holds it (None at
+    module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and (
+                    child.attr == "readinto" or (isinstance(child.value, ast.Name)
+                                                 and (child.value.id, child.attr) in _RAW_READS)):
+                found.append((function, child.lineno, child.attr))
+            elif isinstance(child, ast.ImportFrom):
+                found.extend((function, child.lineno, alias.name) for alias in child.names
+                             if (child.module, alias.name) in _RAW_READS)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_stored_payloads_are_read_only_by_read_at_and_check_finite():
+    """Every read of a stored WAV, SIE1 or .npy payload goes through
+    audio.read_at, which reads by offset, or audio.check_finite, which
+    scans it once; none maps a file or reads one whole."""
+    reads = {path.name: _raw_reads(ast.parse(path.read_text(), str(path)))
+             for path in sorted(SRC.glob("*.py"))}
+    assert sorted((function, name) for function, _, name in reads.pop("audio.py")) == [
+        ("check_finite", "readinto"), ("read_at", "readinto")]
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_the_guard_sees_each_raw_read():
+    tree = ast.parse("import numpy as np\nfrom numpy import load\n"
+                     "def f(fh, out):\n    fh.readinto(out)\n    def g():\n"
+                     "        return np.fromfile(p)\n    return np.memmap(p)\n"
+                     "x = np.load(p)\nread = fh.readinto\n")
+    assert _raw_reads(tree) == [(None, 2, "load"), ("f", 4, "readinto"), ("g", 6, "fromfile"),
+                                ("f", 7, "memmap"), (None, 8, "load"), (None, 9, "readinto")]
