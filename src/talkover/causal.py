@@ -10,6 +10,7 @@ difference with a stratified normal-approximation CI.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -484,17 +485,92 @@ def _json_smds(smds: dict) -> dict:
 def read_telemetry_csv(path) -> Telemetry:
     """Telemetry CSV with the documented columns and one row per
     meeting_id; booleans as 0/1. Any additional columns are carried as
-    numeric extras."""
+    numeric extras.
+
+    The body is parsed in C by one np.loadtxt pass. A file that pass
+    declines goes through the per-cell parse, which accepts the same
+    files and names the line of every error."""
+    telemetry = _read_telemetry_columns(path)
+    return _read_telemetry_cells(path) if telemetry is None else telemetry
+
+
+# '"' opens a quoted field, which loadtxt does not read; loadtxt strips
+# \x1c-\x1f around a number as white space, where int() and float() refuse
+_DECLINED_BYTES = tuple(bytes([c]) for c in b'"\x1c\x1d\x1e\x1f')
+
+
+def _loadtxt_may_differ(path) -> bool:
+    """Whether the file holds text that np.loadtxt and the csv module
+    read differently: a declined byte, or a line that may hold a field
+    past the csv module's size limit."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return (any(b in data for b in _DECLINED_BYTES)
+            or max(map(len, io.BytesIO(data)), default=0) > csv.field_size_limit())
+
+
+def _read_telemetry_columns(path):
+    """The telemetry as one np.loadtxt pass over the body reads it, or
+    None where _read_telemetry_cells might read the file differently:
+    loadtxt raises or warns, a boolean cell is not exactly 0 or 1, or a
+    meeting_id repeats."""
+    if _loadtxt_may_differ(path):
+        return None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = _telemetry_header(csv.reader(fh), path)
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    n_base = len(TELEMETRY_COLUMNS)
+    # booleans as objects, not a fixed-width string dtype: loadtxt cuts
+    # those to their width and drops trailing NULs, so 100 and 1\0 would
+    # read 1
+    types = (object, np.int64, np.float64) + (object,) * 4
+    types += (np.float64,) * (len(header) - n_base)
+    dtype = np.dtype([("f%d" % i, t) for i, t in enumerate(types)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a path, not an open file: loadtxt reads an open file line
+            # by line, and a path in blocks; no comments, since a
+            # meeting_id may start with #
+            body = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, ndmin=1,
+                              encoding="utf-8", comments=None)
+    except (ValueError, OverflowError, Warning):
+        return None
+    # each field as its own array, so that no strided view keeps the
+    # parsed rows alive
+    columns = [body[name].copy() for name in dtype.names]
+    del body
+    for j in range(3, n_base):
+        ones = columns[j] == "1"
+        if not (ones | (columns[j] == "0")).all():
+            return None
+        columns[j] = ones
+    if len(set(columns[0])) < len(columns[0]):
+        return None
+    return Telemetry(*columns[:n_base], extras=dict(zip(header[n_base:], columns[n_base:])))
+
+
+def _telemetry_header(reader, path):
+    """The header row of a telemetry csv.reader, checked for the
+    documented columns and for repeated names."""
+    header = next(reader, None)
+    if header is None or tuple(header[: len(TELEMETRY_COLUMNS)]) != TELEMETRY_COLUMNS:
+        raise CausalError("%s: expected columns %s" % (path, ",".join(TELEMETRY_COLUMNS)))
+    for name in header:
+        if header.count(name) > 1:
+            raise CausalError("%s: column %r appears more than once" % (path, name))
+    return header
+
+
+def _read_telemetry_cells(path) -> Telemetry:
+    """read_telemetry_csv by the csv module and one parser call per
+    cell: the reference reader, and the one that words every error."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header[: len(TELEMETRY_COLUMNS)]) != TELEMETRY_COLUMNS:
-                raise CausalError(
-                    "%s: expected columns %s" % (path, ",".join(TELEMETRY_COLUMNS)))
-            for name in header:
-                if header.count(name) > 1:
-                    raise CausalError("%s: column %r appears more than once" % (path, name))
+            header = _telemetry_header(reader, path)
             parsers = (str, np.int64, float) + (_parse_bool,) * 4
             parsers += (float,) * (len(header) - len(parsers))
             columns = [[] for _ in header]

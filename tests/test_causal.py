@@ -1,18 +1,21 @@
+import csv
 import dataclasses
 import math
+import re
 import statistics
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import run_cli, same_telemetry
 from talkover import causal, synth
 from talkover.causal import (BASE_BOOLEAN, MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
-                             Telemetry, _bins, _confounders, _percentile, _sigmoid, _smd,
+                             Telemetry, _bins, _confounders, _percentile,
+                             _read_telemetry_cells, _read_telemetry_columns, _sigmoid, _smd,
                              _standardize, balance_report, bootstrap_ci, estimate_impact,
                              filter_eligible, fit_propensity, naive_difference,
                              predict_ps, read_telemetry_csv, run_impact, stratify,
@@ -671,6 +674,13 @@ def test_telemetry_csv_rejects_bad_input(tmp_path):
     with pytest.raises(CausalError, match=":4: boolean column must be 0 or 1, got 'x'"):
         read_telemetry_csv(path)
 
+    # a fixed-width string dtype would read both of these as 1
+    for cell in ("1\0", "100"):
+        path.write_text(good + "m0,4,30.0,1,0,1,1\nm1,5,20.0,%s,1,0,0\n" % cell)
+        with pytest.raises(CausalError, match=":3: boolean column must be 0 or 1, got %s$"
+                                              % re.escape(repr(cell))):
+            read_telemetry_csv(path)
+
     path.write_text(good + "m0,4,30.0,1,0,1,1\n\nm1,5,20.0,0,1,0,0\n")
     assert len(read_telemetry_csv(path)) == 2
 
@@ -705,6 +715,13 @@ def test_extra_column_may_not_be_named_intercept(tmp_path):
         read_telemetry_csv(path)
 
 
+def test_telemetry_csv_rejects_an_unquoted_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "telemetry.csv"
+    path.write_text(GOOD_HEADER + "\nm0,4,30.%s,1,0,1,1\n" % ("0" * csv.field_size_limit()))
+    with pytest.raises(CausalError, match="field larger than field limit"):
+        read_telemetry_csv(path)
+
+
 def test_telemetry_csv_rejects_repeated_meeting_id(tmp_path):
     path = tmp_path / "telemetry.csv"
     rows = ["m0,4,30.0,1,0,1,1", "m1,5,20.0,0,1,0,0", "m2,3,10.0,0,0,1,0",
@@ -715,6 +732,58 @@ def test_telemetry_csv_rejects_repeated_meeting_id(tmp_path):
         read_telemetry_csv(path)
     path.write_text(GOOD_HEADER + "\n" + "\n".join(rows[:3]) + "\n")
     assert len(read_telemetry_csv(path)) == 3
+
+
+# cells that np.loadtxt and the per-cell parse read differently, or
+# that only a per-cell check refuses
+ODD_CELLS = {
+    "id": ["#x", "m0", "", " m1", "a\0b", "a\u2028b", '"m1"', '"a,b"'],
+    "int": ["1_0", "\u0663", "+3", " 3", "3 ", "3.0", "1e3", "", "03", "0x10", "3\x1c",
+            "\x1f3", "3\u2003", "3\x85", "99999999999999999999", '"3"'],
+    "float": ["1_0", "\u0663", "+3", " 3", "3.0", "1e3", "nan", "Infinity", "", "-0", "1.",
+              "3\x1c", "\x1f3", "3\u2003", '"3"'],
+    "bool": ["01", "10", "100", "1\0", "\0", "", " 1", "+1", "1.0", "1\x1c", "0", '"1"'],
+}
+ODD_LINES = ["", " ", "\t", "m9,4"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_column_read_matches_the_cell_parse(tmp_path_factory, data):
+    extras = data.draw(st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True),
+                       label="extras")
+    kinds = ["id", "int", "float"] + ["bool"] * 4 + ["float"] * len(extras)
+    valid = ["4", "30.5", "1", "0", "1", "0"] + ["0.5"] * len(extras)
+    rows = [["m%d" % i] + valid for i in range(data.draw(st.integers(0, 5), label="rows"))]
+    for _ in range(data.draw(st.integers(0, 3), label="odd cells") if rows else 0):
+        row = data.draw(st.sampled_from(rows), label="row")
+        j = data.draw(st.integers(0, len(kinds) - 1), label="column")
+        row[j] = data.draw(st.sampled_from(ODD_CELLS[kinds[j]]), label=kinds[j])
+    lines = [",".join(TELEMETRY_COLUMNS + tuple(extras))] + [",".join(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 2), label="odd lines")):
+        lines.insert(data.draw(st.integers(1, len(lines)), label="at"),
+                     data.draw(st.sampled_from(ODD_LINES), label="line"))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    text = end.join(lines) + data.draw(st.sampled_from([end, ""]), label="last end")
+    path = tmp_path_factory.mktemp("telemetry") / "t.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = _read_telemetry_cells(path)
+    except CausalError as exc:
+        with pytest.raises(CausalError) as info:
+            read_telemetry_csv(path)
+        assert str(info.value) == str(exc)
+        event("both raise")
+    else:
+        assert same_telemetry(read_telemetry_csv(path), expected)
+        event("read by %s" % ("cells" if _read_telemetry_columns(path) is None else "column"))
+
+
+def test_column_read_takes_the_generated_telemetry(tmp_path):
+    path, _ = synth.write_telemetry_fixture(tmp_path, n=500, seed=2)
+    columns = _read_telemetry_columns(path)
+    assert columns is not None
+    assert same_telemetry(columns, _read_telemetry_cells(path))
 
 
 def loop_standardize(raw, names):

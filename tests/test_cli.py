@@ -704,7 +704,11 @@ def test_extra_column_named_intercept_exits_8(fixtures_dir, tmp_path, capsys, na
             "video_used"]
 
 
-FUZZ_CELLS = ["nan", "inf", "-inf", "1e308", "-1", "2", "", "abc", "0.5"]
+# the last seven reach both telemetry read paths: np.loadtxt refuses 1_0
+# and 1\0 as numbers, +1, 01 and 100 are numbers but not booleans, and a
+# quote sends the file to the per-cell parse
+FUZZ_CELLS = ["nan", "inf", "-inf", "1e308", "-1", "2", "", "abc", "0.5",
+              "1_0", "+1", "01", "100", "1\0", "#0", '"1"']
 
 
 @settings(max_examples=150, deadline=None)
