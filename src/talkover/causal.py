@@ -88,10 +88,6 @@ class Telemetry:
         return Telemetry(*(getattr(self, c)[rows] for c in TELEMETRY_COLUMNS),
                          extras={k: v[rows] for k, v in self.extras.items()})
 
-    def column(self, name) -> np.ndarray:
-        return (self.extras[name] if name in self.extras
-                else getattr(self, name)).astype(np.float64)
-
 
 def filter_eligible(telemetry):
     """Keep meetings with more than 2 participants; returns (kept, n_dropped)."""
@@ -99,29 +95,33 @@ def filter_eligible(telemetry):
     return kept, len(telemetry) - len(kept)
 
 
+def _confounder_names(telemetry):
+    return BASE_NUMERIC + tuple(telemetry.extras) + BASE_BOOLEAN
+
+
 def _confounders(telemetry):
     """The confounder names and their (n, k) float64 matrix, the
     transpose of one row per name."""
-    names = BASE_NUMERIC + tuple(telemetry.extras) + BASE_BOOLEAN
-    return names, np.stack([telemetry.column(name) for name in names]).T
+    names = _confounder_names(telemetry)
+    columns = [telemetry.extras[name] if name in telemetry.extras
+               else getattr(telemetry, name) for name in names]
+    return names, np.stack(columns, dtype=np.float64).T
 
 
 @dataclass(frozen=True, eq=False)
 class PsModel:
-    """Logistic model over standardized confounders.
+    """Logistic model over confounders standardized on its fit records.
 
-    Numeric columns are z-scored with the stored means/stds; boolean
-    columns pass through as 0/1 (their stored mean/std are 0/1).
-    Constant columns are dropped from the fit and keep coefficient 0.
-    means, stds and coefficients are float64 arrays; coefficients[0] is
-    the intercept.
+    Numeric columns are z-scored, boolean ones pass through as 0/1.
+    Constant columns are dropped from the fit and keep coefficient 0;
+    coefficients[0] is the intercept. fitted is the read-only float64
+    propensity the fit converged on for each of its records.
     """
 
     feature_names: tuple
-    means: np.ndarray
-    stds: np.ndarray
     coefficients: np.ndarray
     dropped: tuple
+    fitted: np.ndarray
 
 
 def _standardize(raw, names):
@@ -144,29 +144,32 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _design(raw, means, stds):
-    """The standardized design as a (k + 1, n) array, one row per
-    coefficient: an intercept row of ones, then the k columns of raw."""
-    XT = np.ones((raw.shape[1] + 1, raw.shape[0]))
-    XT[1:] = ((raw - means) / stds).T
-    return XT
+def _design(telemetry):
+    """The confounder names and the (k + 1, n) design, standardized in
+    place on these records: an intercept row of ones, then one per confounder."""
+    names, raw = _confounders(telemetry)
+    means, stds = _standardize(raw, names)
+    XT = np.ones((len(names) + 1, len(telemetry)))
+    np.divide(np.subtract(raw.T, means[:, None], out=XT[1:]), stds[:, None], out=XT[1:])
+    return names, XT
 
 
 def _live_rows(XT):
-    """The rows of a design that vary; the intercept row always stays.
-    A constant confounder is collinear with the intercept, so it is fit
-    without."""
+    """The rows of a design that vary, as a mask and as the design they
+    make (XT itself where all do). The intercept row always stays; a
+    constant confounder is collinear with it, so it is fit without."""
     live = XT.max(axis=1) > XT.min(axis=1)
     live[0] = True
-    return live
+    return live, (XT if live.all() else XT[live])
 
 
 def _newton(XT, y, beta):
     """Maximum-likelihood logistic coefficients of treatment y on the
     (k, n) design XT by Newton/IRLS from beta; converges when the
     largest coefficient change drops below 1e-8, capped at 100
-    iterations. Separation raises PerfectSeparationError: a coefficient
-    past PS_COEF_LIMIT, or a fitted propensity within PS_EPS of 0 or 1."""
+    iterations; returns (beta, fitted propensities). Separation raises
+    PerfectSeparationError: a coefficient past PS_COEF_LIMIT, or a
+    fitted propensity within PS_EPS of 0 or 1."""
     if y.min() == y.max():
         raise SingleClassTreatmentError(
             "all records have vrh_used=%s; propensity undefined" % bool(y[0]))
@@ -189,7 +192,7 @@ def _newton(XT, y, beta):
     if p.min() < PS_EPS or p.max() > 1.0 - PS_EPS:
         raise PerfectSeparationError(
             "fitted propensities numerically 0 or 1; treatment is separable")
-    return beta
+    return beta, p
 
 
 def fit_propensity(telemetry) -> PsModel:
@@ -197,27 +200,29 @@ def fit_propensity(telemetry) -> PsModel:
     standardized on these records, by Newton/IRLS from zero."""
     if len(telemetry) < 2:
         raise CausalError("need at least 2 records to fit a propensity model")
-    names, raw = _confounders(telemetry)
-    means, stds = _standardize(raw, names)
-    XT = _design(raw, means, stds)
-    live = _live_rows(XT)
+    names, XT = _design(telemetry)
+    live, XT = _live_rows(XT)
     coefs = np.zeros(len(live))
-    coefs[live] = _newton(XT[live], telemetry.column("vrh_used"), coefs[live])
+    coefs[live], fitted = _newton(XT, telemetry.vrh_used, coefs[live])
+    fitted.flags.writeable = False
     dropped = tuple(name for name, keep in zip(names, live[1:]) if not keep)
-    return PsModel(names, means, stds, coefs, dropped)
+    return PsModel(names, coefs, dropped, fitted)
+
+
+def _check_fit_records(model: PsModel, telemetry):
+    """CausalError unless telemetry has the fit's confounders and count."""
+    names = _confounder_names(telemetry)
+    if names != model.feature_names or len(telemetry) != len(model.fitted):
+        raise CausalError("the model was fit on %d records with confounders %s, not on "
+                          "these %d with %s" % (len(model.fitted), list(model.feature_names),
+                                                len(telemetry), list(names)))
 
 
 def predict_ps(model: PsModel, telemetry) -> np.ndarray:
-    """Propensity scores in (0,1) for each meeting, in order; on the
-    fit's own records, the propensities it converged on, bit for bit."""
-    names, raw = _confounders(telemetry)
-    if names != model.feature_names:
-        raise CausalError(
-            "records carry confounders %s but the model was fit on %s"
-            % (list(names), list(model.feature_names)))
-    live = np.array([True] + [name not in model.dropped for name in names])
-    XT = _design(raw, model.means, model.stds)[live]
-    return _sigmoid(model.coefficients[live] @ XT)
+    """Propensity scores in (0,1) of the records model was fit on, in
+    order: the propensities the fit converged on, bit for bit."""
+    _check_fit_records(model, telemetry)
+    return model.fitted
 
 
 def stratify(telemetry, model: PsModel, n_bins: int = 5) -> np.ndarray:
@@ -329,7 +334,7 @@ def estimate_impact(telemetry, assignment) -> ImpactEstimate:
     normal approximation with per-stratum Bernoulli variances.
     """
     labels, counts, sums, dropped_bins = _strata(
-        telemetry, assignment, telemetry.column("predicted_inclusive"))
+        telemetry, assignment, telemetry.predicted_inclusive)
     if dropped_bins:
         warnings.warn(
             "dropping strata %s with no treated or no control meetings; "
@@ -368,7 +373,7 @@ def naive_difference(telemetry) -> float:
     """Unadjusted treated-minus-control outcome difference, for bias
     comparison in reports."""
     treated = telemetry.vrh_used
-    outcome = telemetry.column("predicted_inclusive")
+    outcome = telemetry.predicted_inclusive
     if not treated.any() or treated.all():
         raise SingleClassTreatmentError("need both treated and control records")
     return float(outcome[treated].mean() - outcome[~treated].mean())
@@ -379,32 +384,29 @@ def bootstrap_ci(telemetry, model: PsModel, n_bins: int = 5, n_boot: int = 200,
     """Percentile bootstrap (Efron and Tibshirani, 1993) of the full
     fit-stratify-estimate pipeline; returns (lo, hi, resamples used).
 
-    model is fit_propensity(telemetry). Its design is built once,
-    standardized on these records, and each resample takes its columns
-    by index. A resample drops the confounders constant within it,
-    refits from the model's coefficients (the fit does not depend on
-    the scaling), bins as stratify does and estimates as
-    estimate_impact does. It is skipped where those would raise
-    CausalError: one treatment class, a singular or separable design,
-    non-finite coefficients, too few meetings for n_bins, or no stratum
-    holding both arms."""
+    model is fit_propensity(telemetry); other records raise CausalError.
+    The design is built once, standardized on these records, and each
+    resample takes its columns by index, drops the confounders constant
+    within it, refits from the model's coefficients (the fit does not
+    depend on the scaling), bins the refit's propensities as stratify
+    does and estimates as estimate_impact does. It is skipped where
+    those would raise CausalError: one treatment class, a singular or
+    separable design, non-finite coefficients, too few meetings for
+    n_bins, or no stratum holding both arms."""
+    _check_fit_records(model, telemetry)
     n = len(telemetry)
-    XT = _design(_confounders(telemetry)[1], model.means, model.stds)
-    start = model.coefficients
-    y = telemetry.column("vrh_used")
+    XT = _design(telemetry)[1]
     treated = telemetry.vrh_used
-    outcome = telemetry.column("predicted_inclusive")
+    outcome = telemetry.predicted_inclusive
     rng = np.random.default_rng(seed)
     X = np.empty_like(XT)
     deltas = []
     for _ in range(n_boot):
         rows = rng.integers(0, n, size=n)
         np.take(XT, rows, axis=1, out=X)
-        live = _live_rows(X)
-        X_live = X if live.all() else X[live]
+        live, X_live = _live_rows(X)
         try:
-            beta = _newton(X_live, y[rows], start[live])
-            bins = _bins(_sigmoid(beta @ X_live), n_bins)
+            bins = _bins(_newton(X_live, treated[rows], model.coefficients[live])[1], n_bins)
         except CausalError:
             continue  # degenerate resample; skip it
         counts, sums = _arm_table(bins, n_bins, treated[rows], outcome[rows])

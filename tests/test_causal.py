@@ -212,14 +212,15 @@ def test_predict_ps_is_the_fits_converged_propensity_bit_for_bit(monkeypatch, co
     newton = causal._newton
 
     def spy(XT, y, beta):
-        beta = newton(XT, y, beta)
+        beta, p = newton(XT, y, beta)
         converged.append(_sigmoid(beta @ XT))
-        return beta
+        return beta, p
     monkeypatch.setattr(causal, "_newton", spy)
     model = fit_propensity(telemetry)
     assert model.dropped == (("year",) if constant_extra else ())
     assert len(converged) == 1
     assert predict_ps(model, telemetry).tobytes() == converged[0].tobytes()
+    assert not model.fitted.flags.writeable
 
 
 def test_inconsistent_extras_rejected():
@@ -247,22 +248,44 @@ def test_stratify_bin_sizes_and_order():
 def test_stratify_matches_array_split_chunks(n, n_bins):
     records = synth_records(np.random.default_rng(2), 103)
     model = fit_propensity(records)
-    head = records.take(np.arange(n))
+    ps = predict_ps(model, records)[:n]
     expected = np.empty(n, dtype=np.int64)
-    order = np.argsort(predict_ps(model, head), kind="stable")
-    for b, chunk in enumerate(np.array_split(order, n_bins)):
+    for b, chunk in enumerate(np.array_split(np.argsort(ps, kind="stable"), n_bins)):
         expected[chunk] = b
-    assert np.array_equal(stratify(head, model, n_bins), expected)
+    assert np.array_equal(_bins(ps, n_bins), expected)
+    if n == len(records):
+        assert np.array_equal(stratify(records, model, n_bins), expected)
 
 
 def test_stratify_validation():
     rng = np.random.default_rng(2)
     records = synth_records(rng, 80)
     model = fit_propensity(records)
-    with pytest.raises(CausalError):
+    with pytest.raises(CausalError, match="at least 2 bins"):
         stratify(records, model, n_bins=1)
-    with pytest.raises(CausalError):
-        stratify(records.take(np.arange(3)), model, n_bins=5)
+    with pytest.raises(CausalError, match="^3 records cannot fill 5 bins$"):
+        _bins(predict_ps(model, records)[:3], 5)
+
+
+@pytest.mark.parametrize("stage", ["predict_ps", "stratify", "bootstrap_ci"])
+def test_fit_stages_take_only_the_records_the_model_was_fit_on(stage):
+    # the model keeps the fit's propensities, not a way to score others
+    records = synth_records(np.random.default_rng(2), 80)
+    model = fit_propensity(records)
+    call = {"predict_ps": lambda t: predict_ps(model, t),
+            "stratify": lambda t: stratify(t, model, 5),
+            "bootstrap_ci": lambda t: bootstrap_ci(t, model, 5, 4)}[stage]
+    names = ("participant_count", "duration_min", "video_used", "screenshare_used")
+    for other, n in ((records.take(np.arange(40)), 40), (records.take(np.r_[:80, :3]), 83)):
+        with pytest.raises(CausalError, match=r"^the model was fit on 80 records with "
+                                              r"confounders \[.*\], not on these %d with" % n):
+            call(other)
+    extra = dataclasses.replace(records, extras={"x": np.zeros(80)})
+    with pytest.raises(CausalError, match=re.escape(
+            "fit on 80 records with confounders %s, not on these 80 with %s"
+            % (list(names), list(names[:2] + ("x",) + names[2:])))):
+        call(extra)
+    call(records)
 
 
 def test_smd_cases():
@@ -393,7 +416,7 @@ def loop_estimate_impact(telemetry, assignment):
     """estimate_impact as one boolean mask per stratum, for an oracle;
     returns (delta, ci95, per_stratum)."""
     treated = telemetry.vrh_used
-    outcome = telemetry.column("predicted_inclusive")
+    outcome = telemetry.predicted_inclusive.astype(np.float64)
     rows, dropped_bins = [], []
     for b in sorted(set(assignment.tolist())):
         in_bin = assignment == b
@@ -635,6 +658,29 @@ def test_run_impact_with_bootstrap():
     report = run_impact(records, n_bins=4, bootstrap=True, bootstrap_samples=10)
     assert len(report["bootstrap_ci95"]) == 2
     assert report["bootstrap_samples_used"] <= 10
+
+
+def test_run_impact_standardizes_one_design_per_record_set(monkeypatch):
+    # the fit builds the design the report's propensities come from and
+    # the bootstrap builds its own; no later stage builds or rescales one
+    calls = Counter()
+    for name in ("_standardize", "_design", "_confounders"):
+        def counted(*args, _name=name, _fn=getattr(causal, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(causal, name, counted)
+    records = synth_records(np.random.default_rng(10), 300)
+    run_impact(records, n_bins=4)
+    # the balance report reads the raw confounders
+    assert calls == {"_standardize": 1, "_design": 1, "_confounders": 2}
+    calls.clear()
+    run_impact(records, n_bins=4, bootstrap=True, bootstrap_samples=3)
+    assert calls == {"_standardize": 2, "_design": 2, "_confounders": 3}
+    model = fit_propensity(records)
+    calls.clear()
+    predict_ps(model, records)
+    stratify(records, model, 4)
+    assert not calls
 
 
 def test_telemetry_csv_round_trip(tmp_path):

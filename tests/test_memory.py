@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from talkover.audio import SAMPLE_RATE, MeetingAudio, load_wav, write_wav
-from talkover.causal import TELEMETRY_COLUMNS, read_telemetry_csv, write_telemetry_csv
+from talkover.causal import (TELEMETRY_COLUMNS, read_telemetry_csv, run_impact,
+                             write_telemetry_csv)
 from talkover.features import MfccScratch, SpectrogramScratch, mfcc, spectrogram
 from talkover.labels import VOTE_LABELS, VoteRecord, write_votes_csv
 from talkover.manifest import ClipRecord, load_clip, write_manifest, write_split
@@ -37,6 +38,12 @@ VOTES_GROWTH_MIB = 18.0
 
 CLIP_ROWS = int(CLIP_DURATION_S * SAMPLE_RATE)
 F64_CLIP_BYTES = CLIP_ROWS * 2 * 8  # 2.56 MB
+# run_impact's tracemalloc peak grew 229.9 bytes a meeting from 100k to
+# 400k meetings while each stage rebuilt or copied the propensity design,
+# and grows 152.3 with the fit's design built once, standardized in place
+# and not copied. The margin, 22.7 bytes, is under three float64 columns;
+# one more copy of a four-confounder design (40 bytes a meeting) fails it.
+IMPACT_BYTES_PER_MEETING = 175.0
 # small blocks that numpy's and Python's caches keep from one clip to the
 # next, about 1 KiB over 8 clips; the smallest per-clip array, a PCM16
 # channel window, is 320 KB
@@ -183,6 +190,14 @@ def traced_peak(step, items):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_impact_peak_grows_under_the_stated_bytes_per_meeting():
+    peaks = {n: traced_peak(run_impact, [make_telemetry(n, seed=0)])
+             for n in (100_000, 400_000)}
+    growth = (peaks[400_000] - peaks[100_000]) / 300_000
+    assert growth < IMPACT_BYTES_PER_MEETING, (
+        "run_impact's peak grew %.1f bytes a meeting from 100k to 400k meetings" % growth)
 
 
 def pcm16_meeting(tmp_path, seconds=40.0):
