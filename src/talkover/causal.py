@@ -99,13 +99,9 @@ def _confounder_names(telemetry):
     return BASE_NUMERIC + tuple(telemetry.extras) + BASE_BOOLEAN
 
 
-def _confounders(telemetry):
-    """The confounder names and their (n, k) float64 matrix, the
-    transpose of one row per name."""
-    names = _confounder_names(telemetry)
-    columns = [telemetry.extras[name] if name in telemetry.extras
-               else getattr(telemetry, name) for name in names]
-    return names, np.stack(columns, dtype=np.float64).T
+def _column(telemetry, name):
+    """The confounder column called name, in place."""
+    return telemetry.extras[name] if name in telemetry.extras else getattr(telemetry, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,27 +111,16 @@ class PsModel:
     Numeric columns are z-scored, boolean ones pass through as 0/1.
     Constant columns are dropped from the fit and keep coefficient 0;
     coefficients[0] is the intercept. fitted is the read-only float64
-    propensity the fit converged on for each of its records.
+    propensity the fit converged on for each of its records, and design
+    the read-only (k + 1, n) design it was fit on, constant rows
+    included, which the bootstrap resamples.
     """
 
     feature_names: tuple
     coefficients: np.ndarray
     dropped: tuple
     fitted: np.ndarray
-
-
-def _standardize(raw, names):
-    """Column means and spreads that z-score the numeric columns of raw;
-    boolean columns get mean 0 and spread 1, so they pass through."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        means, stds = raw.mean(axis=0), raw.std(axis=0)
-    boolean = np.isin(names, BASE_BOOLEAN)
-    means[boolean], stds[boolean] = 0.0, 1.0
-    bad = ~(np.isfinite(means) & np.isfinite(stds))
-    if bad.any():
-        raise CausalError("column %r has a non-finite mean or spread" % names[np.argmax(bad)])
-    stds[stds == 0.0] = 1.0  # constant column; zeroed by centering
-    return means, stds
+    design: np.ndarray
 
 
 def _sigmoid(z):
@@ -145,12 +130,21 @@ def _sigmoid(z):
 
 
 def _design(telemetry):
-    """The confounder names and the (k + 1, n) design, standardized in
-    place on these records: an intercept row of ones, then one per confounder."""
-    names, raw = _confounders(telemetry)
-    means, stds = _standardize(raw, names)
+    """The confounder names and the (k + 1, n) design: an intercept row
+    of ones, then one row per confounder, written in place. Numeric rows
+    are z-scored on these records' own mean and spread; boolean rows
+    pass through as 0/1."""
+    names = _confounder_names(telemetry)
     XT = np.ones((len(names) + 1, len(telemetry)))
-    np.divide(np.subtract(raw.T, means[:, None], out=XT[1:]), stds[:, None], out=XT[1:])
+    for name, row in zip(names, XT[1:]):
+        row[:] = _column(telemetry, name)
+        if name not in BASE_BOOLEAN:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std = row.mean(), row.std()
+            if not (np.isfinite(mean) and np.isfinite(std)):
+                raise CausalError("column %r has a non-finite mean or spread" % name)
+            row -= mean
+            row /= std or 1.0  # a constant row; zeroed by centering
     return names, XT
 
 
@@ -200,13 +194,13 @@ def fit_propensity(telemetry) -> PsModel:
     standardized on these records, by Newton/IRLS from zero."""
     if len(telemetry) < 2:
         raise CausalError("need at least 2 records to fit a propensity model")
-    names, XT = _design(telemetry)
-    live, XT = _live_rows(XT)
+    names, design = _design(telemetry)
+    live, XT = _live_rows(design)
     coefs = np.zeros(len(live))
     coefs[live], fitted = _newton(XT, telemetry.vrh_used, coefs[live])
-    fitted.flags.writeable = False
+    fitted.flags.writeable = design.flags.writeable = False
     dropped = tuple(name for name, keep in zip(names, live[1:]) if not keep)
-    return PsModel(names, coefs, dropped, fitted)
+    return PsModel(names, coefs, dropped, fitted, design)
 
 
 def _check_fit_records(model: PsModel, telemetry):
@@ -294,10 +288,12 @@ def balance_report(telemetry, assignment) -> dict:
     """Within-bin standardized mean differences per confounder.
 
     Bins missing an arm are skipped. The summary per confounder is the
-    bin-size-weighted mean of the within-bin SMDs.
+    bin-size-weighted mean of the within-bin SMDs. Each confounder is
+    read from its telemetry column in place, on the raw scale.
     """
     labels, counts, _, _ = _strata(telemetry, assignment)
-    names, raw = _confounders(telemetry)
+    names = _confounder_names(telemetry)
+    columns = [_column(telemetry, name) for name in names]
     treated = telemetry.vrh_used
     assignment = np.asarray(assignment)
 
@@ -306,7 +302,7 @@ def balance_report(telemetry, assignment) -> dict:
         in_bin = assignment == b
         t = in_bin & treated
         c = in_bin & ~treated
-        per_bin[b] = {name: _smd(raw[t, j], raw[c, j]) for j, name in enumerate(names)}
+        per_bin[b] = {name: _smd(column[t], column[c]) for name, column in zip(names, columns)}
     weights = counts.sum(axis=1).tolist()
     total = sum(weights)
     summary = {name: sum(per_bin[b][name] * w for b, w in zip(labels, weights)) / total
@@ -385,9 +381,9 @@ def bootstrap_ci(telemetry, model: PsModel, n_bins: int = 5, n_boot: int = 200,
     fit-stratify-estimate pipeline; returns (lo, hi, resamples used).
 
     model is fit_propensity(telemetry); other records raise CausalError.
-    The design is built once, standardized on these records, and each
-    resample takes its columns by index, drops the confounders constant
-    within it, refits from the model's coefficients (the fit does not
+    Each resample takes the columns of the fit's own design,
+    model.design, by index, drops the confounders constant within it,
+    refits from the model's coefficients (the fit does not
     depend on the scaling), bins the refit's propensities as stratify
     does and estimates as estimate_impact does. It is skipped where
     those would raise CausalError: one treatment class, a singular or
@@ -395,15 +391,14 @@ def bootstrap_ci(telemetry, model: PsModel, n_bins: int = 5, n_boot: int = 200,
     n_bins, or no stratum holding both arms."""
     _check_fit_records(model, telemetry)
     n = len(telemetry)
-    XT = _design(telemetry)[1]
     treated = telemetry.vrh_used
     outcome = telemetry.predicted_inclusive
     rng = np.random.default_rng(seed)
-    X = np.empty_like(XT)
+    X = np.empty_like(model.design)
     deltas = []
     for _ in range(n_boot):
         rows = rng.integers(0, n, size=n)
-        np.take(XT, rows, axis=1, out=X)
+        np.take(model.design, rows, axis=1, out=X)
         live, X_live = _live_rows(X)
         try:
             bins = _bins(_newton(X_live, treated[rows], model.coefficients[live])[1], n_bins)

@@ -260,10 +260,12 @@ def cmd_eval(args) -> None:
 
     arr = np.array([r[1:] for r in rows], dtype=np.float64)
     # a column whose runs agree has sd 0, also when they agree on an
-    # infinite threshold, where arr.std would subtract inf from inf
+    # infinite threshold, and one whose runs disagree and hold an
+    # infinite threshold has sd inf: arr.std would subtract inf from inf
     agree = np.all(arr == arr[0], axis=0)
-    sd = np.zeros(arr.shape[1])
-    sd[~agree] = arr[:, ~agree].std(axis=0)
+    spread = ~agree & ~np.isinf(arr).any(axis=0)
+    sd = np.where(agree, 0.0, np.inf)
+    sd[spread] = arr[:, spread].std(axis=0)
     labeled = [(run, values) for run, *values in rows] + [("mean", arr.mean(axis=0)),
                                                           ("sd", sd)]
     write_csv(os.path.join(args.out, "metrics.csv"),

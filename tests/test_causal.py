@@ -13,10 +13,10 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import run_cli, same_telemetry
 from talkover import causal, synth
-from talkover.causal import (BASE_BOOLEAN, MIN_PARTICIPANTS, TELEMETRY_COLUMNS, Z_975,
-                             Telemetry, _bins, _confounders, _percentile,
+from talkover.causal import (BASE_BOOLEAN, BASE_NUMERIC, MIN_PARTICIPANTS, TELEMETRY_COLUMNS,
+                             Z_975, Telemetry, _bins, _design, _percentile,
                              _read_telemetry_cells, _read_telemetry_columns, _sigmoid, _smd,
-                             _standardize, balance_report, bootstrap_ci, estimate_impact,
+                             balance_report, bootstrap_ci, estimate_impact,
                              filter_eligible, fit_propensity, naive_difference,
                              predict_ps, read_telemetry_csv, run_impact, stratify,
                              write_telemetry_csv)
@@ -221,6 +221,7 @@ def test_predict_ps_is_the_fits_converged_propensity_bit_for_bit(monkeypatch, co
     assert len(converged) == 1
     assert predict_ps(model, telemetry).tobytes() == converged[0].tobytes()
     assert not model.fitted.flags.writeable
+    assert not model.design.flags.writeable
 
 
 def test_inconsistent_extras_rejected():
@@ -393,9 +394,19 @@ def test_estimate_length_mismatch():
         estimate_impact(table([record(0)]), np.array([0, 1]))
 
 
+def stacked_confounders(telemetry):
+    """The confounder names and their (n, k) float64 matrix, stacked
+    from the columns, for an oracle."""
+    names = BASE_NUMERIC + tuple(telemetry.extras) + BASE_BOOLEAN
+    columns = [telemetry.extras[name] if name in telemetry.extras
+               else getattr(telemetry, name) for name in names]
+    return names, np.stack(columns, dtype=np.float64).T
+
+
 def loop_balance_report(telemetry, assignment):
-    """balance_report as one boolean mask per stratum, for an oracle."""
-    names, raw = _confounders(telemetry)
+    """balance_report as one boolean mask per stratum over a stacked
+    matrix, for an oracle."""
+    names, raw = stacked_confounders(telemetry)
     treated = telemetry.vrh_used
     per_bin, weights = {}, {}
     for b in sorted(set(assignment.tolist())):
@@ -662,24 +673,26 @@ def test_run_impact_with_bootstrap():
 
 def test_run_impact_standardizes_one_design_per_record_set(monkeypatch):
     # the fit builds the design the report's propensities come from and
-    # the bootstrap builds its own; no later stage builds or rescales one
+    # the bootstrap resamples it; no later stage builds or rescales one
     calls = Counter()
-    for name in ("_standardize", "_design", "_confounders"):
-        def counted(*args, _name=name, _fn=getattr(causal, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(causal, name, counted)
+    design = causal._design
+
+    def counted(telemetry):
+        calls["_design"] += 1
+        return design(telemetry)
+    monkeypatch.setattr(causal, "_design", counted)
     records = synth_records(np.random.default_rng(10), 300)
     run_impact(records, n_bins=4)
-    # the balance report reads the raw confounders
-    assert calls == {"_standardize": 1, "_design": 1, "_confounders": 2}
+    assert calls == {"_design": 1}
     calls.clear()
     run_impact(records, n_bins=4, bootstrap=True, bootstrap_samples=3)
-    assert calls == {"_standardize": 2, "_design": 2, "_confounders": 3}
+    assert calls == {"_design": 1}
     model = fit_propensity(records)
     calls.clear()
     predict_ps(model, records)
-    stratify(records, model, 4)
+    assignment = stratify(records, model, 4)
+    balance_report(records, assignment)
+    bootstrap_ci(records, model, 4, 3)
     assert not calls
 
 
@@ -832,36 +845,38 @@ def test_column_read_takes_the_generated_telemetry(tmp_path):
     assert same_telemetry(columns, _read_telemetry_cells(path))
 
 
-def loop_standardize(raw, names):
-    """_standardize as one column at a time, for an oracle."""
-    means = np.zeros(raw.shape[1])
-    stds = np.ones(raw.shape[1])
-    for j, name in enumerate(names):
-        if name not in BASE_BOOLEAN:
-            with np.errstate(over="ignore", invalid="ignore"):
-                means[j] = raw[:, j].mean()
-                stds[j] = raw[:, j].std()
-            if not (np.isfinite(means[j]) and np.isfinite(stds[j])):
-                raise CausalError("column %r has a non-finite mean or spread" % name)
-            if stds[j] == 0.0:
-                stds[j] = 1.0
-    return means, stds
+def stacked_design(telemetry):
+    """_design as a stacked (n, k) confounder matrix, its column means
+    and spreads, then one subtract and one divide into the design, for
+    an oracle."""
+    names, raw = stacked_confounders(telemetry)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, stds = raw.mean(axis=0), raw.std(axis=0)
+    boolean = np.isin(names, BASE_BOOLEAN)
+    means[boolean], stds[boolean] = 0.0, 1.0
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        raise CausalError("column %r has a non-finite mean or spread" % names[np.argmax(bad)])
+    stds[stds == 0.0] = 1.0
+    XT = np.ones((len(names) + 1, len(telemetry)))
+    np.divide(np.subtract(raw.T, means[:, None], out=XT[1:]), stds[:, None], out=XT[1:])
+    return names, XT
 
 
-def assert_standardizes_as_the_loop(telemetry):
-    names, raw = _confounders(telemetry)
+def assert_designs_as_the_stack(telemetry):
     try:
-        expected = loop_standardize(raw, names)
+        names, expected = stacked_design(telemetry)
     except CausalError as exc:
         with pytest.raises(CausalError) as info:
-            _standardize(raw, names)
+            _design(telemetry)
         assert str(info.value) == str(exc)
         return
-    means, stds = _standardize(raw, names)
-    assert means.tobytes() == expected[0].tobytes()
-    assert stds.tobytes() == expected[1].tobytes()
-    boolean = [name in BASE_BOOLEAN for name in names]
-    assert means[boolean].tolist() == [0.0, 0.0] and stds[boolean].tolist() == [1.0, 1.0]
+    got_names, XT = _design(telemetry)
+    assert got_names == names
+    assert XT.shape == expected.shape and XT.tobytes() == expected.tobytes()
+    for name, row in zip(names, XT[1:]):
+        if name in BASE_BOOLEAN:
+            assert row.tolist() == getattr(telemetry, name).astype(float).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -883,7 +898,7 @@ def test_standardize_matches_the_column_loop_bit_for_bit(data):
         data.draw(hnp.arrays(np.int64, n, elements=st.integers(2, 10**6)), label="size"),
         data.draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e4)), label="duration"),
         *flags, extras=extras)
-    assert_standardizes_as_the_loop(telemetry)
+    assert_designs_as_the_stack(telemetry)
 
 
 def test_standardize_names_the_first_column_that_overflows():
@@ -892,7 +907,7 @@ def test_standardize_names_the_first_column_that_overflows():
     telemetry = table([record(i, vrh=bool(i % 2)) for i in range(4)])
     telemetry = dataclasses.replace(telemetry, extras={"a": rng.normal(size=4), "b": huge,
                                                        "c": huge})
-    assert_standardizes_as_the_loop(telemetry)
+    assert_designs_as_the_stack(telemetry)
     with pytest.raises(CausalError, match="^column 'b' has a non-finite mean or spread$"):
         fit_propensity(telemetry)
 

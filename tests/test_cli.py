@@ -1249,10 +1249,11 @@ def test_eval_reads_each_clip_once_across_runs(fixtures_dir, model_dir, tmp_path
     assert rows[1][1:] == rows[2][1:]  # the same checkpoint twice scores the same
 
 
-@pytest.mark.parametrize("runs", [1, 2])
-def test_eval_sd_of_an_infinite_threshold_is_zero(fixtures_dir, model_dir, tmp_path, runs):
-    # calibrating on negatives the model emits as failed_interruption
-    # finds no threshold within a 1% FPR target, so tau is inf
+def eval_on_an_infinite_threshold_split(fixtures_dir, model_dir, tmp_path, checkpoints):
+    """metrics.csv's rows from eval of the checkpoints, in run order,
+    calibrated on the negatives checkpoint_r0 emits as
+    failed_interruption: no threshold on them meets a 1% FPR target,
+    so checkpoint_r0 calibrates to an infinite tau."""
     from talkover import model as model_mod
     from talkover.features import PROFILES, load_embeddings
     emb = fixtures_dir / "embeddings"
@@ -1269,20 +1270,41 @@ def test_eval_sd_of_an_infinite_threshold_is_zero(fixtures_dir, model_dir, tmp_p
     (tmp_path / "split.json").write_text(json.dumps(split))
     model = tmp_path / "model"
     model.mkdir()
-    for run in range(runs):
-        shutil.copy(model_dir / "checkpoint_r0.bin", model / ("checkpoint_r%d.bin" % run))
+    for run, net in enumerate(checkpoints):
+        model_mod.save_model(net, model / ("checkpoint_r%d.bin" % run))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
                         "--split", tmp_path / "split.json", "--features", emb,
-                        "--feature", "emb", "--profile", "tiny", "--runs", runs,
+                        "--feature", "emb", "--profile", "tiny", "--runs", len(checkpoints),
                         "--model-dir", model, "--calibration-split", "calib",
                         "--fpr-target", 0.01, "--out", tmp_path / "o"])
     assert code == 0
     with open(tmp_path / "o" / "metrics.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_eval_sd_of_an_infinite_threshold_is_zero(fixtures_dir, model_dir, tmp_path, runs):
+    from talkover.model import load_model
+    net = load_model(model_dir / "checkpoint_r0.bin")
+    rows = eval_on_an_infinite_threshold_split(fixtures_dir, model_dir, tmp_path, [net] * runs)
     assert [row[3] for row in rows[1:runs + 2]] == ["inf"] * (runs + 1)
     assert rows[-1] == ["sd", "0", "0", "0", "0"]
+
+
+def test_eval_sd_of_runs_that_disagree_on_an_infinite_threshold_is_inf(
+        fixtures_dir, model_dir, tmp_path):
+    # run 1 never emits failed_interruption, so none of its calibration
+    # negatives is a false positive and it calibrates to a finite tau
+    from talkover.model import load_model
+    nets = [load_model(model_dir / "checkpoint_r0.bin") for _ in range(2)]
+    last_bias = [name for name in nets[1].params if name.startswith("head_b")][-1]
+    nets[1].params[last_bias][CLASSES.index("failed_interruption")] = -100.0
+    rows = eval_on_an_infinite_threshold_split(fixtures_dir, model_dir, tmp_path, nets)
+    assert rows[1][3] == "inf" and math.isfinite(float(rows[2][3]))
+    assert rows[-2][3] == rows[-1][3] == "inf"
+    assert all(math.isfinite(float(v)) for v in rows[-1][1:3] + rows[-1][4:])
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

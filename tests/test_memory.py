@@ -44,6 +44,11 @@ F64_CLIP_BYTES = CLIP_ROWS * 2 * 8  # 2.56 MB
 # and not copied. The margin, 22.7 bytes, is under three float64 columns;
 # one more copy of a four-confounder design (40 bytes a meeting) fails it.
 IMPACT_BYTES_PER_MEETING = 175.0
+# with bootstrap=True and 4 resamples it grows 223.1 bytes a meeting: the
+# fit's design, which the bootstrap resamples, a resample buffer of the
+# same size and the refits' temporaries. The margin, 21.9 bytes, is under
+# three float64 columns; one more copy of the design (40 bytes) fails it.
+IMPACT_BOOTSTRAP_BYTES_PER_MEETING = 245.0
 # small blocks that numpy's and Python's caches keep from one clip to the
 # next, about 1 KiB over 8 clips; the smallest per-clip array, a PCM16
 # channel window, is 320 KB
@@ -192,12 +197,26 @@ def traced_peak(step, items):
         tracemalloc.stop()
 
 
-def test_impact_peak_grows_under_the_stated_bytes_per_meeting():
-    peaks = {n: traced_peak(run_impact, [make_telemetry(n, seed=0)])
+def impact_peak_growth(**options):
+    """run_impact's tracemalloc peak growth, in bytes a meeting, from
+    100k to 400k make_telemetry meetings."""
+    peaks = {n: traced_peak(lambda telemetry: run_impact(telemetry, **options),
+                            [make_telemetry(n, seed=0)])
              for n in (100_000, 400_000)}
-    growth = (peaks[400_000] - peaks[100_000]) / 300_000
+    return (peaks[400_000] - peaks[100_000]) / 300_000
+
+
+def test_impact_peak_grows_under_the_stated_bytes_per_meeting():
+    growth = impact_peak_growth()
     assert growth < IMPACT_BYTES_PER_MEETING, (
         "run_impact's peak grew %.1f bytes a meeting from 100k to 400k meetings" % growth)
+
+
+def test_impact_bootstrap_peak_grows_under_the_stated_bytes_per_meeting():
+    growth = impact_peak_growth(bootstrap=True, bootstrap_samples=4)
+    assert growth < IMPACT_BOOTSTRAP_BYTES_PER_MEETING, (
+        "run_impact with 4 bootstrap resamples peaked %.1f bytes a meeting higher "
+        "from 100k to 400k meetings" % growth)
 
 
 def pcm16_meeting(tmp_path, seconds=40.0):
