@@ -12,6 +12,16 @@ family, held as its exit_code: 3 audio, 4 features, 5 model, 6 metrics,
 Each command imports numpy and the talkover modules it calls when it
 runs, so that --help and the table commands (labels, kappa, impact)
 load neither the audio nor the classifier code.
+
+The program entry, run(), serves both `python -m talkover.cli` and the
+`talkover` script. It runs numpy's OpenBLAS on one thread unless the
+caller sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS: a second thread
+is started in every process, spins beside the first and buys these
+short commands little. After main() returns, run() flushes stdout and
+stderr and ends the process at once, skipping the interpreter's
+teardown; every file is already closed by then. main(argv) itself
+leaves the environment alone and returns its exit code, for callers
+that run commands in-process.
 """
 from __future__ import annotations
 
@@ -475,5 +485,19 @@ def main(argv=None) -> int:
             return ManifestError.exit_code
 
 
+def run() -> None:
+    """The program entry; see the module docstring."""
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        print("error: %s" % exc, file=sys.stderr)
+        code = code or EXIT_IO
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

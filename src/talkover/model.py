@@ -13,9 +13,11 @@ clip's (d, M) H, and, in training, the clip's two small factors of the
 layer gradient. Everything downstream of the layer mix, and the
 parameters, are float64. So a step holds one clip plus the batch's
 float64 H, and memory grows with neither the split nor, beyond H, the
-batch size. Matrix features are float64 (d, M) arrays, or MatrixFile
-handles read when their clip is pooled. Training and inference share
-one head pass; training masks by the sign of each layer's input.
+batch size. A training run allocates that buffer and the step's arrays
+once, and every step and validation pass reuses them. Matrix features
+are float64 (d, M) arrays, or MatrixFile handles read when their clip
+is pooled. Training and inference share one head pass; training masks
+by the sign of each layer's input.
 """
 from __future__ import annotations
 
@@ -38,9 +40,9 @@ CHANNELS_BOTH = "2"
 CHANNELS_RIGHT = "right"
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=out)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -206,6 +208,33 @@ def _clip_buffer(model: InterruptionModel, first):
     return np.empty(first.profile.shape, np.float32)
 
 
+@dataclass
+class _Workspace:
+    """The arrays a training run reuses at every step and validation
+    pass: the one-clip buffer, then the step's H, Q and U and, for
+    embeddings, V and S, with a row for each clip of the largest batch.
+    A shorter batch uses their first rows."""
+
+    buffer: np.ndarray | None
+    H: np.ndarray
+    Q: np.ndarray
+    U: np.ndarray
+    V: np.ndarray | None = None
+    S: np.ndarray | None = None
+
+
+def _workspace(model: InterruptionModel, first, rows: int) -> _Workspace:
+    """A _Workspace for batches of up to rows clips like first."""
+    spec = model.feature_spec
+    buffer = _clip_buffer(model, first)
+    work = _Workspace(buffer, np.empty((rows, spec.input_dim, spec.frames)),
+                      np.empty((rows, spec.frames)), np.empty((rows, spec.input_dim)))
+    if buffer is not None:
+        C, L, d0, M = buffer.shape
+        work.V, work.S = np.empty((rows, C, L, d0)), np.empty((rows, C, L, M))
+    return work
+
+
 def _read(model: InterruptionModel, f, buffer) -> np.ndarray:
     """One clip as a batch of one, with the left channel zeroed for a
     right-channel model. An embedding is read into buffer (from
@@ -222,19 +251,27 @@ def _read(model: InterruptionModel, f, buffer) -> np.ndarray:
     return X
 
 
-def _pool(model: InterruptionModel, stacked: np.ndarray):
+def _pool(model: InterruptionModel, stacked: np.ndarray, out=None):
     """Attention pooling of _read arrays, stacked; returns (H, Q, U), H
     the (B, d, M) layer mix. Embedding channels stack on the feature
     axis: rows [0, d0) left, [d0, 2*d0) right. einsum upcasts the f32
     layers in bounded buffers, so no f64 copy of the stack is made. A
-    sample's U has the same bits whatever batch it is pooled in."""
-    H = stacked
+    sample's U has the same bits whatever batch it is pooled in, and
+    whether out, an (H, Q, U) of contiguous arrays to write the results
+    into, is given or not."""
+    H, Q, U = (None, None, None) if out is None else out
     if model.feature_spec.kind == "emb":
         w = softmax(model.params["layer_logits"])
-        H = np.einsum("l,bcldm->bcdm", w, stacked).reshape(len(stacked), -1, stacked.shape[-1])
-    scores = np.einsum("d,bdm->bm", model.params["pooler_w"], H)
-    Q = softmax(scores, axis=1)
-    U = np.einsum("bdm,bm->bd", H, Q)
+        mix_shape = stacked.shape[:2] + stacked.shape[3:]  # (B, C, d0, M)
+        H = np.einsum("l,bcldm->bcdm", w, stacked,
+                      out=None if H is None else H.reshape(mix_shape))
+        H = H.reshape(len(stacked), -1, stacked.shape[-1])
+    else:
+        if H is not None:
+            H[...] = stacked
+        H = stacked  # pooled in its own memory order, which sets the sums' order
+    Q = softmax(np.einsum("d,bdm->bm", model.params["pooler_w"], H), axis=1, out=Q)
+    U = np.einsum("bdm,bm->bd", H, Q, out=U)
     return H, Q, U
 
 
@@ -266,25 +303,32 @@ def _forward_pass(model: InterruptionModel, batch_features):
     return H, Q, U, zs, acts, softmax(logits, axis=1)
 
 
-def forward_batch(model: InterruptionModel, features_list, logits: bool = False) -> np.ndarray:
+def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
+                  work: _Workspace | None = None) -> np.ndarray:
     """Class probabilities, one row per sample; each row sums to 1. With
     logits=True, the head's logits instead.
 
     Every sample is checked against the model's feature spec, read into
-    one one-clip buffer and pooled alone. The head then runs once on
-    every pooled vector (BLAS gemm may round a one-row batch
+    one one-clip buffer and pooled alone, in the first row of work (a
+    _workspace, made for the call if not given). The head then runs once
+    on every pooled vector (BLAS gemm may round a one-row batch
     differently) and keeps only its current layer."""
     if not features_list:
         raise ModelError("empty batch")
     for f in features_list:
         _check_features(model, f)
-    buffer = _clip_buffer(model, features_list[0])
-    U = np.concatenate([_pool(model, _read(model, f, buffer))[2] for f in features_list])
+    U = np.empty((len(features_list), model.feature_spec.input_dim))
+    work = work or _workspace(model, features_list[0], 1)
+    H = None if work.buffer is None else work.H[:1]  # a matrix needs no copy here
+    for i, f in enumerate(features_list):
+        _pool(model, _read(model, f, work.buffer), (H, work.Q[:1], U[i: i + 1]))
+    del work, H  # the head runs without the pooling arrays, unless the caller keeps them
     z = _head(model.params, U)
     return z if logits else softmax(z, axis=1)
 
 
-def _loss_and_grads(model: InterruptionModel, batch_features, labels):
+def _loss_and_grads(model: InterruptionModel, batch_features, labels,
+                    work: _Workspace | None = None):
     """Mean cross-entropy and its exact gradients for one mini-batch;
     the gradients are a dict with the keys of model.params, in order.
 
@@ -292,26 +336,28 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels):
     batch's float64 H, Q and U. An embedding clip X_b also gives all the
     layer gradient needs of it: V_b = X_b Q_b of shape (C, L, d0) and
     s_b = pooler_w . X_b of shape (C, L, M). So a step holds one clip,
-    not the batch, and never the (B, d, M) gradient w.r.t. H. The one
-    head pass records each layer's input, and LeakyReLU's derivative is
-    set by the sign of the next layer's input: no preactivation is kept."""
+    not the batch, and never the (B, d, M) gradient w.r.t. H. These
+    arrays are the first B rows of work, a _workspace of at least B
+    rows, made for the call if not given; the bits are the same either
+    way. The one head pass records each layer's input, and LeakyReLU's
+    derivative is set by the sign of the next layer's input: no
+    preactivation is kept."""
     B = len(batch_features)
     labels = np.asarray(labels)
     params = model.params
     grads = dict.fromkeys(params)
     spec = model.feature_spec
-    buffer = _clip_buffer(model, batch_features[0])
-    H = np.empty((B, spec.input_dim, spec.frames))
-    Q, U = np.empty((B, spec.frames)), np.empty((B, spec.input_dim))
+    work = work or _workspace(model, batch_features[0], B)
+    H, Q, U = work.H[:B], work.Q[:B], work.U[:B]
     if spec.kind == "emb":
-        C, L, d0, M = buffer.shape
-        V, S = np.empty((B, C, L, d0)), np.empty((B, C, L, M))
+        C, L, d0, M = work.buffer.shape
+        V, S = work.V[:B], work.S[:B]
     for b, f in enumerate(batch_features):
-        X = _read(model, f, buffer)
-        H[b: b + 1], Q[b: b + 1], U[b: b + 1] = _pool(model, X)
+        X = _read(model, f, work.buffer)
+        _pool(model, X, (H[b: b + 1], Q[b: b + 1], U[b: b + 1]))
         if spec.kind == "emb":
-            V[b] = np.einsum("cldm,m->cld", X[0], Q[b])
-            S[b] = np.einsum("cd,cldm->clm", params["pooler_w"].reshape(C, d0), X[0])
+            np.einsum("cldm,m->cld", X[0], Q[b], out=V[b])
+            np.einsum("cd,cldm->clm", params["pooler_w"].reshape(C, d0), X[0], out=S[b])
     acts = []
     logits = _head(params, U, acts)
     probs = softmax(logits, axis=1)
@@ -350,11 +396,12 @@ def _apply_sgd(model: InterruptionModel, grads: dict, lr: float) -> None:
         model.params[name] -= lr * g
 
 
-def evaluate_loss(model: InterruptionModel, dataset) -> float:
-    """Mean cross-entropy over a labeled dataset, in inference mode."""
+def evaluate_loss(model: InterruptionModel, dataset, work: _Workspace | None = None) -> float:
+    """Mean cross-entropy over a labeled dataset, in inference mode,
+    pooling in work as forward_batch does."""
     feats = [f for f, _ in dataset]
     labels = np.asarray([y for _, y in dataset])
-    return _logit_loss(forward_batch(model, feats, logits=True), labels)
+    return _logit_loss(forward_batch(model, feats, logits=True, work=work), labels)
 
 
 @contextlib.contextmanager
@@ -390,6 +437,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     Every clip must match the first one's feature spec. A step, like
     validation, reads and pools one clip at a time, so batch_size sets
     how many clips an SGD step averages over, not how many are held.
+    Steps and validation share one _workspace, allocated here.
     """
     dataset = list(dataset)
     if not dataset:
@@ -403,6 +451,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
 
     features, labels = zip(*dataset)
     n = len(dataset)
+    work = _workspace(model, features[0], min(n, config.batch_size))
     train_curve, val_curve = [], []
     layer_weights = [] if "layer_logits" in model.params else None
     best = (np.inf, None, -1)
@@ -418,7 +467,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
             where = "epoch %d step %d (lr=%g)" % (epoch, lo // config.batch_size,
                                                   config.learning_rate)
             with _diverged_at(where):
-                loss, grads = _loss_and_grads(model, batch, batch_labels)
+                loss, grads = _loss_and_grads(model, batch, batch_labels, work)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError("non-finite loss at " + where)
                 _apply_sgd(model, grads, config.learning_rate)
@@ -429,7 +478,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
 
         if val_dataset:
             with _diverged_at("validation after epoch %d" % epoch):
-                v = evaluate_loss(model, val_dataset)
+                v = evaluate_loss(model, val_dataset, work)
             val_curve.append(v)
             if v < best[0]:
                 snapshot = {name: a.copy() for name, a in model.params.items()}

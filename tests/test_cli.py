@@ -1805,6 +1805,98 @@ def test_installed_entry_point():
     assert "interruption" in console.stdout, f"{target} --help printed:\n{console.stdout}"
 
 
+# run() with main replaced by a probe that loads numpy, prints 40,000
+# lines and then OpenBLAS's thread count, and returns the code it is given
+RUN_WITH_A_PROBE_MAIN = (
+    "import sys\n"
+    "import talkover.cli\n"
+    "def probe():\n"
+    "    import numpy\n"
+    "    sys.path.insert(0, sys.argv[1])\n"
+    "    from worker import _blas_threads\n"
+    "    for i in range(40000):\n"
+    "        print('line %d' % i)\n"
+    "    print('threads %s' % _blas_threads())\n"
+    "    return int(sys.argv[2])\n"
+    "talkover.cli.main = probe\n"
+    "talkover.cli.run()\n"
+)
+
+
+@pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+@pytest.mark.parametrize("code", [0, 7])
+def test_run_defaults_to_one_blas_thread_and_exits_with_mains_code(variable, code):
+    env = dict(_src_env(), PYTHONUNBUFFERED="")  # buffered: run()'s flush delivers the end
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("OMP_NUM_THREADS", None)
+    if variable:
+        env[variable] = "2"  # the caller's setting wins
+    proc = subprocess.run([sys.executable, "-c", RUN_WITH_A_PROBE_MAIN,
+                           str(REPO_ROOT / "perfbench"), str(code)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[:-1] == ["line %d" % i for i in range(40000)]
+    # OpenBLAS starts no more threads than the process may run on
+    threads = 1 if variable is None else min(2, len(os.sched_getaffinity(0)))
+    assert lines[-1] == "threads %d" % threads
+
+
+def test_the_program_entry_keeps_the_cli_contract(fixtures_dir, model_dir, tmp_path, capsys):
+    def child(*argv):
+        return subprocess.run([sys.executable, "-m", "talkover.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=_src_env())
+
+    votes = fixtures_dir / "votes" / "votes.csv"
+    environ = dict(os.environ)
+    assert run_cli(["kappa", "--votes", votes, "--out", tmp_path / "in_process"]) == 0
+    assert dict(os.environ) == environ  # main(argv) leaves the environment alone
+    in_process = capsys.readouterr()
+
+    proc = child("kappa", "--votes", votes, "--out", tmp_path / "child")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, in_process.out, "")
+    assert re.fullmatch(r"kappa=-?\d\.\d{6} over \d+ clips\n", proc.stdout)
+    assert sorted(os.listdir(tmp_path / "child")) == ["config.json", "kappa.json"]
+    assert (tmp_path / "child" / "kappa.json").read_bytes() == \
+        (tmp_path / "in_process" / "kappa.json").read_bytes()
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text("clip_id,annotator_id,label\na,b,shouting\n")
+    proc = child("kappa", "--votes", bad, "--out", tmp_path / "bad")
+    assert (proc.returncode, proc.stdout) == (7, "")
+    assert proc.stderr == "error: %s:2: unknown vote label 'shouting'\n" % bad
+
+    emb = fixtures_dir / "embeddings"
+    proc = child("eval", "--manifest", emb / "manifest.jsonl", "--split", emb / "split.json",
+                 "--features", emb, "--feature", "emb", "--profile", "tiny",
+                 "--model-dir", model_dir, "--split-name", "val", "--out", tmp_path / "eval")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: only 60 negatives for a 0.01 FPR target; "
+                           "the realized FPR is coarse\n")
+
+    proc = child("--help")
+    assert proc.returncode == 0 and "usage:" in proc.stdout
+    proc = child("frobnicate")
+    assert proc.returncode == 2 and "usage:" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_10_with_one_error_line(fixtures_dir, tmp_path, unbuffered):
+    # buffered, the line reaches the pipe only at run()'s flush; unbuffered,
+    # at the print, where main() reports it
+    env = dict(_src_env(), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "talkover.cli", "kappa", "--votes",
+                               fixtures_dir / "votes" / "votes.csv", "--out", tmp_path],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (10, "error: [Errno 32] Broken pipe\n")
+
+
 def _src_env():
     """The environment with this checkout's package first on PYTHONPATH."""
     src_dir = os.path.dirname(os.path.dirname(talkover.__file__))

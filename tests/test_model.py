@@ -289,6 +289,72 @@ def test_train_step_memory_holds_one_clip_not_the_batch():
     assert (peak[8] - peak[2]) / 6 < clips[0].data.nbytes / 2
 
 
+def test_train_builds_its_clip_buffer_and_h_once(monkeypatch):
+    # 10 clips at batch size 4 are 3 steps an epoch, the last one short,
+    # and each of the 2 epochs ends in a validation pass
+    rng = np.random.default_rng(31)
+    profile = emb_profile()
+    data = [(random_embedding(rng, profile), i % 4) for i in range(10)]
+    val = [(random_embedding(rng, profile), i % 4) for i in range(3)]
+    h_shape = (4, profile.stacked_dim, profile.frames)
+    counts = {"buffers": 0, "H": 0, "steps": 0}
+    clip_buffer, empty, apply_sgd = M._clip_buffer, np.empty, M._apply_sgd
+
+    def counting_clip_buffer(*args):
+        counts["buffers"] += 1
+        return clip_buffer(*args)
+
+    def counting_empty(shape, *args, **kwargs):
+        counts["H"] += shape == h_shape
+        return empty(shape, *args, **kwargs)
+
+    def counting_apply_sgd(*args):
+        counts["steps"] += 1
+        return apply_sgd(*args)
+
+    monkeypatch.setattr(M, "_clip_buffer", counting_clip_buffer)
+    monkeypatch.setattr(np, "empty", counting_empty)
+    monkeypatch.setattr(M, "_apply_sgd", counting_apply_sgd)
+    M.train(data, M.TrainConfig(batch_size=4, epochs=2, patience=5), val, head_widths=(6, 4))
+    assert counts == {"buffers": 1, "H": 1, "steps": 6}
+
+
+@pytest.mark.parametrize("kind, channels", [("emb", "2"), ("emb", "right"),
+                                            ("matrix", "2"), ("fortran", "2")])
+def test_a_step_through_the_workspace_has_the_bits_of_one_without(kind, channels):
+    # one workspace of 5 rows serves a full batch, then a short one, then
+    # validation, each after the arrays hold another batch's values; a
+    # Fortran-ordered matrix is pooled in its own order, as without one
+    rng = np.random.default_rng(32)
+    if kind == "emb":
+        profile = emb_profile()
+        model = small_model(rng, profile, channels)
+        clips = [random_embedding(rng, profile) for _ in range(8)]
+    else:
+        model = M.build_model(M.FeatureSpec("matrix", 6, 5, None, channels), rng, (6, 4))
+        model.params["pooler_w"] = rng.normal(0.0, 0.5, 6)
+        clips = [rng.normal(size=(6, 5)) for _ in range(8)]
+        if kind == "fortran":
+            clips = [np.asfortranarray(c) for c in clips]
+    labels = [i % 4 for i in range(8)]
+    work = M._workspace(model, clips[0], 5)
+    for lo, hi in ((0, 5), (5, 8), (3, 8), (6, 8)):
+        loss, grads = M._loss_and_grads(model, clips[lo:hi], labels[lo:hi], work)
+        for b, f in enumerate(clips[lo:hi]):  # each row as _pool gives it into new arrays
+            H, Q, U = M._pool(model, M._read(model, f, M._clip_buffer(model, f)))
+            assert np.array_equal(work.H[b], H[0])
+            assert np.array_equal(work.Q[b], Q[0]) and np.array_equal(work.U[b], U[0])
+        want_loss, want = M._loss_and_grads(model, clips[lo:hi], labels[lo:hi])
+        assert loss == want_loss
+        assert list(grads) == list(want)
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
+    val = list(zip(clips[:3], labels[:3]))
+    assert M.evaluate_loss(model, val, work) == M.evaluate_loss(model, val)
+    assert np.array_equal(M.forward_batch(model, clips, work=work),
+                          M.forward_batch(model, clips))
+
+
 def dense_loss_and_grads(model, batch_features, labels):
     """_loss_and_grads as it was with the layer gradient read through
     the full (B, d, M) dH: the oracle of the rank-2 contraction. Also
