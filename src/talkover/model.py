@@ -14,7 +14,11 @@ layer gradient. Everything downstream of the layer mix, and the
 parameters, are float64. So a step holds one clip plus the batch's
 float64 H, and memory grows with neither the split nor, beyond H, the
 batch size. A training run allocates that buffer and the step's arrays
-once, and every step and validation pass reuses them. Matrix features
+once, and every step and validation pass reuses them. It holds each
+parameter-sized array once: the parameters, one step's gradients,
+which the SGD update scales and subtracts in place and which are
+dropped once applied, and one early-stopping snapshot, overwritten in
+place at each improvement after the first. Matrix features
 are float64 (d, M) arrays, or MatrixFile handles read when their clip
 is pooled. Training and inference share one head pass; training masks
 by the sign of each layer's input.
@@ -22,6 +26,7 @@ by the sign of each layer's input.
 from __future__ import annotations
 
 import contextlib
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -122,8 +127,13 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite, got %r"
+                             % (self.learning_rate,))
+        for name, least in (("batch_size", 1), ("epochs", 1), ("patience", 0)):
+            if getattr(self, name) < least:
+                raise ValueError("%s must be at least %d, got %r"
+                                 % (name, least, getattr(self, name)))
 
 
 def feature_spec_of(features, channels: str = CHANNELS_BOTH) -> FeatureSpec:
@@ -391,9 +401,12 @@ def _loss_and_grads(model: InterruptionModel, batch_features, labels,
 
 
 def _apply_sgd(model: InterruptionModel, grads: dict, lr: float) -> None:
-    """One SGD step, each parameter updated in place."""
+    """One SGD step, each parameter updated in place. It uses up grads:
+    each gradient is scaled by lr in place and then subtracted, the two
+    roundings of p -= lr * g without its temporary."""
     for name, g in grads.items():
-        model.params[name] -= lr * g
+        g *= lr
+        model.params[name] -= g
 
 
 def evaluate_loss(model: InterruptionModel, dataset, work: _Workspace | None = None) -> float:
@@ -437,7 +450,10 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     Every clip must match the first one's feature spec. A step, like
     validation, reads and pools one clip at a time, so batch_size sets
     how many clips an SGD step averages over, not how many are held.
-    Steps and validation share one _workspace, allocated here.
+    Steps and validation share one _workspace, allocated here. Each
+    parameter-sized array is held once: the parameters, one step's
+    gradients, dropped once applied, and the early-stopping snapshot,
+    allocated at the first improvement and overwritten at later ones.
     """
     dataset = list(dataset)
     if not dataset:
@@ -454,7 +470,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     work = _workspace(model, features[0], min(n, config.batch_size))
     train_curve, val_curve = [], []
     layer_weights = [] if "layer_logits" in model.params else None
-    best = (np.inf, None, -1)
+    best_loss, best_epoch, snapshot = np.inf, -1, None
     stopped = config.epochs
 
     for epoch in range(config.epochs):
@@ -471,6 +487,7 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
                 if not np.isfinite(loss):
                     raise TrainingDivergedError("non-finite loss at " + where)
                 _apply_sgd(model, grads, config.learning_rate)
+            del grads  # not held through the next step, validation or the snapshot
             batch_losses.append(loss)
         train_curve.append(float(np.mean(batch_losses)))
         if layer_weights is not None:
@@ -480,15 +497,19 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
             with _diverged_at("validation after epoch %d" % epoch):
                 v = evaluate_loss(model, val_dataset, work)
             val_curve.append(v)
-            if v < best[0]:
-                snapshot = {name: a.copy() for name, a in model.params.items()}
-                best = (v, snapshot, epoch)
-            elif epoch - best[2] >= config.patience:
+            if v < best_loss:
+                if snapshot is None:
+                    snapshot = {name: a.copy() for name, a in model.params.items()}
+                else:
+                    for name, a in model.params.items():
+                        np.copyto(snapshot[name], a)
+                best_loss, best_epoch = v, epoch
+            elif epoch - best_epoch >= config.patience:
                 stopped = epoch + 1
                 break
 
-    if val_dataset and best[1] is not None:
-        model.params = best[1]
+    if snapshot is not None:
+        model.params = snapshot
     return TrainResult(model, train_curve, val_curve, stopped, layer_weights)
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,19 @@ def run_cli(argv):
     """Invoke the CLI in-process; returns the exit code."""
     from talkover import cli
     return cli.main([str(a) for a in argv])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while fn(*args) runs, above
+    what was traced when it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def tree_digest(root):

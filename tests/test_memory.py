@@ -1,7 +1,8 @@
 """Peak memory of train and eval grows with one clip, not with the split:
 training and inference read each clip from its SIE1 or .npy file and
-pool it alone, and a training step keeps only its batch's float64 H
-and the pooled results. labels and kappa hold votes as code columns,
+pool it alone, a training step keeps only its batch's float64 H and
+the pooled results, and a training run holds each parameter-sized
+array once. labels and kappa hold votes as code columns,
 not one object per vote, and impact holds telemetry as columns that
 own their data. Each command runs in a child process, and its
 peak RSS is the ru_maxrss that os.wait4 reports for that child alone.
@@ -19,12 +20,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+from talkover import model as M
 from talkover.audio import SAMPLE_RATE, MeetingAudio, load_wav, write_wav
 from talkover.causal import (TELEMETRY_COLUMNS, read_telemetry_csv, run_impact,
                              write_telemetry_csv)
-from talkover.features import MfccScratch, SpectrogramScratch, mfcc, spectrogram
+from talkover.features import (PROFILES, MfccScratch, SpectrogramScratch, load_embeddings,
+                                mfcc, spectrogram)
 from talkover.labels import VOTE_LABELS, VoteRecord, write_votes_csv
-from talkover.manifest import ClipRecord, load_clip, write_manifest, write_split
+from talkover.manifest import (ClipRecord, load_clip, read_manifest, read_split, write_manifest,
+                               write_split)
 from talkover.overlap import CLIP_DURATION_S, export_clip
 from talkover.synth import make_telemetry
 from talkover.vocab import CLASSES
@@ -53,6 +58,18 @@ IMPACT_BOOTSTRAP_BYTES_PER_MEETING = 245.0
 # next, about 1 KiB over 8 clips; the smallest per-clip array, a PCM16
 # channel window, is 320 KB
 CACHED_BYTES = 16 * 1024
+# a training run holds the one-clip buffer, its step's workspace and three
+# parameter-sized arrays: the parameters, one step's gradients and the
+# early-stopping snapshot. From a validation pass to the next step it
+# holds two, the parameters and the snapshot. On 32 tiny clips at batch 8
+# (2.93 MB of parameters, a 1.54 MB workspace) a run peaks 0.22 MB above
+# its three and validation 0.11 MB above its two. Keeping the last step's
+# gradients through validation and taking each snapshot beside the old
+# one, as training did before, peaked 3.14 and 5.87 MB above. The margin,
+# 1 MiB, is under half the largest parameter block (head_w1, 2.1 MB),
+# which an lr * g temporary adds to a step; a second snapshot adds a
+# whole parameter set to validation.
+TRAIN_MARGIN_BYTES = 2 ** 20
 
 # A child's ru_maxrss starts at its parent's peak RSS at spawn, which for
 # a test process can exceed the CLI's own peak. So a fresh small process
@@ -144,6 +161,63 @@ def test_eval_peak_rss_on_npy_features_does_not_grow_with_the_split(tmp_path):
     assert growth < MFCC_BATCH_MIB, "eval peak grew %.1f MiB from 200 to 800 clips" % growth
 
 
+def tiny_training_sets(fixtures_dir):
+    """32 train and 10 val clips of the fixture corpus, every class in
+    each, as (SIE1 handle, class index) pairs; the clips stay on disk."""
+    emb = fixtures_dir / "embeddings"
+    labels = {r.clip_id: CLASSES.index(r.label) for r in read_manifest(emb / "manifest.jsonl")}
+    split = read_split(emb / "split.json")
+    return [[(load_embeddings(emb / (cid + ".sie"), PROFILES["tiny"]), labels[cid])
+             for cid in split[name][::step]] for name, step in (("train", 10), ("val", 8))]
+
+
+def training_run_sizes(train_set, batch_size):
+    """(parameter bytes, workspace bytes) of a train() run on train_set."""
+    model = M.build_model(M.feature_spec_of(train_set[0][0]), np.random.default_rng(0))
+    work = M._workspace(model, train_set[0][0], batch_size)
+    return (sum(a.nbytes for a in model.params.values()),
+            sum(a.nbytes for a in vars(work).values() if a is not None))
+
+
+def test_a_training_run_holds_each_parameter_sized_array_once(fixtures_dir):
+    train_set, val_set = tiny_training_sets(fixtures_dir)
+    params, work = training_run_sizes(train_set, 8)
+    peak = traced_peak(M.train, train_set, M.TrainConfig(batch_size=8, epochs=3), val_set)
+    assert peak < work + 3 * params + TRAIN_MARGIN_BYTES, (
+        "a run peaked %d bytes above its workspace and three parameter sets"
+        % (peak - work - 3 * params))
+
+
+def test_validation_and_the_snapshot_hold_the_parameters_twice(fixtures_dir, monkeypatch):
+    # each peak runs from a validation pass to the next step, or to the
+    # end of the run; the snapshot is taken at the first epoch and
+    # overwritten at each improvement after it
+    train_set, val_set = tiny_training_sets(fixtures_dir)
+    params, work = training_run_sizes(train_set, 8)
+    evaluate_loss, loss_and_grads = M.evaluate_loss, M._loss_and_grads
+    val_losses, peaks = [], []
+
+    def validating(*args):
+        tracemalloc.reset_peak()
+        val_losses.append(evaluate_loss(*args))
+        return val_losses[-1]
+
+    def stepping(*args):
+        if len(peaks) < len(val_losses):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return loss_and_grads(*args)
+
+    monkeypatch.setattr(M, "evaluate_loss", validating)
+    monkeypatch.setattr(M, "_loss_and_grads", stepping)
+    peaks.append(traced_peak(M.train, train_set, M.TrainConfig(batch_size=8, epochs=3),
+                             val_set))
+    assert len(peaks) == 3
+    assert all(b < a for a, b in zip(val_losses, val_losses[1:])), val_losses
+    assert max(peaks) < work + 2 * params + TRAIN_MARGIN_BYTES, (
+        "validation peaked %d bytes above the workspace and two parameter sets"
+        % (max(peaks) - work - 2 * params))
+
+
 def test_labels_and_kappa_peak_rss_grows_slower_than_per_vote_objects(tmp_path):
     # 7 votes on each clip from a pool of 20 annotators
     rng = np.random.default_rng(5)
@@ -186,22 +260,11 @@ def test_telemetry_read_from_csv_holds_columns_that_own_their_data(tmp_path):
         assert column.flags.c_contiguous and column.flags.owndata, name
 
 
-def traced_peak(step, items):
-    """The tracemalloc peak, in bytes, of step over items."""
-    tracemalloc.start()
-    try:
-        for item in items:
-            step(item)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def impact_peak_growth(**options):
     """run_impact's tracemalloc peak growth, in bytes a meeting, from
     100k to 400k make_telemetry meetings."""
     peaks = {n: traced_peak(lambda telemetry: run_impact(telemetry, **options),
-                            [make_telemetry(n, seed=0)])
+                            make_telemetry(n, seed=0))
              for n in (100_000, 400_000)}
     return (peaks[400_000] - peaks[100_000]) / 300_000
 
@@ -239,12 +302,13 @@ def test_cutting_and_writing_clips_allocates_no_clip_per_clip(tmp_path):
     meeting = pcm16_meeting(tmp_path)
     clip = np.empty((CLIP_ROWS, 2), dtype=np.float32)
 
-    def cut(rec):
-        export_clip(rec, meeting, out=clip)
-        write_wav(tmp_path / rec.wav_path, clip, SAMPLE_RATE, "float32")
+    def cut(recs):
+        for rec in recs:
+            export_clip(rec, meeting, out=clip)
+            write_wav(tmp_path / rec.wav_path, clip, SAMPLE_RATE, "float32")
 
     rows = clip_rows(meeting, 8)
-    cut(rows[0])
+    cut(rows[:1])
     peaks = [traced_peak(cut, rows[:n]) for n in (2, 8)]
     assert peaks[1] <= peaks[0] + CACHED_BYTES, (
         "8 clips peaked at %d bytes, 2 at %d" % (peaks[1], peaks[0]))
@@ -261,10 +325,11 @@ def test_reading_and_featurizing_clips_allocates_no_clip_per_clip(tmp_path, extr
         write_wav(tmp_path / rec.wav_path, export_clip(rec, meeting), SAMPLE_RATE, "float32")
     scratch = scratch()
 
-    def featurize(rec):
-        extract(load_clip(rec, tmp_path / rec.wav_path, out=clip), scratch)
+    def featurize(recs):
+        for rec in recs:
+            extract(load_clip(rec, tmp_path / rec.wav_path, out=clip), scratch)
 
-    featurize(rows[0])
+    featurize(rows[:1])
     peaks = [traced_peak(featurize, rows[:n]) for n in (2, 8)]
     assert peaks[1] <= peaks[0] + CACHED_BYTES, (
         "8 clips peaked at %d bytes, 2 at %d" % (peaks[1], peaks[0]))
@@ -273,5 +338,5 @@ def test_reading_and_featurizing_clips_allocates_no_clip_per_clip(tmp_path, extr
 
 def test_write_wav_writes_a_float32_clip_without_a_copy(tmp_path):
     clip = np.random.default_rng(9).uniform(-1.0, 1.0, (CLIP_ROWS, 2)).astype(np.float32)
-    peak = traced_peak(lambda path: write_wav(path, clip), [tmp_path / "c.wav"])
+    peak = traced_peak(write_wav, tmp_path / "c.wav", clip)
     assert peak < 0.1 * clip.nbytes, "write_wav allocated %d bytes" % peak

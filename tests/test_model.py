@@ -1,13 +1,14 @@
+import dataclasses
 import json
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import traced_peak
 from talkover import model as M
 from talkover.errors import (FeatureProfileError, ModelError,
                              TrainingDivergedError)
@@ -233,18 +234,6 @@ def test_forward_batch_equals_one_shot_forward(n, kind, channels, seed):
         model.params["pooler_w"] = rng.normal(0.0, 0.5, 6)
         batch = [rng.normal(size=(6, 5)) for _ in range(n)]
     assert np.array_equal(M.forward_batch(model, batch), M._forward_pass(model, batch)[-1])
-
-
-def traced_peak(fn, *args):
-    """Peak bytes numpy and Python allocate while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def profile_clips(rng, profile, n):
@@ -689,7 +678,8 @@ def test_early_stopping_restores_best_snapshot():
     rng = np.random.default_rng(16)
     data = matrix_dataset(rng, n=32)
     # validation labels shuffled: val loss must eventually rise
-    val = [(f, (y + 1 + i) % 4) for i, (f, y) in enumerate(matrix_dataset(rng, n=16))]
+    clean = matrix_dataset(rng, n=16)
+    val = [(f, (y + 1 + i) % 4) for i, (f, y) in enumerate(clean)]
     cfg = M.TrainConfig(learning_rate=0.08, batch_size=8, epochs=200,
                         seed=1, patience=5)
     res = M.train(data, cfg, val_dataset=val, head_widths=(16, 4))
@@ -697,6 +687,32 @@ def test_early_stopping_restores_best_snapshot():
     assert len(res.val_loss) == res.stopped_epoch
     restored = M.evaluate_loss(res.model, val)
     assert math.isclose(restored, min(res.val_loss), rel_tol=1e-12)
+    # with half the validation labels kept, the loss improves for some
+    # epochs first, so the snapshot is overwritten; the restored
+    # parameters are, byte for byte, those of a run that stops after the
+    # best epoch
+    half = [(f, y if i % 2 else (y + 1 + i) % 4) for i, (f, y) in enumerate(clean)]
+    cfg = dataclasses.replace(cfg, learning_rate=0.03)
+    res = M.train(data, cfg, val_dataset=half, head_widths=(16, 4))
+    improved = [i for i, v in enumerate(res.val_loss) if i and v < min(res.val_loss[:i])]
+    assert len(improved) >= 2 and improved[-1] < res.stopped_epoch - 1 < 199
+    rerun = M.train(data, dataclasses.replace(cfg, epochs=improved[-1] + 1),
+                    head_widths=(16, 4))
+    assert list(res.model.params) == list(rerun.model.params)
+    for name, a in rerun.model.params.items():
+        got = res.model.params[name]
+        assert got.dtype == a.dtype and got.shape == a.shape, name
+        assert got.tobytes() == a.tobytes(), name
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -2), ("epochs", 0), ("epochs", -1), ("patience", -1),
+    ("learning_rate", 0.0), ("learning_rate", -0.1), ("learning_rate", math.nan),
+    ("learning_rate", math.inf)])
+def test_train_config_rejects_each_field_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        M.TrainConfig(**{field: value})
+    M.TrainConfig(learning_rate=5e-324, batch_size=1, epochs=1, patience=0)
 
 
 def test_train_rejects_bad_labels_and_empty_sets():
