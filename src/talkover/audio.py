@@ -1,4 +1,5 @@
-"""Per-participant audio tracks: WAV I/O, validation, and mixdown.
+"""Per-participant audio tracks: WAV I/O, validation, mixdown and frame
+energies.
 
 All downstream processing assumes mono tracks at the canonical 16 kHz
 rate with samples in [-1, 1]. Files at any other rate are rejected
@@ -10,8 +11,8 @@ decoded samples only through window, which returns float64 or fills a
 caller's float32 or float64 array. WavChannel, which load_wav returns,
 reads only the window asked for from its WAV file, so a meeting's memory
 does not grow with its length; every read of the file's samples goes
-through its stored(start, stop). AudioChannel, the in-memory input form,
-holds float64 samples; the program builds none of its own.
+through its _stored(start, stop). AudioChannel, the in-memory input
+form, holds float64 samples; the program builds none of its own.
 
 A stored payload (WAV, SIE1 or .npy) is checked once, by wav_layout and
 check_finite, then read by offset with read_at, never through a memory
@@ -22,11 +23,11 @@ int16 k decodes to k * 2^-15 exactly, so a float64 sum of decoded
 samples is an integer times 2^-15 and a sum of their squares an integer
 times 2^-30. While that integer stays below 2^53, every partial sum is
 exact in any order, and the integer sum scaled once has the bits of the
-float64 sum. So when every channel is a PCM16 WavChannel (pcm16_only),
+float64 sum. So when every channel is a PCM16 WavChannel (_pcm16_only),
 mixdown adds the stored windows in int32, which holds any sum of fewer
-than 2^16 channels, and overlap.frame_energies_db sums each frame's
-squares in int64, which stays below 2^53 for frames of fewer than
-PCM16_MAX_FRAME = 2^23 samples. Float32 WAVs, AudioChannels and mixed
+than 2^16 channels, and frame_energies_db sums each frame's squares in
+int64, which stays below 2^53 for frames of fewer than
+_PCM16_MAX_FRAME = 2^23 samples. Float32 WAVs, AudioChannels and mixed
 sets are decoded to float64 and summed there; the outputs are the same
 bytes either way.
 
@@ -60,9 +61,13 @@ _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
 
-PCM16_SCALE = 32768.0
-PCM16_MAX_FRAME = 1 << 23
+_PCM16_SCALE = 32768.0
+_PCM16_MAX_FRAME = 1 << 23
 _PCM16_MAX_CHANNELS = 1 << 16
+# the square of one PCM16 step, 2^-30
+_SQUARE_STEP = 1.0 / (_PCM16_SCALE * _PCM16_SCALE)
+# frames read and squared at a time when computing frame energies
+_ENERGY_BLOCK_FRAMES = 1024
 _F32 = np.dtype("<f4")  # a float WAV's samples, and a clip in memory
 
 _CHECK_BLOCK = 1 << 18  # values per block of check_finite (1 MiB of f32)
@@ -114,7 +119,7 @@ class AudioChannel:
 class WavChannel:
     """One participant's mono track, left in its WAV file.
 
-    stored() is the one reader of the file's samples: it reads only the
+    _stored() is the one reader of the file's samples: it reads only the
     samples asked for, undecoded, and window() decodes them. Samples
     past the n_stored ones in the file read as zeros: that is how
     padded() extends a short track to the meeting length. load_wav has
@@ -133,7 +138,7 @@ class WavChannel:
     def __len__(self) -> int:
         return self.n_samples
 
-    def stored(self, start: int, stop: int) -> np.ndarray:
+    def _stored(self, start: int, stop: int) -> np.ndarray:
         """The file's samples [start, stop), undecoded, zeros past the
         stored end."""
         raw = np.empty(stop - start, self.dtype)
@@ -147,7 +152,7 @@ class WavChannel:
         or decoded into out, a float32 or float64 array, which is exact."""
         if out is None:
             out = np.empty(stop - start)
-        _decode(self.stored(start, stop), out)
+        _decode(self._stored(start, stop), out)
         return out
 
     def padded(self, n_samples: int) -> "WavChannel":
@@ -193,7 +198,7 @@ class MeetingAudio:
         return self.n_samples / self.sample_rate
 
 
-def pcm16_only(channels) -> bool:
+def _pcm16_only(channels) -> bool:
     """Whether channels are fewer than 2^16 PCM16 WavChannels, so sums
     over them may be taken on the stored integers (see the module
     docstring)."""
@@ -320,7 +325,7 @@ def _decode(raw: np.ndarray, out: np.ndarray) -> None:
     exact in either, and a finite float32 clips to the same value before
     or after widening."""
     if raw.dtype.kind == "i":
-        np.divide(raw, PCM16_SCALE, out=out, dtype=out.dtype)
+        np.divide(raw, _PCM16_SCALE, out=out, dtype=out.dtype)
     else:
         np.clip(raw, -1.0, 1.0, out=out)
 
@@ -401,7 +406,7 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
 
     if encoding == "pcm16":
         tag, bits = _FMT_PCM, 16
-        quantized = np.multiply(samples, PCM16_SCALE)
+        quantized = np.multiply(samples, _PCM16_SCALE)
         np.clip(np.round(quantized, out=quantized), -32768, 32767, out=quantized)
         payload = quantized.astype("<i2", order="C")
     elif encoding == "float32":
@@ -433,7 +438,7 @@ def mixdown(channels, start: int, stop: int, out: np.ndarray | None = None) -> n
 
     Clipping rather than rescaling keeps local energy relationships
     between the interrupter and the rest intact. PCM16 WavChannels
-    (pcm16_only) are summed as their stored int16 windows in int32,
+    (_pcm16_only) are summed as their stored int16 windows in int32,
     clipped to +-32768 and scaled once, in out's dtype, which is exact.
     Any other set is read through window and summed in float64 in order
     of the unique participant ids, then clipped into out. Both give the
@@ -446,14 +451,39 @@ def mixdown(channels, start: int, stop: int, out: np.ndarray | None = None) -> n
     if not 0 <= start <= stop <= len(channels[0]):
         raise ChannelLayoutError("mixdown span [%d, %d) outside [0, %d]"
                                  % (start, stop, len(channels[0])))
-    if pcm16_only(channels):
+    if _pcm16_only(channels):
         ints = np.zeros(stop - start, dtype=np.int32)
         for ch in channels:
-            ints += ch.stored(start, stop)
+            ints += ch._stored(start, stop)
         np.clip(ints, -32768, 32768, out=ints)
-        return np.divide(ints, PCM16_SCALE, out=out,
+        return np.divide(ints, _PCM16_SCALE, out=out,
                          dtype=np.float64 if out is None else out.dtype)
     total = np.zeros(stop - start)
     for ch in sorted(channels, key=lambda ch: ch.participant_id):
         total += ch.window(start, stop)
     return np.clip(total, -1.0, 1.0, out=total if out is None else out)
+
+
+def frame_energies_db(channel, frame_len: int) -> np.ndarray:
+    """Per-frame RMS energy in dBFS; trailing partial frame is dropped.
+
+    The channel is read _ENERGY_BLOCK_FRAMES frames at a time. A PCM16
+    WavChannel's frames are squared and summed as stored integers in
+    int64, then scaled by 2^-30; any other channel's block is decoded to
+    float64 first. Both give the same bits.
+    """
+    n_frames = len(channel) // frame_len
+    mean_sq = np.empty(n_frames)
+    integer = frame_len < _PCM16_MAX_FRAME and _pcm16_only([channel])
+    for lo in range(0, n_frames, _ENERGY_BLOCK_FRAMES):
+        hi = min(lo + _ENERGY_BLOCK_FRAMES, n_frames)
+        start, stop = lo * frame_len, hi * frame_len
+        if integer:
+            block = channel._stored(start, stop).reshape(hi - lo, frame_len)
+            sum_sq = np.einsum("ij,ij->i", block, block, dtype=np.int64)
+            mean_sq[lo:hi] = sum_sq * _SQUARE_STEP / frame_len
+        else:
+            block = channel.window(start, stop).reshape(hi - lo, frame_len)
+            mean_sq[lo:hi] = np.mean(block * block, axis=1)
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(np.sqrt(mean_sq))

@@ -223,7 +223,10 @@ class _Workspace:
     """The arrays a training run reuses at every step and validation
     pass: the one-clip buffer, then the step's H, Q and U and, for
     embeddings, V and S, with a row for each clip of the largest batch.
-    A shorter batch uses their first rows."""
+    A shorter batch uses their first rows. Reuse saves time, not peak
+    memory: arrays allocated anew at each step are fresh pages the
+    kernel maps and zeroes, ten times the run's minor faults (README,
+    train)."""
 
     buffer: np.ndarray | None
     H: np.ndarray
@@ -447,7 +450,9 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     batch losses seen that epoch; when a validation set is given, the
     best-validation parameters are restored at the end (early stopping
     with the configured patience). Deterministic for a fixed seed.
-    Every clip must match the first one's feature spec. A step, like
+    Before the first step, every label of both sets must be an integer
+    class index (else ModelError) and every clip, validation ones too,
+    must match the first one's feature spec. A step, like
     validation, reads and pools one clip at a time, so batch_size sets
     how many clips an SGD step averages over, not how many are held.
     Steps and validation share one _workspace, allocated here. Each
@@ -460,10 +465,13 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
         raise ModelError("empty training dataset")
     rng = np.random.default_rng(config.seed)
     model = build_model(feature_spec_of(dataset[0][0], channels), rng, head_widths)
-    for f, y in dataset:
-        if not 0 <= y < N_CLASSES:
-            raise ModelError("label index %r outside the %d-class set" % (y, N_CLASSES))
-        _check_features(model, f)
+    for name, pairs in (("training", dataset), ("validation", val_dataset or ())):
+        for f, y in pairs:
+            if (isinstance(y, bool) or not isinstance(y, (int, np.integer))
+                    or not 0 <= y < N_CLASSES):
+                raise ModelError("%s label %r is not a class index in [0, %d)"
+                                 % (name, y, N_CLASSES))
+            _check_features(model, f)
 
     features, labels = zip(*dataset)
     n = len(dataset)

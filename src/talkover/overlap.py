@@ -14,14 +14,8 @@ column 1, the onset at 5 s. It writes both columns straight into a
 caller's array, so a loop over clips cuts every clip into one buffer.
 
 Channels are read one energy block, or one clip window, at a time, so
-a meeting of WavChannels is never held whole. A PCM16 WavChannel's
-frame energies, and the mixdown of a set of PCM16 WavChannels, are
-summed on the int16 samples that WavChannel.stored(start, stop) reads,
-without a float64 decode; the rule and why it gives the float64 path's
-bits are in the audio module's docstring. Other channels are read as
-float64 through window(start, stop), which a WavChannel also serves
-from stored; a clip's interrupter column is decoded by window straight
-into the clip.
+a meeting of WavChannels is never held whole; a clip's interrupter
+column is decoded by window straight into the clip.
 """
 from __future__ import annotations
 
@@ -31,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import PCM16_MAX_FRAME, PCM16_SCALE, MeetingAudio, mixdown, pcm16_only
+from .audio import MeetingAudio, frame_energies_db, mixdown
 from .errors import AudioError, SampleRateError
 from .manifest import ClipRecord
 
@@ -47,11 +41,6 @@ REJECT_BOUNDARY = "boundary"
 # in the order the gates are checked
 _GATES = (REJECT_NO_OVERLAP, REJECT_PRESILENCE, REJECT_TOO_SHORT, REJECT_BOUNDARY)
 
-# frames read and squared at a time when computing frame energies
-_ENERGY_BLOCK_FRAMES = 1024
-# the square of one PCM16 step, 2^-30
-_SQUARE_STEP = 1.0 / (PCM16_SCALE * PCM16_SCALE)
-
 VAD_FRAME_MS = 20
 HANGOVER_FRAMES = 5  # longest silence, in frames, merged into a segment
 MIN_SEGMENT_MS = 100  # shorter merged segments are discarded
@@ -63,31 +52,6 @@ class VadParams:
 
     def frame_samples(self, sample_rate: int) -> int:
         return sample_rate * VAD_FRAME_MS // 1000
-
-
-def frame_energies_db(channel, frame_len: int) -> np.ndarray:
-    """Per-frame RMS energy in dBFS; trailing partial frame is dropped.
-
-    The channel is read _ENERGY_BLOCK_FRAMES frames at a time. A PCM16
-    WavChannel's frames are squared and summed as stored integers in
-    int64, then scaled by 2^-30; any other channel's block is decoded to
-    float64 first. Both give the same bits.
-    """
-    n_frames = len(channel) // frame_len
-    mean_sq = np.empty(n_frames)
-    integer = frame_len < PCM16_MAX_FRAME and pcm16_only([channel])
-    for lo in range(0, n_frames, _ENERGY_BLOCK_FRAMES):
-        hi = min(lo + _ENERGY_BLOCK_FRAMES, n_frames)
-        start, stop = lo * frame_len, hi * frame_len
-        if integer:
-            block = channel.stored(start, stop).reshape(hi - lo, frame_len)
-            sum_sq = np.einsum("ij,ij->i", block, block, dtype=np.int64)
-            mean_sq[lo:hi] = sum_sq * _SQUARE_STEP / frame_len
-        else:
-            block = channel.window(start, stop).reshape(hi - lo, frame_len)
-            mean_sq[lo:hi] = np.mean(block * block, axis=1)
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(np.sqrt(mean_sq))
 
 
 def _runs(active: np.ndarray) -> np.ndarray:

@@ -172,8 +172,7 @@ def write_votes_fixture(out_dir, seed: int = 0):
 INJECTED_EFFECT = 0.034
 
 
-def make_telemetry(n: int = 50000, seed: int = 0,
-                   effect: float = INJECTED_EFFECT) -> Telemetry:
+def make_telemetry(n: int = 50000, seed: int = 0) -> Telemetry:
     rng = np.random.default_rng(seed)
     size = 2 + rng.poisson(3.5, n)
     dur = np.exp(rng.normal(3.2, 0.5, n))
@@ -190,22 +189,21 @@ def make_telemetry(n: int = 50000, seed: int = 0,
 
     base = 0.32 + 0.20 * _sigmoid(1.0 * z_size + 0.7 * z_dur
                                   + 0.5 * video + 0.3 * share)
-    p = base + effect * treated  # bounded in (0.32, 0.52 + effect); no clipping
+    p = base + INJECTED_EFFECT * treated  # bounded in (0.32, 0.52 + effect); no clipping
     outcome = rng.random(n) < p
 
     ids = ["mtg_%06d" % i for i in range(n)]
     return Telemetry(ids, size, dur, video, share, treated, outcome)
 
 
-def write_telemetry_fixture(out_dir, n: int = 50000, seed: int = 0,
-                            effect: float = INJECTED_EFFECT):
+def write_telemetry_fixture(out_dir, n: int = 50000, seed: int = 0):
     """telemetry.csv plus truth.json recording the injected effect;
     returns (csv_path, truth_path)."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "telemetry.csv")
-    write_telemetry_csv(csv_path, make_telemetry(n, seed, effect))
+    write_telemetry_csv(csv_path, make_telemetry(n, seed))
     truth_path = os.path.join(out_dir, "truth.json")
-    write_json(truth_path, {"injected_effect": effect, "n": n, "seed": seed})
+    write_json(truth_path, {"injected_effect": INJECTED_EFFECT, "n": n, "seed": seed})
     return csv_path, truth_path
 
 

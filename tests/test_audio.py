@@ -1,15 +1,17 @@
+import ast
 import os
 import struct
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from talkover import audio
-from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav,
-                            mixdown, read_wav_data, read_wav_header, write_wav)
+from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, frame_energies_db,
+                            load_wav, mixdown, read_wav_data, read_wav_header, write_wav)
 from talkover.errors import (AudioError, ChannelLayoutError, MalformedWavError,
                              SampleRateError, UnsupportedEncodingError)
 
@@ -40,7 +42,7 @@ def test_pcm16_negative_full_scale_clamps(tmp_path):
     ch = load_wav(path, "p")
     assert ch.window(0, len(ch))[0] == -1.0
     # a span past the stored end reads the stored int16s, then int16 zeros
-    raw = ch.padded(4).stored(1, 4)
+    raw = ch.padded(4)._stored(1, 4)
     assert raw.dtype == np.int16 and raw.tolist() == [32767, 0, 0]
 
 
@@ -159,7 +161,8 @@ def bytes_read_wav_data(path):
         raise MalformedWavError("block alignment inconsistent with format")
     usable = len(payload) - len(payload) % block_align
     frames = np.frombuffer(payload[:usable], dtype=dtype).reshape(-1, n_channels)
-    frames = frames.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one
+        frames = frames.astype(np.float64)
     if dtype == "<i2":
         frames /= 32768.0
     else:
@@ -444,3 +447,110 @@ def test_write_wav_matches_the_joined_bytes_writer(seed, encoding, layout, n_fra
         parent_write_wav(want, samples, rate, encoding)
         with open(got, "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read()
+
+
+def _pcm16_tracks(tmp_path, n_channels, n_samples):
+    """n_channels PCM16 WavChannels of n_samples random samples, each
+    opening in a full-scale run (clipped sums) and ending in silence
+    (-inf dB frames)."""
+    rng = np.random.default_rng(n_channels)
+    channels = []
+    for k in range(n_channels):
+        ints = rng.integers(-32768, 32768, n_samples)
+        ints[:300], ints[-400:] = 32767, 0
+        path = tmp_path / ("p%d.wav" % k)
+        write_wav(path, ints / 32768.0, encoding="pcm16")
+        channels.append(load_wav(path, "p%d" % k))
+    return channels
+
+
+def _spy_on_window(monkeypatch):
+    """The (start, stop) of each WavChannel.window call from now on."""
+    calls = []
+    window = audio.WavChannel.window
+    monkeypatch.setattr(audio.WavChannel, "window", lambda self, start, stop, out=None: (
+        calls.append((start, stop)), window(self, start, stop, out))[1])
+    return calls
+
+
+def test_frames_at_the_frame_bound_are_summed_in_float64(tmp_path, monkeypatch):
+    # a frame of _PCM16_MAX_FRAME samples could push its int64 sum of
+    # squares past 2^53; lowered to 320, the bound sends 320-sample
+    # frames through window while 319-sample ones stay on the integers
+    (channel,) = _pcm16_tracks(tmp_path, 1, 5 * 320 + 17)
+    want = {n: frame_energies_db(channel, n).tobytes() for n in (319, 320)}
+    calls = _spy_on_window(monkeypatch)
+    monkeypatch.setattr(audio, "_PCM16_MAX_FRAME", 320)
+    assert frame_energies_db(channel, 319).tobytes() == want[319]
+    assert calls == []
+    assert frame_energies_db(channel, 320).tobytes() == want[320]
+    assert calls == [(0, 5 * 320)]
+
+
+def test_channel_sets_at_the_channel_bound_are_summed_in_float64(tmp_path, monkeypatch):
+    # _PCM16_MAX_CHANNELS PCM16 channels could overflow the int32 sum;
+    # lowered to 3, the bound sends a 3-channel mixdown through window
+    # while 2 channels stay on the integers
+    channels = _pcm16_tracks(tmp_path, 3, 1000)
+    want = {k: (mixdown(channels[:k], 100, 900).tobytes(),
+                mixdown(channels[:k], 100, 900, out=np.empty(800, np.float32)).tobytes())
+            for k in (2, 3)}
+    calls = _spy_on_window(monkeypatch)
+    monkeypatch.setattr(audio, "_PCM16_MAX_CHANNELS", 3)
+    for k in (2, 3):
+        got = (mixdown(channels[:k], 100, 900).tobytes(),
+               mixdown(channels[:k], 100, 900, out=np.empty(800, np.float32)).tobytes())
+        assert got == want[k]
+        assert calls == [(100, 900)] * (0 if k == 2 else 2 * k)
+
+
+# names of audio's PCM16 storage helpers, with any leading underscore
+# stripped: how WAV samples are stored and summed exactly
+_PCM16_HELPERS = {"stored", "pcm16_only", "PCM16_SCALE", "PCM16_MAX_FRAME",
+                  "PCM16_MAX_CHANNELS", "SQUARE_STEP"}
+
+
+def _pcm16_helper_uses(tree):
+    """(line, name) of each name, attribute or import of a PCM16 helper."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.lstrip("_") in _PCM16_HELPERS]
+    return found
+
+
+def test_only_audio_knows_how_samples_are_stored():
+    """No module but audio.py reads stored samples or names the PCM16
+    helpers; overlap takes its sums from audio whole."""
+    src = Path(audio.__file__).resolve().parent
+    modules = sorted(src.glob("*.py"))
+    assert src / "audio.py" in modules and len(modules) > 5
+    offenders = {}
+    for path in modules:
+        if path.name != "audio.py":
+            uses = _pcm16_helper_uses(ast.parse(path.read_text(), str(path)))
+            if uses:
+                offenders[path.name] = uses
+    assert offenders == {}
+    overlap = ast.parse((src / "overlap.py").read_text())
+    assert [sorted(alias.name for alias in node.names) for node in ast.walk(overlap)
+            if isinstance(node, ast.ImportFrom) and node.module == "audio"] == [
+        ["MeetingAudio", "frame_energies_db", "mixdown"]]
+
+
+def test_the_guard_sees_each_pcm16_helper_use():
+    tree = ast.parse("from .audio import PCM16_SCALE, _pcm16_only, mixdown\n"
+                     "raw = ch.stored(0, 9)\nraw = ch._stored(0, 9)\n"
+                     "ok = audio._PCM16_MAX_FRAME > n and pcm16_only([ch])\n"
+                     "step = _SQUARE_STEP * _PCM16_MAX_CHANNELS\nstored_len = len(ch)\n")
+    assert sorted(_pcm16_helper_uses(tree)) == [
+        (1, "PCM16_SCALE"), (1, "_pcm16_only"), (2, "stored"), (3, "_stored"),
+        (4, "_PCM16_MAX_FRAME"), (4, "pcm16_only"), (5, "_PCM16_MAX_CHANNELS"),
+        (5, "_SQUARE_STEP")]

@@ -1524,7 +1524,7 @@ def test_track_cut_after_its_check_exits_3_at_the_read(fixtures_dir, tmp_path, c
                                                        encoding):
     # load_wav checks the track, which then loses its second half before
     # vad reads it: a float32 track through WavChannel.window, a PCM16
-    # one through WavChannel.stored
+    # one through WavChannel._stored
     from talkover import audio
     meeting = json.loads((fixtures_dir / "audio" / "meetings.json").read_text())["meetings"][0]
     for ch in meeting["channels"]:
@@ -2044,6 +2044,23 @@ def test_profile_choices_are_the_feature_profiles(command):
     assert proc.returncode == 0, proc.stderr
     choices = re.search(r"--profile \{([^}]*)\}", proc.stdout).group(1)
     assert choices.split(",") == sorted(PROFILES)
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """Every module, test and demo parses as the oldest Python that
+    requires-python admits; nothing else runs that Python here."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        floor = tomllib.load(fh)["project"]["requires-python"]
+    version = tuple(map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups()))
+    assert version == (3, 10)
+    paths = sorted(p for d in ("src", "tests", "demos") for p in (REPO_ROOT / d).rglob("*.py"))
+    assert len(paths) > 25
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=version)
+    # an except* clause is 3.11 syntax, which the floor refuses
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
 
 
 def test_runtime_imports_match_declared_dependencies():

@@ -724,6 +724,37 @@ def test_train_rejects_bad_labels_and_empty_sets():
         M.train(data)
 
 
+@pytest.mark.parametrize("where, label, features, error", [
+    ("val", -1, None, ModelError), ("val", 4, None, ModelError),
+    ("val", 1.5, None, ModelError), ("val", True, None, ModelError),
+    ("train", 1.5, None, ModelError), ("train", np.float64(2.0), None, ModelError),
+    ("val", 2, (5, 2), FeatureProfileError), ("val", 2, (4, 3), FeatureProfileError)])
+def test_train_checks_both_sets_before_the_first_step(monkeypatch, where, label, features,
+                                                      error):
+    # a val label of -1 would be scored as the last class, one of 4 would
+    # fail only after a full epoch, and 1.5 passes a range check
+    rng = np.random.default_rng(23)
+    train_set = [(rng.normal(size=(4, 2)), i % 4) for i in range(6)]
+    val_set = [(rng.normal(size=(4, 2)), i % 4) for i in range(3)]
+    bad = (rng.normal(size=features or (4, 2)), label)
+    (train_set if where == "train" else val_set).append(bad)
+    steps = []
+    monkeypatch.setattr(M, "_loss_and_grads", lambda *a, **k: steps.append(a))
+    with pytest.raises(error):
+        M.train(train_set, M.TrainConfig(batch_size=4, epochs=2), val_set,
+                head_widths=(8, 4))
+    assert steps == []
+
+
+def test_train_takes_numpy_integer_labels_in_both_sets():
+    rng = np.random.default_rng(24)
+    train_set = [(rng.normal(size=(4, 2)), np.int64(i % 4)) for i in range(6)]
+    val_set = [(rng.normal(size=(4, 2)), np.int32(i % 4)) for i in range(3)]
+    res = M.train(train_set, M.TrainConfig(batch_size=4, epochs=2), val_set,
+                  head_widths=(8, 4))
+    assert len(res.val_loss) == 2
+
+
 def test_divergence_raises():
     rng = np.random.default_rng(18)
     data = [(rng.normal(0, 100.0, (6, 3)), i % 4) for i in range(8)]

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from talkover.audio import (AudioChannel, MeetingAudio, SAMPLE_RATE, load_wav, mixdown,
-                            pcm16_only, read_wav_data, write_wav)
+from talkover.audio import (_ENERGY_BLOCK_FRAMES, AudioChannel, MeetingAudio, SAMPLE_RATE,
+                            _pcm16_only, load_wav, mixdown, read_wav_data, write_wav)
 from talkover.errors import AudioError, SampleRateError
 from talkover.manifest import ClipRecord
-from talkover.overlap import (_ENERGY_BLOCK_FRAMES, CLIP_DURATION_S, CLIPS_DIR, ONSET_OFFSET_S,
+from talkover.overlap import (CLIP_DURATION_S, CLIPS_DIR, ONSET_OFFSET_S,
                               REJECT_BOUNDARY, REJECT_NO_OVERLAP,
                               REJECT_PRESILENCE, REJECT_TOO_SHORT, VadParams,
                               _fill_gaps, detect, export_clip, frame_energies_db, vad)
@@ -123,7 +123,7 @@ def test_pcm16_integer_sums_match_the_float_path(seed, data, stored, pad, frame_
             wav_channels.append(load_wav(path, pid).padded(n))
             memory_channels.append(AudioChannel(
                 np.concatenate([ints / 32768.0, np.zeros(n - n_stored)]), SAMPLE_RATE, pid))
-        assert pcm16_only(wav_channels)
+        assert _pcm16_only(wav_channels)
         start = data.draw(st.integers(0, n))
         stop = data.draw(st.integers(start, n))
         got = mixdown(wav_channels, start, stop)
