@@ -176,21 +176,22 @@ def cmd_featurize(args) -> None:
 # ------------------------------------------------------------ train / eval
 
 def _read_splits(args, names, optional=()):
-    """(clip ids, checked feature handles, CLASSES indices) of each named
-    split, in file order; the manifest and split file are read once. A
-    name the file lacks raises ManifestError, unless optional holds it."""
+    """(clip ids, clip_set of their features and CLASSES indices) of each
+    named split, in file order. A name the file lacks or lists no clips
+    under raises ManifestError, unless optional holds it: its set is None."""
     from .features import PROFILES, load_embeddings, load_matrix
     from .manifest import read_manifest, read_split
-    from .vocab import CLASSES
+    from .model import CLASSES, clip_set
 
     records_by_id = {r.clip_id: r for r in read_manifest(args.manifest)}
     split = read_split(args.split)
     profile = PROFILES[args.profile]
     loaded = []
     for name in names:
-        if name not in split and name not in optional:
-            raise ManifestError("split file has no %r entry" % name)
         clip_ids = split.get(name, [])
+        if not clip_ids and name not in optional:
+            raise ManifestError("split file has no %r entry" % name if name not in split
+                                else "split file lists no clips under %r" % name)
         feats, labels = [], []
         for cid in clip_ids:
             rec = records_by_id.get(cid)
@@ -203,7 +204,7 @@ def _read_splits(args, names, optional=()):
             feats.append(load_embeddings(path + ".sie", profile) if args.feature == "emb"
                          else load_matrix(path + ".npy"))
             labels.append(CLASSES.index(rec.label))
-        loaded.append((clip_ids, feats, labels))
+        loaded.append((clip_ids, clip_set(feats, labels) if feats else None))
     return loaded
 
 
@@ -211,8 +212,7 @@ def cmd_train(args) -> None:
     from . import model as model_mod
 
     # an empty or missing val split trains without validation
-    train_set, val_set = (list(zip(feats, labels)) for _, feats, labels in
-                          _read_splits(args, ["train", "val"], optional=["val"]))
+    (_, train_set), (_, val_set) = _read_splits(args, ["train", "val"], optional=["val"])
 
     for run in range(args.runs):
         seed = args.seed + run
@@ -233,8 +233,8 @@ def cmd_eval(args) -> None:
 
     from . import metrics, model as model_mod
 
-    def score(net, clip_ids, feats, labels):
-        return metrics.Scores(clip_ids, labels, model_mod.forward_batch(net, feats))
+    def score(net, clip_ids, clips):
+        return metrics.Scores(clip_ids, clips.labels, model_mod.forward_batch(net, clips))
 
     # every run scores the same clips, so each split is read once
     names = [args.split_name]
@@ -471,10 +471,12 @@ def main(argv=None) -> int:
                                                          file=sys.stderr)
         try:
             os.makedirs(args.out, exist_ok=True)
+            config = os.path.join(args.out, "config.json")
+            with contextlib.suppress(FileNotFoundError):  # it would mark a failed run finished
+                os.remove(config)
             args.func(args)
             echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-            write_json(os.path.join(args.out, "config.json"),
-                       {"command": args.command, "arguments": echo})
+            write_json(config, {"command": args.command, "arguments": echo})
             return EXIT_OK
         except (TalkoverError, OSError) as exc:
             print("error: %s" % exc, file=sys.stderr)

@@ -4,6 +4,8 @@ trained with mini-batch SGD on cross-entropy.
 
 All math is plain numpy with exact analytic gradients; the
 finite-difference suite in the tests checks every parameter group.
+clip_set checks each clip of a set once; training and scoring then
+compare only the set's first clip with the model's feature spec.
 Embedding features are float32. Training and inference read them one
 clip at a time, from the clip's SIE1 file or from memory, into one f32
 one-clip buffer, and pool each clip alone. The einsum contractions that
@@ -202,12 +204,42 @@ def attention_pool(H: np.ndarray, w: np.ndarray) -> np.ndarray:
     return H @ q
 
 
-def _check_features(model: InterruptionModel, features) -> None:
-    spec = model.feature_spec
+def _check_features(spec: FeatureSpec, features, owner: str = "model") -> None:
     got = feature_spec_of(features, spec.channels)
     if got != spec:
-        raise FeatureProfileError(
-            "model expects %s, got %s" % (spec.to_dict(), got.to_dict()))
+        raise FeatureProfileError("%s expects %s, got %s" % (owner, spec.to_dict(), got.to_dict()))
+
+
+@dataclass(frozen=True, eq=False)
+class ClipSet:
+    """Clips of one feature spec, from clip_set, with int64 class indices or None."""
+
+    clips: tuple
+    labels: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.clips)
+
+
+def clip_set(clips, labels=None) -> ClipSet:
+    """The ClipSet of clips and labels (None, or a class index per clip): a
+    non-empty set, integer labels in range (else ModelError), every clip of
+    the first one's spec (else FeatureProfileError); a ClipSet comes back as is."""
+    if isinstance(clips, ClipSet):
+        return clips
+    clips = tuple(clips)
+    if not clips:
+        raise ModelError("empty clip set")
+    if labels is not None:
+        for y in labels:
+            if (isinstance(y, bool) or not isinstance(y, (int, np.integer))
+                    or not 0 <= y < N_CLASSES):
+                raise ModelError("label %r is not a class index in [0, %d)" % (y, N_CLASSES))
+        labels = np.array(labels, np.int64).reshape(len(clips))  # one per clip, else ValueError
+    spec = feature_spec_of(clips[0])
+    for f in clips[1:]:
+        _check_features(spec, f, "clip set")
+    return ClipSet(clips, labels)
 
 
 def _clip_buffer(model: InterruptionModel, first):
@@ -316,28 +348,25 @@ def _forward_pass(model: InterruptionModel, batch_features):
     return H, Q, U, zs, acts, softmax(logits, axis=1)
 
 
-def forward_batch(model: InterruptionModel, features_list, logits: bool = False,
-                  work: _Workspace | None = None) -> np.ndarray:
-    """Class probabilities, one row per sample; each row sums to 1. With
-    logits=True, the head's logits instead.
-
-    Every sample is checked against the model's feature spec, read into
-    one one-clip buffer and pooled alone, in the first row of work (a
-    _workspace, made for the call if not given). The head then runs once
-    on every pooled vector (BLAS gemm may round a one-row batch
-    differently) and keeps only its current layer."""
-    if not features_list:
-        raise ModelError("empty batch")
-    for f in features_list:
-        _check_features(model, f)
-    U = np.empty((len(features_list), model.feature_spec.input_dim))
-    work = work or _workspace(model, features_list[0], 1)
+def _logits(model: InterruptionModel, clips: ClipSet,
+            work: _Workspace | None = None) -> np.ndarray:
+    """The head's logits for a ClipSet, one row per clip, once its first
+    clip's spec matches the model's. Each clip is pooled alone from one
+    one-clip buffer, in work's first row (made if not given); the head
+    then runs once on all rows (BLAS may round a one-row gemm otherwise)."""
+    _check_features(model.feature_spec, clips.clips[0])
+    U = np.empty((len(clips), model.feature_spec.input_dim))
+    work = work or _workspace(model, clips.clips[0], 1)
     H = None if work.buffer is None else work.H[:1]  # a matrix needs no copy here
-    for i, f in enumerate(features_list):
+    for i, f in enumerate(clips.clips):
         _pool(model, _read(model, f, work.buffer), (H, work.Q[:1], U[i: i + 1]))
     del work, H  # the head runs without the pooling arrays, unless the caller keeps them
-    z = _head(model.params, U)
-    return z if logits else softmax(z, axis=1)
+    return _head(model.params, U)
+
+
+def forward_batch(model: InterruptionModel, features_list) -> np.ndarray:
+    """Class probabilities of clip_set(features_list); each row sums to 1."""
+    return softmax(_logits(model, clip_set(features_list)), axis=1)
 
 
 def _loss_and_grads(model: InterruptionModel, batch_features, labels,
@@ -412,12 +441,10 @@ def _apply_sgd(model: InterruptionModel, grads: dict, lr: float) -> None:
         model.params[name] -= g
 
 
-def evaluate_loss(model: InterruptionModel, dataset, work: _Workspace | None = None) -> float:
-    """Mean cross-entropy over a labeled dataset, in inference mode,
-    pooling in work as forward_batch does."""
-    feats = [f for f, _ in dataset]
-    labels = np.asarray([y for _, y in dataset])
-    return _logit_loss(forward_batch(model, feats, logits=True, work=work), labels)
+def evaluate_loss(model: InterruptionModel, clips: ClipSet,
+                  work: _Workspace | None = None) -> float:
+    """Mean cross-entropy over a labeled ClipSet, scored by _logits in work."""
+    return _logit_loss(_logits(model, clips, work), clips.labels)
 
 
 @contextlib.contextmanager
@@ -445,14 +472,13 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
           head_widths: tuple = HEAD_WIDTHS) -> TrainResult:
     """Mini-batch SGD on mean cross-entropy.
 
-    dataset is a sequence of (features, class_index) pairs with one
-    shared feature contract. Per-epoch train loss is the mean of the
-    batch losses seen that epoch; when a validation set is given, the
-    best-validation parameters are restored at the end (early stopping
-    with the configured patience). Deterministic for a fixed seed.
-    Before the first step, every label of both sets must be an integer
-    class index (else ModelError) and every clip, validation ones too,
-    must match the first one's feature spec. A step, like
+    dataset, and val_dataset when given, is a labeled ClipSet or a
+    sequence of (features, class_index) pairs for clip_set to check;
+    the model is then compared with val_dataset's first clip only.
+    Per-epoch train loss is the mean of the batch losses seen that
+    epoch; when a validation set is given, the best-validation
+    parameters are restored at the end (early stopping with the
+    configured patience). Deterministic for a fixed seed. A step, like
     validation, reads and pools one clip at a time, so batch_size sets
     how many clips an SGD step averages over, not how many are held.
     Steps and validation share one _workspace, allocated here. Each
@@ -460,22 +486,17 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
     gradients, dropped once applied, and the early-stopping snapshot,
     allocated at the first improvement and overwritten at later ones.
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise ModelError("empty training dataset")
+    if not isinstance(dataset, ClipSet):
+        dataset = clip_set([f for f, _ in dataset], [y for _, y in dataset])
+    if val_dataset and not isinstance(val_dataset, ClipSet):
+        val_dataset = clip_set([f for f, _ in val_dataset], [y for _, y in val_dataset])
     rng = np.random.default_rng(config.seed)
-    model = build_model(feature_spec_of(dataset[0][0], channels), rng, head_widths)
-    for name, pairs in (("training", dataset), ("validation", val_dataset or ())):
-        for f, y in pairs:
-            if (isinstance(y, bool) or not isinstance(y, (int, np.integer))
-                    or not 0 <= y < N_CLASSES):
-                raise ModelError("%s label %r is not a class index in [0, %d)"
-                                 % (name, y, N_CLASSES))
-            _check_features(model, f)
+    model = build_model(feature_spec_of(dataset.clips[0], channels), rng, head_widths)
+    if val_dataset:
+        _check_features(model.feature_spec, val_dataset.clips[0])
 
-    features, labels = zip(*dataset)
     n = len(dataset)
-    work = _workspace(model, features[0], min(n, config.batch_size))
+    work = _workspace(model, dataset.clips[0], min(n, config.batch_size))
     train_curve, val_curve = [], []
     layer_weights = [] if "layer_logits" in model.params else None
     best_loss, best_epoch, snapshot = np.inf, -1, None
@@ -486,12 +507,11 @@ def train(dataset, config: TrainConfig = TrainConfig(), val_dataset=None,
         batch_losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo: lo + config.batch_size]
-            batch = [features[i] for i in idx]
-            batch_labels = [labels[i] for i in idx]
+            batch = [dataset.clips[i] for i in idx]
             where = "epoch %d step %d (lr=%g)" % (epoch, lo // config.batch_size,
                                                   config.learning_rate)
             with _diverged_at(where):
-                loss, grads = _loss_and_grads(model, batch, batch_labels, work)
+                loss, grads = _loss_and_grads(model, batch, dataset.labels[idx], work)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError("non-finite loss at " + where)
                 _apply_sgd(model, grads, config.learning_rate)

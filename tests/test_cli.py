@@ -1308,7 +1308,8 @@ def test_eval_sd_of_runs_that_disagree_on_an_infinite_threshold_is_inf(
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-@pytest.mark.parametrize("fault, code", [("unknown clip", 9), ("label not a class", 7)])
+@pytest.mark.parametrize("fault, code", [("unknown clip", 9), ("label not a class", 7),
+                                         ("empty split", 9)])
 def test_split_clip_the_manifest_cannot_serve_exits(fixtures_dir, model_dir, tmp_path,
                                                      capsys, command, fault, code):
     emb = fixtures_dir / "embeddings"
@@ -1316,6 +1317,10 @@ def test_split_clip_the_manifest_cannot_serve_exits(fixtures_dir, model_dir, tmp
     if fault == "unknown clip":
         split = {name: ids + ["ghost"] for name, ids in split.items()}
         expected = "split references unknown clip ghost"
+    elif fault == "empty split":
+        required = "train" if command == "train" else "test"
+        split[required] = []
+        expected = "error: split file lists no clips under %r\n" % required
     else:
         records = read_manifest(manifest)
         manifest = tmp_path / "manifest.jsonl"
@@ -1329,6 +1334,66 @@ def test_split_clip_the_manifest_cannot_serve_exits(fixtures_dir, model_dir, tmp
                     "--out", tmp_path / "o"] + extra) == code
     assert expected in capsys.readouterr().err
     assert os.listdir(tmp_path / "o") == []
+
+
+def test_an_empty_val_list_trains_without_validation(fixtures_dir, tmp_path):
+    emb = fixtures_dir / "embeddings"
+    split = read_split(emb / "split.json")
+    write_split(tmp_path / "split.json", {"train": split["train"][::40], "val": []})
+    assert run_cli(["train", "--manifest", emb / "manifest.jsonl",
+                    "--split", tmp_path / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny", "--epochs", 2,
+                    "--out", tmp_path / "o"]) == 0
+    history = json.loads((tmp_path / "o" / "history_r0.json").read_text())
+    assert history["val_loss"] == [] and history["stopped_epoch"] == 2
+
+
+def count_spec_checks(monkeypatch):
+    """The list of calls to the model's per-clip feature spec check,
+    which grows as the check runs."""
+    from talkover import model as model_mod
+    calls, check = [], model_mod._check_features
+    monkeypatch.setattr(model_mod, "_check_features",
+                        lambda *args: calls.append(args) or check(*args))
+    return calls
+
+
+def test_train_checks_each_clip_once_and_one_per_validation_pass(fixtures_dir, tmp_path,
+                                                                  monkeypatch):
+    # 8 train and 5 val clips over 6 epochs: at most 13 + 6 checks,
+    # where checking every clip at every pass took 43
+    emb = fixtures_dir / "embeddings"
+    split = read_split(emb / "split.json")
+    write_split(tmp_path / "split.json",
+                {"train": split["train"][::40], "val": split["val"][::16]})
+    checks = count_spec_checks(monkeypatch)
+    assert run_cli(["train", "--manifest", emb / "manifest.jsonl",
+                    "--split", tmp_path / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny", "--batch-size", 4,
+                    "--epochs", 6, "--patience", 100, "--out", tmp_path / "o"]) == 0
+    history = json.loads((tmp_path / "o" / "history_r0.json").read_text())
+    assert len(history["val_loss"]) == 6
+    assert 0 < len(checks) <= 8 + 5 + 6
+
+
+def test_eval_checks_each_clip_once_and_two_per_calibrated_run(fixtures_dir, model_dir,
+                                                                tmp_path, monkeypatch):
+    # every run scores the test split and calibrates on val: at most one
+    # check per clip plus one per scored split, where rechecking every
+    # clip at every run took 3 * 480
+    emb = fixtures_dir / "embeddings"
+    three_runs = tmp_path / "model"
+    three_runs.mkdir()
+    for run in range(3):
+        shutil.copy(model_dir / "checkpoint_r0.bin", three_runs / ("checkpoint_r%d.bin" % run))
+    checks = count_spec_checks(monkeypatch)
+    assert run_cli(["eval", "--manifest", emb / "manifest.jsonl",
+                    "--split", emb / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny", "--runs", 3,
+                    "--model-dir", three_runs, "--calibration-split", "val",
+                    "--out", tmp_path / "o"]) == 0
+    split = read_split(emb / "split.json")
+    assert 0 < len(checks) <= len(split["test"]) + len(split["val"]) + 2 * 3
 
 
 def test_unknown_split_name_exits_9(fixtures_dir, model_dir, tmp_path):
@@ -1895,6 +1960,48 @@ def test_a_closed_stdout_exits_10_with_one_error_line(fixtures_dir, tmp_path, un
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (10, "error: [Errno 32] Broken pipe\n")
+
+
+def test_a_failed_run_leaves_no_config_json_of_an_earlier_one(fixtures_dir, tmp_path):
+    # a config.json marks the last run in its directory as finished
+    out = tmp_path / "k"
+    assert run_cli(["kappa", "--votes", fixtures_dir / "votes" / "votes.csv",
+                    "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["config.json", "kappa.json"]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("clip_id,annotator_id,label\na,b,shouting\n")
+    assert run_cli(["kappa", "--votes", bad, "--out", out]) == 7
+    assert os.listdir(out) == ["kappa.json"]
+
+
+def test_benchmark_count_hooks_bind_on_the_classifier_commands(fixtures_dir, tmp_path):
+    # perfbench's traced child wraps forward_batch and roc_auc and takes
+    # the len() of their features_list and samples arguments
+    emb = fixtures_dir / "embeddings"
+    split = {name: ids[::10] for name, ids in read_split(emb / "split.json").items()}
+    write_split(tmp_path / "split.json", split)
+    corpus = ["--manifest", emb / "manifest.jsonl", "--split", tmp_path / "split.json",
+              "--features", emb, "--feature", "emb", "--profile", "tiny"]
+
+    def traced(command, *argv):
+        spans_path = tmp_path / (command + ".json")
+        proc = subprocess.run([sys.executable, REPO_ROOT / "perfbench" / "traced_child.py",
+                               spans_path, command, *map(str, corpus + list(argv))],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans_path.read_text())
+
+    docs = [traced("train", "--epochs", 1, "--out", tmp_path / "model"),
+            traced("eval", "--model-dir", tmp_path / "model", "--calibration-split", "val",
+                   "--out", tmp_path / "eval")]
+    for doc in docs:
+        assert doc["missing"] == []
+        assert [s for s in doc["spans"] if "hook_error" in (s[5] or {})] == []
+    counts = {name: [s[5] for s in docs[1]["spans"] if s[2] == name]
+              for name in ("model.forward_batch", "metrics.roc_auc")}
+    assert counts == {"model.forward_batch": [{"clips": len(split["test"])},
+                                              {"clips": len(split["val"])}],
+                      "metrics.roc_auc": [{"samples": len(split["test"])}]}
 
 
 def _src_env():

@@ -338,10 +338,10 @@ def test_a_step_through_the_workspace_has_the_bits_of_one_without(kind, channels
         assert list(grads) == list(want)
         for name in want:
             assert np.array_equal(grads[name], want[name]), name
-    val = list(zip(clips[:3], labels[:3]))
+    val = M.clip_set(clips[:3], labels[:3])
     assert M.evaluate_loss(model, val, work) == M.evaluate_loss(model, val)
-    assert np.array_equal(M.forward_batch(model, clips, work=work),
-                          M.forward_batch(model, clips))
+    every = M.clip_set(clips)
+    assert np.array_equal(M._logits(model, every, work), M._logits(model, every))
 
 
 def dense_loss_and_grads(model, batch_features, labels):
@@ -685,7 +685,7 @@ def test_early_stopping_restores_best_snapshot():
     res = M.train(data, cfg, val_dataset=val, head_widths=(16, 4))
     assert res.stopped_epoch < 200
     assert len(res.val_loss) == res.stopped_epoch
-    restored = M.evaluate_loss(res.model, val)
+    restored = M.evaluate_loss(res.model, M.clip_set(*zip(*val)))
     assert math.isclose(restored, min(res.val_loss), rel_tol=1e-12)
     # with half the validation labels kept, the loss improves for some
     # epochs first, so the snapshot is overwritten; the restored
