@@ -509,8 +509,7 @@ def _loadtxt_may_differ(path) -> bool:
 def _read_telemetry_columns(path):
     """The telemetry as one np.loadtxt pass over the body reads it, or
     None where _read_telemetry_cells might read the file differently:
-    loadtxt raises or warns, a boolean cell is not exactly 0 or 1, or a
-    meeting_id repeats."""
+    loadtxt raises or warns, or a boolean cell is not exactly 0 or 1."""
     if _loadtxt_may_differ(path):
         return None
     try:
@@ -544,8 +543,7 @@ def _read_telemetry_columns(path):
         if not (ones | (columns[j] == "0")).all():
             return None
         columns[j] = ones
-    if len(set(columns[0])) < len(columns[0]):
-        return None
+    _refuse_repeated_meeting_ids(columns[0], path)
     return Telemetry(*columns[:n_base], extras=dict(zip(header[n_base:], columns[n_base:])))
 
 
@@ -583,14 +581,18 @@ def _read_telemetry_cells(path) -> Telemetry:
                     raise CausalError("%s:%d: %s" % (path, reader.line_num, exc)) from None
         except (UnicodeDecodeError, csv.Error) as exc:
             raise CausalError("%s: %s" % (path, exc)) from None
-    # here, not in Telemetry: bootstrap resamples repeat rows on purpose
+    _refuse_repeated_meeting_ids(columns[0], path)
+    n_base = len(TELEMETRY_COLUMNS)
+    return Telemetry(*columns[:n_base], extras=dict(zip(header[n_base:], columns[n_base:])))
+
+
+def _refuse_repeated_meeting_ids(meeting_ids, path) -> None:
+    """Raise CausalError naming the first meeting_id seen twice, in order."""
     seen = set()
-    for meeting_id in columns[0]:
+    for meeting_id in meeting_ids:
         if meeting_id in seen:
             raise CausalError("%s: meeting_id %r appears more than once" % (path, meeting_id))
         seen.add(meeting_id)
-    n_base = len(TELEMETRY_COLUMNS)
-    return Telemetry(*columns[:n_base], extras=dict(zip(header[n_base:], columns[n_base:])))
 
 
 def _parse_bool(text: str) -> bool:
@@ -604,6 +606,7 @@ def _parse_bool(text: str) -> bool:
 def write_telemetry_csv(path, telemetry) -> None:
     columns = [telemetry.meeting_id.tolist(), telemetry.participant_count.tolist(),
                ["%.10g" % x for x in telemetry.duration_min.tolist()]]
+    _refuse_repeated_meeting_ids(columns[0], path)
     columns += [getattr(telemetry, c).astype(int).tolist() for c in TELEMETRY_COLUMNS[3:]]
     columns += [["%.10g" % x for x in c.tolist()] for c in telemetry.extras.values()]
     write_csv(path, list(TELEMETRY_COLUMNS) + list(telemetry.extras), zip(*columns))

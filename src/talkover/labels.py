@@ -6,12 +6,13 @@ codes each clip id, annotator id and label as it reads them, keeping no
 object per vote, and rejects an unknown label or a repeated (clip,
 annotator) pair. Consensus and kappa both read the one
 clips-by-VOTE_LABELS count table that votes_to_table builds from those
-codes; each vote carries exactly one label. VoteRecord is the row type
-that write_votes_csv writes."""
+codes; each vote carries exactly one label. write_votes_csv writes only
+rows that Votes.from_rows accepts."""
 from __future__ import annotations
 
 import csv
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +27,8 @@ _LABEL_CODE = {label: i for i, label in enumerate(VOTE_LABELS)}
 CONSENSUS_THRESHOLD = 0.7
 
 
-@dataclass(frozen=True, slots=True)
-class VoteRecord:
-    clip_id: str
-    annotator_id: str
-    label: str
-
-    def __post_init__(self):
-        if self.label not in VOTE_LABELS:
-            raise LabelError("unknown vote label %r" % self.label)
+# a named vote row; it checks nothing, write_votes_csv does
+VoteRecord = namedtuple("VoteRecord", "clip_id annotator_id label")
 
 
 @dataclass(frozen=True)
@@ -200,5 +194,8 @@ def read_votes_csv(path) -> Votes:
 
 
 def write_votes_csv(path, votes) -> None:
-    write_csv(path, ["clip_id", "annotator_id", "label"],
-              ([v.clip_id, v.annotator_id, v.label] for v in votes))
+    """votes as (clip_id, annotator_id, label) rows, in the order given;
+    a row Votes.from_rows refuses raises before the file is opened."""
+    votes = list(votes)
+    Votes.from_rows(votes)
+    write_csv(path, ["clip_id", "annotator_id", "label"], votes)

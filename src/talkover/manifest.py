@@ -107,12 +107,17 @@ def read_manifest(path):
 
 
 def write_split(path, split: dict) -> None:
-    """split maps split names (train/val/test) to clip id lists."""
-    write_json(path, {name: sorted(ids) for name, ids in split.items()})
+    """split maps split names (train/val/test) to clip id lists, each
+    written sorted; a split read_split refuses raises before the file opens."""
+    write_json(path, {name: sorted(ids) for name, ids in _checked_split(split, path).items()})
 
 
 def read_split(path) -> dict:
-    split = read_json(path, ManifestError)
+    return _checked_split(read_json(path, ManifestError), path)
+
+
+def _checked_split(split, path) -> dict:
+    """split, checked by the one rule read_split and write_split apply."""
     if not isinstance(split, dict) or not all(
             isinstance(v, list) and all(isinstance(c, str) for c in v) for v in split.values()):
         raise ManifestError("%s: split file must map names to lists of clip id strings" % path)

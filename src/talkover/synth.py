@@ -14,7 +14,7 @@ import numpy as np
 from .audio import SAMPLE_RATE, write_wav
 from .causal import Telemetry, _sigmoid, write_telemetry_csv
 from .features import PROFILES, LayeredEmbedding, write_embeddings
-from .labels import VOTE_LABELS, VoteRecord, write_votes_csv
+from .labels import VOTE_LABELS, write_votes_csv
 from .manifest import ClipRecord, write_manifest, write_split
 from .textio import write_json
 from .vocab import CLASSES
@@ -152,12 +152,12 @@ def write_votes_fixture(out_dir, seed: int = 0):
             labels = [mode] * modal_votes + [dissent] * (N_ANNOTATORS - modal_votes)
             order = rng.permutation(N_ANNOTATORS)
             for a, label in zip(order, labels):
-                votes.append(VoteRecord(clip_id, annotators[a], label))
+                votes.append((clip_id, annotators[a], label))
             if modal_votes == N_ANNOTATORS and len(golden) < GOLDEN_COUNT:
                 golden[clip_id] = mode
             clip_index += 1
 
-    votes.sort(key=lambda v: (v.clip_id, v.annotator_id))
+    votes.sort()
     votes_path = os.path.join(out_dir, "votes.csv")
     golden_path = os.path.join(out_dir, "golden.json")
     write_votes_csv(votes_path, votes)

@@ -554,3 +554,45 @@ def test_the_guard_sees_each_pcm16_helper_use():
         (1, "PCM16_SCALE"), (1, "_pcm16_only"), (2, "stored"), (3, "_stored"),
         (4, "_PCM16_MAX_FRAME"), (4, "pcm16_only"), (5, "_PCM16_MAX_CHANNELS"),
         (5, "_SQUARE_STEP")]
+
+
+# numpy's readers that map or load a whole file; a stored payload is
+# read by offset through audio.read_at, so peak RSS holds no mapping
+_FILE_READERS = {"memmap", "fromfile", "load", "open_memmap"}
+
+
+def _file_reader_uses(tree):
+    """(line, dotted name) of each numpy file reader named through np or
+    numpy, or imported from numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _FILE_READERS:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in _FILE_READERS]
+    return found
+
+
+def test_no_module_maps_or_loads_a_stored_payload_whole():
+    src = Path(audio.__file__).resolve().parent
+    modules = sorted(src.glob("*.py"))
+    assert src / "audio.py" in modules and len(modules) > 5
+    offenders = {}
+    for path in modules:
+        uses = _file_reader_uses(ast.parse(path.read_text(), str(path)))
+        if uses:
+            offenders[path.name] = uses
+    assert offenders == {}
+
+
+def test_the_guard_sees_each_numpy_file_reader():
+    tree = ast.parse("a = np.memmap(p)\nb = numpy.fromfile(p)\nc = np.load(p)\n"
+                     "d = np.lib.format.open_memmap(p)\nfrom numpy import fromfile\n"
+                     "ok = json.load(fh) or np.loadtxt(p) or buf.fromfile(fh, 9)\n")
+    assert sorted(_file_reader_uses(tree)) == [
+        (1, "np.memmap"), (2, "numpy.fromfile"), (3, "np.load"),
+        (4, "np.lib.format.open_memmap"), (5, "fromfile")]

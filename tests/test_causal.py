@@ -793,6 +793,26 @@ def test_telemetry_csv_rejects_repeated_meeting_id(tmp_path):
     assert len(read_telemetry_csv(path)) == 3
 
 
+def test_a_repeated_meeting_id_is_refused_without_the_cell_parse(tmp_path, monkeypatch):
+    path = tmp_path / "telemetry.csv"
+    rows = ["m0,4,30.0,1,0,1,1", "m1,5,20.0,0,1,0,0", "m2,3,10.0,0,0,1,0", "m1,5,20.0,0,1,0,0"]
+    path.write_text(GOOD_HEADER + "\n" + "\n".join(rows) + "\n")
+    calls = []
+    monkeypatch.setattr(causal, "_read_telemetry_cells", lambda p: calls.append(p))
+    with pytest.raises(CausalError) as info:
+        read_telemetry_csv(path)
+    assert str(info.value) == "%s: meeting_id 'm1' appears more than once" % path
+    assert calls == []
+
+
+def test_write_telemetry_csv_refuses_a_repeated_meeting_id(tmp_path):
+    path = tmp_path / "telemetry.csv"
+    with pytest.raises(CausalError) as info:
+        write_telemetry_csv(path, table([record(0), record(1), record(2), record(1)]))
+    assert str(info.value) == "%s: meeting_id 'm00001' appears more than once" % path
+    assert not path.exists()
+
+
 # cells that np.loadtxt and the per-cell parse read differently, or
 # that only a per-cell check refuses
 ODD_CELLS = {

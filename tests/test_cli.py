@@ -24,7 +24,7 @@ import talkover
 from conftest import run_cli
 from talkover import cli, synth
 from talkover.audio import AudioChannel, MeetingAudio, SAMPLE_RATE, read_wav_data, write_wav
-from talkover.causal import write_telemetry_csv
+from talkover.causal import TELEMETRY_COLUMNS, write_telemetry_csv
 from talkover.labels import VOTE_LABELS, fleiss_kappa, read_votes_csv, votes_to_table
 from talkover.manifest import ClipRecord, read_manifest, read_split, write_manifest, write_split
 from talkover.overlap import detect, export_clip, vad
@@ -1419,7 +1419,8 @@ def test_train_without_a_list_of_distinct_train_clips_exits_9(fixtures_dir, tmp_
     else:
         split["train"].append(split["train"][0])
         err %= split["train"][0]
-    write_split(tmp_path / "split.json", split)
+    # json, not write_split, which refuses a list naming a clip twice
+    (tmp_path / "split.json").write_text(json.dumps(split))
     capsys.readouterr()
     assert run_cli(["train", "--manifest", emb / "manifest.jsonl",
                     "--split", tmp_path / "split.json", "--features", emb,
@@ -1443,6 +1444,57 @@ def test_split_without_negatives_exits_6(fixtures_dir, model_dir, tmp_path, caps
                     "--out", tmp_path / "o"])
     assert code == 6
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _impact_of(tmp_path, participant_counts):
+    """impact argv on telemetry of one meeting per participant count,
+    alternately treated."""
+    path = tmp_path / "telemetry.csv"
+    rows = ["m%d,%d,30.0,0,0,%d,1" % (i, n, i % 2) for i, n in enumerate(participant_counts)]
+    path.write_text("\n".join([",".join(TELEMETRY_COLUMNS)] + rows) + "\n")
+    return ["impact", "--telemetry", path]
+
+
+def _extract_of_empty_wavs(tmp_path):
+    channels = []
+    for who in ("a", "b"):
+        write_wav(tmp_path / (who + ".wav"), np.zeros(0, np.float32))
+        channels.append({"participant_id": who, "wav_path": who + ".wav"})
+    meetings = tmp_path / "meetings.json"
+    meetings.write_text(json.dumps({"meetings": [{"meeting_id": "x", "channels": channels}]}))
+    return ["extract", "--meetings", meetings]
+
+
+def _eval_calibrated_on_positives(fixtures_dir, model_dir, tmp_path):
+    emb = fixtures_dir / "embeddings"
+    labels = {r.clip_id: r.label for r in read_manifest(emb / "manifest.jsonl")}
+    split = read_split(emb / "split.json")
+    split["val"] = [c for c in split["val"] if labels[c] == "failed_interruption"]
+    write_split(tmp_path / "split.json", split)
+    return ["eval", "--manifest", emb / "manifest.jsonl", "--split", tmp_path / "split.json",
+            "--features", emb, "--feature", "emb", "--profile", "tiny",
+            "--model-dir", model_dir, "--calibration-split", "val"]
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("no eligible meeting", 8, "no meetings with 3 or more participants"),
+    ("one eligible meeting", 8, "need at least 2 records to fit a propensity model"),
+    ("empty channels", 3, "VAD on an empty channel"),
+    ("calibration without negatives", 6, "no negatives; FPR undefined"),
+])
+def test_degenerate_inputs_exit_with_their_familys_code(fixtures_dir, model_dir, tmp_path,
+                                                        capsys, case, code, message):
+    argv = {
+        "no eligible meeting": lambda: _impact_of(tmp_path, [2] * 10),
+        "one eligible meeting": lambda: _impact_of(tmp_path, [2] * 9 + [4]),
+        "empty channels": lambda: _extract_of_empty_wavs(tmp_path),
+        "calibration without negatives":
+            lambda: _eval_calibrated_on_positives(fixtures_dir, model_dir, tmp_path),
+    }[case]()
+    capsys.readouterr()
+    assert run_cli(argv + ["--out", tmp_path / "o"]) == code
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "o" / "config.json").exists()
 
 
 def test_extract_finds_the_engineered_overlaps(extract_out, capsys):
@@ -2002,6 +2054,38 @@ def test_benchmark_count_hooks_bind_on_the_classifier_commands(fixtures_dir, tmp
     assert counts == {"model.forward_batch": [{"clips": len(split["test"])},
                                               {"clips": len(split["val"])}],
                       "metrics.roc_auc": [{"samples": len(split["test"])}]}
+
+
+def test_benchmark_count_hooks_bind_on_the_meeting_and_tabular_commands(fixtures_dir, tmp_path):
+    # perfbench's traced child counts VAD frames, detector onsets, votes,
+    # consensus clips, telemetry records and bootstrap draws
+    telemetry = fixtures_dir / "telemetry" / "telemetry.csv"
+
+    def traced(command, *argv):
+        spans_path = tmp_path / (command + ".json")
+        proc = subprocess.run([sys.executable, REPO_ROOT / "perfbench" / "traced_child.py",
+                               spans_path, command, *map(str, argv),
+                               "--out", str(tmp_path / command)],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(spans_path.read_text())
+        assert doc["missing"] == []
+        assert [s for s in doc["spans"] if "hook_error" in (s[5] or {})] == []
+        return {name: [s[5] for s in doc["spans"] if s[2] == name]
+                for name in {s[2] for s in doc["spans"]}}
+
+    extract = traced("extract", "--meetings", fixtures_dir / "audio" / "meetings.json")
+    assert extract["overlap.detect"] == [{"candidates": 2, "onsets": 10}]
+    assert extract["overlap.vad"] == [{"frames": 5500}] * 3  # one a channel
+    labels = traced("labels", "--votes", fixtures_dir / "votes" / "votes.csv",
+                    "--golden", fixtures_dir / "votes" / "golden.json")
+    assert labels["labels.read_votes_csv"] == [{"votes": 168}]
+    assert labels["labels.aggregate_all"] == [{"clips": 24, "accepted": 20}]
+    impact = traced("impact", "--telemetry", telemetry, "--bootstrap",
+                    "--bootstrap-samples", 5)
+    n_rows = len(telemetry.read_text().splitlines()) - 1
+    assert impact["causal.read_telemetry_csv"] == [{"records": n_rows}]
+    assert [c["requested"] for c in impact["causal.bootstrap_ci"]] == [5]
 
 
 def _src_env():

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from talkover.errors import (DuplicateVoteError, LabelError,
                              UndefinedKappaError)
-from talkover.labels import (VOTE_LABELS, VoteRecord, Votes, aggregate_all,
-                             annotator_accuracy, fleiss_kappa, read_golden_json,
-                             read_votes_csv, votes_to_table, write_votes_csv)
+from talkover.labels import (VOTE_LABELS, Votes, aggregate_all, annotator_accuracy,
+                             fleiss_kappa, read_golden_json, read_votes_csv,
+                             votes_to_table, write_votes_csv)
+from talkover.textio import write_csv
 
 
 def votes_for(clip_id, labels):
@@ -17,11 +18,29 @@ def votes_for(clip_id, labels):
     return [(clip_id, "ann_%d" % i, lab) for i, lab in enumerate(labels)]
 
 
-def test_vote_record_rejects_unknown_label():
-    with pytest.raises(LabelError):
-        VoteRecord("c", "a", "shouting")
+def test_vote_record_rejects_unknown_label(tmp_path):
+    path = tmp_path / "votes.csv"
+    with pytest.raises(LabelError, match="^unknown vote label 'shouting'$"):
+        write_votes_csv(path, [("c", "a", "shouting")])
+    assert not path.exists()
     with pytest.raises(LabelError, match="^unknown vote label 'shouting'$"):
         Votes.from_rows([("c", "a", "other"), ("c", "b", "shouting")])
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ([("c", "a", "other"), ("c", "b")], LabelError, "expected 3 columns"),
+    ([("c", "a", "other"), ("d", "a", "other"), ("c", "a", "laughter")], DuplicateVoteError,
+     "annotator a voted more than once on c"),
+], ids=["not a triple", "repeated pair"])
+def test_write_votes_csv_refuses_what_read_votes_csv_refuses(tmp_path, rows, error, message):
+    path = tmp_path / "votes.csv"
+    with pytest.raises(error) as written:
+        write_votes_csv(path, rows)
+    assert str(written.value) == message
+    assert not path.exists()
+    write_csv(path, ["clip_id", "annotator_id", "label"], rows)
+    with pytest.raises(error, match=message):
+        read_votes_csv(path)
 
 
 def test_five_of_seven_accepted():
@@ -92,7 +111,7 @@ def random_votes(rng, max_clips=12, n_annotators=6):
         raters = rng.permutation(n_annotators)[:int(rng.integers(1, n_annotators + 1))]
         for a in raters.tolist():
             label = VOTE_LABELS[int(rng.integers(0, len(VOTE_LABELS)))]
-            votes.append(VoteRecord("clip%d" % c, "ann%d" % a, label))
+            votes.append(("clip%d" % c, "ann%d" % a, label))
     return [votes[i] for i in rng.permutation(len(votes))]
 
 
@@ -100,8 +119,8 @@ def loop_consensus(votes, threshold):
     """Per-clip consensus by Counter, kept separate from the library's
     count table on purpose."""
     by_clip = {}
-    for v in votes:
-        by_clip.setdefault(v.clip_id, []).append(v.label)
+    for clip_id, _, label in votes:
+        by_clip.setdefault(clip_id, []).append(label)
     results = []
     for cid in sorted(by_clip):
         counts = Counter(by_clip[cid])
@@ -118,7 +137,7 @@ def loop_consensus(votes, threshold):
 def test_count_table_matches_loop_counting(seed, threshold):
     rng = np.random.default_rng(seed)
     votes = random_votes(rng)
-    coded = Votes.from_rows((v.clip_id, v.annotator_id, v.label) for v in votes)
+    coded = Votes.from_rows(votes)
     results = aggregate_all(coded, threshold)
     assert [(r.clip_id, r.label, r.agreement_fraction, r.vote_count)
             for r in results] == loop_consensus(votes, threshold)
@@ -126,17 +145,17 @@ def test_count_table_matches_loop_counting(seed, threshold):
     table, clip_ids = votes_to_table(coded)
     assert clip_ids == [r.clip_id for r in results]
     for row, cid in zip(table.tolist(), clip_ids):
-        assert row == [sum(v.clip_id == cid and v.label == lab for v in votes)
+        assert row == [sum(c == cid and label == lab for c, _, label in votes)
                        for lab in VOTE_LABELS]
 
     golden = {r.clip_id: VOTE_LABELS[int(rng.integers(0, len(VOTE_LABELS)))]
               for r in results[::2]}
     expected = {}
-    for v in sorted(votes, key=lambda v: v.annotator_id):
-        if v.clip_id in golden:
-            e = expected.setdefault(v.annotator_id, {"correct": 0, "total": 0})
+    for clip_id, annotator_id, label in sorted(votes, key=lambda v: v[1]):
+        if clip_id in golden:
+            e = expected.setdefault(annotator_id, {"correct": 0, "total": 0})
             e["total"] += 1
-            e["correct"] += int(v.label == golden[v.clip_id])
+            e["correct"] += int(label == golden[clip_id])
     for e in expected.values():
         e["accuracy"] = e["correct"] / e["total"]
     assert annotator_accuracy(coded, golden) == expected
@@ -234,14 +253,15 @@ def test_votes_to_table_rejects_duplicates():
 
 
 def test_every_counting_path_names_the_first_duplicate_pair(tmp_path):
-    # Votes.from_rows is the one path: the CSV reader feeds it too
+    # Votes.from_rows is the one path: the CSV reader and writer feed it too
     votes = (votes_for("b", ["other"] * 3) + votes_for("a", ["laughter"] * 3)
              + [("b", "ann_1", "laughter"), ("a", "ann_2", "other")])
     path = tmp_path / "votes.csv"
-    write_votes_csv(path, [VoteRecord(*v) for v in votes])
-    for read in (lambda: Votes.from_rows(votes), lambda: read_votes_csv(path)):
+    write_csv(path, ["clip_id", "annotator_id", "label"], votes)
+    for count in (lambda: Votes.from_rows(votes), lambda: read_votes_csv(path),
+                  lambda: write_votes_csv(tmp_path / "written.csv", votes)):
         with pytest.raises(DuplicateVoteError, match="annotator ann_2 voted more than once on a"):
-            read()
+            count()
 
 
 def test_annotator_accuracy():
@@ -255,7 +275,7 @@ def test_annotator_accuracy():
 def test_votes_csv_round_trip(tmp_path):
     votes = votes_for("b", ["other"] * 3) + votes_for("a", ["laughter"] * 2)
     path = tmp_path / "votes.csv"
-    write_votes_csv(path, [VoteRecord(*v) for v in votes])
+    write_votes_csv(path, votes)
     got, want = read_votes_csv(path), Votes.from_rows(votes)
     assert len(got) == 5
     assert got.clip_ids == want.clip_ids == ["a", "b"]
@@ -296,7 +316,8 @@ def test_golden_json_reads_an_object_of_vote_labels(tmp_path):
 
 
 # The per-row path that read_votes_csv replaced, kept as an oracle: one
-# VoteRecord per row, then each column coded in sorted id order.
+# (clip_id, annotator_id, label) tuple per row, then each column coded in
+# sorted id order.
 def oracle_intern(values):
     ids = sorted(set(values))
     code = {v: i for i, v in enumerate(ids)}
@@ -304,15 +325,16 @@ def oracle_intern(values):
 
 
 def oracle_encode(records):
-    clip, clip_ids = oracle_intern([v.clip_id for v in records])
-    annotator, annotator_ids = oracle_intern([v.annotator_id for v in records])
+    clip, clip_ids = oracle_intern([c for c, _, _ in records])
+    annotator, annotator_ids = oracle_intern([a for _, a, _ in records])
     pairs = np.sort(clip * len(annotator_ids) + annotator)
     repeated = pairs[1:][pairs[1:] == pairs[:-1]]
     if repeated.size:
         c, a = divmod(int(repeated[0]), len(annotator_ids))
         raise DuplicateVoteError(
             "annotator %s voted more than once on %s" % (annotator_ids[a], clip_ids[c]))
-    label = np.fromiter((VOTE_LABELS.index(v.label) for v in records), np.int64, len(records))
+    label = np.fromiter((VOTE_LABELS.index(lab) for _, _, lab in records), np.int64,
+                        len(records))
     return clip, clip_ids, annotator, annotator_ids, label
 
 
@@ -353,20 +375,23 @@ def test_reader_matches_the_per_row_oracle(tmp_path_factory, data, clips, annota
                     st.sampled_from(VOTE_LABELS))
     rows = data.draw(st.lists(row, max_size=40, unique_by=None if repeats else
                               (lambda r: (r[0], r[1]))), label="rows")
-    records = [VoteRecord(*r) for r in data.draw(st.permutations(rows), label="order")]
+    records = data.draw(st.permutations(rows), label="order")
     golden = data.draw(st.dictionaries(st.sampled_from(clips) | vote_ids,
                                        st.sampled_from(VOTE_LABELS)), label="golden")
     path = tmp_path_factory.mktemp("votes") / "votes.csv"
-    write_votes_csv(path, records)
+    # write_votes_csv refuses a repeated pair, so the CSV writer it calls
+    # writes the file
+    write_csv(path, ["clip_id", "annotator_id", "label"], records)
     if blank_lines:
         lines = path.read_bytes().split(b"\r\n")
         path.write_bytes(b"\r\n\r\n".join(lines[:1] + [b""] + lines[1:]))
     try:
         want = oracle_results(records, golden, threshold)
     except DuplicateVoteError as exc:
-        with pytest.raises(DuplicateVoteError) as got:
-            read_votes_csv(path)
-        assert str(got.value) == str(exc)
+        for refuse in (lambda: read_votes_csv(path), lambda: write_votes_csv(path, records)):
+            with pytest.raises(DuplicateVoteError) as got:
+                refuse()
+            assert str(got.value) == str(exc)
         return
     votes = read_votes_csv(path)
     assert len(votes) == len(records)

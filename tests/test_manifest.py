@@ -157,10 +157,22 @@ def test_read_split_rejects_non_mapping(tmp_path):
 
 def test_read_split_rejects_a_list_naming_a_clip_twice(tmp_path):
     path = tmp_path / "split.json"
-    write_split(path, {"train": ["a", "b"], "test": ["d", "c", "d", "c"]})
+    path.write_text('{"test": ["c", "c", "d", "d"], "train": ["a", "b"]}\n')
     with pytest.raises(ManifestError) as info:
         read_split(path)
     assert str(info.value) == "%s: split 'test' lists clip c more than once" % path
+
+
+@pytest.mark.parametrize("split, message", [
+    ({"train": ["a", "b"], "test": ["d", "c", "d", "c"]}, "split 'test' lists clip d more than once"),
+    ({"train": ["a", 1]}, "split file must map names to lists of clip id strings"),
+], ids=["clip twice", "non-string id"])
+def test_write_split_refuses_what_read_split_refuses(tmp_path, split, message):
+    path = tmp_path / "split.json"
+    with pytest.raises(ManifestError) as info:
+        write_split(path, split)
+    assert str(info.value) == "%s: %s" % (path, message)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("blob", [b'{"train": ["a"', b'{"train": ["a\xff"]}'],

@@ -27,7 +27,7 @@ from talkover.causal import (TELEMETRY_COLUMNS, read_telemetry_csv, run_impact,
                              write_telemetry_csv)
 from talkover.features import (PROFILES, MfccScratch, SpectrogramScratch, load_embeddings,
                                 mfcc, spectrogram)
-from talkover.labels import VOTE_LABELS, VoteRecord, write_votes_csv
+from talkover.labels import VOTE_LABELS, write_votes_csv
 from talkover.manifest import (ClipRecord, load_clip, read_manifest, read_split, write_manifest,
                                write_split)
 from talkover.overlap import CLIP_DURATION_S, export_clip
@@ -38,7 +38,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TINY_BATCH_MIB = 32 * 2 * 5 * 32 * 249 * 4 / 2 ** 20  # 32 tiny clips, 9.7 MiB
 MFCC_BATCH_MIB = 32 * 80 * 401 * 8 / 2 ** 20  # 32 MFCC-shaped f64 clips, 7.8 MiB
 # from 7,000 to 112,000 votes, labels --golden and kappa grew 34.6 and
-# 30.8 MiB with a VoteRecord per vote, and grow 8.0 and 6.1 MiB as columns
+# 30.8 MiB with a dataclass object per vote, and grow 8.0 and 6.1 MiB as columns
 VOTES_GROWTH_MIB = 18.0
 
 CLIP_ROWS = int(CLIP_DURATION_S * SAMPLE_RATE)
@@ -228,7 +228,7 @@ def test_labels_and_kappa_peak_rss_grows_slower_than_per_vote_objects(tmp_path):
         raters = np.argsort(rng.random((n_clips, 20)), axis=1)[:, :7]
         labels = rng.integers(0, len(VOTE_LABELS), (n_clips, 7))
         write_votes_csv(votes_dir / "votes.csv", [
-            VoteRecord("clip_%05d" % c, "ann_%02d" % a, VOTE_LABELS[lab])
+            ("clip_%05d" % c, "ann_%02d" % a, VOTE_LABELS[lab])
             for c in range(n_clips)
             for a, lab in zip(raters[c].tolist(), labels[c].tolist())])
         (votes_dir / "golden.json").write_text(json.dumps(
