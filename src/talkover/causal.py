@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (CausalError, NoValidStrataError, PerfectSeparationError,
                      SingleClassTreatmentError)
-from .textio import write_csv
+from .textio import read_csv, write_csv
 
 BASE_NUMERIC = ("participant_count", "duration_min")
 BASE_BOOLEAN = ("video_used", "screenshare_used")
@@ -512,11 +512,8 @@ def _read_telemetry_columns(path):
     loadtxt raises or warns, or a boolean cell is not exactly 0 or 1."""
     if _loadtxt_may_differ(path):
         return None
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            header = _telemetry_header(csv.reader(fh), path)
-    except (UnicodeDecodeError, csv.Error):
-        return None
+    with read_csv(path, CausalError) as reader:
+        header = _telemetry_header(reader, path)
     n_base = len(TELEMETRY_COLUMNS)
     # booleans as objects, not a fixed-width string dtype: loadtxt cuts
     # those to their width and drops trailing NULs, so 100 and 1\0 would
@@ -562,34 +559,33 @@ def _telemetry_header(reader, path):
 def _read_telemetry_cells(path) -> Telemetry:
     """read_telemetry_csv by the csv module and one parser call per
     cell: the reference reader, and the one that words every error."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            reader = csv.reader(fh)
-            header = _telemetry_header(reader, path)
-            parsers = (str, np.int64, float) + (_parse_bool,) * 4
-            parsers += (float,) * (len(header) - len(parsers))
-            columns = [[] for _ in header]
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    if len(row) != len(header):
-                        raise ValueError("expected %d columns" % len(header))
-                    for column, parse, text in zip(columns, parsers, row):
-                        column.append(parse(text))
-                except (ValueError, OverflowError) as exc:
-                    raise CausalError("%s:%d: %s" % (path, reader.line_num, exc)) from None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise CausalError("%s: %s" % (path, exc)) from None
+    with read_csv(path, CausalError) as reader:
+        header = _telemetry_header(reader, path)
+        parsers = (str, np.int64, float) + (_parse_bool,) * 4
+        parsers += (float,) * (len(header) - len(parsers))
+        columns = [[] for _ in header]
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError("expected %d columns" % len(header))
+                for column, parse, text in zip(columns, parsers, row):
+                    column.append(parse(text))
+            except (ValueError, OverflowError) as exc:
+                raise CausalError("%s:%d: %s" % (path, reader.line_num, exc)) from None
     _refuse_repeated_meeting_ids(columns[0], path)
     n_base = len(TELEMETRY_COLUMNS)
     return Telemetry(*columns[:n_base], extras=dict(zip(header[n_base:], columns[n_base:])))
 
 
 def _refuse_repeated_meeting_ids(meeting_ids, path) -> None:
-    """Raise CausalError naming the first meeting_id seen twice, in order."""
+    """Raise CausalError naming the first meeting_id seen twice, in order.
+    The ids are compared as Telemetry stores them: its numpy str array
+    drops trailing NULs, so a and a\\0 are one id."""
     seen = set()
     for meeting_id in meeting_ids:
+        meeting_id = meeting_id.rstrip("\0")  # no copy unless it ends in a NUL
         if meeting_id in seen:
             raise CausalError("%s: meeting_id %r appears more than once" % (path, meeting_id))
         seen.add(meeting_id)

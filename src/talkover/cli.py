@@ -242,11 +242,12 @@ def cmd_eval(args) -> None:
         names.append(args.calibration_split)
     scored, *calibration = _read_splits(args, names)
 
+    # every checkpoint is loaded before the first run writes a file
+    nets = [model_mod.load_model(os.path.join(args.model_dir, "checkpoint_r%d.bin" % run))
+            for run in range(args.runs)]
     positive = "failed_interruption"
     rows = []
-    for run in range(args.runs):
-        ckpt = os.path.join(args.model_dir, "checkpoint_r%d.bin" % run)
-        net = model_mod.load_model(ckpt)
+    for run, net in enumerate(nets):
         samples = score(net, *scored)
         auc = metrics.roc_auc(samples, positive)
 

@@ -10,7 +10,6 @@ codes; each vote carries exactly one label. write_votes_csv writes only
 rows that Votes.from_rows accepts."""
 from __future__ import annotations
 
-import csv
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateVoteError, LabelError, UndefinedKappaError
-from .textio import read_json, write_csv
+from .textio import read_csv, read_json, write_csv
 from .vocab import CLASSES
 
 VOTE_LABELS = CLASSES + ("other",)
@@ -65,21 +64,24 @@ class Votes:
     def from_rows(cls, rows, where=lambda: ""):
         """Votes from (clip_id, annotator_id, label) triples. Each id takes
         a code when first seen, and the codes are then renumbered in sorted
-        id order. A row that is not a triple or has an unknown label raises
-        LabelError, prefixed by where() (the reader's file and line); a
-        repeated (clip, annotator) pair raises DuplicateVoteError."""
+        id order. A row that is not a triple, or holds an unknown label or
+        an unhashable field, raises LabelError, prefixed by where() (the
+        reader's file and line); a repeated (clip, annotator) pair raises
+        DuplicateVoteError."""
         clip_code, annotator_code = {}, {}
         clip, annotator, label = array("q"), array("q"), array("q")
         for row in rows:
             try:
                 c, a, lab = row
                 label.append(_LABEL_CODE[lab])
+                clip.append(clip_code.setdefault(c, len(clip_code)))
+                annotator.append(annotator_code.setdefault(a, len(annotator_code)))
             except ValueError:
                 raise LabelError("%sexpected 3 columns" % where()) from None
             except KeyError:
                 raise LabelError("%sunknown vote label %r" % (where(), lab)) from None
-            clip.append(clip_code.setdefault(c, len(clip_code)))
-            annotator.append(annotator_code.setdefault(a, len(annotator_code)))
+            except TypeError as exc:  # a row that is not iterable, or an unhashable field
+                raise LabelError("%s%s" % (where(), exc)) from None
         clip, clip_ids = _in_sorted_order(clip, clip_code)
         annotator, annotator_ids = _in_sorted_order(annotator, annotator_code)
         pairs = np.sort(clip * len(annotator_ids) + annotator)
@@ -182,15 +184,11 @@ def read_golden_json(path) -> dict:
 def read_votes_csv(path) -> Votes:
     """Votes CSV is clip_id,annotator_id,label with a header row; blank
     lines are skipped. A bad row's error names the file and line."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            reader = csv.reader(fh)
-            if next(reader, None) != ["clip_id", "annotator_id", "label"]:
-                raise LabelError("%s: expected header clip_id,annotator_id,label" % path)
-            return Votes.from_rows(filter(None, reader),
-                                   where=lambda: "%s:%d: " % (path, reader.line_num))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise LabelError("%s: %s" % (path, exc)) from None
+    with read_csv(path, LabelError) as reader:
+        if next(reader, None) != ["clip_id", "annotator_id", "label"]:
+            raise LabelError("%s: expected header clip_id,annotator_id,label" % path)
+        return Votes.from_rows(filter(None, reader),
+                               where=lambda: "%s:%d: " % (path, reader.line_num))
 
 
 def write_votes_csv(path, votes) -> None:

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .errors import AudioError, ManifestError
-from .textio import parse_json, read_json, write_json, write_jsonl
+from .textio import parse_json, read_json, read_text, write_json, write_jsonl
 
 # fields that must hold strings when present; all but label are required
 _STRING_FIELDS = ("clip_id", "meeting_id", "interrupter_id", "wav_path", "label")
@@ -86,23 +86,20 @@ def read_manifest(path):
     repeats an earlier line's clip_id, raises ManifestError naming it."""
     records = []
     first_line = {}  # clip_id -> line it first appears on
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = ClipRecord.from_dict(parse_json(line))
-                    if rec.clip_id in first_line:
-                        raise ManifestError("duplicate clip_id %r, first on line %d"
-                                            % (rec.clip_id, first_line[rec.clip_id]))
-                except (ValueError, ManifestError) as exc:  # bad JSON, a non-finite or huge number
-                    raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from None
-                first_line[rec.clip_id] = lineno
-                records.append(rec)
-        except UnicodeDecodeError as exc:
-            raise ManifestError("%s: %s" % (path, exc)) from None
+    with read_text(path, ManifestError) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = ClipRecord.from_dict(parse_json(line))
+                if rec.clip_id in first_line:
+                    raise ManifestError("duplicate clip_id %r, first on line %d"
+                                        % (rec.clip_id, first_line[rec.clip_id]))
+            except (ValueError, ManifestError) as exc:  # bad JSON, a non-finite or huge number
+                raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from None
+            first_line[rec.clip_id] = lineno
+            records.append(rec)
     return records
 
 

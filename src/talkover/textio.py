@@ -1,7 +1,9 @@
 """The program's text formats, each written in one place: JSON with
 sorted keys, indent 2 and a final newline; sorted-key JSON lines; and
-CSV as the csv module writes it, rows ending in \\r\\n. JSON is read in
-one place too, by parse_json, which refuses what write_json refuses."""
+CSV as the csv module writes it, rows ending in \\r\\n. Every text file
+is read here too: read_text opens it as UTF-8 and words a byte that
+does not decode, and parse_json refuses what write_json refuses."""
+import contextlib
 import csv
 import json
 import math
@@ -20,8 +22,10 @@ def write_json(path, obj) -> None:
 
 
 def write_jsonl(path, objs) -> None:
+    """A non-finite float raises ValueError before the file is opened."""
+    lines = [json_line(obj) + "\n" for obj in objs]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json_line(obj) + "\n" for obj in objs)
+        fh.writelines(lines)
 
 
 def write_csv(path, header, rows) -> None:
@@ -51,10 +55,28 @@ def parse_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
+@contextlib.contextmanager
+def read_text(path, error, newline=None):
+    """The file at path as UTF-8 text; a UnicodeDecodeError or csv.Error
+    raised in the block becomes error("<path>: <reason>")."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise error("%s: %s" % (path, exc)) from None
+
+
+@contextlib.contextmanager
+def read_csv(path, error):
+    with read_text(path, error, newline="") as fh:
+        yield csv.reader(fh)
+
+
 def read_json(path, error):
     """The document at path; bad bytes or JSON raise error("<path>: <reason>")."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_json(fh.read())
-        except ValueError as exc:
-            raise error("%s: %s" % (path, exc)) from None
+    with read_text(path, error) as fh:
+        text = fh.read()
+    try:
+        return parse_json(text)
+    except ValueError as exc:
+        raise error("%s: %s" % (path, exc)) from None

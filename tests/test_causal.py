@@ -805,6 +805,36 @@ def test_a_repeated_meeting_id_is_refused_without_the_cell_parse(tmp_path, monke
     assert calls == []
 
 
+@pytest.mark.parametrize("quote", ["", '"'], ids=["column pass", "cell parse"])
+def test_ids_that_differ_in_trailing_nuls_are_one_meeting_id(tmp_path, capsys, quote):
+    # Telemetry holds meeting_id in a numpy str array, which drops
+    # trailing NULs, so a and a\0 would be stored as one id twice
+    path = tmp_path / "telemetry.csv"
+    rows = ["a,4,30.0,1,0,1,1", "%sa\0%s,5,20.0,0,1,0,0" % (quote, quote),
+            "m2,3,10.0,0,0,1,0"]
+    path.write_text(GOOD_HEADER + "\n" + "\n".join(rows) + "\n")
+    assert causal._loadtxt_may_differ(path) == bool(quote)
+    message = "%s: meeting_id 'a' appears more than once" % path
+    with pytest.raises(CausalError) as info:
+        read_telemetry_csv(path)
+    assert str(info.value) == message
+    capsys.readouterr()
+    assert run_cli(["impact", "--telemetry", path, "--out", tmp_path / "o"]) == 8
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_an_undecodable_header_is_refused_without_the_cell_parse(tmp_path, monkeypatch):
+    path = tmp_path / "telemetry.csv"
+    path.write_bytes(GOOD_HEADER.encode() + b"\xff\nm0,4,30.0,1,0,1,1\n")
+    calls = []
+    monkeypatch.setattr(causal, "_read_telemetry_cells", lambda p: calls.append(p))
+    with pytest.raises(CausalError) as info:
+        read_telemetry_csv(path)
+    assert str(info.value) == ("%s: 'utf-8' codec can't decode byte 0xff in position 98: "
+                               "invalid start byte" % path)
+    assert calls == []
+
+
 def test_write_telemetry_csv_refuses_a_repeated_meeting_id(tmp_path):
     path = tmp_path / "telemetry.csv"
     with pytest.raises(CausalError) as info:

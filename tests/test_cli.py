@@ -1131,6 +1131,25 @@ def test_corrupt_checkpoint_exits_5(fixtures_dir, tmp_path):
     assert code == 5
 
 
+def test_eval_loads_every_checkpoint_before_it_writes(fixtures_dir, model_dir, tmp_path,
+                                                      capsys):
+    emb = fixtures_dir / "embeddings"
+    two_runs = tmp_path / "model"
+    two_runs.mkdir()
+    blob = (model_dir / "checkpoint_r0.bin").read_bytes()
+    (two_runs / "checkpoint_r0.bin").write_bytes(blob)
+    (two_runs / "checkpoint_r1.bin").write_bytes(blob[:100])
+    capsys.readouterr()
+    code = run_cli(["eval", "--manifest", emb / "manifest.jsonl",
+                    "--split", emb / "split.json", "--features", emb,
+                    "--feature", "emb", "--profile", "tiny", "--runs", 2,
+                    "--model-dir", two_runs, "--out", tmp_path / "o"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "checkpoint_r1.bin" in err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_checkpoint_header_nested_1000_deep_exits_5(small_corpus, model_dir, tmp_path):
     blob = (model_dir / "checkpoint_r0.bin").read_bytes()
     header_len = int.from_bytes(blob[8:12], "little")

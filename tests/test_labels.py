@@ -43,6 +43,22 @@ def test_write_votes_csv_refuses_what_read_votes_csv_refuses(tmp_path, rows, err
         read_votes_csv(path)
 
 
+@pytest.mark.parametrize("row, reason", [
+    (5, "cannot unpack non-iterable int object"),
+    (("c", "b", ["other"]), "unhashable type: 'list'"),
+    (("c", {"b"}, "other"), "unhashable type: 'set'"),
+], ids=["not iterable", "unhashable label", "unhashable id"])
+def test_a_row_of_the_wrong_type_raises_label_error(tmp_path, row, reason):
+    with pytest.raises(LabelError) as read:
+        Votes.from_rows([("c", "a", "other"), row], where=lambda: "votes.csv:3: ")
+    assert str(read.value) == "votes.csv:3: " + reason
+    path = tmp_path / "votes.csv"
+    with pytest.raises(LabelError) as written:
+        write_votes_csv(path, [row])
+    assert str(written.value) == reason
+    assert not path.exists()
+
+
 def test_five_of_seven_accepted():
     res = aggregate_all(Votes.from_rows(
         votes_for("c", ["laughter"] * 5 + ["other", "backchannel"])))[0]

@@ -184,6 +184,13 @@ def test_read_split_rejects_unparseable_files(tmp_path, blob):
         read_split(path)
 
 
+def test_write_manifest_of_a_non_finite_onset_leaves_no_file(tmp_path):
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(ValueError):
+        write_manifest(path, [rec("a"), rec("b", onset_s=float("nan"))])
+    assert not path.exists()
+
+
 def test_read_manifest_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "m.jsonl"
     write_manifest(path, [rec("a"), rec("b")])

@@ -40,6 +40,14 @@ def test_write_jsonl_writes_one_sorted_object_per_line(tmp_path):
     assert json_line({"b": 1, "a": "x"}) == '{"a": "x", "b": 1}'
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_write_jsonl_refuses_non_finite_floats_before_opening(tmp_path, bad):
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError):
+        write_jsonl(path, [{"a": 1}, {"b": bad}])
+    assert not path.exists()
+
+
 def test_write_jsonl_of_no_objects_is_empty(tmp_path):
     write_jsonl(tmp_path / "t.jsonl", [])
     assert (tmp_path / "t.jsonl").read_bytes() == b""
@@ -97,10 +105,10 @@ def test_read_json_raises_the_callers_family_naming_the_path(tmp_path, error, co
 
 
 def _text_format_calls(tree):
-    """(line, name) of each json.dump, json.dumps, json.load, json.loads
-    and csv.writer use."""
+    """(line, name) of each json.dump, json.dumps, json.load, json.loads,
+    csv.writer and csv.reader use."""
     banned = {("json", "dump"), ("json", "dumps"), ("json", "load"), ("json", "loads"),
-              ("csv", "writer")}
+              ("csv", "writer"), ("csv", "reader")}
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -113,7 +121,7 @@ def _text_format_calls(tree):
 
 
 def test_only_textio_writes_json_and_csv():
-    """No module but textio.py writes JSON or CSV, or reads JSON."""
+    """No module but textio.py writes JSON or CSV, or parses either."""
     modules = sorted(SRC.glob("*.py"))
     assert SRC / "textio.py" in modules and len(modules) > 5
     offenders = {}
@@ -128,15 +136,17 @@ def test_only_textio_writes_json_and_csv():
 def test_the_guard_sees_each_banned_writer():
     tree = ast.parse("import csv, json\nfrom json import dumps, loads\n"
                      "json.dump(1, f)\nw = csv.writer(f)\ns = json.dumps(1)\n"
-                     "d = json.load(f)\nd = json.loads(s)\n")
+                     "d = json.load(f)\nd = json.loads(s)\nr = csv.reader(f)\n"
+                     "from csv import reader, field_size_limit\n")
     assert sorted(_text_format_calls(tree)) == [
         (2, "json.dumps"), (2, "json.loads"), (3, "json.dump"), (4, "csv.writer"),
-        (5, "json.dumps"), (6, "json.load"), (7, "json.loads")]
+        (5, "json.dumps"), (6, "json.load"), (7, "json.loads"), (8, "csv.reader"),
+        (9, "csv.reader")]
 
 
-def _text_opens_without_utf8(tree):
-    """Line of each text-mode open() call that does not pass
-    encoding="utf-8"; a mode holding "b" is binary and exempt."""
+def _text_opens(tree):
+    """(line, keywords) of each open() call whose mode is not a constant
+    holding "b": each text-mode open, and each whose mode cannot be told."""
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -144,12 +154,17 @@ def _text_opens_without_utf8(tree):
             continue
         keywords = {k.arg: k.value for k in node.keywords}
         mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
-        if isinstance(mode, ast.Constant) and "b" in mode.value:
-            continue
-        encoding = keywords.get("encoding")
-        if not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8"):
-            found.append(node.lineno)
+        if not (isinstance(mode, ast.Constant) and "b" in mode.value):
+            found.append((node.lineno, keywords))
     return found
+
+
+def _text_opens_without_utf8(tree):
+    """Line of each text-mode open() call that does not pass
+    encoding="utf-8"."""
+    return [line for line, keywords in _text_opens(tree)
+            if not (isinstance(keywords.get("encoding"), ast.Constant)
+                    and keywords["encoding"].value == "utf-8")]
 
 
 def test_every_text_open_is_utf8():
@@ -162,13 +177,28 @@ def test_every_text_open_is_utf8():
     assert offenders == {}
 
 
+def test_only_textio_opens_text_files():
+    """Every text file is opened in textio.py, which decides how it is
+    decoded and how a byte that does not decode is worded."""
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "textio.py" in modules and len(modules) > 5
+    offenders = {}
+    for path in modules:
+        if path.name != "textio.py":
+            lines = [line for line, _ in _text_opens(ast.parse(path.read_text(), str(path)))]
+            if lines:
+                offenders[path.name] = lines
+    assert offenders == {}
+
+
 def test_the_guard_sees_each_text_open_without_utf8():
     tree = ast.parse("open(path)\nopen(path, 'w')\nopen(path, newline='')\n"
                      "open(path, encoding='latin-1')\nopen(path, mode='r', encoding=enc)\n"
                      "open(path, 'rb')\nopen(path, mode='wb')\nopen(path, 'r+b')\n"
                      "open(path, 'w', encoding='utf-8', newline='')\n"
-                     "open(path, encoding='utf-8')\n")
-    assert _text_opens_without_utf8(tree) == [1, 2, 3, 4, 5]
+                     "open(path, encoding='utf-8')\nopen(path, mode)\n")
+    assert _text_opens_without_utf8(tree) == [1, 2, 3, 4, 5, 11]
+    assert [line for line, _ in _text_opens(tree)] == [1, 2, 3, 4, 5, 9, 10, 11]
 
 
 def _command_returns(tree):
